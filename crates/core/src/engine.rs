@@ -526,7 +526,16 @@ impl<A: Actuator + Clone> EngineShard<A> {
     /// advancing the monitor. The process is stepped (once, regardless of
     /// how many members published) by the next
     /// [`EngineShard::fuse_step_into`].
-    pub fn absorb_verdict(&mut self, pid: ProcessId, verdict: Verdict) {
+    ///
+    /// `confidence` is a public field, so this is the boundary that
+    /// sanitises it: a NaN confidence is dropped as "no measurement from
+    /// this member" (one NaN would otherwise poison the fused mass and
+    /// veto every kill), and any other value is clamped into `[0, 1]`.
+    pub fn absorb_verdict(&mut self, pid: ProcessId, mut verdict: Verdict) {
+        if verdict.confidence.is_nan() {
+            return;
+        }
+        verdict.confidence = verdict.confidence.clamp(0.0, 1.0);
         self.fusion_stats.saw(verdict.detector);
         let cell = self.evidence.entry(pid).or_default();
         let seen_tick = self.fusion_tick + 1;
@@ -605,6 +614,10 @@ impl<A: Actuator + Clone> EngineShard<A> {
     /// the single-caller convenience path (one verdict per epoch). Batch
     /// embedders absorb many verdicts and call
     /// [`EngineShard::fuse_step_into`] once per tick instead.
+    ///
+    /// A NaN-confidence verdict is no measurement: the process is not
+    /// stepped and the response reports its current standing with
+    /// [`Action::None`].
     pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
         self.absorb_verdict(pid, verdict);
         self.fusion_tick += 1;
@@ -613,7 +626,13 @@ impl<A: Actuator + Clone> EngineShard<A> {
         if self.dirty.last() == Some(&pid) {
             self.dirty.pop();
         }
-        self.fuse_one(pid).expect("verdict was just absorbed")
+        self.fuse_one(pid).unwrap_or_else(|| EngineResponse {
+            pid,
+            state: self.state(pid).unwrap_or(ProcessState::Normal),
+            threat: self.threat(pid).unwrap_or_else(ThreatIndex::zero),
+            resources: self.resources(pid).unwrap_or(ResourceVector::FULL),
+            action: Action::None,
+        })
     }
 
     /// Absorbs a batch of per-detector verdicts, then fuses once: one

@@ -18,8 +18,7 @@
 //! Publishing routes each observation to the ring of the shard that owns
 //! its pid (the same [`mix64`](crate::hash::mix64)-based placement the
 //! batch path uses), so draining a shard's ring never crosses shard
-//! boundaries: in pool mode every worker drains its own shards in place,
-//! with no cross-thread batch scatter.
+//! boundaries.
 //!
 //! Each accepted observation is stamped with a global sequence number,
 //! allocated under the destination ring's lock. Within a ring, sequence
@@ -357,8 +356,8 @@ impl<P> Default for ShardRing<P> {
 }
 
 /// All of one engine's ingest rings: one bounded MPSC ring per shard,
-/// shared (via `Arc`) between the engine, its pool workers and every
-/// [`IngestPublisher`] clone.
+/// shared (via `Arc`) between the engine and every [`IngestPublisher`]
+/// clone.
 ///
 /// Generic over the queued payload: the PR 5 binary path queues
 /// [`Classification`]s (the default), the fusion path queues

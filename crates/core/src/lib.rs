@@ -26,10 +26,8 @@
 //! logic lives in an [`EngineShard`], and a [`ShardedEngine`] ([`sharded`])
 //! partitions thousands of processes across shards behind a batched,
 //! thread-parallel `observe_batch` / `tick` API with identical Algorithm 1
-//! semantics. Two [`ExecutionMode`]s drive the fan-out: per-tick scoped
-//! threads (the default) or a persistent actor-style worker pool
-//! ([`pool`]) that owns the shards on long-lived threads and amortises the
-//! spawns across the engine's lifetime. The [`ingest`] tier decouples the
+//! semantics: large batches fan out over per-batch scoped threads, small
+//! ones stay on the caller's thread. The [`ingest`] tier decouples the
 //! two halves of Fig. 2 in time: detector threads publish classifications
 //! into bounded per-shard queues ([`IngestPublisher`], with explicit
 //! [`OverflowPolicy`] semantics) and the epoch driver drains whatever has
@@ -71,7 +69,6 @@ pub mod hash;
 pub mod ingest;
 pub mod migration;
 pub mod monitor;
-pub mod pool;
 pub mod resource;
 pub mod sharded;
 pub mod slowdown;
@@ -99,9 +96,8 @@ pub use ingest::{
 };
 pub use migration::{migration_progress, MigrationPolicy};
 pub use monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
-pub use pool::ShardPool;
 pub use resource::{ProcessId, ResourceKind, ResourceVector};
-pub use sharded::{host_parallelism, ExecutionMode, ShardedEngine};
+pub use sharded::{host_parallelism, ShardedEngine};
 pub use slowdown::{simulate_response, slowdown_percent, ResponseTrace};
 pub use state::ProcessState;
 pub use telemetry::{FusionStats, IngestStats, LogEntry, ProcessSummary, ResponseLog};
@@ -119,9 +115,8 @@ pub mod prelude {
     pub use crate::fleet::{FleetEngine, FleetPublisher};
     pub use crate::ingest::{IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
     pub use crate::monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
-    pub use crate::pool::ShardPool;
     pub use crate::resource::{ProcessId, ResourceKind, ResourceVector};
-    pub use crate::sharded::{ExecutionMode, ShardedEngine};
+    pub use crate::sharded::ShardedEngine;
     pub use crate::slowdown::{simulate_response, slowdown_percent};
     pub use crate::state::ProcessState;
     pub use crate::telemetry::{FusionStats, IngestStats};

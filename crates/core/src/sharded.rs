@@ -7,37 +7,21 @@
 //! [`ShardedEngine::observe_batch`] feeds one epoch's inferences for the
 //! whole fleet and returns the responses in input order.
 //!
-//! # Execution modes
-//!
-//! How the per-shard work reaches the shards is a deployment choice, not a
-//! code change — [`ExecutionMode`] selects it and the batch API is
-//! identical either way:
-//!
-//! * [`ExecutionMode::ScopedSpawn`] (the default) fans each large batch
-//!   out with [`std::thread::scope`], spawning fresh threads per tick.
-//!   Small batches — and single-core hosts, where a spawn is pure loss —
-//!   stay on the caller's thread and skip the partition/scatter passes
-//!   entirely. Best when ticks are sporadic or batches are usually small:
-//!   no threads exist between ticks.
-//! * [`ExecutionMode::Pool`] owns the shards actor-style in a persistent
-//!   [`ShardPool`]: `min(shards, cores)` long-lived
-//!   workers are spawned once and fed per-tick work over channels, so the
-//!   steady state pays two message exchanges per worker instead of a fresh
-//!   set of thread spawns every tick. Best for fleet-scale drivers that
-//!   tick continuously at 10k+ observations — exactly where the per-tick
-//!   spawns of scoped mode dominate.
-//!
-//! Modes can be switched at runtime with
-//! [`ShardedEngine::set_execution_mode`]; the conversion is lossless (the
-//! pool hands its shards back on shutdown).
+//! Large batches fan out with [`std::thread::scope`]: the shards are
+//! chunked onto `min(shards, cores)` threads for the duration of the batch,
+//! so no threads exist between ticks. Small batches — and single-core
+//! hosts, where a spawn is pure loss — stay on the caller's thread and
+//! skip the partition/scatter passes entirely
+//! ([`ShardedEngine::set_parallel_threshold`] moves the crossover).
 //!
 //! Algorithm 1 semantics are **bit-for-bit identical** to a single
-//! [`ValkyrieEngine`](crate::ValkyrieEngine) in both modes: the monitor
+//! [`ValkyrieEngine`](crate::ValkyrieEngine) on every path: the monitor
 //! state is strictly per process, shard placement is a pure deterministic
 //! function of the pid ([`crate::hash::mix64`]), and observations of the
 //! same pid within a batch are applied in batch order by whichever shard
 //! owns it. The property tests in `tests/sharding.rs` pin this equivalence
-//! for arbitrary interleavings, shard counts and both execution modes.
+//! for arbitrary interleavings, shard counts and both the inline and the
+//! forced-parallel path.
 //!
 //! # Examples
 //!
@@ -58,23 +42,6 @@
 //! assert_eq!(engine.tracked_live(), 10_000);
 //! assert_eq!(engine.epoch(), 1);
 //! ```
-//!
-//! The same deployment through the persistent pool:
-//!
-//! ```
-//! use valkyrie_core::prelude::*;
-//!
-//! let config = EngineConfig::builder()
-//!     .measurements_required(5)
-//!     .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
-//!     .build()
-//!     .unwrap();
-//! let mut engine = ShardedEngine::with_mode(config, 4, 10_000, ExecutionMode::Pool);
-//! let batch = vec![(ProcessId(1), Classification::Malicious)];
-//! let responses = engine.tick(&batch);
-//! assert_eq!(responses.len(), 1);
-//! assert_eq!(engine.execution_mode(), ExecutionMode::Pool);
-//! ```
 
 use crate::actuator::{Actuator, CompositeActuator};
 use crate::engine::{EngineConfig, EngineResponse, EngineShard};
@@ -83,7 +50,6 @@ use crate::hash::shard_of;
 use crate::ingest::{
     merge_by_seq, IngestDefense, IngestPublisher, IngestQueues, OverflowPolicy, ThreatHints,
 };
-use crate::pool::ShardPool;
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::telemetry::{FusionStats, IngestStats};
@@ -109,7 +75,7 @@ pub fn host_parallelism() -> usize {
 /// Batches smaller than this per call run on the caller's thread even with
 /// multiple shards: a few hundred observations finish faster than the
 /// spawns they would amortise. Tunable via
-/// [`ShardedEngine::set_parallel_threshold`]; scoped-spawn mode only.
+/// [`ShardedEngine::set_parallel_threshold`].
 const DEFAULT_PARALLEL_THRESHOLD: usize = 512;
 
 /// A partition-scratch slot whose capacity exceeds this multiple of what
@@ -121,44 +87,20 @@ const SCRATCH_SHRINK_FACTOR: usize = 8;
 /// reallocations to save a few hundred bytes per shard is a net loss.
 const SCRATCH_MIN_CAPACITY: usize = 64;
 
-/// How a [`ShardedEngine`] distributes per-tick work across its shards.
-/// See the [module docs](self) for when each mode wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Fan each batch out with [`std::thread::scope`], spawning fresh
-    /// threads per tick (small batches stay inline). The default.
-    #[default]
-    ScopedSpawn,
-    /// Persistent worker pool: long-lived threads own the shards
-    /// actor-style and are fed work over channels, amortising the spawns
-    /// across the engine's whole lifetime.
-    Pool,
-}
-
-/// Where the shards currently live: inline (scoped mode) or moved into the
-/// persistent workers (pool mode).
-#[derive(Debug)]
-enum Backend<A: Actuator + Clone> {
-    Scoped(Vec<EngineShard<A>>),
-    Pool(ShardPool<A>),
-}
-
 /// A fleet-scale engine: `N` independent [`EngineShard`]s behind a batch
-/// API plus an epoch-tick driver, executed by either per-tick scoped
-/// threads or a persistent worker pool ([`ExecutionMode`]).
+/// API plus an epoch-tick driver, fanned out over per-batch scoped
+/// threads.
 ///
 /// See the [module docs](self) for the equivalence guarantees.
 #[derive(Debug)]
 pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
-    backend: Backend<A>,
+    shards: Vec<EngineShard<A>>,
     config: EngineConfig<A>,
-    nshards: usize,
     epoch: u64,
     purged_total: u64,
     parallel_threshold: usize,
     /// `min(shards, host cores)`, resolved once at construction so the
-    /// per-tick hot path never pays the affinity syscall. Doubles as the
-    /// default pool worker count.
+    /// per-tick hot path never pays the affinity syscall.
     host_workers: usize,
     /// Per-shard partition scratch, reused across batches so the steady
     /// state allocates nothing on the partition side (and shrunk back
@@ -166,8 +108,7 @@ pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
     parts: Vec<Vec<(ProcessId, Classification)>>,
     origins: Vec<Vec<usize>>,
     /// The async ingest rings, once [`ShardedEngine::enable_ingest`] has
-    /// built them; `Arc`-shared with every publisher handle and (in pool
-    /// mode) the workers.
+    /// built them; `Arc`-shared with every publisher handle.
     ingest: Option<Arc<IngestQueues>>,
     /// Per-shard sequence-stamp scratch for [`ShardedEngine::drain_batch`]
     /// (empty until ingest is enabled; same shrink policy as `parts`).
@@ -193,8 +134,8 @@ pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
 }
 
 /// The owning shard for `pid` among `nshards`: a pure function of the pid,
-/// stable across runs, platforms and execution modes (the workspace-wide
-/// routing rule, [`crate::hash::shard_of`]).
+/// stable across runs and platforms (the workspace-wide routing rule,
+/// [`crate::hash::shard_of`]).
 #[inline]
 pub(crate) fn shard_index(pid: ProcessId, nshards: usize) -> usize {
     shard_of(pid.0, nshards)
@@ -203,7 +144,7 @@ pub(crate) fn shard_index(pid: ProcessId, nshards: usize) -> usize {
 /// Splits `batch` into per-partition work lists under an arbitrary routing
 /// function, remembering each observation's position in the input batch.
 /// Free-standing so an engine can split-borrow its scratch next to its
-/// backend; the fleet tier reuses it with machine-id routing.
+/// shards; the fleet tier reuses it with machine-id routing.
 pub(crate) fn partition_by_into<T: Copy>(
     batch: &[(ProcessId, T)],
     route: impl Fn(ProcessId) -> usize,
@@ -241,35 +182,13 @@ pub(crate) fn shrink_slot<T>(slot: &mut Vec<T>, used: usize) {
     }
 }
 
-/// Minimal either-iterator so [`ShardedEngine::iter`] can stay lazy and
-/// allocation-free in scoped mode (the shards are right there to walk)
-/// while pool mode iterates a snapshot fetched from the workers.
-enum EitherIter<L, R> {
-    Scoped(L),
-    Pool(R),
-}
-
-impl<L, R> Iterator for EitherIter<L, R>
-where
-    L: Iterator,
-    R: Iterator<Item = L::Item>,
-{
-    type Item = L::Item;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            EitherIter::Scoped(it) => it.next(),
-            EitherIter::Pool(it) => it.next(),
-        }
-    }
-}
-
-/// Applies per-shard work lists to the shards on the caller's side of the
-/// backend, returning one response list per shard (in shard order). With
-/// more than one worker the shards are chunked onto `workers` scoped
-/// threads (an 8-shard engine on a 4-core host costs 4 spawns, not 8);
-/// with one worker everything runs inline. Shared by the batch and drain
-/// paths — per-shard application order is identical either way.
+/// Applies per-shard work lists to the shards, returning one response list
+/// per shard (in shard order). With more than one worker the shards are
+/// chunked onto `workers` scoped threads (an 8-shard engine on a 4-core
+/// host costs 4 spawns, not 8); with one worker everything runs inline.
+/// Shared by the batch and drain paths — per-shard application order is
+/// identical either way. A panicking shard re-raises its own payload on
+/// the caller's thread.
 fn observe_parts_scoped<A: Actuator + Clone + Send>(
     shards: &mut [EngineShard<A>],
     parts: &[Vec<(ProcessId, Classification)>],
@@ -299,7 +218,10 @@ fn observe_parts_scoped<A: Actuator + Clone + Send>(
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("engine shard panicked"))
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     })
 }
@@ -328,8 +250,7 @@ pub(crate) fn scatter_to_input_order(
 }
 
 impl<A: Actuator + Clone + Send> ShardedEngine<A> {
-    /// Creates an engine with `shards` partitions in the default
-    /// [`ExecutionMode::ScopedSpawn`].
+    /// Creates an engine with `shards` partitions.
     ///
     /// # Panics
     ///
@@ -340,8 +261,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
 
     /// Creates an engine with `shards` partitions, each pre-sized for its
     /// share of `expected_procs` processes (see
-    /// [`EngineShard::with_capacity`]), in the default
-    /// [`ExecutionMode::ScopedSpawn`].
+    /// [`EngineShard::with_capacity`]).
     ///
     /// # Panics
     ///
@@ -350,13 +270,10 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         assert!(shards > 0, "a sharded engine needs at least one shard");
         let per_shard = expected_procs.div_ceil(shards);
         Self {
-            backend: Backend::Scoped(
-                (0..shards)
-                    .map(|_| EngineShard::with_capacity(config.clone(), per_shard))
-                    .collect(),
-            ),
+            shards: (0..shards)
+                .map(|_| EngineShard::with_capacity(config.clone(), per_shard))
+                .collect(),
             config,
-            nshards: shards,
             epoch: 0,
             purged_total: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
@@ -375,30 +292,12 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.nshards
+        self.shards.len()
     }
 
     /// The shared configuration (every shard holds a clone of it).
     pub fn config(&self) -> &EngineConfig<A> {
         &self.config
-    }
-
-    /// The current execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        match self.backend {
-            Backend::Scoped(_) => ExecutionMode::ScopedSpawn,
-            Backend::Pool(_) => ExecutionMode::Pool,
-        }
-    }
-
-    /// Number of persistent worker threads when running in
-    /// [`ExecutionMode::Pool`]; `None` in scoped mode, where threads only
-    /// exist for the duration of a batch.
-    pub fn pool_workers(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Scoped(_) => None,
-            Backend::Pool(pool) => Some(pool.workers()),
-        }
     }
 
     /// Epochs driven so far via [`Self::tick`].
@@ -414,14 +313,11 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 
     /// Overrides the batch size below which [`Self::observe_batch`] stays
-    /// on the caller's thread in [`ExecutionMode::ScopedSpawn`]. Shard
-    /// placement and results are unaffected — this only moves the
-    /// sequential/parallel crossover. A threshold of `0` forces the spawn
-    /// path even on a single-core host (useful for equivalence tests; pure
-    /// overhead otherwise). A one-shard engine always runs inline
-    /// regardless: there is nothing to fan out. Pool mode ignores the
-    /// threshold entirely — the shards live on the workers, so every batch
-    /// travels over the channels.
+    /// on the caller's thread. Shard placement and results are unaffected
+    /// — this only moves the sequential/parallel crossover. A threshold of
+    /// `0` forces the spawn path even on a single-core host (useful for
+    /// equivalence tests; pure overhead otherwise). A one-shard engine
+    /// always runs inline regardless: there is nothing to fan out.
     pub fn set_parallel_threshold(&mut self, threshold: usize) {
         self.parallel_threshold = threshold;
     }
@@ -429,7 +325,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// The shard that owns `pid`: a pure function of the pid, stable across
     /// runs and platforms for a fixed shard count.
     pub fn shard_of(&self, pid: ProcessId) -> usize {
-        shard_index(pid, self.nshards)
+        shard_index(pid, self.shards.len())
     }
 
     /// Total capacity (in elements) currently retained by the per-shard
@@ -445,66 +341,42 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// Number of processes currently tracked across all shards,
     /// **terminated ones included** (they stay queryable until purged).
     pub fn tracked(&self) -> usize {
-        match &self.backend {
-            Backend::Scoped(shards) => shards.iter().map(EngineShard::tracked).sum(),
-            Backend::Pool(pool) => pool.tracked(),
-        }
+        self.shards.iter().map(EngineShard::tracked).sum()
     }
 
     /// Number of tracked processes that have not terminated.
     pub fn tracked_live(&self) -> usize {
-        match &self.backend {
-            Backend::Scoped(shards) => shards.iter().map(EngineShard::tracked_live).sum(),
-            Backend::Pool(pool) => pool.tracked_live(),
-        }
+        self.shards.iter().map(EngineShard::tracked_live).sum()
     }
 
     /// Current state of a process, if tracked.
     pub fn state(&self, pid: ProcessId) -> Option<ProcessState> {
-        let shard = self.shard_of(pid);
-        match &self.backend {
-            Backend::Scoped(shards) => shards[shard].state(pid),
-            Backend::Pool(pool) => pool.state(shard, pid),
-        }
+        self.shards[self.shard_of(pid)].state(pid)
     }
 
     /// Current threat index of a process, if tracked.
     pub fn threat(&self, pid: ProcessId) -> Option<ThreatIndex> {
-        let shard = self.shard_of(pid);
-        match &self.backend {
-            Backend::Scoped(shards) => shards[shard].threat(pid),
-            Backend::Pool(pool) => pool.threat(shard, pid),
-        }
+        self.shards[self.shard_of(pid)].threat(pid)
     }
 
     /// Current resource shares of a process, if tracked.
     pub fn resources(&self, pid: ProcessId) -> Option<ResourceVector> {
-        let shard = self.shard_of(pid);
-        match &self.backend {
-            Backend::Scoped(shards) => shards[shard].resources(pid),
-            Backend::Pool(pool) => pool.resources(shard, pid),
-        }
+        self.shards[self.shard_of(pid)].resources(pid)
     }
 
     /// Feeds one inference for one process (the compatibility path; batch
     /// embedders should use [`Self::observe_batch`]).
     pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
-        let shard = shard_index(pid, self.nshards);
-        match &mut self.backend {
-            Backend::Scoped(shards) => shards[shard].observe(pid, inference),
-            Backend::Pool(pool) => pool.observe_one(shard, pid, inference),
-        }
+        let shard = self.shard_of(pid);
+        self.shards[shard].observe(pid, inference)
     }
 
     /// Feeds one per-detector [`Verdict`] for one process through the
     /// fusion tier of its owning shard (see
     /// [`EngineShard::observe_verdict`]).
     pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
-        let shard = shard_index(pid, self.nshards);
-        match &mut self.backend {
-            Backend::Scoped(shards) => shards[shard].observe_verdict(pid, verdict),
-            Backend::Pool(pool) => pool.observe_verdict_one(shard, pid, verdict),
-        }
+        let shard = self.shard_of(pid);
+        self.shards[shard].observe_verdict(pid, verdict)
     }
 
     /// Feeds one tick's per-detector verdicts for the whole fleet. Each
@@ -513,43 +385,25 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// tick takes one monitor step, not three. Returns one response per
     /// *process* with fresh evidence, grouped shard by shard (within a
     /// shard: first-arrival order). Deterministic for a fixed batch and
-    /// shard count in both execution modes.
+    /// shard count.
     pub fn observe_verdict_batch(&mut self, batch: &[(ProcessId, Verdict)]) -> Vec<EngineResponse> {
-        let nshards = self.nshards;
+        let nshards = self.shards.len();
+        if nshards == 1 {
+            return self.shards[0].observe_verdict_batch(batch);
+        }
         if self.vparts.len() != nshards {
             self.vparts = vec![Vec::new(); nshards];
         }
-        let out = match self.backend {
-            Backend::Scoped(ref mut shards) => {
-                if nshards == 1 {
-                    return shards[0].observe_verdict_batch(batch);
-                }
-                partition_by_into(
-                    batch,
-                    |pid| shard_index(pid, nshards),
-                    &mut self.vparts,
-                    &mut self.origins,
-                );
-                let mut out = Vec::new();
-                for (shard, part) in shards.iter_mut().zip(&self.vparts) {
-                    shard.observe_verdict_batch_into(part, &mut out);
-                }
-                out
-            }
-            Backend::Pool(ref mut pool) => {
-                partition_by_into(
-                    batch,
-                    |pid| shard_index(pid, nshards),
-                    &mut self.vparts,
-                    &mut self.origins,
-                );
-                let mut out = Vec::new();
-                for responses in pool.observe_verdict_parts(&mut self.vparts) {
-                    out.extend(responses);
-                }
-                out
-            }
-        };
+        partition_by_into(
+            batch,
+            |pid| shard_index(pid, nshards),
+            &mut self.vparts,
+            &mut self.origins,
+        );
+        let mut out = Vec::new();
+        for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
+            shard.observe_verdict_batch_into(part, &mut out);
+        }
         for part in &mut self.vparts {
             let used = part.len();
             shrink_slot(part, used);
@@ -561,75 +415,56 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// [`FusionStats`]): verdicts absorbed per detector, stale verdicts
     /// decayed, escalation transitions enacted.
     pub fn fusion_stats(&self) -> FusionStats {
-        match &self.backend {
-            Backend::Scoped(shards) => {
-                let mut stats = FusionStats::default();
-                for shard in shards {
-                    stats.merge(shard.fusion_stats());
-                }
-                stats
-            }
-            Backend::Pool(pool) => pool.fusion_stats(),
+        let mut stats = FusionStats::default();
+        for shard in &self.shards {
+            stats.merge(shard.fusion_stats());
         }
+        stats
     }
 
     /// Feeds one epoch's detector inferences for the whole fleet and
     /// returns one response per observation, **in input order**.
     ///
     /// Observations are partitioned by owning shard; each shard applies its
-    /// observations in batch order. In [`ExecutionMode::ScopedSpawn`],
-    /// batches worth parallelising run the shards across the host's
-    /// available cores with [`std::thread::scope`] (shards are chunked onto
-    /// `min(shards, cores)` worker threads); small batches — and
-    /// single-core hosts, where a spawn is pure loss — stay on the caller's
-    /// thread and skip the partition/scatter passes entirely. In
-    /// [`ExecutionMode::Pool`], every batch is partitioned and fed to the
-    /// persistent workers over channels — no threads are spawned. Results
-    /// are identical in all paths because shards share no per-process
-    /// state.
+    /// observations in batch order. Batches worth parallelising run the
+    /// shards across the host's available cores with
+    /// [`std::thread::scope`] (shards are chunked onto `min(shards, cores)`
+    /// worker threads); small batches — and single-core hosts, where a
+    /// spawn is pure loss — stay on the caller's thread and skip the
+    /// partition/scatter passes entirely. Results are identical on every
+    /// path because shards share no per-process state.
     pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
-        let nshards = self.nshards;
-        let out = match self.backend {
-            Backend::Scoped(ref mut shards) => {
-                if nshards == 1 {
-                    return shards[0].observe_batch(batch);
-                }
-                let force_spawns = self.parallel_threshold == 0;
-                let workers = if force_spawns {
-                    nshards
-                } else {
-                    self.host_workers
-                };
-                if !force_spawns && (workers <= 1 || batch.len() < self.parallel_threshold) {
-                    // No parallelism to win (single-core host, or a batch
-                    // too small to amortise the spawns): route each
-                    // observation straight to its shard. This skips the
-                    // partition and scatter passes entirely — measured on
-                    // the 10k bench they cost more than the observe work
-                    // they reorganise.
-                    let mut out = Vec::with_capacity(batch.len());
-                    for &(pid, inference) in batch {
-                        let shard = shard_index(pid, nshards);
-                        out.push(shards[shard].observe(pid, inference));
-                    }
-                    // The scratch was bypassed, so anything an earlier
-                    // partitioned outlier batch left in it is dead weight;
-                    // shrink it here too or the inline steady state would
-                    // pin the peak forever.
-                    self.shrink_idle_scratch();
-                    return out;
-                }
-
-                partition_into(batch, nshards, &mut self.parts, &mut self.origins);
-                let results = observe_parts_scoped(shards, &self.parts, workers);
-                scatter_to_input_order(&self.origins, results, batch.len())
-            }
-            Backend::Pool(ref mut pool) => {
-                partition_into(batch, nshards, &mut self.parts, &mut self.origins);
-                let results = pool.observe_parts(&mut self.parts);
-                scatter_to_input_order(&self.origins, results, batch.len())
-            }
+        let nshards = self.shards.len();
+        if nshards == 1 {
+            return self.shards[0].observe_batch(batch);
+        }
+        let force_spawns = self.parallel_threshold == 0;
+        let workers = if force_spawns {
+            nshards
+        } else {
+            self.host_workers
         };
+        if !force_spawns && (workers <= 1 || batch.len() < self.parallel_threshold) {
+            // No parallelism to win (single-core host, or a batch too small
+            // to amortise the spawns): route each observation straight to
+            // its shard. This skips the partition and scatter passes
+            // entirely — measured on the 10k bench they cost more than the
+            // observe work they reorganise.
+            let mut out = Vec::with_capacity(batch.len());
+            for &(pid, inference) in batch {
+                let shard = shard_index(pid, nshards);
+                out.push(self.shards[shard].observe(pid, inference));
+            }
+            // The scratch was bypassed, so anything an earlier partitioned
+            // outlier batch left in it is dead weight; shrink it here too
+            // or the inline steady state would pin the peak forever.
+            self.shrink_idle_scratch();
+            return out;
+        }
+
+        partition_into(batch, nshards, &mut self.parts, &mut self.origins);
+        let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
+        let out = scatter_to_input_order(&self.origins, results, batch.len());
         self.shrink_scratch();
         out
     }
@@ -646,11 +481,9 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         out: &mut Vec<EngineResponse>,
     ) {
         out.clear();
-        if self.nshards == 1 {
-            if let Backend::Scoped(ref mut shards) = self.backend {
-                shards[0].observe_batch_into(batch, out);
-                return;
-            }
+        if self.shards.len() == 1 {
+            self.shards[0].observe_batch_into(batch, out);
+            return;
         }
         out.extend(self.observe_batch(batch));
     }
@@ -711,11 +544,6 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// [`OverflowPolicy`] for what a full ring does). The engine's side of
     /// the pair is [`Self::drain_batch`] / [`Self::drain_tick`].
     ///
-    /// Works in both execution modes: in [`ExecutionMode::Pool`] the rings
-    /// are handed to the persistent workers, which drain their own shards
-    /// in place — no cross-thread batch scatter. Mode switches carry the
-    /// rings along (queued observations included).
-    ///
     /// Calling this again replaces the rings: the old ones are closed
     /// (their blocked publishers wake and their handles start returning
     /// `false`), and any still-queued observations in them are discarded.
@@ -744,17 +572,10 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         if let Some(old) = self.ingest.take() {
             old.close();
         }
-        let queues = IngestQueues::with_defense(
-            self.nshards,
-            capacity,
-            policy,
-            defense,
-            Arc::clone(&self.hints),
-        );
-        if let Backend::Pool(pool) = &self.backend {
-            pool.install_ingest(&queues);
-        }
-        self.seqs = vec![Vec::new(); self.nshards];
+        let nshards = self.shards.len();
+        let queues =
+            IngestQueues::with_defense(nshards, capacity, policy, defense, Arc::clone(&self.hints));
+        self.seqs = vec![Vec::new(); nshards];
         self.ingest = Some(Arc::clone(&queues));
         self.refresh_hints_active();
         IngestPublisher::new(queues)
@@ -823,7 +644,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             .ingest
             .as_ref()
             .expect("call enable_ingest before ShardedEngine::ingest");
-        queues.push(0, shard_index(pid, self.nshards), pid, inference)
+        queues.push(0, self.shard_of(pid), pid, inference)
     }
 
     /// The ingest tier's counters (`None` before [`Self::enable_ingest`]);
@@ -872,18 +693,11 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         if let Some(old) = self.verdicts.take() {
             old.close();
         }
-        let queues = IngestQueues::with_defense(
-            self.nshards,
-            capacity,
-            policy,
-            defense,
-            Arc::clone(&self.hints),
-        );
-        if let Backend::Pool(pool) = &self.backend {
-            pool.install_verdict_ingest(&queues);
-        }
-        self.vparts = vec![Vec::new(); self.nshards];
-        self.vseqs = vec![Vec::new(); self.nshards];
+        let nshards = self.shards.len();
+        let queues =
+            IngestQueues::with_defense(nshards, capacity, policy, defense, Arc::clone(&self.hints));
+        self.vparts = vec![Vec::new(); nshards];
+        self.vseqs = vec![Vec::new(); nshards];
         self.verdicts = Some(Arc::clone(&queues));
         self.refresh_hints_active();
         IngestPublisher::new(queues)
@@ -914,7 +728,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             .verdicts
             .as_ref()
             .expect("call enable_verdict_ingest before ShardedEngine::ingest_verdict");
-        queues.push(0, shard_index(pid, self.nshards), pid, verdict)
+        queues.push(0, self.shard_of(pid), pid, verdict)
     }
 
     /// The verdict rings' counters (`None` before
@@ -967,55 +781,36 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         out
     }
 
-    /// The binary half of [`Self::drain_batch`] (the PR 5 path, verbatim).
+    /// The binary half of [`Self::drain_batch`].
     fn drain_binary_batch(&mut self) -> Vec<EngineResponse> {
         let queues = Arc::clone(
             self.ingest
                 .as_ref()
                 .expect("drain_binary_batch requires enabled ingest"),
         );
-        let nshards = self.nshards;
-        let out = match self.backend {
-            Backend::Scoped(ref mut shards) => {
-                // Empty every ring into the drain scratch first: publishers
-                // blocked on a full ring are released before — not after —
-                // the observe work runs.
-                for shard in 0..nshards {
-                    self.parts[shard].clear();
-                    self.seqs[shard].clear();
-                    queues.drain_shard_into(shard, &mut self.parts[shard], &mut self.seqs[shard]);
-                }
-                if nshards == 1 {
-                    // One ring: application order is ring order, but the
-                    // *returned* order must still be stamp order — under
-                    // `Coalesce` a restamped entry keeps its ring slot, and
-                    // skipping the merge here would make response order
-                    // depend on the shard count.
-                    let results = vec![shards[0].observe_batch(&self.parts[0])];
-                    merge_by_seq(&self.seqs, results)
-                } else {
-                    let total: usize = self.parts.iter().map(Vec::len).sum();
-                    let force_spawns = self.parallel_threshold == 0;
-                    let workers = if force_spawns {
-                        nshards
-                    } else if total < self.parallel_threshold {
-                        1
-                    } else {
-                        self.host_workers
-                    };
-                    let results = observe_parts_scoped(shards, &self.parts, workers);
-                    merge_by_seq(&self.seqs, results)
-                }
-            }
-            Backend::Pool(ref mut pool) => {
-                // The workers drain their own shards in place — the rings
-                // are shared, so no observation crosses a thread boundary
-                // twice.
-                let (seqs, results): (Vec<Vec<u64>>, Vec<Vec<EngineResponse>>) =
-                    pool.drain_parts().into_iter().unzip();
-                merge_by_seq(&seqs, results)
-            }
+        let nshards = self.shards.len();
+        // Empty every ring into the drain scratch first: publishers blocked
+        // on a full ring are released before — not after — the observe
+        // work runs.
+        for shard in 0..nshards {
+            self.parts[shard].clear();
+            self.seqs[shard].clear();
+            queues.drain_shard_into(shard, &mut self.parts[shard], &mut self.seqs[shard]);
+        }
+        // One ring applies in ring order, but the *returned* order must
+        // still be stamp order — under `Coalesce` a restamped entry keeps
+        // its ring slot, and skipping the merge would make response order
+        // depend on the shard count.
+        let total: usize = self.parts.iter().map(Vec::len).sum();
+        let workers = if self.parallel_threshold == 0 {
+            nshards
+        } else if total < self.parallel_threshold {
+            1
+        } else {
+            self.host_workers
         };
+        let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
+        let out = merge_by_seq(&self.seqs, results);
         self.shrink_drain_scratch();
         out
     }
@@ -1031,23 +826,13 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
                 .as_ref()
                 .expect("drain_verdicts_into requires enabled verdict ingest"),
         );
-        let nshards = self.nshards;
-        match self.backend {
-            Backend::Scoped(ref mut shards) => {
-                for shard in 0..nshards {
-                    self.vparts[shard].clear();
-                    self.vseqs[shard].clear();
-                    queues.drain_shard_into(shard, &mut self.vparts[shard], &mut self.vseqs[shard]);
-                }
-                for (shard, part) in shards.iter_mut().zip(&self.vparts) {
-                    shard.observe_verdict_batch_into(part, out);
-                }
-            }
-            Backend::Pool(ref mut pool) => {
-                for responses in pool.drain_verdict_parts() {
-                    out.extend(responses);
-                }
-            }
+        for shard in 0..self.shards.len() {
+            self.vparts[shard].clear();
+            self.vseqs[shard].clear();
+            queues.drain_shard_into(shard, &mut self.vparts[shard], &mut self.vseqs[shard]);
+        }
+        for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
+            shard.observe_verdict_batch_into(part, out);
         }
         for part in &mut self.vparts {
             let used = part.len();
@@ -1093,10 +878,11 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// evictions are added to [`Self::purged_total`] whether this is
     /// called directly or by [`Self::tick`].
     pub fn purge_terminated(&mut self) -> usize {
-        let purged = match &mut self.backend {
-            Backend::Scoped(shards) => shards.iter_mut().map(EngineShard::purge_terminated).sum(),
-            Backend::Pool(pool) => pool.purge_terminated(),
-        };
+        let purged = self
+            .shards
+            .iter_mut()
+            .map(EngineShard::purge_terminated)
+            .sum();
         self.purged_total += purged as u64;
         purged
     }
@@ -1108,98 +894,19 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// Returns [`ValkyrieError::UnknownProcess`] when `pid` is not tracked.
     pub fn complete(&mut self, pid: ProcessId) -> Result<(), ValkyrieError> {
         let shard = self.shard_of(pid);
-        match &mut self.backend {
-            Backend::Scoped(shards) => shards[shard].complete(pid),
-            Backend::Pool(pool) => pool.complete(shard, pid),
-        }
+        self.shards[shard].complete(pid)
     }
 
     /// Stops tracking a process and frees its bookkeeping.
     pub fn forget(&mut self, pid: ProcessId) {
         let shard = self.shard_of(pid);
-        match &mut self.backend {
-            Backend::Scoped(shards) => shards[shard].forget(pid),
-            Backend::Pool(pool) => pool.forget(shard, pid),
-        }
+        self.shards[shard].forget(pid)
     }
 
     /// Iterates over `(pid, state, threat)` of all tracked processes, shard
-    /// by shard (no global ordering). Lazy and allocation-free in scoped
-    /// mode; pool mode materialises one snapshot from the workers.
+    /// by shard (no global ordering). Lazy and allocation-free.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
-        match &self.backend {
-            Backend::Scoped(shards) => {
-                EitherIter::Scoped(shards.iter().flat_map(EngineShard::iter))
-            }
-            Backend::Pool(pool) => EitherIter::Pool(pool.snapshot().into_iter()),
-        }
-    }
-}
-
-impl<A: Actuator + Clone + Send + 'static> ShardedEngine<A> {
-    /// Creates an engine with `shards` partitions pre-sized for
-    /// `expected_procs` processes, running in `mode`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_mode(
-        config: EngineConfig<A>,
-        shards: usize,
-        expected_procs: usize,
-        mode: ExecutionMode,
-    ) -> Self {
-        let mut engine = Self::with_capacity(config, shards, expected_procs);
-        engine.set_execution_mode(mode);
-        engine
-    }
-
-    /// Switches execution modes in place, preserving every process's
-    /// monitor and actuator state. Promoting to [`ExecutionMode::Pool`]
-    /// spawns `min(shards, cores)` persistent workers and moves the shards
-    /// onto them; demoting shuts the workers down gracefully and takes the
-    /// shards back. A no-op when already in the requested mode.
-    pub fn set_execution_mode(&mut self, mode: ExecutionMode) {
-        if self.execution_mode() == mode {
-            return;
-        }
-        // The placeholder is never observable: both arms below install the
-        // real backend before returning.
-        let backend = std::mem::replace(&mut self.backend, Backend::Scoped(Vec::new()));
-        self.backend = match backend {
-            Backend::Scoped(shards) => {
-                let pool = ShardPool::new(shards, self.host_workers);
-                if let Some(queues) = &self.ingest {
-                    pool.install_ingest(queues);
-                }
-                if let Some(queues) = &self.verdicts {
-                    pool.install_verdict_ingest(queues);
-                }
-                Backend::Pool(pool)
-            }
-            // Demotion needs no ingest hand-off: the scoped drain path
-            // reads the same `Arc`-shared rings directly.
-            Backend::Pool(pool) => Backend::Scoped(pool.shutdown()),
-        };
-    }
-
-    /// (Re)builds the persistent pool with an explicit worker count
-    /// (clamped to `[1, shards]`), entering [`ExecutionMode::Pool`] if not
-    /// already there. State is preserved: the existing shards — wherever
-    /// they live — are moved onto the new workers.
-    pub fn set_pool_workers(&mut self, workers: usize) {
-        let shards = match std::mem::replace(&mut self.backend, Backend::Scoped(Vec::new())) {
-            Backend::Scoped(shards) => shards,
-            Backend::Pool(pool) => pool.shutdown(),
-        };
-        let pool = ShardPool::new(shards, workers);
-        if let Some(queues) = &self.ingest {
-            pool.install_ingest(queues);
-        }
-        if let Some(queues) = &self.verdicts {
-            pool.install_verdict_ingest(queues);
-        }
-        self.backend = Backend::Pool(pool);
+        self.shards.iter().flat_map(EngineShard::iter)
     }
 }
 
@@ -1282,39 +989,22 @@ mod tests {
     }
 
     #[test]
-    fn pool_mode_matches_single_engine() {
-        let mut pooled = ShardedEngine::with_mode(config(3), 5, 0, ExecutionMode::Pool);
-        let mut single = ValkyrieEngine::new(config(3));
-        for epoch in 0..6 {
-            let batch = mixed_batch(50, epoch);
-            let got = pooled.observe_batch(&batch);
-            let want: Vec<EngineResponse> = batch
-                .iter()
-                .map(|&(pid, cls)| single.observe(pid, cls))
-                .collect();
-            assert_eq!(got, want, "epoch {epoch}");
-        }
-    }
-
-    #[test]
     fn repeated_pid_within_a_batch_is_applied_in_order() {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let mut sharded = ShardedEngine::with_mode(config(100), 7, 0, mode);
-            let mut single = ValkyrieEngine::new(config(100));
-            let pid = ProcessId(11);
-            let batch = vec![
-                (pid, Malicious),
-                (pid, Malicious),
-                (pid, Benign),
-                (pid, Malicious),
-            ];
-            let got = sharded.observe_batch(&batch);
-            let want: Vec<EngineResponse> = batch
-                .iter()
-                .map(|&(pid, cls)| single.observe(pid, cls))
-                .collect();
-            assert_eq!(got, want, "{mode:?}");
-        }
+        let mut sharded = ShardedEngine::new(config(100), 7);
+        let mut single = ValkyrieEngine::new(config(100));
+        let pid = ProcessId(11);
+        let batch = vec![
+            (pid, Malicious),
+            (pid, Malicious),
+            (pid, Benign),
+            (pid, Malicious),
+        ];
+        let got = sharded.observe_batch(&batch);
+        let want: Vec<EngineResponse> = batch
+            .iter()
+            .map(|&(pid, cls)| single.observe(pid, cls))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1352,26 +1042,24 @@ mod tests {
     /// the doc on the counter lied.
     #[test]
     fn direct_purge_calls_are_counted_too() {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let mut e = ShardedEngine::with_mode(config(2), 4, 0, mode);
-            let batch = vec![(ProcessId(1), Malicious), (ProcessId(2), Benign)];
-            // Drive pid 1 to termination via observe_batch (no tick, so
-            // nothing is purged yet).
-            for _ in 0..3 {
-                e.observe_batch(&batch);
-            }
-            assert_eq!(e.state(ProcessId(1)), Some(ProcessState::Terminated));
-            assert_eq!(e.purged_total(), 0, "{mode:?}");
-            assert_eq!(e.purge_terminated(), 1, "{mode:?}");
-            assert_eq!(e.purged_total(), 1, "{mode:?}");
-            // An empty purge adds nothing; a tick-driven purge still counts.
-            assert_eq!(e.purge_terminated(), 0, "{mode:?}");
-            assert_eq!(e.purged_total(), 1, "{mode:?}");
-            for _ in 0..3 {
-                e.tick(&batch);
-            }
-            assert_eq!(e.purged_total(), 2, "{mode:?}");
+        let mut e = ShardedEngine::new(config(2), 4);
+        let batch = vec![(ProcessId(1), Malicious), (ProcessId(2), Benign)];
+        // Drive pid 1 to termination via observe_batch (no tick, so nothing
+        // is purged yet).
+        for _ in 0..3 {
+            e.observe_batch(&batch);
         }
+        assert_eq!(e.state(ProcessId(1)), Some(ProcessState::Terminated));
+        assert_eq!(e.purged_total(), 0);
+        assert_eq!(e.purge_terminated(), 1);
+        assert_eq!(e.purged_total(), 1);
+        // An empty purge adds nothing; a tick-driven purge still counts.
+        assert_eq!(e.purge_terminated(), 0);
+        assert_eq!(e.purged_total(), 1);
+        for _ in 0..3 {
+            e.tick(&batch);
+        }
+        assert_eq!(e.purged_total(), 2);
     }
 
     /// Regression: the partition scratch used to retain the peak capacity
@@ -1433,24 +1121,22 @@ mod tests {
 
     #[test]
     fn aggregate_queries_route_to_the_owning_shard() {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let mut e = ShardedEngine::with_mode(config(50), 8, 0, mode);
-            e.observe(ProcessId(3), Malicious);
-            e.observe(ProcessId(4), Benign);
-            assert_eq!(e.state(ProcessId(3)), Some(ProcessState::Suspicious));
-            assert!(e.resources(ProcessId(3)).unwrap().cpu < 1.0);
-            assert!(e.threat(ProcessId(4)).unwrap().is_zero());
-            assert_eq!(e.tracked(), 2);
-            assert_eq!(e.tracked_live(), 2);
-            let mut pids: Vec<u64> = e.iter().map(|(pid, _, _)| pid.0).collect();
-            pids.sort_unstable();
-            assert_eq!(pids, vec![3, 4]);
-            e.complete(ProcessId(4)).unwrap();
-            assert_eq!(e.tracked_live(), 1);
-            e.forget(ProcessId(3));
-            assert_eq!(e.tracked(), 1);
-            assert!(e.complete(ProcessId(3)).is_err());
-        }
+        let mut e = ShardedEngine::new(config(50), 8);
+        e.observe(ProcessId(3), Malicious);
+        e.observe(ProcessId(4), Benign);
+        assert_eq!(e.state(ProcessId(3)), Some(ProcessState::Suspicious));
+        assert!(e.resources(ProcessId(3)).unwrap().cpu < 1.0);
+        assert!(e.threat(ProcessId(4)).unwrap().is_zero());
+        assert_eq!(e.tracked(), 2);
+        assert_eq!(e.tracked_live(), 2);
+        let mut pids: Vec<u64> = e.iter().map(|(pid, _, _)| pid.0).collect();
+        pids.sort_unstable();
+        assert_eq!(pids, vec![3, 4]);
+        e.complete(ProcessId(4)).unwrap();
+        assert_eq!(e.tracked_live(), 1);
+        e.forget(ProcessId(3));
+        assert_eq!(e.tracked(), 1);
+        assert!(e.complete(ProcessId(3)).is_err());
     }
 
     #[test]
@@ -1463,85 +1149,23 @@ mod tests {
     }
 
     #[test]
-    fn mode_round_trip_preserves_all_state() {
-        let mut e = ShardedEngine::new(config(100), 7);
-        e.observe_batch(&mixed_batch(50, 0));
-        let before: Vec<_> = {
-            let mut v: Vec<_> = e.iter().collect();
-            v.sort_by_key(|(pid, _, _)| pid.0);
-            v
-        };
-
-        e.set_execution_mode(ExecutionMode::Pool);
-        assert_eq!(e.execution_mode(), ExecutionMode::Pool);
-        assert!(e.pool_workers().unwrap() >= 1);
-        let mut pooled: Vec<_> = e.iter().collect();
-        pooled.sort_by_key(|(pid, _, _)| pid.0);
-        assert_eq!(pooled, before);
-
-        // Keep observing in pool mode, then demote and compare against an
-        // engine that stayed scoped the whole time.
-        e.observe_batch(&mixed_batch(50, 1));
-        e.set_execution_mode(ExecutionMode::ScopedSpawn);
-        assert_eq!(e.execution_mode(), ExecutionMode::ScopedSpawn);
-        assert_eq!(e.pool_workers(), None);
-
-        let mut reference = ShardedEngine::new(config(100), 7);
-        reference.observe_batch(&mixed_batch(50, 0));
-        reference.observe_batch(&mixed_batch(50, 1));
-        let sorted = |engine: &ShardedEngine| {
-            let mut v: Vec<_> = engine.iter().collect();
-            v.sort_by_key(|(pid, _, _)| pid.0);
-            v
-        };
-        assert_eq!(sorted(&e), sorted(&reference));
-    }
-
-    #[test]
-    fn set_execution_mode_is_idempotent() {
-        let mut e = ShardedEngine::new(config(5), 3);
-        e.observe(ProcessId(1), Malicious);
-        e.set_execution_mode(ExecutionMode::ScopedSpawn); // already scoped
-        assert_eq!(e.tracked(), 1);
-        e.set_execution_mode(ExecutionMode::Pool);
-        e.set_execution_mode(ExecutionMode::Pool); // already pooled
-        assert_eq!(e.tracked(), 1);
-    }
-
-    #[test]
-    fn set_pool_workers_rebuilds_with_explicit_count() {
-        let mut e = ShardedEngine::new(config(50), 8);
-        e.observe(ProcessId(5), Malicious);
-        e.set_pool_workers(3);
-        assert_eq!(e.execution_mode(), ExecutionMode::Pool);
-        assert_eq!(e.pool_workers(), Some(3));
-        assert_eq!(e.state(ProcessId(5)), Some(ProcessState::Suspicious));
-        // Rebuilding from pool mode also preserves state.
-        e.set_pool_workers(8);
-        assert_eq!(e.pool_workers(), Some(8));
-        assert_eq!(e.state(ProcessId(5)), Some(ProcessState::Suspicious));
-    }
-
-    #[test]
-    fn drain_tick_matches_tick_in_both_modes() {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let mut sync = ShardedEngine::with_mode(config(3), 5, 0, mode);
-            let mut async_ = ShardedEngine::with_mode(config(3), 5, 0, mode);
-            let publisher = async_.enable_ingest(1024, OverflowPolicy::Block);
-            for epoch in 0..6 {
-                let batch = mixed_batch(50, epoch);
-                assert_eq!(publisher.publish_batch(&batch), batch.len());
-                let got = async_.drain_tick();
-                let want = sync.tick(&batch);
-                assert_eq!(got, want, "epoch {epoch}, {mode:?}");
-            }
-            assert_eq!(async_.epoch(), sync.epoch());
-            assert_eq!(async_.purged_total(), sync.purged_total());
-            let stats = async_.ingest_stats().unwrap();
-            assert_eq!(stats.dropped, 0, "{mode:?}");
-            assert_eq!(stats.published, stats.drained, "{mode:?}");
-            assert_eq!(stats.queued, 0, "{mode:?}");
+    fn drain_tick_matches_tick() {
+        let mut sync = ShardedEngine::new(config(3), 5);
+        let mut async_ = ShardedEngine::new(config(3), 5);
+        let publisher = async_.enable_ingest(1024, OverflowPolicy::Block);
+        for epoch in 0..6 {
+            let batch = mixed_batch(50, epoch);
+            assert_eq!(publisher.publish_batch(&batch), batch.len());
+            let got = async_.drain_tick();
+            let want = sync.tick(&batch);
+            assert_eq!(got, want, "epoch {epoch}");
         }
+        assert_eq!(async_.epoch(), sync.epoch());
+        assert_eq!(async_.purged_total(), sync.purged_total());
+        let stats = async_.ingest_stats().unwrap();
+        assert_eq!(stats.dropped, 0);
+        assert_eq!(stats.published, stats.drained);
+        assert_eq!(stats.queued, 0);
     }
 
     #[test]
@@ -1558,27 +1182,6 @@ mod tests {
     fn drain_without_ingest_is_a_programming_error() {
         let mut e = ShardedEngine::new(config(3), 4);
         let _ = e.drain_tick();
-    }
-
-    /// Mode switches carry the ingest rings along: observations queued in
-    /// one mode are drained in the other, publishers stay valid.
-    #[test]
-    fn mode_round_trip_preserves_queued_observations() {
-        let mut e = ShardedEngine::new(config(100), 7);
-        let publisher = e.enable_ingest(64, OverflowPolicy::Block);
-        publisher.publish(ProcessId(1), Malicious);
-        publisher.publish(ProcessId(2), Benign);
-        e.set_execution_mode(ExecutionMode::Pool);
-        publisher.publish(ProcessId(3), Malicious);
-        let responses = e.drain_tick();
-        assert_eq!(responses.len(), 3);
-        assert_eq!(responses[0].pid, ProcessId(1));
-        assert_eq!(responses[2].pid, ProcessId(3));
-        // And back: the scoped drain path reads the same rings.
-        e.set_execution_mode(ExecutionMode::ScopedSpawn);
-        publisher.publish(ProcessId(4), Malicious);
-        assert_eq!(e.drain_tick().len(), 1);
-        assert!(!publisher.is_closed());
     }
 
     /// Re-enabling ingest closes the old rings (their publishers go dead)
@@ -1600,64 +1203,60 @@ mod tests {
     }
 
     /// The sharded verdict path must agree with a single shard fed the
-    /// same batch, in both execution modes: same fused responses (modulo
-    /// shard grouping), same fusion counters.
+    /// same batch: same fused responses (modulo shard grouping), same
+    /// fusion counters.
     #[test]
-    fn verdict_batch_matches_single_shard_in_both_modes() {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let mut sharded = ShardedEngine::with_mode(config(3), 5, 0, mode);
-            let mut single = crate::engine::EngineShard::new(config(3));
-            for epoch in 0..5u64 {
-                let batch: Vec<(ProcessId, Verdict)> = (0..40)
-                    .flat_map(|pid| {
-                        let fast = f64::from(u32::from((pid + epoch) % 3 == 0));
-                        let slow = f64::from(u32::from(pid % 5 == 0));
-                        [
-                            (ProcessId(pid), Verdict::new(0, fast)),
-                            (ProcessId(pid), Verdict::new(1, slow).with_cadence(2)),
-                        ]
-                    })
-                    .collect();
-                let mut got = sharded.observe_verdict_batch(&batch);
-                let mut want = single.observe_verdict_batch(&batch);
-                got.sort_by_key(|r| r.pid.0);
-                want.sort_by_key(|r| r.pid.0);
-                assert_eq!(got, want, "epoch {epoch}, {mode:?}");
-            }
-            assert_eq!(sharded.fusion_stats(), single.fusion_stats().clone());
-            assert_eq!(sharded.fusion_stats().verdicts, 5 * 40 * 2);
+    fn verdict_batch_matches_single_shard() {
+        let mut sharded = ShardedEngine::new(config(3), 5);
+        let mut single = crate::engine::EngineShard::new(config(3));
+        for epoch in 0..5u64 {
+            let batch: Vec<(ProcessId, Verdict)> = (0..40)
+                .flat_map(|pid| {
+                    let fast = f64::from(u32::from((pid + epoch) % 3 == 0));
+                    let slow = f64::from(u32::from(pid % 5 == 0));
+                    [
+                        (ProcessId(pid), Verdict::new(0, fast)),
+                        (ProcessId(pid), Verdict::new(1, slow).with_cadence(2)),
+                    ]
+                })
+                .collect();
+            let mut got = sharded.observe_verdict_batch(&batch);
+            let mut want = single.observe_verdict_batch(&batch);
+            got.sort_by_key(|r| r.pid.0);
+            want.sort_by_key(|r| r.pid.0);
+            assert_eq!(got, want, "epoch {epoch}");
         }
+        assert_eq!(sharded.fusion_stats(), single.fusion_stats().clone());
+        assert_eq!(sharded.fusion_stats().verdicts, 5 * 40 * 2);
     }
 
     /// Verdicts published over their own rings and drained by the epoch
     /// driver match the synchronous verdict batch path.
     #[test]
-    fn verdict_drain_tick_matches_verdict_batch_in_both_modes() {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let mut sync = ShardedEngine::with_mode(config(3), 5, 0, mode);
-            let mut async_ = ShardedEngine::with_mode(config(3), 5, 0, mode);
-            let publisher = async_.enable_verdict_ingest(1024, OverflowPolicy::Block);
-            for epoch in 0..6u64 {
-                let batch: Vec<(ProcessId, Verdict)> = (0..50)
-                    .map(|pid| {
-                        let conf = if (pid + epoch) % 7 == 0 { 1.0 } else { 0.25 };
-                        (ProcessId(pid), Verdict::new(0, conf))
-                    })
-                    .collect();
-                assert_eq!(publisher.publish_batch(&batch), batch.len());
-                let mut got = async_.drain_tick();
-                let mut want = sync.observe_verdict_batch(&batch);
-                sync.epoch += 1;
-                sync.purge_terminated();
-                got.sort_by_key(|r| r.pid.0);
-                want.sort_by_key(|r| r.pid.0);
-                assert_eq!(got, want, "epoch {epoch}, {mode:?}");
-            }
-            assert_eq!(async_.epoch(), sync.epoch());
-            let stats = async_.verdict_ingest_stats().unwrap();
-            assert_eq!(stats.dropped, 0, "{mode:?}");
-            assert_eq!(stats.published, stats.drained, "{mode:?}");
+    fn verdict_drain_tick_matches_verdict_batch() {
+        let mut sync = ShardedEngine::new(config(3), 5);
+        let mut async_ = ShardedEngine::new(config(3), 5);
+        let publisher = async_.enable_verdict_ingest(1024, OverflowPolicy::Block);
+        for epoch in 0..6u64 {
+            let batch: Vec<(ProcessId, Verdict)> = (0..50)
+                .map(|pid| {
+                    let conf = if (pid + epoch) % 7 == 0 { 1.0 } else { 0.25 };
+                    (ProcessId(pid), Verdict::new(0, conf))
+                })
+                .collect();
+            assert_eq!(publisher.publish_batch(&batch), batch.len());
+            let mut got = async_.drain_tick();
+            let mut want = sync.observe_verdict_batch(&batch);
+            sync.epoch += 1;
+            sync.purge_terminated();
+            got.sort_by_key(|r| r.pid.0);
+            want.sort_by_key(|r| r.pid.0);
+            assert_eq!(got, want, "epoch {epoch}");
         }
+        assert_eq!(async_.epoch(), sync.epoch());
+        let stats = async_.verdict_ingest_stats().unwrap();
+        assert_eq!(stats.dropped, 0);
+        assert_eq!(stats.published, stats.drained);
     }
 
     /// Binary and verdict rings drain side by side: one drain serves both,
@@ -1674,39 +1273,14 @@ mod tests {
         assert_eq!(responses[0].pid, ProcessId(1));
         assert_eq!(responses[1].pid, ProcessId(2));
         assert_eq!(e.fusion_stats().verdicts, 1);
-        // Verdict-only ingest also drains (no binary rings required).
+        // Verdict-only ingest also drains (no binary rings required), and
+        // dropping the engine closes the verdict rings too.
         let mut e = ShardedEngine::new(config(10), 4);
         let fused = e.enable_verdict_ingest(64, OverflowPolicy::Block);
         fused.publish(ProcessId(3), Verdict::new(0, 1.0));
         assert_eq!(e.drain_tick().len(), 1);
-    }
-
-    /// Mode switches carry the verdict rings along, like the binary rings.
-    #[test]
-    fn mode_round_trip_preserves_queued_verdicts() {
-        let mut e = ShardedEngine::new(config(100), 7);
-        let publisher = e.enable_verdict_ingest(64, OverflowPolicy::Block);
-        publisher.publish(ProcessId(1), Verdict::new(0, 1.0));
-        e.set_execution_mode(ExecutionMode::Pool);
-        publisher.publish(ProcessId(2), Verdict::new(1, 0.0));
-        assert_eq!(e.drain_tick().len(), 2);
-        e.set_execution_mode(ExecutionMode::ScopedSpawn);
-        publisher.publish(ProcessId(3), Verdict::new(0, 1.0));
-        assert_eq!(e.drain_tick().len(), 1);
-        assert!(!publisher.is_closed());
+        assert!(!fused.is_closed());
         drop(e);
-        assert!(publisher.is_closed());
-    }
-
-    #[test]
-    fn single_shard_pool_works() {
-        let mut e = ShardedEngine::with_mode(config(2), 1, 0, ExecutionMode::Pool);
-        let batch = vec![(ProcessId(1), Malicious), (ProcessId(2), Benign)];
-        e.tick(&batch);
-        e.tick(&batch);
-        let responses = e.tick(&batch);
-        assert_eq!(responses[0].action, Action::Terminate);
-        assert_eq!(e.purged_total(), 1);
-        assert_eq!(e.pool_workers(), Some(1));
+        assert!(fused.is_closed());
     }
 }

@@ -59,7 +59,9 @@ pub struct Verdict {
 impl Verdict {
     /// A verdict from `detector` with the given confidence and cadence 1.
     ///
-    /// The confidence is clamped into `[0, 1]`.
+    /// The confidence is clamped into `[0, 1]`; NaN passes through and is
+    /// dropped as "no measurement" when the engine absorbs the verdict
+    /// ([`EngineShard::absorb_verdict`](crate::EngineShard::absorb_verdict)).
     pub fn new(detector: u32, confidence: f64) -> Self {
         Self {
             detector,

@@ -1,9 +1,5 @@
 //! Multi-tenant machine: concurrent attacks in a fleet of benign services.
 //!
-//! `--pool` runs the response tier through the persistent worker pool
-//! instead of per-tick scoped threads (identical security outcome; the
-//! throughput row is the difference worth watching).
-//!
 //! `--async-ingest` makes the detector tier slow and jittery: verdicts
 //! are published into the engine's bounded per-shard ingest rings 3–5
 //! epochs after their measurements, and the epoch driver drains whatever
@@ -23,15 +19,10 @@
 //! handle spams benign-looking decoys at exactly the shards that own the
 //! attack pids. Add `--defend` to harden the rings with priority lanes +
 //! per-publisher fair queueing and watch the kills come back.
-use valkyrie_core::{ExecutionMode, IngestDefense};
+use valkyrie_core::IngestDefense;
 use valkyrie_experiments::multi_tenant;
 
 fn main() {
-    let execution = if std::env::args().any(|a| a == "--pool") {
-        ExecutionMode::Pool
-    } else {
-        ExecutionMode::ScopedSpawn
-    };
     let flood = if std::env::args().any(|a| a == "--flood") {
         let defense = if std::env::args().any(|a| a == "--defend") {
             IngestDefense::full()
@@ -61,7 +52,6 @@ fn main() {
         multi_tenant::MultiTenantConfig::default().tpr
     };
     let result = multi_tenant::run(&multi_tenant::MultiTenantConfig {
-        execution,
         ingest,
         fusion,
         flood,

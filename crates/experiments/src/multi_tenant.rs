@@ -34,8 +34,8 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use valkyrie_core::hash::jitter64;
 use valkyrie_core::{
-    Action, AssessmentFn, Classification, EngineConfig, EscalationLadder, ExecutionMode,
-    FusionConfig, FusionStats, IngestDefense, IngestStats, OverflowPolicy, ProcessId, ProcessState,
+    Action, AssessmentFn, Classification, EngineConfig, EscalationLadder, FusionConfig,
+    FusionStats, IngestDefense, IngestStats, OverflowPolicy, ProcessId, ProcessState,
     ShardedEngine, ShareActuator, Verdict,
 };
 use valkyrie_workloads::{fleet_roster, NoiseFlood};
@@ -62,11 +62,6 @@ pub struct MultiTenantConfig {
     pub verdict_fpr: f64,
     /// RNG seed for the detection streams.
     pub seed: u64,
-    /// How the engine fans each tick over its shards: per-tick scoped
-    /// threads, or the persistent worker pool (the steady-state winner for
-    /// a machine that ticks every epoch at fleet scale). The security
-    /// outcome is identical either way.
-    pub execution: ExecutionMode,
     /// `Some` runs the detector tier asynchronously (slow, jittery
     /// verdict publication through the ingest rings); `None` keeps the
     /// synchronous batch-per-tick driver. See the [module docs](self).
@@ -209,7 +204,6 @@ impl Default for MultiTenantConfig {
             verdict_tpr: 0.995,
             verdict_fpr: 0.005,
             seed: 0x007E_4A47,
-            execution: ExecutionMode::ScopedSpawn,
             ingest: None,
             fusion: None,
             flood: None,
@@ -323,9 +317,8 @@ struct BenignProc {
     killed: bool,
     completed: bool,
     /// Fig. 3 state after the last tick, mirrored from the response so the
-    /// driver never pays a per-pid `engine.state()` query — in pool mode
-    /// each of those is a blocking channel round-trip, and a 4k-process
-    /// fleet would serialise thousands of them per epoch.
+    /// driver never pays a per-pid `engine.state()` hash lookup — a
+    /// 4k-process fleet would pay thousands of them per epoch.
     state: Option<ProcessState>,
 }
 
@@ -362,12 +355,8 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
         });
     }
     let config = builder.build().expect("valid multi-tenant config");
-    let mut engine = ShardedEngine::with_mode(
-        config,
-        cfg.shards.max(1),
-        cfg.benign_procs + cfg.attacks,
-        cfg.execution,
-    );
+    let mut engine =
+        ShardedEngine::with_capacity(config, cfg.shards.max(1), cfg.benign_procs + cfg.attacks);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut benign: Vec<BenignProc> = fleet_roster(cfg.benign_procs)
@@ -765,13 +754,12 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
     };
     let report = format!(
         "Multi-tenant machine — {} benign + {} attacks over {} epochs, \
-         {} shards ({:?} execution), N* = {}\n\
+         {} shards, N* = {}\n\
          ({} observations through ShardedEngine::{}; {})\n\n{}",
         cfg.benign_procs,
         cfg.attacks,
         cfg.epochs,
         cfg.shards,
-        cfg.execution,
         cfg.n_star,
         observations,
         if cfg.ingest.is_some() || cfg.fusion.is_some() {
@@ -855,24 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_execution_does_not_change_the_outcome() {
-        let base = MultiTenantConfig::quick();
-        let scoped = run(&base);
-        let pooled = run(&MultiTenantConfig {
-            execution: ExecutionMode::Pool,
-            ..base
-        });
-        assert_eq!(scoped.attacks_terminated, pooled.attacks_terminated);
-        assert_eq!(scoped.mean_epochs_to_kill, pooled.mean_epochs_to_kill);
-        assert_eq!(scoped.benign_killed_pct, pooled.benign_killed_pct);
-        assert_eq!(scoped.benign_slowdown_pct, pooled.benign_slowdown_pct);
-        assert_eq!(scoped.benign_completed, pooled.benign_completed);
-        assert_eq!(scoped.peak_tracked, pooled.peak_tracked);
-        assert_eq!(scoped.purged, pooled.purged);
-        assert_eq!(scoped.observations, pooled.observations);
-    }
-
-    #[test]
     fn report_renders() {
         let r = run(&MultiTenantConfig::quick());
         assert!(r.report.contains("Multi-tenant machine"));
@@ -928,23 +898,6 @@ mod tests {
         assert_eq!(a.ingest, b.ingest);
     }
 
-    #[test]
-    fn async_ingest_outcome_is_execution_mode_invariant() {
-        let base = MultiTenantConfig::quick_async();
-        let scoped = run(&base);
-        let pooled = run(&MultiTenantConfig {
-            execution: ExecutionMode::Pool,
-            ..base
-        });
-        assert_eq!(scoped.attacks_terminated, pooled.attacks_terminated);
-        assert_eq!(scoped.mean_epochs_to_kill, pooled.mean_epochs_to_kill);
-        assert_eq!(scoped.benign_killed_pct, pooled.benign_killed_pct);
-        assert_eq!(scoped.benign_slowdown_pct, pooled.benign_slowdown_pct);
-        assert_eq!(scoped.observations, pooled.observations);
-        assert_eq!(scoped.purged, pooled.purged);
-        assert_eq!(scoped.ingest, pooled.ingest);
-    }
-
     /// The fused pair: a fast-weak member (70% TPR, bursty-benign FPR)
     /// alone would be unusable, but fused with the slow-strong member it
     /// still kills every attack — and the graduated ladder only kills when
@@ -985,20 +938,6 @@ mod tests {
         assert_eq!(a.benign_killed_pct, b.benign_killed_pct);
         assert_eq!(a.observations, b.observations);
         assert_eq!(a.fusion_stats, b.fusion_stats);
-    }
-
-    #[test]
-    fn fused_tier_outcome_is_execution_mode_invariant() {
-        let base = MultiTenantConfig::quick_fused();
-        let scoped = run(&base);
-        let pooled = run(&MultiTenantConfig {
-            execution: ExecutionMode::Pool,
-            ..base
-        });
-        assert_eq!(scoped.attacks_terminated, pooled.attacks_terminated);
-        assert_eq!(scoped.mean_epochs_to_kill, pooled.mean_epochs_to_kill);
-        assert_eq!(scoped.benign_killed_pct, pooled.benign_killed_pct);
-        assert_eq!(scoped.fusion_stats, pooled.fusion_stats);
     }
 
     #[test]

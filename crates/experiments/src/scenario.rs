@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashMap};
 use valkyrie_core::hash::FxBuildHasher;
 use valkyrie_core::ProcessId;
 use valkyrie_core::{
-    Action, Classification, EngineConfig, EngineResponse, ExecutionMode, OverflowPolicy,
-    ProcessState, ShardedEngine, Verdict,
+    Action, Classification, EngineConfig, EngineResponse, OverflowPolicy, ProcessState,
+    ShardedEngine, Verdict,
 };
 use valkyrie_detect::Detector;
 use valkyrie_hpc::SampleWindow;
@@ -67,11 +67,6 @@ pub struct ScenarioConfig {
     /// Engine shard count. Responses are identical for every value; more
     /// shards parallelise large per-epoch batches (multi-tenant machines).
     pub shards: usize,
-    /// How the engine distributes per-epoch batches over its shards:
-    /// per-tick scoped threads (default) or the persistent worker pool.
-    /// Responses are identical either way; the pool wins when the scenario
-    /// ticks continuously with large fleets.
-    pub execution: ExecutionMode,
     /// When set, inferences reach the engine through the async ingest
     /// rings (publish, then drain) instead of `observe_batch`. With
     /// [`OverflowPolicy::Block`] and adequate capacity the histories are
@@ -93,7 +88,6 @@ impl Default for ScenarioConfig {
             cpu_lever: CpuLever::SchedulerWeight,
             window: 100,
             shards: 1,
-            execution: ExecutionMode::ScopedSpawn,
             ingest: None,
             confidence: false,
         }
@@ -145,8 +139,7 @@ impl<D: Detector> AugmentedRun<D> {
         detector: D,
         config: ScenarioConfig,
     ) -> Self {
-        let mut engine =
-            ShardedEngine::with_mode(engine_config, config.shards.max(1), 0, config.execution);
+        let mut engine = ShardedEngine::new(engine_config, config.shards.max(1));
         if let Some(opts) = config.ingest {
             if config.confidence {
                 let _ = engine.enable_verdict_ingest(opts.capacity, opts.policy);
@@ -452,8 +445,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_and_execution_mode_do_not_change_scenario_histories() {
-        let run_with = |shards: usize, execution: ExecutionMode| {
+    fn shard_count_does_not_change_scenario_histories() {
+        let run_with = |shards: usize| {
             let machine = Machine::new(MachineConfig::default());
             let detector = ScriptedDetector::constant(Classification::Malicious);
             let mut run = AugmentedRun::new(
@@ -462,7 +455,6 @@ mod tests {
                 detector,
                 ScenarioConfig {
                     shards,
-                    execution,
                     ..ScenarioConfig::default()
                 },
             );
@@ -484,19 +476,14 @@ mod tests {
             }
             histories
         };
-        let single = run_with(1, ExecutionMode::ScopedSpawn);
-        let sharded = run_with(4, ExecutionMode::ScopedSpawn);
-        let pooled = run_with(4, ExecutionMode::Pool);
-        assert_eq!(single, sharded);
-        assert_eq!(single, pooled);
+        assert_eq!(run_with(1), run_with(4));
     }
 
     /// The async ingest path (publish every inference, then drain) leaves
-    /// identical histories to the synchronous `observe_batch` path — in
-    /// both execution modes.
+    /// identical histories to the synchronous `observe_batch` path.
     #[test]
     fn ingest_path_matches_the_synchronous_scenario() {
-        let run_with = |ingest: Option<IngestOptions>, execution: ExecutionMode| {
+        let run_with = |ingest: Option<IngestOptions>| {
             let machine = Machine::new(MachineConfig::default());
             let detector = ScriptedDetector::cycle(vec![
                 Classification::Malicious,
@@ -509,7 +496,6 @@ mod tests {
                 detector,
                 ScenarioConfig {
                     shards: 4,
-                    execution,
                     ingest,
                     ..ScenarioConfig::default()
                 },
@@ -530,11 +516,7 @@ mod tests {
                 .map(|&pid| run.history(pid).to_vec())
                 .collect::<Vec<_>>()
         };
-        let sync = run_with(None, ExecutionMode::ScopedSpawn);
-        let ingest = run_with(Some(IngestOptions::default()), ExecutionMode::ScopedSpawn);
-        let ingest_pool = run_with(Some(IngestOptions::default()), ExecutionMode::Pool);
-        assert_eq!(sync, ingest);
-        assert_eq!(sync, ingest_pool);
+        assert_eq!(run_with(None), run_with(Some(IngestOptions::default())));
     }
 
     /// The weighted-evidence plumbing degenerates exactly: confidence mode

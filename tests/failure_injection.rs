@@ -269,69 +269,65 @@ fn response_log_stays_consistent_under_process_churn() {
 fn stalled_detector_never_stalls_the_drain_tick_driver() {
     use std::sync::mpsc;
 
-    for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-        let mut e = ShardedEngine::with_mode(
-            EngineConfig::builder()
-                .measurements_required(3)
-                .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
-                .cyclic(true)
-                .build()
-                .unwrap(),
-            4,
-            0,
-            mode,
-        );
-        let publisher = e.enable_ingest(64, OverflowPolicy::Block);
-        let watched = ProcessId(1); // served by the healthy detector
-        let stalled_pid = ProcessId(2); // its detector wedges immediately
+    let mut e = ShardedEngine::new(
+        EngineConfig::builder()
+            .measurements_required(3)
+            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+            .cyclic(true)
+            .build()
+            .unwrap(),
+        4,
+    );
+    let publisher = e.enable_ingest(64, OverflowPolicy::Block);
+    let watched = ProcessId(1); // served by the healthy detector
+    let stalled_pid = ProcessId(2); // its detector wedges immediately
 
-        // The stalled detector: parks on a channel that is never sent to,
-        // publisher in hand, until the test releases it at the very end.
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let stalled = {
-            let publisher = publisher.clone();
-            std::thread::spawn(move || {
-                let _wedged = release_rx.recv(); // blocks for the whole test
-                drop(publisher);
-            })
-        };
+    // The stalled detector: parks on a channel that is never sent to,
+    // publisher in hand, until the test releases it at the very end.
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let stalled = {
+        let publisher = publisher.clone();
+        std::thread::spawn(move || {
+            let _wedged = release_rx.recv(); // blocks for the whole test
+            drop(publisher);
+        })
+    };
 
-        // One observation for the stalled pid *did* arrive before the
-        // wedge: its monitor state must stay frozen afterwards.
-        publisher.publish(stalled_pid, Classification::Malicious);
-        e.drain_tick();
-        let frozen_state = e.state(stalled_pid);
-        let frozen_resources = e.resources(stalled_pid);
-        assert_eq!(frozen_state, Some(ProcessState::Suspicious));
+    // One observation for the stalled pid *did* arrive before the
+    // wedge: its monitor state must stay frozen afterwards.
+    publisher.publish(stalled_pid, Classification::Malicious);
+    e.drain_tick();
+    let frozen_state = e.state(stalled_pid);
+    let frozen_resources = e.resources(stalled_pid);
+    assert_eq!(frozen_state, Some(ProcessState::Suspicious));
 
-        // The healthy detector keeps publishing; the driver ticks through
-        // its whole horizon with no regard for the wedged thread.
-        let mut terminated_at = None;
-        for epoch in 0..20u64 {
-            publisher.publish(watched, Classification::Malicious);
-            let responses = e.drain_tick();
-            assert_eq!(responses.len(), 1, "only the healthy verdict arrives");
-            if responses[0].action == Action::Terminate && terminated_at.is_none() {
-                terminated_at = Some(epoch);
-            }
+    // The healthy detector keeps publishing; the driver ticks through
+    // its whole horizon with no regard for the wedged thread.
+    let mut terminated_at = None;
+    for epoch in 0..20u64 {
+        publisher.publish(watched, Classification::Malicious);
+        let responses = e.drain_tick();
+        assert_eq!(responses.len(), 1, "only the healthy verdict arrives");
+        if responses[0].action == Action::Terminate && terminated_at.is_none() {
+            terminated_at = Some(epoch);
         }
-        assert_eq!(e.epoch(), 21, "every epoch ticked on schedule ({mode:?})");
-        // The healthy pid progressed to termination at its N* + 1 = 4th
-        // observation (loop epoch 3).
-        assert_eq!(terminated_at, Some(3), "{mode:?}");
-        // The stalled pid is exactly where its last verdict left it.
-        assert_eq!(e.state(stalled_pid), frozen_state, "{mode:?}");
-        assert_eq!(e.resources(stalled_pid), frozen_resources, "{mode:?}");
-        // Nothing was lost or left queued: every published verdict was
-        // consumed by some tick.
-        let stats = e.ingest_stats().unwrap();
-        assert_eq!(stats.published, 21, "{mode:?}");
-        assert_eq!(stats.drained, 21, "{mode:?}");
-        assert_eq!(stats.queued, 0, "{mode:?}");
-
-        drop(release_tx); // un-wedge the stalled detector so it can exit
-        stalled.join().unwrap();
     }
+    assert_eq!(e.epoch(), 21, "every epoch ticked on schedule");
+    // The healthy pid progressed to termination at its N* + 1 = 4th
+    // observation (loop epoch 3).
+    assert_eq!(terminated_at, Some(3));
+    // The stalled pid is exactly where its last verdict left it.
+    assert_eq!(e.state(stalled_pid), frozen_state);
+    assert_eq!(e.resources(stalled_pid), frozen_resources);
+    // Nothing was lost or left queued: every published verdict was
+    // consumed by some tick.
+    let stats = e.ingest_stats().unwrap();
+    assert_eq!(stats.published, 21);
+    assert_eq!(stats.drained, 21);
+    assert_eq!(stats.queued, 0);
+
+    drop(release_tx); // un-wedge the stalled detector so it can exit
+    stalled.join().unwrap();
 }
 
 #[test]
@@ -353,4 +349,98 @@ fn long_horizon_benign_run_is_stable() {
     run.run(10_000);
     assert!(run.history(pid).iter().all(|r| r.cpu_share == 1.0));
     assert!(run.history(pid).iter().all(|r| r.threat == 0.0));
+}
+
+/// Epoch at which `pid` is terminated when each epoch feeds it `verdicts`
+/// as one fused batch (`None` if it survives the horizon).
+fn fused_kill_epoch(verdicts: &[Verdict]) -> Option<u64> {
+    let pid = ProcessId(7);
+    let mut e = ShardedEngine::new(engine(5), 2);
+    let batch: Vec<(ProcessId, Verdict)> = verdicts.iter().map(|&v| (pid, v)).collect();
+    (0..40u64).find(|_| {
+        let responses = e.observe_verdict_batch(&batch);
+        responses.iter().any(|r| r.action == Action::Terminate)
+    })
+}
+
+/// Regression: `f64::clamp(NaN)` is NaN, so one NaN-confidence member used
+/// to poison the fused mass and park its process at Terminable with threat
+/// 0 forever — a single buggy or compromised member vetoed every kill. A
+/// NaN verdict is now no measurement from that member.
+#[test]
+fn nan_confidence_member_cannot_veto_a_kill() {
+    let control = fused_kill_epoch(&[Verdict::new(1, 1.0)]);
+    assert!(control.is_some(), "the clean member alone kills");
+    let poisoned = fused_kill_epoch(&[Verdict::new(0, f64::NAN), Verdict::new(1, 1.0)]);
+    assert_eq!(poisoned, control);
+
+    // The single-verdict path answers a lone NaN with the process's
+    // current standing instead of stepping it.
+    let mut e = ValkyrieEngine::new(engine(5));
+    let r = e.observe_verdict(ProcessId(1), Verdict::new(0, f64::NAN));
+    assert_eq!(r.action, Action::None);
+    assert!(r.threat.is_zero());
+    assert_eq!(e.fusion_stats().verdicts, 0);
+}
+
+/// `confidence` is a public field: struct-literal verdicts are sanitised at
+/// absorption exactly as `Verdict::new` sanitises its input.
+#[test]
+fn struct_literal_confidences_are_clamped_at_absorption() {
+    for (raw, clean) in [(f64::INFINITY, 1.0), (f64::NEG_INFINITY, 0.0), (7.0, 1.0)] {
+        let run = |confidence: f64| {
+            let mut e = ShardedEngine::new(engine(5), 2);
+            let literal = Verdict {
+                detector: 0,
+                confidence,
+                cadence: 1,
+            };
+            let batch = [
+                (ProcessId(3), literal),
+                (ProcessId(3), Verdict::new(1, 0.5)),
+            ];
+            (0..12)
+                .flat_map(|_| e.observe_verdict_batch(&batch))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(raw), run(clean), "confidence {raw}");
+    }
+}
+
+/// An actuator that panics the moment its process's threat rises: in the
+/// test below only one pid is ever flagged, so it fires for that pid alone.
+#[derive(Debug, Clone)]
+struct PanicOnThreat;
+
+const ACTUATOR_PANIC: &str = "actuator refused to throttle the flagged pid";
+
+impl Actuator for PanicOnThreat {
+    fn apply(&mut self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
+        if delta_threat > 0.0 {
+            panic!("{ACTUATOR_PANIC}");
+        }
+        *prev
+    }
+}
+
+/// A shard that panics on a scoped worker thread re-raises its own payload
+/// on the caller's thread instead of a generic join error.
+#[test]
+#[should_panic(expected = "actuator refused to throttle the flagged pid")]
+fn shard_panic_keeps_its_message_across_the_thread_boundary() {
+    let config = ValkyrieEngine::with_actuator(
+        5,
+        AssessmentFn::incremental(),
+        AssessmentFn::incremental(),
+        PanicOnThreat,
+    )
+    .config()
+    .clone();
+    let mut e = ShardedEngine::new(config, 4);
+    e.set_parallel_threshold(0);
+    let mut batch: Vec<(ProcessId, Classification)> = (0..64)
+        .map(|pid| (ProcessId(pid), Classification::Benign))
+        .collect();
+    batch[17].1 = Classification::Malicious;
+    e.observe_batch(&batch);
 }

@@ -487,8 +487,7 @@ fn multi_tenant_defended_flood_counters_are_bit_identical_to_seed() {
 /// the same 3/3 attacks at a wrongful rate 30–60× lower — the
 /// fast-weak + slow-strong composition carrying the false-positive
 /// budget. All draws come from the seeded `StdRng` streams, so the
-/// counters are bit-stable across platforms, shard counts and execution
-/// modes.
+/// counters are bit-stable across platforms and shard counts.
 #[test]
 fn fusion_sweep_counters_are_bit_identical_to_seed() {
     #[allow(clippy::type_complexity)]

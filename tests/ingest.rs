@@ -4,8 +4,7 @@
 //! per-shard ingest rings and draining them with `drain_batch`/`drain_tick`
 //! is **semantically invisible** relative to handing the same observations
 //! to the synchronous `observe_batch`/`tick` path — for any interleaving,
-//! any batch segmentation, shard counts {1, 2, 7, 16}, and both execution
-//! modes — as long as `OverflowPolicy::Block` with adequate capacity keeps
+//! any batch segmentation and shard counts {1, 2, 7, 16} — as long as `OverflowPolicy::Block` with adequate capacity keeps
 //! the rings lossless. On top of the equivalence, the async epoch driver
 //! must tick on schedule no matter how slow or jittery the detector tier
 //! is (`LatencyModel`), which is the entire point of the subsystem.
@@ -59,9 +58,8 @@ fn tick_reference(
     chunk: usize,
     n_star: u64,
     cyclic: bool,
-    mode: ExecutionMode,
 ) -> TickTrace {
-    let mut engine = ShardedEngine::with_mode(engine_config(n_star, cyclic), shards, 0, mode);
+    let mut engine = ShardedEngine::new(engine_config(n_star, cyclic), shards);
     let ticks = observations
         .chunks(chunk.max(1))
         .map(|batch| engine.tick(batch))
@@ -77,7 +75,7 @@ fn tick_reference(
 /// The async run: each batch published through the ingest rings (Block
 /// policy, capacity covering the whole run — lossless by construction),
 /// then answered by one `drain_tick`. `force_spawns` additionally drives
-/// the scoped mode's threaded path on single-core hosts; `defense`
+/// the threaded drain path on single-core hosts; `defense`
 /// optionally arms the overload defense (priority lane + fair queueing).
 #[allow(clippy::too_many_arguments)]
 fn ingest_run(
@@ -87,10 +85,9 @@ fn ingest_run(
     n_star: u64,
     cyclic: bool,
     force_spawns: bool,
-    mode: ExecutionMode,
     defense: IngestDefense,
 ) -> TickTrace {
-    let mut engine = ShardedEngine::with_mode(engine_config(n_star, cyclic), shards, 0, mode);
+    let mut engine = ShardedEngine::new(engine_config(n_star, cyclic), shards);
     if force_spawns {
         engine.set_parallel_threshold(0);
     }
@@ -116,8 +113,8 @@ proptest! {
 
     /// The acceptance-criteria pin: Block-mode ingest-then-drain is
     /// bit-for-bit equal to synchronous `observe_batch` + `tick`, across
-    /// shard counts {1, 2, 7, 16} and both execution modes — responses,
-    /// epoch counter, purge bookkeeping and the tracked map all agree.
+    /// shard counts {1, 2, 7, 16} — responses, epoch counter, purge
+    /// bookkeeping and the tracked map all agree.
     #[test]
     fn block_ingest_is_equivalent_to_synchronous_ticks(
         obs in interleaving(200),
@@ -125,29 +122,19 @@ proptest! {
         n_star in 1u64..20,
         cyclic in prop::bool::ANY,
     ) {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            for shards in SHARD_COUNTS {
-                let want = tick_reference(&obs, shards, chunk, n_star, cyclic, mode);
-                let got = ingest_run(
-                    &obs,
-                    shards,
-                    chunk,
-                    n_star,
-                    cyclic,
-                    false,
-                    mode,
-                    IngestDefense::default(),
-                );
-                prop_assert_eq!(
-                    &got, &want,
-                    "shards={}, chunk={}, n_star={}, cyclic={}, mode={:?}",
-                    shards, chunk, n_star, cyclic, mode
-                );
-            }
+        for shards in SHARD_COUNTS {
+            let want = tick_reference(&obs, shards, chunk, n_star, cyclic);
+            let got = ingest_run(
+                &obs, shards, chunk, n_star, cyclic, false, IngestDefense::default(),
+            );
+            prop_assert_eq!(
+                &got, &want,
+                "shards={}, chunk={}, n_star={}, cyclic={}", shards, chunk, n_star, cyclic
+            );
         }
     }
 
-    /// The scoped mode's thread-parallel drain path (forced spawns) is
+    /// The thread-parallel drain path (forced spawns) is
     /// equivalent too — the merge by sequence stamp reconstructs publish
     /// order no matter how the shards were chunked onto threads.
     #[test]
@@ -157,17 +144,8 @@ proptest! {
         n_star in 1u64..16,
     ) {
         for shards in SHARD_COUNTS {
-            let want = tick_reference(&obs, shards, chunk, n_star, true, ExecutionMode::ScopedSpawn);
-            let got = ingest_run(
-                &obs,
-                shards,
-                chunk,
-                n_star,
-                true,
-                true,
-                ExecutionMode::ScopedSpawn,
-                IngestDefense::default(),
-            );
+            let want = tick_reference(&obs, shards, chunk, n_star, true);
+            let got = ingest_run(&obs, shards, chunk, n_star, true, true, IngestDefense::default());
             prop_assert_eq!(&got, &want, "shards={}, chunk={}", shards, chunk);
         }
     }
@@ -178,48 +156,28 @@ proptest! {
     /// stay bit-for-bit equal to the undefended Block-mode ingest — even
     /// though suspicious pids *are* marked hot mid-run and re-routed
     /// through the priority lane, the seq-stamp merge reconstructs publish
-    /// order exactly. Shards {1, 2, 7} × both execution modes.
+    /// order exactly. Shards {1, 2, 7}.
     #[test]
     fn defended_never_full_ingest_matches_block_mode_bit_for_bit(
         obs in interleaving(200),
         chunk in 1usize..64,
         n_star in 1u64..16,
     ) {
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            for shards in [1usize, 2, 7] {
-                let want = ingest_run(
-                    &obs,
-                    shards,
-                    chunk,
-                    n_star,
-                    true,
-                    false,
-                    mode,
-                    IngestDefense::default(),
-                );
-                let got = ingest_run(
-                    &obs,
-                    shards,
-                    chunk,
-                    n_star,
-                    true,
-                    false,
-                    mode,
-                    IngestDefense::full(),
-                );
-                prop_assert_eq!(
-                    &got, &want,
-                    "shards={}, chunk={}, n_star={}, mode={:?}",
-                    shards, chunk, n_star, mode
-                );
-            }
+        for shards in [1usize, 2, 7] {
+            let want = ingest_run(
+                &obs, shards, chunk, n_star, true, false, IngestDefense::default(),
+            );
+            let got = ingest_run(&obs, shards, chunk, n_star, true, false, IngestDefense::full());
+            prop_assert_eq!(
+                &got, &want,
+                "shards={}, chunk={}, n_star={}", shards, chunk, n_star
+            );
         }
     }
 }
 
 /// Two identical async runs are bit-identical — ring placement, sequence
-/// stamping and the drain merge introduce no run-to-run variation, in
-/// either execution mode.
+/// stamping and the drain merge introduce no run-to-run variation.
 #[test]
 fn identical_ingest_runs_are_deterministic() {
     let observations: Vec<(ProcessId, Classification)> = (0..3_000u64)
@@ -233,32 +191,12 @@ fn identical_ingest_runs_are_deterministic() {
             (pid, cls)
         })
         .collect();
-    for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-        let first = ingest_run(
-            &observations,
-            7,
-            500,
-            7,
-            true,
-            true,
-            mode,
-            IngestDefense::full(),
-        );
-        let second = ingest_run(
-            &observations,
-            7,
-            500,
-            7,
-            true,
-            true,
-            mode,
-            IngestDefense::full(),
-        );
-        assert_eq!(first, second, "{mode:?}");
-        // And identical to the synchronous reference.
-        let reference = tick_reference(&observations, 7, 500, 7, true, mode);
-        assert_eq!(first, reference, "{mode:?}");
-    }
+    let first = ingest_run(&observations, 7, 500, 7, true, true, IngestDefense::full());
+    let second = ingest_run(&observations, 7, 500, 7, true, true, IngestDefense::full());
+    assert_eq!(first, second);
+    // And identical to the synchronous reference.
+    let reference = tick_reference(&observations, 7, 500, 7, true);
+    assert_eq!(first, reference);
 }
 
 /// Detector threads racing the epoch driver: every published observation
@@ -266,38 +204,36 @@ fn identical_ingest_runs_are_deterministic() {
 /// up — without any cross-thread synchronisation beyond the rings.
 #[test]
 fn concurrent_publishers_feed_the_tick_driver_losslessly() {
-    for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-        let mut engine = ShardedEngine::with_mode(engine_config(1_000_000, true), 7, 0, mode);
-        let publisher = engine.enable_ingest(8 * 1024, OverflowPolicy::Block);
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 2_000;
-        let workers: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let publisher = publisher.clone();
-                std::thread::spawn(move || {
-                    for i in 0..PER_THREAD {
-                        let pid = ProcessId(t * 10_000 + (i % 97));
-                        assert!(publisher.publish(pid, Classification::Malicious));
-                    }
-                })
+    let mut engine = ShardedEngine::new(engine_config(1_000_000, true), 7);
+    let publisher = engine.enable_ingest(8 * 1024, OverflowPolicy::Block);
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 2_000;
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let publisher = publisher.clone();
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    let pid = ProcessId(t * 10_000 + (i % 97));
+                    assert!(publisher.publish(pid, Classification::Malicious));
+                }
             })
-            .collect();
-        // Tick continuously while the detector threads publish.
-        let mut consumed = 0usize;
-        while consumed < (THREADS * PER_THREAD) as usize {
-            consumed += engine.drain_tick().len();
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(consumed, (THREADS * PER_THREAD) as usize, "{mode:?}");
-        assert_eq!(engine.tracked(), (THREADS * 97) as usize, "{mode:?}");
-        let stats = engine.ingest_stats().unwrap();
-        assert_eq!(stats.published, THREADS * PER_THREAD, "{mode:?}");
-        assert_eq!(stats.drained, THREADS * PER_THREAD, "{mode:?}");
-        assert_eq!(stats.dropped, 0, "{mode:?}");
-        assert_eq!(stats.queued, 0, "{mode:?}");
+        })
+        .collect();
+    // Tick continuously while the detector threads publish.
+    let mut consumed = 0usize;
+    while consumed < (THREADS * PER_THREAD) as usize {
+        consumed += engine.drain_tick().len();
     }
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(consumed, (THREADS * PER_THREAD) as usize);
+    assert_eq!(engine.tracked(), (THREADS * 97) as usize);
+    let stats = engine.ingest_stats().unwrap();
+    assert_eq!(stats.published, THREADS * PER_THREAD);
+    assert_eq!(stats.drained, THREADS * PER_THREAD);
+    assert_eq!(stats.dropped, 0);
+    assert_eq!(stats.queued, 0);
 }
 
 /// The acceptance scenario: a detector whose verdicts are 3+ ticks late
@@ -429,7 +365,7 @@ fn slow_member_cadence_shifts_the_first_response_by_the_predicted_lag() {
             })
             .build()
             .unwrap();
-        let mut engine = ShardedEngine::with_mode(config, 4, 1, ExecutionMode::ScopedSpawn);
+        let mut engine = ShardedEngine::with_capacity(config, 4, 1);
         let fast_a = engine.enable_verdict_ingest(64, OverflowPolicy::Block);
         let fast_b = engine.verdict_publisher().expect("verdict ingest enabled");
         let slow_pub = engine.verdict_publisher().expect("verdict ingest enabled");
