@@ -24,6 +24,13 @@
 //!   `sharded_x2N` this prices the extra machine-level partition/scatter
 //!   hop the cluster tier adds per tick.
 //!
+//! `core/engine_batch_fleet_pids` re-runs `fleet_x{1,4}` at 100k
+//! observations per tick over `fleet_scale`'s pid shape instead: 10k
+//! machines × 10 services, so every packed pid differs from its neighbours
+//! in the machine bits and shares one of ten small local pids. Any hash
+//! that lets the local pid alone pick the bucket collapses here (and only
+//! here: `fleet_tick_batch` packs ~390 local pids per machine).
+//!
 //! A separate `core/engine_batch_flood` group (`flood_x{1,4}`) drives the
 //! same 10k fleet through undersized defended rings while a `NoiseFlood`
 //! decoy stream forces the overflow path — pricing the priority lane +
@@ -75,6 +82,49 @@ fn fleet_tick_batch(procs: u64, epoch: u64) -> Vec<(ProcessId, Classification)> 
             (ProcessId::from_parts((i % 256) as u32, i / 256), cls)
         })
         .collect()
+}
+
+/// `fleet_scale`'s pid shape: `machines` machines × `services` services,
+/// local pids `1..=services`, the same flag schedule.
+fn fleet_service_batch(
+    machines: u32,
+    services: u64,
+    epoch: u64,
+) -> Vec<(ProcessId, Classification)> {
+    (0..machines)
+        .flat_map(|m| (1..=services).map(move |local| ProcessId::from_parts(m, local)))
+        .enumerate()
+        .map(|(i, pid)| {
+            let cls = if (i as u64 + epoch).is_multiple_of(7) {
+                Classification::Malicious
+            } else {
+                Classification::Benign
+            };
+            (pid, cls)
+        })
+        .collect()
+}
+
+fn bench_fleet_pids(c: &mut Criterion) {
+    let mut group = c.benchmark_group("core/engine_batch_fleet_pids");
+    let n_star = 1_u64 << 40;
+    const MACHINES: u32 = 10_000;
+    const SERVICES: u64 = 10;
+    let procs = MACHINES as usize * SERVICES as usize;
+    let ring: Vec<Vec<(ProcessId, Classification)>> = (0..7)
+        .map(|epoch| fleet_service_batch(MACHINES, SERVICES, epoch))
+        .collect();
+    for groups in [1usize, 4] {
+        group.bench_function(format!("fleet_x{groups}").as_str(), |b| {
+            let mut engine = FleetEngine::with_capacity(engine_config(n_star), groups, 2, procs);
+            let mut epoch = 0usize;
+            b.iter(|| {
+                epoch += 1;
+                black_box(engine.observe_batch(black_box(&ring[epoch % 7])))
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_fleet(c: &mut Criterion, label: &str, procs: u64) {
@@ -312,6 +362,7 @@ criterion_group!(
     bench_engine_batch_1k,
     bench_engine_batch_10k,
     bench_engine_batch_100k,
+    bench_fleet_pids,
     bench_flood,
     bench_tick_with_churn,
     bench_adaptive,

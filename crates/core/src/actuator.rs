@@ -19,13 +19,17 @@ use std::fmt;
 /// * keep every share within `[floor, 1]`;
 /// * restore the default allocation on [`Actuator::reset`] (the paper's
 ///   `A_reset`).
+///
+/// An actuator is a pure function of `(prev, ΔT)`: an engine shard holds
+/// one actuator and applies it to every process it tracks, so whatever a
+/// process's response depends on must be carried in its resource vector.
 pub trait Actuator: fmt::Debug {
     /// Returns the updated resource shares after a threat-index change of
     /// `delta_threat` (positive = more suspicious).
-    fn apply(&mut self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector;
+    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector;
 
     /// The paper's `A_reset`: removes all restrictions.
-    fn reset(&mut self) -> ResourceVector {
+    fn reset(&self) -> ResourceVector {
         ResourceVector::FULL
     }
 
@@ -229,7 +233,7 @@ impl ThrottleLaw {
 ///
 /// ```
 /// use valkyrie_core::{Actuator, ResourceVector, ShareActuator};
-/// let mut a = ShareActuator::cpu_percent_point(0.10, 0.01);
+/// let a = ShareActuator::cpu_percent_point(0.10, 0.01);
 /// let r = a.apply(&ResourceVector::full(), 3.0);
 /// assert!((r.cpu - 0.70).abs() < 1e-12);
 /// let r = a.apply(&r, 100.0);
@@ -313,7 +317,7 @@ impl ShareActuator {
 }
 
 impl Actuator for ShareActuator {
-    fn apply(&mut self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
+    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
         let mut next = *prev;
         let share = self
             .law
@@ -338,7 +342,7 @@ impl Actuator for ShareActuator {
 ///
 /// ```
 /// use valkyrie_core::{Actuator, CompositeActuator, ResourceVector, ShareActuator};
-/// let mut a = CompositeActuator::new(vec![
+/// let a = CompositeActuator::new(vec![
 ///     ShareActuator::cpu_percent_point(0.10, 0.01),
 ///     ShareActuator::fs_halving(1.0 / 128.0),
 /// ]);
@@ -368,9 +372,9 @@ impl CompositeActuator {
 }
 
 impl Actuator for CompositeActuator {
-    fn apply(&mut self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
+    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
         let mut r = *prev;
-        for part in &mut self.parts {
+        for part in &self.parts {
             r = part.apply(&r, delta_threat);
         }
         r
@@ -481,7 +485,7 @@ mod tests {
     /// poison the shares for the rest of the process's life.
     #[test]
     fn nan_delta_does_not_poison_future_epochs() {
-        let mut a = ShareActuator::cpu_percent_point(0.10, 0.01);
+        let a = ShareActuator::cpu_percent_point(0.10, 0.01);
         let r = a.apply(&ResourceVector::full(), 1.0);
         assert!((r.cpu - 0.9).abs() < 1e-12);
         // The buggy epoch: pre-fix, r.cpu became NaN here and stayed NaN.
@@ -495,7 +499,7 @@ mod tests {
 
     #[test]
     fn share_actuator_honours_floor() {
-        let mut a = ShareActuator::cpu_percent_point(0.5, 0.25);
+        let a = ShareActuator::cpu_percent_point(0.5, 0.25);
         let r = a.apply(&ResourceVector::full(), 10.0);
         assert_eq!(r.cpu, 0.25);
         assert_eq!(a.floor().cpu, 0.25);
@@ -504,7 +508,7 @@ mod tests {
 
     #[test]
     fn share_actuator_only_touches_its_kind() {
-        let mut a = ShareActuator::fs_halving(0.0);
+        let a = ShareActuator::fs_halving(0.0);
         let r = a.apply(&ResourceVector::full(), 1.0);
         assert_eq!(r.cpu, 1.0);
         assert_eq!(r.mem, 1.0);
@@ -514,14 +518,14 @@ mod tests {
 
     #[test]
     fn reset_restores_full() {
-        let mut a = ShareActuator::cpu_percent_point(0.1, 0.01);
+        let a = ShareActuator::cpu_percent_point(0.1, 0.01);
         let _ = a.apply(&ResourceVector::full(), 50.0);
         assert!(a.reset().is_full());
     }
 
     #[test]
     fn composite_applies_all_parts() {
-        let mut a = CompositeActuator::new(vec![
+        let a = CompositeActuator::new(vec![
             ShareActuator::cpu_percent_point(0.10, 0.01),
             ShareActuator::fs_halving(0.01),
             ShareActuator::memory_percent_point(0.05, 0.5),
@@ -537,7 +541,7 @@ mod tests {
 
     #[test]
     fn recovery_reaches_full_share_for_percent_point() {
-        let mut a = ShareActuator::cpu_percent_point(0.1, 0.01);
+        let a = ShareActuator::cpu_percent_point(0.1, 0.01);
         let mut r = ResourceVector::full();
         for _ in 0..10 {
             r = a.apply(&r, 1.0);

@@ -3,8 +3,9 @@
 //! [`ValkyrieEngine`] is the piece that "augments" a detector (paper Fig. 2):
 //! every epoch the caller feeds it each process's inference, and the engine
 //! answers with the resource shares to enforce and whether to restore or
-//! terminate. It owns one [`Monitor`] (Algorithm 1) and one actuator instance
-//! per process.
+//! terminate. It keeps Algorithm 1's per-process cycle state for every
+//! process and shares one configuration (`N*`, assessment functions,
+//! actuator) across all of them.
 //!
 //! The per-process bookkeeping lives in [`EngineShard`]: one process map
 //! plus the observe path. [`ValkyrieEngine`] is a single shard behind the
@@ -15,7 +16,9 @@ use crate::actuator::{Actuator, CompositeActuator, ShareActuator};
 use crate::efficacy::{EfficacyCurve, EfficacySpec};
 use crate::error::ValkyrieError;
 use crate::hash::FxBuildHasher;
-use crate::monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
+use crate::monitor::{
+    CycleState, Directive, EscalationLadder, EscalationLevel, MonitorParams, StepReport,
+};
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::telemetry::FusionStats;
@@ -108,11 +111,8 @@ impl FusionConfig {
 /// Valkyrie computes the number of measurements needed to achieve it").
 #[derive(Debug, Clone)]
 pub struct EngineConfig<A = CompositeActuator> {
-    n_star: u64,
-    fp: AssessmentFn,
-    fc: AssessmentFn,
+    monitor: MonitorParams,
     actuator: A,
-    cyclic: bool,
     fusion: FusionConfig,
 }
 
@@ -126,20 +126,22 @@ impl EngineConfig<CompositeActuator> {
 impl<A: Actuator + Clone> EngineConfig<A> {
     /// The measurement requirement `N*`.
     pub fn measurements_required(&self) -> u64 {
-        self.n_star
+        self.monitor.n_star
     }
 
     /// The penalty assessment function.
     pub fn penalty_fn(&self) -> AssessmentFn {
-        self.fp
+        self.monitor.fp
     }
 
     /// The compensation assessment function.
     pub fn compensation_fn(&self) -> AssessmentFn {
-        self.fc
+        self.monitor.fc
     }
 
-    /// The prototype actuator cloned for each monitored process.
+    /// The actuator that regulates every monitored process. It is shared,
+    /// not copied per process: actuators are pure functions of the previous
+    /// shares and `ΔT` (see [`Actuator`]).
     pub fn actuator(&self) -> &A {
         &self.actuator
     }
@@ -147,7 +149,7 @@ impl<A: Actuator + Clone> EngineConfig<A> {
     /// Whether monitoring is cyclic (Algorithm 1's outer loop; see
     /// [`crate::Monitor::new_cyclic`]).
     pub fn is_cyclic(&self) -> bool {
-        self.cyclic
+        self.monitor.cyclic
     }
 
     /// The verdict-fusion configuration.
@@ -271,35 +273,39 @@ impl EngineConfigBuilder {
             ));
         }
         Ok(EngineConfig {
-            n_star,
-            fp: self.fp,
-            fc: self.fc,
+            monitor: MonitorParams {
+                n_star,
+                fp: self.fp,
+                fc: self.fc,
+                cyclic: self.cyclic,
+            },
             actuator: CompositeActuator::new(self.parts),
-            cyclic: self.cyclic,
             fusion: self.fusion,
         })
     }
 }
 
+/// One tracked process: its Algorithm 1 cycle, the shares it runs under
+/// and its last escalation rung. Everything shared (`N*`, the assessment
+/// functions, the actuator) stays in the shard's [`EngineConfig`], so the
+/// record is plain data with no heap allocation of its own.
 #[derive(Debug, Clone)]
-struct TrackedProcess<A> {
-    monitor: Monitor,
-    actuator: A,
+struct TrackedProcess {
+    cycle: CycleState,
     resources: ResourceVector,
     /// Escalation rung of the previous step, for ladder-transition
     /// telemetry.
     level: EscalationLevel,
 }
 
-impl<A: Actuator + Clone> TrackedProcess<A> {
-    fn new(config: &EngineConfig<A>) -> Self {
+// A shard map holds up to a million of these; keep each map slot small.
+const _: () = assert!(std::mem::size_of::<TrackedProcess>() <= 96);
+
+impl TrackedProcess {
+    /// A newly registered process: normal, full shares.
+    fn new() -> Self {
         TrackedProcess {
-            monitor: if config.cyclic {
-                Monitor::new_cyclic(config.n_star, config.fp, config.fc)
-            } else {
-                Monitor::new(config.n_star, config.fp, config.fc)
-            },
-            actuator: config.actuator.clone(),
+            cycle: CycleState::new(),
             resources: ResourceVector::FULL,
             level: EscalationLevel::Observe,
         }
@@ -309,22 +315,22 @@ impl<A: Actuator + Clone> TrackedProcess<A> {
 /// Advances one tracked process by one inference. Free-standing so the
 /// shard can split-borrow its config and its map entry.
 fn step<A: Actuator>(
-    cyclic: bool,
+    config: &EngineConfig<A>,
     pid: ProcessId,
-    tracked: &mut TrackedProcess<A>,
+    tracked: &mut TrackedProcess,
     inference: Classification,
     stats: &mut FusionStats,
 ) -> EngineResponse {
-    let report = tracked.monitor.observe(inference);
-    enact(cyclic, pid, tracked, report, stats)
+    let report = tracked.cycle.observe(&config.monitor, inference);
+    enact(config, pid, tracked, report, stats)
 }
 
 /// Turns a monitor step report into the response to enact, updating the
-/// tracked actuator state and the escalation-transition telemetry.
+/// tracked shares and the escalation-transition telemetry.
 fn enact<A: Actuator>(
-    cyclic: bool,
+    config: &EngineConfig<A>,
     pid: ProcessId,
-    tracked: &mut TrackedProcess<A>,
+    tracked: &mut TrackedProcess,
     report: StepReport,
     stats: &mut FusionStats,
 ) -> EngineResponse {
@@ -335,7 +341,7 @@ fn enact<A: Actuator>(
     let action = match report.directive {
         Directive::Continue => Action::None,
         Directive::Adjust { delta_threat } => {
-            tracked.resources = tracked.actuator.apply(&tracked.resources, delta_threat);
+            tracked.resources = config.actuator.apply(&tracked.resources, delta_threat);
             if delta_threat > 0.0 {
                 Action::Throttle
             } else if delta_threat < 0.0 {
@@ -348,14 +354,14 @@ fn enact<A: Actuator>(
             // Invariant from Section V-A: "a threat index of 0 implies
             // that the process … has no restrictions on the system
             // resources".
-            tracked.resources = tracked.actuator.reset();
+            tracked.resources = config.actuator.reset();
             Action::Restore
         }
         Directive::Restore => {
             // A_reset at the terminable verdict; under cyclic
             // monitoring this also starts a fresh measurement cycle.
-            tracked.resources = tracked.actuator.reset();
-            if cyclic {
+            tracked.resources = config.actuator.reset();
+            if config.monitor.cyclic {
                 Action::RestoreAndRecycle
             } else {
                 Action::Restore
@@ -390,7 +396,7 @@ fn enact<A: Actuator>(
 #[derive(Debug)]
 pub struct EngineShard<A: Actuator + Clone = CompositeActuator> {
     config: EngineConfig<A>,
-    procs: HashMap<ProcessId, TrackedProcess<A>, FxBuildHasher>,
+    procs: HashMap<ProcessId, TrackedProcess, FxBuildHasher>,
     /// Per-process fusion table: the latest evidence from each ensemble
     /// member, kept across epochs so slow members stay represented.
     evidence: HashMap<ProcessId, FusionCell, FxBuildHasher>,
@@ -454,18 +460,18 @@ impl<A: Actuator + Clone> EngineShard<A> {
     pub fn tracked_live(&self) -> usize {
         self.procs
             .values()
-            .filter(|p| p.monitor.state().is_live())
+            .filter(|p| p.cycle.state().is_live())
             .count()
     }
 
     /// Current state of a process, if tracked.
     pub fn state(&self, pid: ProcessId) -> Option<ProcessState> {
-        self.procs.get(&pid).map(|p| p.monitor.state())
+        self.procs.get(&pid).map(|p| p.cycle.state())
     }
 
     /// Current threat index of a process, if tracked.
     pub fn threat(&self, pid: ProcessId) -> Option<ThreatIndex> {
-        self.procs.get(&pid).map(|p| p.monitor.threat())
+        self.procs.get(&pid).map(|p| p.cycle.threat())
     }
 
     /// Current resource shares of a process, if tracked.
@@ -482,20 +488,16 @@ impl<A: Actuator + Clone> EngineShard<A> {
     pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
         if let Some(tracked) = self.procs.get_mut(&pid) {
             return step(
-                self.config.cyclic,
+                &self.config,
                 pid,
                 tracked,
                 inference,
                 &mut self.fusion_stats,
             );
         }
-        let config = &self.config;
-        let tracked = self
-            .procs
-            .entry(pid)
-            .or_insert_with(|| TrackedProcess::new(config));
+        let tracked = self.procs.entry(pid).or_insert_with(TrackedProcess::new);
         step(
-            config.cyclic,
+            &self.config,
             pid,
             tracked,
             inference,
@@ -507,19 +509,19 @@ impl<A: Actuator + Clone> EngineShard<A> {
     /// escalation ladder (the weighted-evidence sibling of
     /// [`EngineShard::observe`]).
     pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
-        let ladder = self.config.fusion.ladder;
-        let cyclic = self.config.cyclic;
-        if let Some(tracked) = self.procs.get_mut(&pid) {
-            let report = tracked.monitor.observe_mass_with(ladder, mass);
-            return enact(cyclic, pid, tracked, report, &mut self.fusion_stats);
-        }
         let config = &self.config;
-        let tracked = self
-            .procs
-            .entry(pid)
-            .or_insert_with(|| TrackedProcess::new(config));
-        let report = tracked.monitor.observe_mass_with(ladder, mass);
-        enact(cyclic, pid, tracked, report, &mut self.fusion_stats)
+        if let Some(tracked) = self.procs.get_mut(&pid) {
+            let report =
+                tracked
+                    .cycle
+                    .observe_mass_with(&config.monitor, config.fusion.ladder, mass);
+            return enact(config, pid, tracked, report, &mut self.fusion_stats);
+        }
+        let tracked = self.procs.entry(pid).or_insert_with(TrackedProcess::new);
+        let report = tracked
+            .cycle
+            .observe_mass_with(&config.monitor, config.fusion.ladder, mass);
+        enact(config, pid, tracked, report, &mut self.fusion_stats)
     }
 
     /// Absorbs one ensemble member's verdict into the fusion table without
@@ -693,7 +695,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
             .procs
             .get_mut(&pid)
             .ok_or(ValkyrieError::UnknownProcess(pid.0))?;
-        tracked.monitor.complete();
+        tracked.cycle.complete();
         Ok(())
     }
 
@@ -714,7 +716,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
     /// *fresh* process in the normal state.
     pub fn purge_terminated(&mut self) -> usize {
         let before = self.procs.len();
-        self.procs.retain(|_, p| p.monitor.state().is_live());
+        self.procs.retain(|_, p| p.cycle.state().is_live());
         if before != self.procs.len() && !self.evidence.is_empty() {
             // Fusion evidence of purged processes goes with them; dirty
             // cells (fresh verdicts not yet fused) are kept.
@@ -729,7 +731,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
         self.procs
             .iter()
-            .map(|(pid, p)| (*pid, p.monitor.state(), p.monitor.threat()))
+            .map(|(pid, p)| (*pid, p.cycle.state(), p.cycle.threat()))
     }
 }
 
@@ -777,14 +779,21 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         }
     }
 
-    /// Creates an engine with a non-composite actuator prototype.
+    /// Creates an engine with a non-composite actuator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_star` is zero (see [`crate::Monitor::new`]).
     pub fn with_actuator(n_star: u64, fp: AssessmentFn, fc: AssessmentFn, actuator: A) -> Self {
+        assert!(n_star > 0, "N* must be at least one measurement");
         Self::new(EngineConfig {
-            n_star,
-            fp,
-            fc,
+            monitor: MonitorParams {
+                n_star,
+                fp,
+                fc,
+                cyclic: false,
+            },
             actuator,
-            cyclic: false,
             fusion: FusionConfig::default(),
         })
     }

@@ -6,9 +6,8 @@
 //! engine does not need: process ids are assigned by the embedder (the OS
 //! or the simulator), not by the adversary the detector watches. [`FxHasher`]
 //! is the multiply-xor scheme used by the Rust compiler's `FxHashMap` —
-//! a few instructions per `u64` key — and is **deterministic across runs
-//! and platforms**, which the sharded engine relies on for reproducible
-//! shard placement (see [`crate::sharded`]).
+//! a few instructions per `u64` key — finished with the [`mix64`] bit mixer,
+//! and is **deterministic across runs and platforms**.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -17,7 +16,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// Multiply-xor hasher (rustc's `FxHasher`): fast on small fixed-size keys.
+/// Multiply-xor hasher (rustc's `FxHasher`) with a mixing finish: fast on
+/// small fixed-size keys, whichever of their bits carry the entropy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -31,9 +31,21 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// Folds every input bit into every output bit.
+    ///
+    /// The raw state is a product, and bit `k` of a product depends only on
+    /// bits `0..=k` of its factors. `HashMap` picks a key's bucket from the
+    /// hash's low bits and its 7-bit probe tag from the top bits. Packed ids
+    /// carry their entropy high up: [`ProcessId::from_parts`](crate::ProcessId::from_parts)
+    /// puts the machine above bit 40 and a small local pid below it. Without
+    /// the mix, every fleet pid's bucket would depend on the local pid
+    /// alone: a shard map's tens of thousands of entries would share a
+    /// dozen home buckets, and each lookup would walk a long probe chain. A
+    /// rotate would move the machine bits down but leave the tag blind to
+    /// them; [`mix64`] feeds every input bit to both.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        mix64(self.hash)
     }
 
     #[inline]
@@ -73,10 +85,10 @@ impl Hasher for FxHasher {
 
 /// SplitMix64 finalizer: a full-avalanche bit mixer.
 ///
-/// Used for shard selection, where — unlike inside a `HashMap`, which mixes
-/// the hash further — the raw multiply hash of a *sequential* pid range
-/// would land consecutive pids on biased shards. The finalizer spreads any
-/// key pattern uniformly, and is deterministic across runs.
+/// Finishes [`FxHasher`] and routes keys to shards ([`shard_of`]): every
+/// output bit depends on every input bit, so any key pattern — sequential
+/// pids, packed `(machine, local)` pairs — spreads uniformly. Deterministic
+/// across runs.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -169,6 +181,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The bucket index (low bits) and the probe tag (top bits) must both
+    /// see the machine half of a fleet pid. A raw multiply hash puts 32k
+    /// packed pids over four local ids into four buckets; a rotated one
+    /// still gives them four tags.
+    #[test]
+    fn packed_fleet_pids_spread_over_buckets_and_tags() {
+        let mut buckets = vec![false; 1 << 15];
+        let mut tags = [false; 128];
+        for machine in 0..8192u32 {
+            for local in 1..=4u64 {
+                let h = hash_of(&crate::ProcessId::from_parts(machine, local));
+                buckets[(h & 0x7fff) as usize] = true;
+                tags[(h >> 57) as usize] = true;
+            }
+        }
+        // 32768 keys into 32768 buckets: a uniform hash fills ~63% of them.
+        let used = buckets.iter().filter(|&&b| b).count();
+        assert!(used > 18_000, "{used} of 32768 low-15-bit buckets used");
+        let tags = tags.iter().filter(|&&t| t).count();
+        assert!(tags >= 64, "{tags} of 128 top-7-bit tags used");
     }
 
     #[test]

@@ -183,126 +183,80 @@ pub struct StepReport {
     pub level: EscalationLevel,
 }
 
-/// Per-process implementation of Algorithm 1.
+/// The half of Algorithm 1 every process under one engine shares: `N*`,
+/// the assessment functions and whether monitoring is cyclic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MonitorParams {
+    pub(crate) n_star: u64,
+    pub(crate) fp: AssessmentFn,
+    pub(crate) fc: AssessmentFn,
+    pub(crate) cyclic: bool,
+}
+
+/// The per-process half of Algorithm 1: where one process stands in its
+/// current measurement cycle.
 ///
-/// # Examples
-///
-/// ```
-/// use valkyrie_core::{AssessmentFn, Classification, Directive, Monitor, ProcessState};
-///
-/// let mut m = Monitor::new(3, AssessmentFn::incremental(), AssessmentFn::incremental());
-/// let r = m.observe(Classification::Malicious);
-/// assert_eq!(r.state, ProcessState::Suspicious);
-/// assert_eq!(r.delta_threat, 1.0);
-/// // After N* = 3 measurements the process becomes terminable …
-/// m.observe(Classification::Malicious);
-/// m.observe(Classification::Malicious);
-/// assert_eq!(m.state(), ProcessState::Terminable);
-/// // … and the next malicious classification terminates it.
-/// let r = m.observe(Classification::Malicious);
-/// assert_eq!(r.directive, Directive::Terminate);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Monitor {
+/// Engines keep one `CycleState` per tracked process and pass the shared
+/// [`MonitorParams`] to every step, so a tracked process carries no copy of
+/// the configuration. [`Monitor`] pairs the two for single-process callers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CycleState {
     state: ProcessState,
     threat: ThreatIndex,
     penalty: f64,
     compensation: f64,
     measurements: u64,
-    n_star: u64,
-    fp: AssessmentFn,
-    fc: AssessmentFn,
     epoch: u64,
     restored: bool,
-    cyclic: bool,
 }
 
-impl Monitor {
-    /// Creates a monitor that needs `n_star` measurements before the process
-    /// becomes terminable, with penalty assessment `fp` and compensation
-    /// assessment `fc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_star` is zero; a detector that needs zero measurements
-    /// would terminate processes without ever observing them.
-    pub fn new(n_star: u64, fp: AssessmentFn, fc: AssessmentFn) -> Self {
-        assert!(n_star > 0, "N* must be at least one measurement");
+impl CycleState {
+    /// A process entering its first cycle: normal, threat 0, no
+    /// measurements.
+    pub(crate) fn new() -> Self {
         Self {
             state: ProcessState::Normal,
             threat: ThreatIndex::zero(),
             penalty: 0.0,
             compensation: 0.0,
             measurements: 0,
-            n_star,
-            fp,
-            fc,
             epoch: 0,
             restored: false,
-            cyclic: false,
         }
     }
 
-    /// Like [`Monitor::new`], but monitoring is *cyclic*: Algorithm 1's
-    /// outer `while t is executing` loop. After a benign verdict in the
-    /// terminable state the resources are restored (`A_reset`) **and a new
-    /// measurement cycle begins** — the process returns to the normal state
-    /// with fresh penalty/compensation metrics and measurement counter.
-    /// Long-running processes thus stay under watch for their whole life,
-    /// while attacks are still terminated at the end of their first cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_star` is zero.
-    pub fn new_cyclic(n_star: u64, fp: AssessmentFn, fc: AssessmentFn) -> Self {
-        let mut m = Self::new(n_star, fp, fc);
-        m.cyclic = true;
-        m
-    }
-
-    /// Current Fig. 3 state.
-    pub fn state(&self) -> ProcessState {
+    pub(crate) fn state(&self) -> ProcessState {
         self.state
     }
 
-    /// Current threat index `T_i^t`.
-    pub fn threat(&self) -> ThreatIndex {
+    pub(crate) fn threat(&self) -> ThreatIndex {
         self.threat
     }
 
-    /// Current penalty metric `P_i^t`.
-    pub fn penalty(&self) -> f64 {
-        self.penalty
+    /// Fig. 3: completion also moves the process to *terminated*.
+    pub(crate) fn complete(&mut self) {
+        self.state = ProcessState::Terminated;
     }
 
-    /// Current compensation metric `C_i^t`.
-    pub fn compensation(&self) -> f64 {
-        self.compensation
+    /// Algorithm 1's outer loop: a fresh measurement cycle with the epoch
+    /// count carried over.
+    fn recycle(&mut self) {
+        *self = Self {
+            epoch: self.epoch,
+            ..Self::new()
+        };
     }
 
-    /// Measurements captured so far (`N_i^t`).
-    pub fn measurements(&self) -> u64 {
-        self.measurements
-    }
-
-    /// The configured measurement requirement `N*`.
-    pub fn measurements_required(&self) -> u64 {
-        self.n_star
-    }
-
-    /// Feeds one epoch's inference `D(t, i)` and advances Algorithm 1.
-    ///
-    /// Calling this after the process has terminated keeps returning
-    /// [`Directive::Terminate`] without further state changes.
-    pub fn observe(&mut self, inference: Classification) -> StepReport {
+    /// See [`Monitor::observe`].
+    pub(crate) fn observe(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
         if self.state == ProcessState::Terminated {
             return self.report(0.0, Directive::Terminate);
         }
         self.epoch += 1;
 
-        if self.measurements < self.n_star {
-            let mut report = self.observe_pre_efficacy(inference);
-            if self.measurements >= self.n_star && self.state != ProcessState::Terminated {
+        if self.measurements < p.n_star {
+            let mut report = self.observe_pre_efficacy(p, inference);
+            if self.measurements >= p.n_star && self.state != ProcessState::Terminated {
                 // Algorithm 1 line 21: once N* measurements are captured the
                 // process switches to the terminable state.
                 self.state = ProcessState::Terminable;
@@ -310,33 +264,17 @@ impl Monitor {
             }
             report
         } else {
-            self.observe_terminable(inference)
+            self.observe_terminable(p, inference)
         }
     }
 
-    /// Feeds one epoch's *fused evidence mass* (in `[0, 1]`) and advances
-    /// Algorithm 1 under the default graduated [`EscalationLadder`].
-    ///
     /// See [`Monitor::observe_mass_with`].
-    pub fn observe_mass(&mut self, mass: f64) -> StepReport {
-        self.observe_mass_with(EscalationLadder::default(), mass)
-    }
-
-    /// Feeds one epoch's fused evidence mass under an explicit ladder.
-    ///
-    /// The ladder picks the escalation rung; the rung picks the Algorithm 1
-    /// arm. `Throttle`/`Kill` run the penalty arm with the assessment-step
-    /// scaled by the mass, `Compensate` runs the compensation arm scaled by
-    /// `1 - mass`, and `Observe` holds every metric. In the terminable
-    /// state, `Kill` terminates, `Compensate` restores (recycling under
-    /// cyclic monitoring) and the middle rungs hold the decision open.
-    ///
-    /// The extremes are degenerate by construction: mass exactly `1.0`
-    /// executes the same arithmetic as a `Malicious` observation and mass
-    /// exactly `0.0` the same as a `Benign` one, so a binary detector
-    /// driven through this path (with [`EscalationLadder::BINARY`]) is
-    /// bit-for-bit the legacy [`Monitor::observe`].
-    pub fn observe_mass_with(&mut self, ladder: EscalationLadder, mass: f64) -> StepReport {
+    pub(crate) fn observe_mass_with(
+        &mut self,
+        p: &MonitorParams,
+        ladder: EscalationLadder,
+        mass: f64,
+    ) -> StepReport {
         let mass = mass.clamp(0.0, 1.0);
         if self.state == ProcessState::Terminated {
             return self.report_leveled(0.0, Directive::Terminate, EscalationLevel::Kill);
@@ -344,19 +282,24 @@ impl Monitor {
         self.epoch += 1;
         let level = ladder.level(mass);
 
-        if self.measurements < self.n_star {
-            let mut report = self.observe_mass_pre_efficacy(mass, level);
-            if self.measurements >= self.n_star && self.state != ProcessState::Terminated {
+        if self.measurements < p.n_star {
+            let mut report = self.observe_mass_pre_efficacy(p, mass, level);
+            if self.measurements >= p.n_star && self.state != ProcessState::Terminated {
                 self.state = ProcessState::Terminable;
                 report.state = self.state;
             }
             report
         } else {
-            self.observe_mass_terminable(level)
+            self.observe_mass_terminable(p, level)
         }
     }
 
-    fn observe_mass_pre_efficacy(&mut self, mass: f64, level: EscalationLevel) -> StepReport {
+    fn observe_mass_pre_efficacy(
+        &mut self,
+        p: &MonitorParams,
+        mass: f64,
+        level: EscalationLevel,
+    ) -> StepReport {
         self.measurements += 1;
         let prev_threat = self.threat;
         match level {
@@ -366,10 +309,10 @@ impl Monitor {
                     // Degenerate full-confidence evidence: the exact legacy
                     // Malicious arithmetic (scaling by 1.0 is not an IEEE754
                     // no-op, so the branch is load-bearing).
-                    self.penalty = self.fp.next(self.penalty, self.epoch);
+                    self.penalty = p.fp.next(self.penalty, self.epoch);
                     self.threat = self.threat.penalized(self.penalty);
                 } else {
-                    let next = self.fp.next(self.penalty, self.epoch);
+                    let next = p.fp.next(self.penalty, self.epoch);
                     self.penalty += (next - self.penalty) * mass;
                     self.threat = self.threat.penalized(self.penalty * mass);
                 }
@@ -379,10 +322,10 @@ impl Monitor {
                     if mass == 0.0 {
                         // Degenerate zero-evidence: the exact legacy Benign
                         // arithmetic.
-                        self.compensation = self.fc.next(self.compensation, self.epoch);
+                        self.compensation = p.fc.next(self.compensation, self.epoch);
                         self.threat = self.threat.compensated(self.compensation);
                     } else {
-                        let next = self.fc.next(self.compensation, self.epoch);
+                        let next = p.fc.next(self.compensation, self.epoch);
                         self.compensation += (next - self.compensation) * (1.0 - mass);
                         self.threat = self.threat.compensated(self.compensation * (1.0 - mass));
                     }
@@ -405,20 +348,15 @@ impl Monitor {
         self.report_leveled(delta, directive, level)
     }
 
-    fn observe_mass_terminable(&mut self, level: EscalationLevel) -> StepReport {
+    fn observe_mass_terminable(&mut self, p: &MonitorParams, level: EscalationLevel) -> StepReport {
         match level {
             EscalationLevel::Kill => {
                 self.state = ProcessState::Terminated;
                 self.report_leveled(0.0, Directive::Terminate, level)
             }
             EscalationLevel::Compensate => {
-                if self.cyclic {
-                    self.state = ProcessState::Normal;
-                    self.threat = ThreatIndex::zero();
-                    self.penalty = 0.0;
-                    self.compensation = 0.0;
-                    self.measurements = 0;
-                    self.restored = false;
+                if p.cyclic {
+                    self.recycle();
                     return self.report_leveled(0.0, Directive::Restore, level);
                 }
                 if self.restored {
@@ -436,27 +374,21 @@ impl Monitor {
         }
     }
 
-    /// Marks the process as finished (Fig. 3: completion also moves the
-    /// process to *terminated*).
-    pub fn complete(&mut self) {
-        self.state = ProcessState::Terminated;
-    }
-
-    fn observe_pre_efficacy(&mut self, inference: Classification) -> StepReport {
+    fn observe_pre_efficacy(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
         self.measurements += 1;
         let prev_threat = self.threat;
         match inference {
             Classification::Malicious => {
                 // Lines 8-11.
                 self.state = ProcessState::Suspicious;
-                self.penalty = self.fp.next(self.penalty, self.epoch);
+                self.penalty = p.fp.next(self.penalty, self.epoch);
                 self.threat = self.threat.penalized(self.penalty);
             }
             Classification::Benign => {
                 // Lines 12-15: compensation only applies in the suspicious
                 // state.
                 if self.state == ProcessState::Suspicious {
-                    self.compensation = self.fc.next(self.compensation, self.epoch);
+                    self.compensation = p.fc.next(self.compensation, self.epoch);
                     self.threat = self.threat.compensated(self.compensation);
                 }
             }
@@ -477,18 +409,13 @@ impl Monitor {
         self.report(delta, directive)
     }
 
-    fn observe_terminable(&mut self, inference: Classification) -> StepReport {
+    fn observe_terminable(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
         match inference {
             Classification::Benign => {
-                if self.cyclic {
+                if p.cyclic {
                     // A_reset plus the outer while-loop of Algorithm 1:
                     // restore resources and begin a new measurement cycle.
-                    self.state = ProcessState::Normal;
-                    self.threat = ThreatIndex::zero();
-                    self.penalty = 0.0;
-                    self.compensation = 0.0;
-                    self.measurements = 0;
-                    self.restored = false;
+                    self.recycle();
                     return self.report(0.0, Directive::Restore);
                 }
                 // Line 24: A_reset — restore default resources, once.
@@ -525,6 +452,141 @@ impl Monitor {
             directive,
             level,
         }
+    }
+}
+
+/// Per-process implementation of Algorithm 1.
+///
+/// # Examples
+///
+/// ```
+/// use valkyrie_core::{AssessmentFn, Classification, Directive, Monitor, ProcessState};
+///
+/// let mut m = Monitor::new(3, AssessmentFn::incremental(), AssessmentFn::incremental());
+/// let r = m.observe(Classification::Malicious);
+/// assert_eq!(r.state, ProcessState::Suspicious);
+/// assert_eq!(r.delta_threat, 1.0);
+/// // After N* = 3 measurements the process becomes terminable …
+/// m.observe(Classification::Malicious);
+/// m.observe(Classification::Malicious);
+/// assert_eq!(m.state(), ProcessState::Terminable);
+/// // … and the next malicious classification terminates it.
+/// let r = m.observe(Classification::Malicious);
+/// assert_eq!(r.directive, Directive::Terminate);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Monitor {
+    params: MonitorParams,
+    cycle: CycleState,
+}
+
+impl Monitor {
+    /// Creates a monitor that needs `n_star` measurements before the process
+    /// becomes terminable, with penalty assessment `fp` and compensation
+    /// assessment `fc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_star` is zero; a detector that needs zero measurements
+    /// would terminate processes without ever observing them.
+    pub fn new(n_star: u64, fp: AssessmentFn, fc: AssessmentFn) -> Self {
+        assert!(n_star > 0, "N* must be at least one measurement");
+        Self {
+            params: MonitorParams {
+                n_star,
+                fp,
+                fc,
+                cyclic: false,
+            },
+            cycle: CycleState::new(),
+        }
+    }
+
+    /// Like [`Monitor::new`], but monitoring is *cyclic*: Algorithm 1's
+    /// outer `while t is executing` loop. After a benign verdict in the
+    /// terminable state the resources are restored (`A_reset`) **and a new
+    /// measurement cycle begins** — the process returns to the normal state
+    /// with fresh penalty/compensation metrics and measurement counter.
+    /// Long-running processes thus stay under watch for their whole life,
+    /// while attacks are still terminated at the end of their first cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_star` is zero.
+    pub fn new_cyclic(n_star: u64, fp: AssessmentFn, fc: AssessmentFn) -> Self {
+        let mut m = Self::new(n_star, fp, fc);
+        m.params.cyclic = true;
+        m
+    }
+
+    /// Current Fig. 3 state.
+    pub fn state(&self) -> ProcessState {
+        self.cycle.state
+    }
+
+    /// Current threat index `T_i^t`.
+    pub fn threat(&self) -> ThreatIndex {
+        self.cycle.threat
+    }
+
+    /// Current penalty metric `P_i^t`.
+    pub fn penalty(&self) -> f64 {
+        self.cycle.penalty
+    }
+
+    /// Current compensation metric `C_i^t`.
+    pub fn compensation(&self) -> f64 {
+        self.cycle.compensation
+    }
+
+    /// Measurements captured so far (`N_i^t`).
+    pub fn measurements(&self) -> u64 {
+        self.cycle.measurements
+    }
+
+    /// The configured measurement requirement `N*`.
+    pub fn measurements_required(&self) -> u64 {
+        self.params.n_star
+    }
+
+    /// Feeds one epoch's inference `D(t, i)` and advances Algorithm 1.
+    ///
+    /// Calling this after the process has terminated keeps returning
+    /// [`Directive::Terminate`] without further state changes.
+    pub fn observe(&mut self, inference: Classification) -> StepReport {
+        self.cycle.observe(&self.params, inference)
+    }
+
+    /// Feeds one epoch's *fused evidence mass* (in `[0, 1]`) and advances
+    /// Algorithm 1 under the default graduated [`EscalationLadder`].
+    ///
+    /// See [`Monitor::observe_mass_with`].
+    pub fn observe_mass(&mut self, mass: f64) -> StepReport {
+        self.observe_mass_with(EscalationLadder::default(), mass)
+    }
+
+    /// Feeds one epoch's fused evidence mass under an explicit ladder.
+    ///
+    /// The ladder picks the escalation rung; the rung picks the Algorithm 1
+    /// arm. `Throttle`/`Kill` run the penalty arm with the assessment-step
+    /// scaled by the mass, `Compensate` runs the compensation arm scaled by
+    /// `1 - mass`, and `Observe` holds every metric. In the terminable
+    /// state, `Kill` terminates, `Compensate` restores (recycling under
+    /// cyclic monitoring) and the middle rungs hold the decision open.
+    ///
+    /// The extremes are degenerate by construction: mass exactly `1.0`
+    /// executes the same arithmetic as a `Malicious` observation and mass
+    /// exactly `0.0` the same as a `Benign` one, so a binary detector
+    /// driven through this path (with [`EscalationLadder::BINARY`]) is
+    /// bit-for-bit the legacy [`Monitor::observe`].
+    pub fn observe_mass_with(&mut self, ladder: EscalationLadder, mass: f64) -> StepReport {
+        self.cycle.observe_mass_with(&self.params, ladder, mass)
+    }
+
+    /// Marks the process as finished (Fig. 3: completion also moves the
+    /// process to *terminated*).
+    pub fn complete(&mut self) {
+        self.cycle.complete();
     }
 }
 

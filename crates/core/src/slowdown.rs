@@ -101,7 +101,7 @@ pub fn simulate_response<A: Actuator>(
     inferences: &[Classification],
     fp: AssessmentFn,
     fc: AssessmentFn,
-    mut actuator: A,
+    actuator: A,
 ) -> ResponseTrace {
     let mut monitor = Monitor::new(n_star, fp, fc);
     let mut current = ResourceVector::FULL;

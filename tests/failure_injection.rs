@@ -415,7 +415,7 @@ struct PanicOnThreat;
 const ACTUATOR_PANIC: &str = "actuator refused to throttle the flagged pid";
 
 impl Actuator for PanicOnThreat {
-    fn apply(&mut self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
+    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
         if delta_threat > 0.0 {
             panic!("{ACTUATOR_PANIC}");
         }
