@@ -18,11 +18,10 @@
 //!   degenerate unit-weight/BINARY-ladder config. Against `sharded_xN` at
 //!   the same `N` this prices the per-process evidence-table hop (fuse +
 //!   escalate) the fused path adds over flat binary observation;
-//! * `fleet_xN` — the same fleet spread across 256 machines through the
-//!   hierarchical `FleetEngine` (`N` machine-sharded groups × 2 pid
-//!   shards, global pids packed with `ProcessId::from_parts`). Against
-//!   `sharded_x2N` this prices the extra machine-level partition/scatter
-//!   hop the cluster tier adds per tick.
+//! * `fleet_xN` — the same fleet spread across 256 machines through a
+//!   `FleetEngine`: a `ShardedEngine` with `2N` shards over global pids
+//!   packed with `ProcessId::from_parts`. Against `sharded_x2N` this
+//!   prices the packed pid shape alone.
 //!
 //! `core/engine_batch_fleet_pids` re-runs `fleet_x{1,4}` at 100k
 //! observations per tick over `fleet_scale`'s pid shape instead: 10k

@@ -102,12 +102,11 @@ pub fn mix64(mut x: u64) -> u64 {
 ///
 /// This is **the** routing rule of the scaling tier, defined once so the
 /// placement used by the batch path
-/// ([`ShardedEngine`](crate::ShardedEngine)), the async ingest rings
-/// ([`IngestPublisher`](crate::IngestPublisher)) and the fleet tier's
-/// machine-group routing ([`FleetEngine`](crate::FleetEngine)) cannot
-/// silently drift apart: an observation published through a ring must land
-/// on the same shard the batch path would have picked, or the per-process
-/// monitor state would split across shards.
+/// ([`ShardedEngine`](crate::ShardedEngine)) and the async ingest rings
+/// ([`IngestPublisher`](crate::IngestPublisher)) cannot silently drift
+/// apart: an observation published through a ring must land on the same
+/// shard the batch path would have picked, or the per-process monitor
+/// state would split across shards.
 ///
 /// # Panics
 ///

@@ -90,7 +90,7 @@ pub use evasion::{
     EvasionScenario, IntensityModulator, LawEstimate, LawProbe, MassRider, PeriodicIntensity,
     StepDown,
 };
-pub use fleet::{FleetEngine, FleetPublisher};
+pub use fleet::FleetEngine;
 pub use ingest::{
     CoalesceKey, IngestDefense, IngestPublisher, IngestQueues, OverflowPolicy, ThreatHints,
 };
@@ -112,7 +112,7 @@ pub mod prelude {
         ValkyrieEngine,
     };
     pub use crate::error::ValkyrieError;
-    pub use crate::fleet::{FleetEngine, FleetPublisher};
+    pub use crate::fleet::FleetEngine;
     pub use crate::ingest::{IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
     pub use crate::monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
     pub use crate::resource::{ProcessId, ResourceKind, ResourceVector};

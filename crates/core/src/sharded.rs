@@ -141,13 +141,13 @@ pub(crate) fn shard_index(pid: ProcessId, nshards: usize) -> usize {
     shard_of(pid.0, nshards)
 }
 
-/// Splits `batch` into per-partition work lists under an arbitrary routing
-/// function, remembering each observation's position in the input batch.
+/// Splits `batch` into per-shard work lists under the pid routing rule,
+/// remembering each observation's position in the input batch.
 /// Free-standing so an engine can split-borrow its scratch next to its
-/// shards; the fleet tier reuses it with machine-id routing.
-pub(crate) fn partition_by_into<T: Copy>(
+/// shards.
+fn partition_into<T: Copy>(
     batch: &[(ProcessId, T)],
-    route: impl Fn(ProcessId) -> usize,
+    nshards: usize,
     parts: &mut [Vec<(ProcessId, T)>],
     origins: &mut [Vec<usize>],
 ) {
@@ -156,26 +156,16 @@ pub(crate) fn partition_by_into<T: Copy>(
         origin.clear();
     }
     for (i, &(pid, payload)) in batch.iter().enumerate() {
-        let part = route(pid);
-        parts[part].push((pid, payload));
-        origins[part].push(i);
+        let shard = shard_index(pid, nshards);
+        parts[shard].push((pid, payload));
+        origins[shard].push(i);
     }
-}
-
-/// Splits `batch` into per-shard work lists under the pid routing rule.
-fn partition_into(
-    batch: &[(ProcessId, Classification)],
-    nshards: usize,
-    parts: &mut [Vec<(ProcessId, Classification)>],
-    origins: &mut [Vec<usize>],
-) {
-    partition_by_into(batch, |pid| shard_index(pid, nshards), parts, origins);
 }
 
 /// The single scratch-shrink policy: a slot keeps at most
 /// [`SCRATCH_SHRINK_FACTOR`]× what it currently holds (`used` elements),
 /// never dropping below [`SCRATCH_MIN_CAPACITY`].
-pub(crate) fn shrink_slot<T>(slot: &mut Vec<T>, used: usize) {
+fn shrink_slot<T>(slot: &mut Vec<T>, used: usize) {
     let need = used.max(SCRATCH_MIN_CAPACITY);
     if slot.capacity() > need * SCRATCH_SHRINK_FACTOR {
         slot.shrink_to(need);
@@ -228,7 +218,7 @@ fn observe_parts_scoped<A: Actuator + Clone + Send>(
 
 /// Scatters per-shard response lists back to input order. Every slot is
 /// overwritten: the partition covers each input index exactly once.
-pub(crate) fn scatter_to_input_order(
+fn scatter_to_input_order(
     origins: &[Vec<usize>],
     results: Vec<Vec<EngineResponse>>,
     len: usize,
@@ -394,12 +384,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         if self.vparts.len() != nshards {
             self.vparts = vec![Vec::new(); nshards];
         }
-        partition_by_into(
-            batch,
-            |pid| shard_index(pid, nshards),
-            &mut self.vparts,
-            &mut self.origins,
-        );
+        partition_into(batch, nshards, &mut self.vparts, &mut self.origins);
         let mut out = Vec::new();
         for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
             shard.observe_verdict_batch_into(part, &mut out);

@@ -81,30 +81,6 @@ impl IngestStats {
     pub fn lost(&self) -> u64 {
         self.dropped
     }
-
-    /// Folds another queue set's counters into this one (per-publisher
-    /// tallies are summed index-aligned, as the fleet tier hands every
-    /// group the same publisher-id assignment order).
-    pub fn merge(&mut self, other: &IngestStats) {
-        self.published += other.published;
-        self.drained += other.drained;
-        self.dropped += other.dropped;
-        self.coalesced += other.coalesced;
-        self.queued += other.queued;
-        self.priority_queued += other.priority_queued;
-        self.evictions_deflected += other.evictions_deflected;
-        if self.dropped_by_publisher.len() < other.dropped_by_publisher.len() {
-            self.dropped_by_publisher
-                .resize(other.dropped_by_publisher.len(), 0);
-        }
-        for (acc, n) in self
-            .dropped_by_publisher
-            .iter_mut()
-            .zip(&other.dropped_by_publisher)
-        {
-            *acc += n;
-        }
-    }
 }
 
 /// Counters of the verdict-fusion tier: how much per-detector evidence the

@@ -1,4 +1,4 @@
-//! Fleet scale: 100k+ machines with churn under one hierarchical engine.
+//! Fleet scale: 100k+ machines with churn under one sharded engine.
 //!
 //! `--quick` runs the scaled-down configuration used by the golden-output
 //! pins (200 machines); the default drives the full 100k-machine cluster —

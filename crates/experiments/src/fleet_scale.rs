@@ -1,12 +1,12 @@
-//! Fleet scale: a whole cluster of machines under one hierarchical
-//! engine, with arrival/departure churn (ours; beyond the paper).
+//! Fleet scale: a whole cluster of machines under one engine, with
+//! arrival/departure churn (ours; beyond the paper).
 //!
 //! The paper evaluates Valkyrie on one machine at a time; the
 //! multi-tenant experiment ([`crate::multi_tenant`]) scaled that to one
 //! machine with thousands of tenants. This experiment completes the climb:
 //! **100k+ machines**, each hosting a fleet of benign services, driven
-//! through a [`FleetEngine`] — machine-sharded groups of pid-sharded
-//! engines — so response bookkeeping (kill-at-`N*+1`, wrongful
+//! through a [`FleetEngine`] — one sharded engine over the packed
+//! cluster-wide pids — so response bookkeeping (kill-at-`N*+1`, wrongful
 //! terminations, purges) can be measured with *millions* of live
 //! processes.
 //!
@@ -23,8 +23,8 @@
 //! * **Determinism at scale.** Every detector flag is a pure hash of
 //!   `(seed, pid, epoch)` — no RNG state threads through the loop — so
 //!   the security outcome is bit-reproducible, golden-pinned
-//!   (`tests/golden_outputs.rs`), and invariant to how machines are
-//!   partitioned into engine groups.
+//!   (`tests/golden_outputs.rs`), and invariant to the engine's shard
+//!   count.
 //!
 //! The run also validates the *simulation substrate* at cluster scale: a
 //! bounded [`Cluster`] boots machines against a shared prebuilt
@@ -56,9 +56,10 @@ pub struct FleetScaleConfig {
     pub epochs: u64,
     /// Valkyrie's measurement requirement.
     pub n_star: u64,
-    /// Machine-sharded engine groups under the [`FleetEngine`].
+    /// Shard-count factor: the [`FleetEngine`] runs
+    /// `groups × shards_per_group` shards.
     pub groups: usize,
-    /// Pid shards inside each group.
+    /// The other shard-count factor (see [`Self::groups`]).
     pub shards_per_group: usize,
     /// Per-epoch probability that an attack is flagged.
     pub tpr: f64,
@@ -185,7 +186,7 @@ pub struct FleetScaleResult {
     /// binary detector tier absorbs no verdicts, so only the
     /// escalation-ladder transitions are non-zero here).
     pub fusion_stats: valkyrie_core::FusionStats,
-    /// Ingest-tier counters merged across every group's rings (`None`
+    /// Ingest-tier counters of the fleet's rings (`None`
     /// unless [`FleetScaleConfig::async_ingest`] routed the run through
     /// them).
     pub ingest: Option<IngestStats>,
@@ -267,7 +268,7 @@ fn flag_draw(seed: u64, pid: ProcessId, epoch: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Runs the cluster through the hierarchical engine.
+/// Runs the cluster through the fleet engine.
 pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
     let config = EngineConfig::builder()
         .measurements_required(cfg.n_star)
@@ -329,8 +330,7 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
 
     // The async path: the whole detector batch goes through the fleet's
     // bounded rings (Block, sized for the fleet — lossless) and comes back
-    // out of `drain_tick` concatenated in *group* order, so responses are
-    // credited through a pid → (machine, service) map instead of `refs`.
+    // out of `drain_tick` in publish order, i.e. batch order.
     let publisher = cfg.async_ingest.then(|| {
         fleet.enable_ingest_defended(
             expected.max(1),
@@ -338,10 +338,6 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
             IngestDefense::full(),
         )
     });
-    let mut slot_of: HashMap<u64, (u32, u32), FxBuildHasher> = HashMap::with_capacity_and_hasher(
-        if cfg.async_ingest { expected } else { 0 },
-        FxBuildHasher::default(),
-    );
 
     let mut observations = 0u64;
     let mut peak_tracked = 0usize;
@@ -450,22 +446,11 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
         let purged_this_tick = (fleet.purged_total() - purged_before) as usize;
         peak_tracked = peak_tracked.max(fleet.tracked() + purged_this_tick);
 
-        // Credit responses back onto the fleet. The synchronous tick
-        // answers in batch order, so `refs` maps each response to its
-        // machine/service slot; the drained path concatenates groups, so
-        // slots are looked up by pid instead.
-        if publisher.is_some() {
-            slot_of.clear();
-            for (&(pid, _), &slot) in batch.iter().zip(&refs) {
-                slot_of.insert(pid.0, slot);
-            }
-        }
+        // Credit responses back onto the fleet. Both paths answer in batch
+        // order, so `refs` maps each response to its machine/service slot.
         for (i, resp) in responses.iter().enumerate() {
-            let (mi, si) = if publisher.is_some() {
-                slot_of[&resp.pid.0]
-            } else {
-                refs[i]
-            };
+            assert_eq!(resp.pid, batch[i].0, "responses arrive in batch order");
+            let (mi, si) = refs[i];
             let m = &mut machines[mi as usize];
             let s = &mut m.services[si as usize];
             s.state = Some(resp.state);
@@ -714,7 +699,7 @@ mod tests {
             async_ingest: true,
             ..base
         });
-        // Lossless rings + per-pid crediting: the security outcome is
+        // Lossless rings drain in publish order: the security outcome is
         // bit-identical to the synchronous tick path.
         assert_eq!(sync.attacks_terminated, drained.attacks_terminated);
         assert_eq!(

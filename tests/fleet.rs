@@ -1,11 +1,12 @@
 //! Equivalence guarantees of the fleet tier.
 //!
 //! The cluster tier's contract mirrors the sharding tier's
-//! (`tests/sharding.rs`): hierarchy is **semantically invisible**. A
-//! one-group [`FleetEngine`] driving machine-0 pids is bit-for-bit the
-//! single-machine `ShardedEngine`; regrouping machines across engine
-//! groups never changes any response; and a one-machine [`Cluster`] is
-//! bit-for-bit a bare [`Machine`] built with the same derived seed.
+//! (`tests/sharding.rs`): the cluster shape is **semantically
+//! invisible**. A one-group [`FleetEngine`] driving machine-0 pids is
+//! bit-for-bit the single-machine `ShardedEngine`; changing the group
+//! count (and with it the shard count) never changes any response; and a
+//! one-machine [`Cluster`] is bit-for-bit a bare [`Machine`] built with
+//! the same derived seed.
 
 use proptest::prelude::*;
 use valkyrie::core::prelude::*;
