@@ -7,10 +7,8 @@
 //! process and shares one configuration (`N*`, assessment functions,
 //! actuator) across all of them.
 //!
-//! The per-process bookkeeping lives in [`EngineShard`]: one process map
-//! plus the observe path. [`ValkyrieEngine`] is a single shard behind the
-//! original one-process-at-a-time API; the scaling tier in
-//! [`crate::sharded`] runs many shards side by side behind a batch API.
+//! The scaling tier in [`crate::sharded`] runs many engines side by side,
+//! one per shard, behind a batch API.
 
 use crate::actuator::{Actuator, CompositeActuator, ShareActuator};
 use crate::efficacy::{EfficacyCurve, EfficacySpec};
@@ -61,7 +59,7 @@ pub struct EngineResponse {
 }
 
 /// Configuration of the verdict-fusion tier (see
-/// [`EngineShard::absorb_verdict`]).
+/// [`ValkyrieEngine::absorb_verdict`]).
 ///
 /// `weights[detector_id]` is each ensemble member's fusion weight
 /// (`default_weight` for ids past the end of the table); `stale_decay`
@@ -287,7 +285,7 @@ impl EngineConfigBuilder {
 
 /// One tracked process: its Algorithm 1 cycle, the shares it runs under
 /// and its last escalation rung. Everything shared (`N*`, the assessment
-/// functions, the actuator) stays in the shard's [`EngineConfig`], so the
+/// functions, the actuator) stays in the engine's [`EngineConfig`], so the
 /// record is plain data with no heap allocation of its own.
 #[derive(Debug, Clone)]
 struct TrackedProcess {
@@ -313,7 +311,7 @@ impl TrackedProcess {
 }
 
 /// Advances one tracked process by one inference. Free-standing so the
-/// shard can split-borrow its config and its map entry.
+/// engine can split-borrow its config and its map entry.
 fn step<A: Actuator>(
     config: &EngineConfig<A>,
     pid: ProcessId,
@@ -379,29 +377,46 @@ fn enact<A: Actuator>(
     }
 }
 
-/// One partition of the engine: a process map plus the observe path.
+/// The Valkyrie response engine (paper Fig. 2): one process map plus the
+/// observe path.
 ///
-/// An `EngineShard` is the unit the scaling tier distributes work over:
-/// [`ValkyrieEngine`] is exactly one shard, and
-/// [`ShardedEngine`](crate::sharded::ShardedEngine) owns `N` of them, each
-/// responsible for the processes whose id hashes onto it. Algorithm 1
-/// semantics are per process, so a shard never needs to see another
-/// shard's processes.
+/// A `ValkyrieEngine` is also the unit the scaling tier distributes work
+/// over: [`ShardedEngine`](crate::sharded::ShardedEngine) owns `N` of them,
+/// each responsible for the processes whose id hashes onto it. Algorithm 1
+/// semantics are per process, so one engine never needs to see another's
+/// processes. For fleets beyond a few thousand processes per tick, use the
+/// batched `ShardedEngine`.
 ///
 /// Processes are tracked lazily: the first observation of an unknown
 /// [`ProcessId`] registers it in the *normal* state with full resources.
 /// The map distinguishes **live** processes from **terminated** ones that
-/// are kept for post-mortem queries until [`EngineShard::purge_terminated`]
-/// (or [`EngineShard::forget`]) evicts them.
+/// are kept for post-mortem queries until [`Self::purge_terminated`] (or
+/// [`Self::forget`]) evicts them.
+///
+/// # Examples
+///
+/// ```
+/// use valkyrie_core::prelude::*;
+///
+/// let config = EngineConfig::builder()
+///     .measurements_required(5)
+///     .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+///     .build()
+///     .unwrap();
+/// let mut engine = ValkyrieEngine::new(config);
+/// let resp = engine.observe(ProcessId(7), Classification::Malicious);
+/// assert_eq!(resp.action, Action::Throttle);
+/// assert!(resp.resources.cpu < 1.0);
+/// ```
 #[derive(Debug)]
-pub struct EngineShard<A: Actuator + Clone = CompositeActuator> {
+pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
     config: EngineConfig<A>,
     procs: HashMap<ProcessId, TrackedProcess, FxBuildHasher>,
     /// Per-process fusion table: the latest evidence from each ensemble
     /// member, kept across epochs so slow members stay represented.
     evidence: HashMap<ProcessId, FusionCell, FxBuildHasher>,
     /// Processes with fresh evidence since the last fuse, in first-arrival
-    /// order (the response order of [`EngineShard::fuse_step_into`]).
+    /// order (the response order of [`Self::fuse_step_into`]).
     dirty: Vec<ProcessId>,
     /// Fusion clock: one tick per fuse pass, for staleness accounting.
     fusion_tick: u64,
@@ -419,20 +434,20 @@ struct MemberEvidence {
 }
 
 /// Per-process fusion state: one slot per ensemble member, plus the dirty
-/// flag keeping the pid at most once in the shard's dirty list.
+/// flag keeping the pid at most once in the engine's dirty list.
 #[derive(Debug, Clone, Default)]
 struct FusionCell {
     members: Vec<MemberEvidence>,
     dirty: bool,
 }
 
-impl<A: Actuator + Clone> EngineShard<A> {
-    /// Creates an empty shard from a configuration.
+impl<A: Actuator + Clone> ValkyrieEngine<A> {
+    /// Creates an empty engine from a configuration.
     pub fn new(config: EngineConfig<A>) -> Self {
         Self::with_capacity(config, 0)
     }
 
-    /// Creates a shard pre-sized for `capacity` processes, so batch
+    /// Creates an engine pre-sized for `capacity` processes, so batch
     /// embedders don't pay rehash-and-move costs while the fleet registers.
     pub fn with_capacity(config: EngineConfig<A>, capacity: usize) -> Self {
         Self {
@@ -445,7 +460,26 @@ impl<A: Actuator + Clone> EngineShard<A> {
         }
     }
 
-    /// The shard configuration.
+    /// Creates an engine with a non-composite actuator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_star` is zero (see [`crate::Monitor::new`]).
+    pub fn with_actuator(n_star: u64, fp: AssessmentFn, fc: AssessmentFn, actuator: A) -> Self {
+        assert!(n_star > 0, "N* must be at least one measurement");
+        Self::new(EngineConfig {
+            monitor: MonitorParams {
+                n_star,
+                fp,
+                fc,
+                cyclic: false,
+            },
+            actuator,
+            fusion: FusionConfig::default(),
+        })
+    }
+
+    /// The engine configuration.
     pub fn config(&self) -> &EngineConfig<A> {
         &self.config
     }
@@ -507,7 +541,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
 
     /// Advances a process by one fused evidence mass under the configured
     /// escalation ladder (the weighted-evidence sibling of
-    /// [`EngineShard::observe`]).
+    /// [`Self::observe`]).
     pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
         let config = &self.config;
         if let Some(tracked) = self.procs.get_mut(&pid) {
@@ -527,7 +561,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
     /// Absorbs one ensemble member's verdict into the fusion table without
     /// advancing the monitor. The process is stepped (once, regardless of
     /// how many members published) by the next
-    /// [`EngineShard::fuse_step_into`].
+    /// [`Self::fuse_step_into`].
     ///
     /// `confidence` is a public field, so this is the boundary that
     /// sanitises it: a NaN confidence is dropped as "no measurement from
@@ -582,7 +616,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
         }
     }
 
-    /// Batch variant of [`EngineShard::fuse_step_into`].
+    /// Batch variant of [`Self::fuse_step_into`].
     pub fn fuse_step(&mut self) -> Vec<EngineResponse> {
         let mut out = Vec::new();
         self.fuse_step_into(&mut out);
@@ -615,7 +649,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
     /// Absorbs one verdict and immediately fuses the process's evidence:
     /// the single-caller convenience path (one verdict per epoch). Batch
     /// embedders absorb many verdicts and call
-    /// [`EngineShard::fuse_step_into`] once per tick instead.
+    /// [`Self::fuse_step_into`] once per tick instead.
     ///
     /// A NaN-confidence verdict is no measurement: the process is not
     /// stepped and the response reports its current standing with
@@ -651,8 +685,8 @@ impl<A: Actuator + Clone> EngineShard<A> {
         self.fuse_step_into(out);
     }
 
-    /// Batch variant of [`EngineShard::observe_verdict`]; see
-    /// [`EngineShard::observe_verdict_batch_into`].
+    /// Batch variant of [`Self::observe_verdict`]; see
+    /// [`Self::observe_verdict_batch_into`].
     pub fn observe_verdict_batch(&mut self, batch: &[(ProcessId, Verdict)]) -> Vec<EngineResponse> {
         let mut out = Vec::new();
         self.observe_verdict_batch_into(batch, &mut out);
@@ -732,172 +766,6 @@ impl<A: Actuator + Clone> EngineShard<A> {
         self.procs
             .iter()
             .map(|(pid, p)| (*pid, p.cycle.state(), p.cycle.threat()))
-    }
-}
-
-/// The Valkyrie response engine (paper Fig. 2): a single [`EngineShard`]
-/// behind the original per-process API.
-///
-/// Processes are tracked lazily: the first observation of an unknown
-/// [`ProcessId`] registers it in the *normal* state with full resources.
-/// For fleets beyond a few thousand processes per tick, use the batched
-/// [`ShardedEngine`](crate::sharded::ShardedEngine) instead.
-///
-/// # Examples
-///
-/// ```
-/// use valkyrie_core::prelude::*;
-///
-/// let config = EngineConfig::builder()
-///     .measurements_required(5)
-///     .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
-///     .build()
-///     .unwrap();
-/// let mut engine = ValkyrieEngine::new(config);
-/// let resp = engine.observe(ProcessId(7), Classification::Malicious);
-/// assert_eq!(resp.action, Action::Throttle);
-/// assert!(resp.resources.cpu < 1.0);
-/// ```
-#[derive(Debug)]
-pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
-    shard: EngineShard<A>,
-}
-
-impl<A: Actuator + Clone> ValkyrieEngine<A> {
-    /// Creates an engine from a configuration.
-    pub fn new(config: EngineConfig<A>) -> Self {
-        Self {
-            shard: EngineShard::new(config),
-        }
-    }
-
-    /// Creates an engine pre-sized for `capacity` processes (see
-    /// [`EngineShard::with_capacity`]).
-    pub fn with_capacity(config: EngineConfig<A>, capacity: usize) -> Self {
-        Self {
-            shard: EngineShard::with_capacity(config, capacity),
-        }
-    }
-
-    /// Creates an engine with a non-composite actuator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_star` is zero (see [`crate::Monitor::new`]).
-    pub fn with_actuator(n_star: u64, fp: AssessmentFn, fc: AssessmentFn, actuator: A) -> Self {
-        assert!(n_star > 0, "N* must be at least one measurement");
-        Self::new(EngineConfig {
-            monitor: MonitorParams {
-                n_star,
-                fp,
-                fc,
-                cyclic: false,
-            },
-            actuator,
-            fusion: FusionConfig::default(),
-        })
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig<A> {
-        self.shard.config()
-    }
-
-    /// Number of processes currently tracked, **terminated ones included**
-    /// (they stay queryable until purged). Live count: [`Self::tracked_live`].
-    pub fn tracked(&self) -> usize {
-        self.shard.tracked()
-    }
-
-    /// Number of tracked processes that have not terminated.
-    pub fn tracked_live(&self) -> usize {
-        self.shard.tracked_live()
-    }
-
-    /// Current state of a process, if tracked.
-    pub fn state(&self, pid: ProcessId) -> Option<ProcessState> {
-        self.shard.state(pid)
-    }
-
-    /// Current threat index of a process, if tracked.
-    pub fn threat(&self, pid: ProcessId) -> Option<ThreatIndex> {
-        self.shard.threat(pid)
-    }
-
-    /// Current resource shares of a process, if tracked.
-    pub fn resources(&self, pid: ProcessId) -> Option<ResourceVector> {
-        self.shard.resources(pid)
-    }
-
-    /// Feeds one epoch's detector inference for `pid` and returns the
-    /// response to enact.
-    pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
-        self.shard.observe(pid, inference)
-    }
-
-    /// Batch variant of [`Self::observe`]; responses are in input order.
-    pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
-        self.shard.observe_batch(batch)
-    }
-
-    /// Advances a process by one fused evidence mass (see
-    /// [`EngineShard::observe_mass`]).
-    pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
-        self.shard.observe_mass(pid, mass)
-    }
-
-    /// Absorbs a per-detector verdict and immediately fuses the process's
-    /// evidence (see [`EngineShard::observe_verdict`]).
-    pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
-        self.shard.observe_verdict(pid, verdict)
-    }
-
-    /// Absorbs a verdict without stepping the monitor (see
-    /// [`EngineShard::absorb_verdict`]).
-    pub fn absorb_verdict(&mut self, pid: ProcessId, verdict: Verdict) {
-        self.shard.absorb_verdict(pid, verdict)
-    }
-
-    /// Fuses all pending evidence: one monitor step and response per
-    /// process with fresh verdicts (see [`EngineShard::fuse_step_into`]).
-    pub fn fuse_step(&mut self) -> Vec<EngineResponse> {
-        self.shard.fuse_step()
-    }
-
-    /// Fusion-tier telemetry counters.
-    pub fn fusion_stats(&self) -> &FusionStats {
-        self.shard.fusion_stats()
-    }
-
-    /// Marks a process as completed (Fig. 3: completion terminates it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValkyrieError::UnknownProcess`] when `pid` is not tracked.
-    pub fn complete(&mut self, pid: ProcessId) -> Result<(), ValkyrieError> {
-        self.shard.complete(pid)
-    }
-
-    /// Stops tracking a process and frees its bookkeeping.
-    pub fn forget(&mut self, pid: ProcessId) {
-        self.shard.forget(pid)
-    }
-
-    /// Evicts every terminated process, returning how many were dropped
-    /// (see [`EngineShard::purge_terminated`]).
-    pub fn purge_terminated(&mut self) -> usize {
-        self.shard.purge_terminated()
-    }
-
-    /// Iterates over `(pid, state, threat)` of all tracked processes.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
-        self.shard.iter()
-    }
-
-    /// Consumes the engine, returning its single shard (used by the
-    /// scaling tier to promote an engine into a sharded deployment).
-    pub fn into_shard(self) -> EngineShard<A> {
-        self.shard
     }
 }
 
@@ -1138,7 +1006,7 @@ mod tests {
             .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
             .build()
             .unwrap();
-        let mut shard = EngineShard::new(config);
+        let mut shard = ValkyrieEngine::new(config);
         let stream = [Malicious, Benign, Malicious, Malicious];
         let first: Vec<EngineResponse> = stream
             .iter()
@@ -1150,15 +1018,6 @@ mod tests {
             .map(|&c| shard.observe(ProcessId(1), c))
             .collect();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn into_shard_preserves_tracking() {
-        let mut e = engine(10);
-        e.observe(ProcessId(3), Malicious);
-        let shard = e.into_shard();
-        assert_eq!(shard.tracked(), 1);
-        assert_eq!(shard.state(ProcessId(3)), Some(ProcessState::Suspicious));
     }
 
     fn fusion_engine(n_star: u64, fusion: FusionConfig) -> ValkyrieEngine {
@@ -1304,20 +1163,16 @@ mod tests {
 
     #[test]
     fn observe_verdict_batch_orders_responses_by_first_arrival() {
-        let e = fusion_engine(10, FusionConfig::default());
+        let mut e = fusion_engine(10, FusionConfig::default());
         let batch = vec![
             (ProcessId(3), Verdict::new(0, 1.0)),
             (ProcessId(1), Verdict::new(0, 0.0)),
             (ProcessId(3), Verdict::new(1, 1.0)),
         ];
-        let shard = {
-            let mut shard = e.into_shard();
-            let r = shard.observe_verdict_batch(&batch);
-            assert_eq!(r.len(), 2, "two processes, three verdicts");
-            assert_eq!(r[0].pid, ProcessId(3));
-            assert_eq!(r[1].pid, ProcessId(1));
-            shard
-        };
-        assert_eq!(shard.tracked(), 2);
+        let r = e.observe_verdict_batch(&batch);
+        assert_eq!(r.len(), 2, "two processes, three verdicts");
+        assert_eq!(r[0].pid, ProcessId(3));
+        assert_eq!(r[1].pid, ProcessId(1));
+        assert_eq!(e.tracked(), 2);
     }
 }

@@ -381,8 +381,7 @@ pub struct IngestQueues<P = Classification> {
     /// lock so per-ring sequences are strictly increasing in application
     /// order (the property the drain merge relies on).
     seq: AtomicU64,
-    /// The next publisher id to hand out. Starts at 1: id 0 is reserved
-    /// for the engine's driver-side pushes, publisher handles take 1...
+    /// The next publisher id to hand out. Ids start at 1.
     next_publisher: AtomicU32,
     published: AtomicU64,
     drained: AtomicU64,
@@ -398,7 +397,7 @@ impl<P> IngestQueues<P> {
         self.next_publisher.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Publisher handles registered so far (driver-side id 0 excluded).
+    /// Publisher handles registered so far (ids start at 1).
     fn publisher_handles(&self) -> usize {
         (self.next_publisher.load(Ordering::Relaxed) as usize).saturating_sub(1)
     }
@@ -456,21 +455,6 @@ impl<P: CoalesceKey> IngestQueues<P> {
             drained: AtomicU64::new(0),
             closed: AtomicBool::new(false),
         })
-    }
-
-    /// Ring capacity, in observations **per shard, per lane**.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// The overload-defense configuration.
-    pub fn defense(&self) -> IngestDefense {
-        self.defense
     }
 
     /// Number of per-shard rings.
@@ -670,30 +654,32 @@ impl<P: CoalesceKey> IngestQueues<P> {
         }
     }
 
-    /// Empties shard `shard`'s ring into `work`/`seqs` (appending, aligned
-    /// index-for-index; priority lane first) and wakes any publishers
-    /// blocked on it.
+    /// Empties shard `shard`'s ring into `work` (appending; priority lane
+    /// first) and wakes any publishers blocked on it. When `seqs` is given,
+    /// each entry's publish stamp is appended to it, aligned
+    /// index-for-index with `work`.
     pub(crate) fn drain_shard_into(
         &self,
         shard: usize,
         work: &mut Vec<(ProcessId, P)>,
-        seqs: &mut Vec<u64>,
+        mut seqs: Option<&mut Vec<u64>>,
     ) {
         let ring = &self.rings[shard];
-        let mut state = ring.state.lock().expect("ingest ring poisoned");
+        let mut guard = ring.state.lock().expect("ingest ring poisoned");
+        let state = &mut *guard;
         let n = state.prio.len() + state.buf.len();
         work.reserve(n);
-        seqs.reserve(n);
-        for obs in state.prio.drain(..) {
-            work.push((obs.pid, obs.payload));
-            seqs.push(obs.seq);
+        if let Some(seqs) = seqs.as_deref_mut() {
+            seqs.reserve(n);
         }
-        for obs in state.buf.drain(..) {
+        for obs in state.prio.drain(..).chain(state.buf.drain(..)) {
             work.push((obs.pid, obs.payload));
-            seqs.push(obs.seq);
+            if let Some(seqs) = seqs.as_deref_mut() {
+                seqs.push(obs.seq);
+            }
         }
         state.occupancy.clear();
-        drop(state);
+        drop(guard);
         if n > 0 {
             self.drained.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -761,7 +747,7 @@ impl<P: CoalesceKey> IngestQueues<P> {
 /// so concurrent publishers only contend when their pids share a shard.
 /// Obtain one from
 /// [`ShardedEngine::enable_ingest`](crate::ShardedEngine::enable_ingest)
-/// or [`ShardedEngine::publisher`](crate::ShardedEngine::publisher).
+/// and clone it for each further publisher.
 #[derive(Debug)]
 pub struct IngestPublisher<P = Classification> {
     queues: Arc<IngestQueues<P>>,
@@ -856,7 +842,7 @@ mod tests {
         for shard in 0..queues.shards() {
             let mut work = Vec::new();
             let mut seqs = Vec::new();
-            queues.drain_shard_into(shard, &mut work, &mut seqs);
+            queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
             out.extend(
                 seqs.into_iter()
                     .zip(work)
@@ -986,7 +972,7 @@ mod tests {
         // two entries).
         let mut drained = 0;
         while drained < 3 {
-            queues.drain_shard_into(0, &mut work, &mut seqs);
+            queues.drain_shard_into(0, &mut work, Some(&mut seqs));
             drained = work.len();
             std::thread::yield_now();
         }
@@ -1056,7 +1042,7 @@ mod tests {
 
         let mut work = Vec::new();
         let mut seqs = Vec::new();
-        queues.drain_shard_into(0, &mut work, &mut seqs);
+        queues.drain_shard_into(0, &mut work, Some(&mut seqs));
         let mut got: Vec<(u32, f64)> = work
             .iter()
             .map(|&(_, v)| (v.detector, v.confidence))
@@ -1137,7 +1123,7 @@ mod tests {
 
         let mut work = Vec::new();
         let mut seqs = Vec::new();
-        queues.drain_shard_into(0, &mut work, &mut seqs);
+        queues.drain_shard_into(0, &mut work, Some(&mut seqs));
         assert_eq!(work[0].0, suspect, "priority lane drains first");
         assert!(work.iter().filter(|&&(pid, _)| pid == suspect).count() == 1);
 

@@ -22,12 +22,12 @@
 //! The expected impact on attacks and on falsely-classified benign programs
 //! is quantified by the **slowdown model** ([`slowdown`], Eqs. 2–4).
 //!
-//! Beyond the paper, the crate grows a **scaling tier**: the per-process
-//! logic lives in an [`EngineShard`], and a [`ShardedEngine`] ([`sharded`])
-//! partitions thousands of processes across shards behind a batched,
-//! thread-parallel `observe_batch` / `tick` API with identical Algorithm 1
-//! semantics: large batches fan out over per-batch scoped threads, small
-//! ones stay on the caller's thread. The [`ingest`] tier decouples the
+//! Beyond the paper, the crate grows a **scaling tier**: a [`ShardedEngine`]
+//! ([`sharded`]) partitions thousands of processes across
+//! [`ValkyrieEngine`] shards behind a batched, thread-parallel
+//! `observe_batch` / `tick` API with identical Algorithm 1 semantics:
+//! large batches fan out over per-batch scoped threads, small ones stay on
+//! the caller's thread. The [`ingest`] tier decouples the
 //! two halves of Fig. 2 in time: detector threads publish classifications
 //! into bounded per-shard queues ([`IngestPublisher`], with explicit
 //! [`OverflowPolicy`] semantics) and the epoch driver drains whatever has
@@ -80,8 +80,7 @@ pub use actuator::{Actuator, CompositeActuator, LawFamily, ShareActuator, Thrott
 pub use baselines::{ConsecutiveTermination, DramRefresh, PriorityReduction, WarningOnly};
 pub use efficacy::{EfficacyCurve, EfficacyPoint, EfficacySpec};
 pub use engine::{
-    Action, EngineConfig, EngineConfigBuilder, EngineResponse, EngineShard, FusionConfig,
-    ValkyrieEngine,
+    Action, EngineConfig, EngineConfigBuilder, EngineResponse, FusionConfig, ValkyrieEngine,
 };
 pub use error::ValkyrieError;
 pub use evasion::{
@@ -108,8 +107,7 @@ pub mod prelude {
     pub use crate::actuator::{Actuator, CompositeActuator, LawFamily, ShareActuator, ThrottleLaw};
     pub use crate::efficacy::{EfficacyCurve, EfficacyPoint, EfficacySpec};
     pub use crate::engine::{
-        Action, EngineConfig, EngineConfigBuilder, EngineResponse, EngineShard, FusionConfig,
-        ValkyrieEngine,
+        Action, EngineConfig, EngineConfigBuilder, EngineResponse, FusionConfig, ValkyrieEngine,
     };
     pub use crate::error::ValkyrieError;
     pub use crate::fleet::FleetEngine;

@@ -3,7 +3,7 @@
 //! The paper's engine answers one detector inference at a time; a
 //! production deployment watches **thousands of processes per tick**. A
 //! [`ShardedEngine`] partitions processes by [`ProcessId`] hash across `N`
-//! independent [`EngineShard`]s and exposes a batch API:
+//! independent [`ValkyrieEngine`] shards and exposes a batch API:
 //! [`ShardedEngine::observe_batch`] feeds one epoch's inferences for the
 //! whole fleet and returns the responses in input order.
 //!
@@ -15,7 +15,7 @@
 //! ([`ShardedEngine::set_parallel_threshold`] moves the crossover).
 //!
 //! Algorithm 1 semantics are **bit-for-bit identical** to a single
-//! [`ValkyrieEngine`](crate::ValkyrieEngine) on every path: the monitor
+//! [`ValkyrieEngine`] on every path: the monitor
 //! state is strictly per process, shard placement is a pure deterministic
 //! function of the pid ([`crate::hash::mix64`]), and observations of the
 //! same pid within a batch are applied in batch order by whichever shard
@@ -44,11 +44,12 @@
 //! ```
 
 use crate::actuator::{Actuator, CompositeActuator};
-use crate::engine::{EngineConfig, EngineResponse, EngineShard};
+use crate::engine::{EngineConfig, EngineResponse, ValkyrieEngine};
 use crate::error::ValkyrieError;
 use crate::hash::shard_of;
 use crate::ingest::{
-    merge_by_seq, IngestDefense, IngestPublisher, IngestQueues, OverflowPolicy, ThreatHints,
+    merge_by_seq, CoalesceKey, IngestDefense, IngestPublisher, IngestQueues, OverflowPolicy,
+    ThreatHints,
 };
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
@@ -87,15 +88,14 @@ const SCRATCH_SHRINK_FACTOR: usize = 8;
 /// reallocations to save a few hundred bytes per shard is a net loss.
 const SCRATCH_MIN_CAPACITY: usize = 64;
 
-/// A fleet-scale engine: `N` independent [`EngineShard`]s behind a batch
+/// A fleet-scale engine: `N` independent [`ValkyrieEngine`]s behind a batch
 /// API plus an epoch-tick driver, fanned out over per-batch scoped
 /// threads.
 ///
 /// See the [module docs](self) for the equivalence guarantees.
 #[derive(Debug)]
 pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
-    shards: Vec<EngineShard<A>>,
-    config: EngineConfig<A>,
+    shards: Vec<ValkyrieEngine<A>>,
     epoch: u64,
     purged_total: u64,
     parallel_threshold: usize,
@@ -104,41 +104,93 @@ pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
     host_workers: usize,
     /// Per-shard partition scratch, reused across batches so the steady
     /// state allocates nothing on the partition side (and shrunk back
-    /// after outlier batches, see [`SCRATCH_SHRINK_FACTOR`]).
+    /// after outlier batches, see [`SCRATCH_SHRINK_FACTOR`]). The binary
+    /// drain empties its rings into `parts` as well.
     parts: Vec<Vec<(ProcessId, Classification)>>,
     origins: Vec<Vec<usize>>,
-    /// The async ingest rings, once [`ShardedEngine::enable_ingest`] has
-    /// built them; `Arc`-shared with every publisher handle.
-    ingest: Option<Arc<IngestQueues>>,
-    /// Per-shard sequence-stamp scratch for [`ShardedEngine::drain_batch`]
-    /// (empty until ingest is enabled; same shrink policy as `parts`).
+    /// The binary drain's publish stamps, aligned slot-for-slot with
+    /// `parts`.
     seqs: Vec<Vec<u64>>,
-    /// The fusion tier's verdict rings, once
-    /// [`ShardedEngine::enable_verdict_ingest`] has built them. A separate
-    /// queue set from `ingest`: binary classifications and per-detector
-    /// verdicts can flow side by side and are drained by the same
-    /// [`ShardedEngine::drain_tick`].
-    verdicts: Option<Arc<IngestQueues<Verdict>>>,
-    /// Per-shard partition/drain scratch for the verdict path (empty until
-    /// verdict ingest or a verdict batch is used; same shrink policy).
+    /// Per-shard verdict scratch: a verdict batch's partition, or what the
+    /// verdict drain emptied out of the rings.
     vparts: Vec<Vec<(ProcessId, Verdict)>>,
-    vseqs: Vec<Vec<u64>>,
-    /// The suspicious-pid feedback channel for defended queue sets
-    /// ([`crate::ingest::ThreatHints`]): shared with every queue set built
-    /// by the `*_defended` enable variants and refreshed from this
-    /// engine's own responses each tick/drain.
+    /// The binary classification rings, once
+    /// [`ShardedEngine::enable_ingest`] has built them.
+    ingest: Lane<Classification>,
+    /// The fusion tier's verdict rings, once
+    /// [`ShardedEngine::enable_verdict_ingest`] has built them. Both lanes
+    /// can be enabled at once, and one [`ShardedEngine::drain_tick`]
+    /// serves both.
+    verdicts: Lane<Verdict>,
+    /// The suspicious-pid feedback channel for defended rings
+    /// ([`crate::ingest::ThreatHints`]), refreshed from this engine's own
+    /// responses each tick/drain.
     hints: Arc<ThreatHints>,
-    /// Whether any live queue set routes on the hints (skips the feedback
-    /// pass entirely for undefended engines).
+    /// Whether the binary rings route on the hints (skips the feedback
+    /// pass, and the hint clearing in [`ShardedEngine::forget`] and
+    /// [`ShardedEngine::complete`], for undefended engines).
     hints_active: bool,
 }
 
-/// The owning shard for `pid` among `nshards`: a pure function of the pid,
-/// stable across runs and platforms (the workspace-wide routing rule,
-/// [`crate::hash::shard_of`]).
-#[inline]
-pub(crate) fn shard_index(pid: ProcessId, nshards: usize) -> usize {
-    shard_of(pid.0, nshards)
+/// One payload's async ingest rings — binary classifications or fusion
+/// verdicts — once enabled, `Arc`-shared with every publisher handle.
+/// Both payloads go through this one code path. The drain scratch stays
+/// with the engine, so a lane owns no buffers of its own.
+#[derive(Debug)]
+struct Lane<P>(Option<Arc<IngestQueues<P>>>);
+
+impl<P: CoalesceKey> Lane<P> {
+    /// Closes the current rings, if any (their blocked publishers wake,
+    /// their handles start returning `false`, and anything still queued
+    /// in them is discarded), then builds fresh ones.
+    fn replace(
+        &mut self,
+        nshards: usize,
+        capacity: usize,
+        policy: OverflowPolicy,
+        defense: IngestDefense,
+        hints: &Arc<ThreatHints>,
+    ) -> IngestPublisher<P> {
+        self.close();
+        let queues =
+            IngestQueues::with_defense(nshards, capacity, policy, defense, Arc::clone(hints));
+        self.0 = Some(Arc::clone(&queues));
+        IngestPublisher::new(queues)
+    }
+
+    fn close(&self) {
+        if let Some(queues) = &self.0 {
+            queues.close();
+        }
+    }
+
+    fn stats(&self) -> Option<IngestStats> {
+        self.0.as_ref().map(|queues| queues.stats())
+    }
+
+    /// Empties every ring into its shard's `parts` slot (cleared first),
+    /// and each entry's publish stamp into `seqs` when the caller merges
+    /// by stamp. Returns `false`, touching nothing, if the lane was never
+    /// enabled.
+    fn drain_into(
+        &self,
+        parts: &mut [Vec<(ProcessId, P)>],
+        mut seqs: Option<&mut [Vec<u64>]>,
+    ) -> bool {
+        let Some(queues) = &self.0 else {
+            return false;
+        };
+        for (shard, part) in parts.iter_mut().enumerate() {
+            part.clear();
+            let stamps = seqs.as_deref_mut().map(|seqs| {
+                let slot = &mut seqs[shard];
+                slot.clear();
+                slot
+            });
+            queues.drain_shard_into(shard, part, stamps);
+        }
+        true
+    }
 }
 
 /// Splits `batch` into per-shard work lists under the pid routing rule,
@@ -156,19 +208,22 @@ fn partition_into<T: Copy>(
         origin.clear();
     }
     for (i, &(pid, payload)) in batch.iter().enumerate() {
-        let shard = shard_index(pid, nshards);
+        let shard = shard_of(pid.0, nshards);
         parts[shard].push((pid, payload));
         origins[shard].push(i);
     }
 }
 
-/// The single scratch-shrink policy: a slot keeps at most
-/// [`SCRATCH_SHRINK_FACTOR`]× what it currently holds (`used` elements),
-/// never dropping below [`SCRATCH_MIN_CAPACITY`].
-fn shrink_slot<T>(slot: &mut Vec<T>, used: usize) {
-    let need = used.max(SCRATCH_MIN_CAPACITY);
-    if slot.capacity() > need * SCRATCH_SHRINK_FACTOR {
-        slot.shrink_to(need);
+/// The single scratch-shrink policy: each slot keeps at most
+/// [`SCRATCH_SHRINK_FACTOR`]× what it currently holds, never dropping
+/// below [`SCRATCH_MIN_CAPACITY`]. Without this, one giant batch pins its
+/// peak capacity for the rest of the engine's life.
+fn shrink_slots<T>(slots: &mut [Vec<T>]) {
+    for slot in slots {
+        let need = slot.len().max(SCRATCH_MIN_CAPACITY);
+        if slot.capacity() > need * SCRATCH_SHRINK_FACTOR {
+            slot.shrink_to(need);
+        }
     }
 }
 
@@ -180,7 +235,7 @@ fn shrink_slot<T>(slot: &mut Vec<T>, used: usize) {
 /// identical either way. A panicking shard re-raises its own payload on
 /// the caller's thread.
 fn observe_parts_scoped<A: Actuator + Clone + Send>(
-    shards: &mut [EngineShard<A>],
+    shards: &mut [ValkyrieEngine<A>],
     parts: &[Vec<(ProcessId, Classification)>],
     workers: usize,
 ) -> Vec<Vec<EngineResponse>> {
@@ -251,7 +306,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
 
     /// Creates an engine with `shards` partitions, each pre-sized for its
     /// share of `expected_procs` processes (see
-    /// [`EngineShard::with_capacity`]).
+    /// [`ValkyrieEngine::with_capacity`]).
     ///
     /// # Panics
     ///
@@ -261,20 +316,18 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         let per_shard = expected_procs.div_ceil(shards);
         Self {
             shards: (0..shards)
-                .map(|_| EngineShard::with_capacity(config.clone(), per_shard))
+                .map(|_| ValkyrieEngine::with_capacity(config.clone(), per_shard))
                 .collect(),
-            config,
             epoch: 0,
             purged_total: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             host_workers: host_parallelism().min(shards),
             parts: vec![Vec::new(); shards],
             origins: vec![Vec::new(); shards],
-            ingest: None,
-            seqs: Vec::new(),
-            verdicts: None,
-            vparts: Vec::new(),
-            vseqs: Vec::new(),
+            seqs: vec![Vec::new(); shards],
+            vparts: vec![Vec::new(); shards],
+            ingest: Lane(None),
+            verdicts: Lane(None),
             hints: ThreatHints::new(),
             hints_active: false,
         }
@@ -287,7 +340,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
 
     /// The shared configuration (every shard holds a clone of it).
     pub fn config(&self) -> &EngineConfig<A> {
-        &self.config
+        self.shards[0].config()
     }
 
     /// Epochs driven so far via [`Self::tick`].
@@ -313,9 +366,10 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 
     /// The shard that owns `pid`: a pure function of the pid, stable across
-    /// runs and platforms for a fixed shard count.
+    /// runs and platforms for a fixed shard count (the workspace-wide
+    /// routing rule, [`crate::hash::shard_of`]).
     pub fn shard_of(&self, pid: ProcessId) -> usize {
-        shard_index(pid, self.shards.len())
+        shard_of(pid.0, self.shards.len())
     }
 
     /// Total capacity (in elements) currently retained by the per-shard
@@ -331,12 +385,12 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// Number of processes currently tracked across all shards,
     /// **terminated ones included** (they stay queryable until purged).
     pub fn tracked(&self) -> usize {
-        self.shards.iter().map(EngineShard::tracked).sum()
+        self.shards.iter().map(ValkyrieEngine::tracked).sum()
     }
 
     /// Number of tracked processes that have not terminated.
     pub fn tracked_live(&self) -> usize {
-        self.shards.iter().map(EngineShard::tracked_live).sum()
+        self.shards.iter().map(ValkyrieEngine::tracked_live).sum()
     }
 
     /// Current state of a process, if tracked.
@@ -363,7 +417,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
 
     /// Feeds one per-detector [`Verdict`] for one process through the
     /// fusion tier of its owning shard (see
-    /// [`EngineShard::observe_verdict`]).
+    /// [`ValkyrieEngine::observe_verdict`]).
     pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
         let shard = self.shard_of(pid);
         self.shards[shard].observe_verdict(pid, verdict)
@@ -381,19 +435,20 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         if nshards == 1 {
             return self.shards[0].observe_verdict_batch(batch);
         }
-        if self.vparts.len() != nshards {
-            self.vparts = vec![Vec::new(); nshards];
-        }
         partition_into(batch, nshards, &mut self.vparts, &mut self.origins);
         let mut out = Vec::new();
-        for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
-            shard.observe_verdict_batch_into(part, &mut out);
-        }
-        for part in &mut self.vparts {
-            let used = part.len();
-            shrink_slot(part, used);
-        }
+        self.fuse_vparts_into(&mut out);
         out
+    }
+
+    /// Absorbs each shard's `vparts` slot and fuses every touched process
+    /// once, appending the responses shard by shard (within a shard:
+    /// first-arrival order).
+    fn fuse_vparts_into(&mut self, out: &mut Vec<EngineResponse>) {
+        for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
+            shard.observe_verdict_batch_into(part, out);
+        }
+        shrink_slots(&mut self.vparts);
     }
 
     /// The fusion counters merged across every shard (see
@@ -429,7 +484,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         } else {
             self.host_workers
         };
-        if !force_spawns && (workers <= 1 || batch.len() < self.parallel_threshold) {
+        let out = if !force_spawns && (workers <= 1 || batch.len() < self.parallel_threshold) {
             // No parallelism to win (single-core host, or a batch too small
             // to amortise the spawns): route each observation straight to
             // its shard. This skips the partition and scatter passes
@@ -437,20 +492,23 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             // observe work they reorganise.
             let mut out = Vec::with_capacity(batch.len());
             for &(pid, inference) in batch {
-                let shard = shard_index(pid, nshards);
+                let shard = shard_of(pid.0, nshards);
                 out.push(self.shards[shard].observe(pid, inference));
             }
             // The scratch was bypassed, so anything an earlier partitioned
-            // outlier batch left in it is dead weight; shrink it here too
-            // or the inline steady state would pin the peak forever.
-            self.shrink_idle_scratch();
-            return out;
-        }
-
-        partition_into(batch, nshards, &mut self.parts, &mut self.origins);
-        let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
-        let out = scatter_to_input_order(&self.origins, results, batch.len());
-        self.shrink_scratch();
+            // outlier batch left in it is dead weight; empty it so the
+            // shrink below releases it, or the inline steady state would
+            // pin the peak forever.
+            self.parts.iter_mut().for_each(Vec::clear);
+            self.origins.iter_mut().for_each(Vec::clear);
+            out
+        } else {
+            partition_into(batch, nshards, &mut self.parts, &mut self.origins);
+            let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
+            scatter_to_input_order(&self.origins, results, batch.len())
+        };
+        shrink_slots(&mut self.parts);
+        shrink_slots(&mut self.origins);
         out
     }
 
@@ -471,37 +529,6 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             return;
         }
         out.extend(self.observe_batch(batch));
-    }
-
-    /// Shrinks scratch the inline fast path left unused: its contents are
-    /// stale (the last *partitioned* batch, not the one just served), so
-    /// any slot holding more than the floor's slack goes straight back to
-    /// [`SCRATCH_MIN_CAPACITY`].
-    fn shrink_idle_scratch(&mut self) {
-        for part in &mut self.parts {
-            part.clear();
-            shrink_slot(part, 0);
-        }
-        for origin in &mut self.origins {
-            origin.clear();
-            shrink_slot(origin, 0);
-        }
-    }
-
-    /// Returns outlier allocations in the partition scratch to steady
-    /// state: a slot keeps at most [`SCRATCH_SHRINK_FACTOR`]× the capacity
-    /// the batch it just held needed (never shrinking below
-    /// [`SCRATCH_MIN_CAPACITY`]). Without this, one giant batch pins its
-    /// peak capacity for the rest of the engine's life.
-    fn shrink_scratch(&mut self) {
-        for part in &mut self.parts {
-            let used = part.len();
-            shrink_slot(part, used);
-        }
-        for origin in &mut self.origins {
-            let used = origin.len();
-            shrink_slot(origin, used);
-        }
     }
 
     /// The epoch driver: feeds one tick's batch, advances the epoch
@@ -554,29 +581,11 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         policy: OverflowPolicy,
         defense: IngestDefense,
     ) -> IngestPublisher {
-        if let Some(old) = self.ingest.take() {
-            old.close();
-        }
-        let nshards = self.shards.len();
-        let queues =
-            IngestQueues::with_defense(nshards, capacity, policy, defense, Arc::clone(&self.hints));
-        self.seqs = vec![Vec::new(); nshards];
-        self.ingest = Some(Arc::clone(&queues));
-        self.refresh_hints_active();
-        IngestPublisher::new(queues)
-    }
-
-    /// Whether any live queue set routes on the threat hints, recomputed
-    /// after a queue set is (re)built.
-    fn refresh_hints_active(&mut self) {
-        self.hints_active = self
-            .ingest
-            .as_ref()
-            .is_some_and(|q| q.defense().priority_lane)
-            || self
-                .verdicts
-                .as_ref()
-                .is_some_and(|q| q.defense().priority_lane);
+        let publisher =
+            self.ingest
+                .replace(self.shards.len(), capacity, policy, defense, &self.hints);
+        self.hints_active = defense.priority_lane;
+        publisher
     }
 
     /// The suspicious-pid feedback set shared with defended queue sets.
@@ -600,42 +609,10 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         }));
     }
 
-    /// Whether [`Self::enable_ingest`] has built the ingest tier.
-    pub fn ingest_enabled(&self) -> bool {
-        self.ingest.is_some()
-    }
-
-    /// A fresh publisher handle for the current ingest rings (`None`
-    /// before [`Self::enable_ingest`]).
-    pub fn publisher(&self) -> Option<IngestPublisher> {
-        self.ingest
-            .as_ref()
-            .map(|queues| IngestPublisher::new(Arc::clone(queues)))
-    }
-
-    /// Publishes one classification into the ingest rings from the driver
-    /// side (detector threads should use their [`IngestPublisher`]).
-    /// Returns `false` only when the rings have been replaced or closed.
-    ///
-    /// With [`OverflowPolicy::Block`] and a full ring this **waits for a
-    /// drain** — a driver that both publishes and drains must size the
-    /// rings for a full tick's observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ingest was never enabled.
-    pub fn ingest(&self, pid: ProcessId, inference: Classification) -> bool {
-        let queues = self
-            .ingest
-            .as_ref()
-            .expect("call enable_ingest before ShardedEngine::ingest");
-        queues.push(0, self.shard_of(pid), pid, inference)
-    }
-
     /// The ingest tier's counters (`None` before [`Self::enable_ingest`]);
     /// see [`IngestStats`] for what each field means.
     pub fn ingest_stats(&self) -> Option<IngestStats> {
-        self.ingest.as_ref().map(|queues| queues.stats())
+        self.ingest.stats()
     }
 
     /// Builds the fusion tier's async verdict rings — the per-detector
@@ -648,7 +625,9 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// once (e.g. legacy detectors publishing classifications next to
     /// fusion members publishing verdicts) and one drain serves both.
     /// Calling this again replaces — and closes — the previous verdict
-    /// rings, exactly like [`Self::enable_ingest`].
+    /// rings, exactly like [`Self::enable_ingest`]. Under `Coalesce`,
+    /// verdict entries merge by (pid, detector), so the rings cannot
+    /// conflate members.
     ///
     /// # Panics
     ///
@@ -658,75 +637,34 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         capacity: usize,
         policy: OverflowPolicy,
     ) -> IngestPublisher<Verdict> {
-        self.enable_verdict_ingest_defended(capacity, policy, IngestDefense::default())
-    }
-
-    /// [`Self::enable_verdict_ingest`] with the overload defense — the
-    /// verdict-ring twin of [`Self::enable_ingest_defended`], sharing the
-    /// same [`ThreatHints`] set. Under `Coalesce`, verdict entries merge
-    /// by (pid, detector), so the defense also cannot conflate members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_verdict_ingest_defended(
-        &mut self,
-        capacity: usize,
-        policy: OverflowPolicy,
-        defense: IngestDefense,
-    ) -> IngestPublisher<Verdict> {
-        if let Some(old) = self.verdicts.take() {
-            old.close();
-        }
-        let nshards = self.shards.len();
-        let queues =
-            IngestQueues::with_defense(nshards, capacity, policy, defense, Arc::clone(&self.hints));
-        self.vparts = vec![Vec::new(); nshards];
-        self.vseqs = vec![Vec::new(); nshards];
-        self.verdicts = Some(Arc::clone(&queues));
-        self.refresh_hints_active();
-        IngestPublisher::new(queues)
-    }
-
-    /// Whether [`Self::enable_verdict_ingest`] has built the verdict rings.
-    pub fn verdict_ingest_enabled(&self) -> bool {
-        self.verdicts.is_some()
+        self.verdicts.replace(
+            self.shards.len(),
+            capacity,
+            policy,
+            IngestDefense::default(),
+            &self.hints,
+        )
     }
 
     /// A fresh publisher handle for the current verdict rings (`None`
     /// before [`Self::enable_verdict_ingest`]).
     pub fn verdict_publisher(&self) -> Option<IngestPublisher<Verdict>> {
         self.verdicts
+            .0
             .as_ref()
             .map(|queues| IngestPublisher::new(Arc::clone(queues)))
-    }
-
-    /// Publishes one per-detector verdict into the verdict rings from the
-    /// driver side. Returns `false` only when the rings have been replaced
-    /// or closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if verdict ingest was never enabled.
-    pub fn ingest_verdict(&self, pid: ProcessId, verdict: Verdict) -> bool {
-        let queues = self
-            .verdicts
-            .as_ref()
-            .expect("call enable_verdict_ingest before ShardedEngine::ingest_verdict");
-        queues.push(0, self.shard_of(pid), pid, verdict)
     }
 
     /// The verdict rings' counters (`None` before
     /// [`Self::enable_verdict_ingest`]).
     pub fn verdict_ingest_stats(&self) -> Option<IngestStats> {
-        self.verdicts.as_ref().map(|queues| queues.stats())
+        self.verdicts.stats()
     }
 
     /// Drains every ingest ring and answers the drained observations, in
     /// **publish order** (per publisher; concurrent publishers are merged
-    /// in sequence-stamp order, one valid global serialization). The
-    /// non-epoch half of the [`Self::ingest`]/[`Self::drain_tick`] pair —
-    /// it is to [`Self::drain_tick`] what [`Self::observe_batch`] is to
+    /// in sequence-stamp order, one valid global serialization). It is to
+    /// [`Self::drain_tick`] what [`Self::observe_batch`] is to
     /// [`Self::tick`]: no epoch advance, no purge.
     ///
     /// Never waits on publishers: a stalled detector simply contributes
@@ -743,49 +681,40 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// When verdict ingest is enabled too (or instead — see
     /// [`Self::enable_verdict_ingest`]), the verdict rings are drained
     /// after the binary rings and each touched process's evidence is fused
-    /// once; those per-process responses are appended after the
-    /// per-observation binary responses.
+    /// once; those per-process responses (shard by shard; within a shard,
+    /// first-arrival order) are appended after the per-observation binary
+    /// responses.
     ///
     /// # Panics
     ///
     /// Panics if neither ingest tier was ever enabled.
     pub fn drain_batch(&mut self) -> Vec<EngineResponse> {
         assert!(
-            self.ingest.is_some() || self.verdicts.is_some(),
+            self.ingest.0.is_some() || self.verdicts.0.is_some(),
             "call enable_ingest or enable_verdict_ingest before ShardedEngine::drain_batch"
         );
-        let mut out = if self.ingest.is_some() {
-            self.drain_binary_batch()
-        } else {
-            Vec::new()
-        };
-        if self.verdicts.is_some() {
-            self.drain_verdicts_into(&mut out);
+        let mut out = self.drain_binary();
+        if self.verdicts.drain_into(&mut self.vparts, None) {
+            self.fuse_vparts_into(&mut out);
         }
         self.update_hints(&out);
         out
     }
 
-    /// The binary half of [`Self::drain_batch`].
-    fn drain_binary_batch(&mut self) -> Vec<EngineResponse> {
-        let queues = Arc::clone(
-            self.ingest
-                .as_ref()
-                .expect("drain_binary_batch requires enabled ingest"),
-        );
-        let nshards = self.shards.len();
-        // Empty every ring into the drain scratch first: publishers blocked
-        // on a full ring are released before — not after — the observe
-        // work runs.
-        for shard in 0..nshards {
-            self.parts[shard].clear();
-            self.seqs[shard].clear();
-            queues.drain_shard_into(shard, &mut self.parts[shard], &mut self.seqs[shard]);
+    /// The binary half of [`Self::drain_batch`] (empty when only verdict
+    /// ingest is enabled).
+    fn drain_binary(&mut self) -> Vec<EngineResponse> {
+        if !self
+            .ingest
+            .drain_into(&mut self.parts, Some(&mut self.seqs))
+        {
+            return Vec::new();
         }
         // One ring applies in ring order, but the *returned* order must
         // still be stamp order — under `Coalesce` a restamped entry keeps
         // its ring slot, and skipping the merge would make response order
         // depend on the shard count.
+        let nshards = self.shards.len();
         let total: usize = self.parts.iter().map(Vec::len).sum();
         let workers = if self.parallel_threshold == 0 {
             nshards
@@ -796,37 +725,9 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         };
         let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
         let out = merge_by_seq(&self.seqs, results);
-        self.shrink_drain_scratch();
+        shrink_slots(&mut self.parts);
+        shrink_slots(&mut self.seqs);
         out
-    }
-
-    /// The verdict half of [`Self::drain_batch`]: empties every verdict
-    /// ring, absorbs the verdicts and appends one fused response per
-    /// touched process (shard by shard; within a shard, first-arrival
-    /// order). Rings are emptied — and blocked publishers released —
-    /// before any fuse work runs, mirroring the binary drain.
-    fn drain_verdicts_into(&mut self, out: &mut Vec<EngineResponse>) {
-        let queues = Arc::clone(
-            self.verdicts
-                .as_ref()
-                .expect("drain_verdicts_into requires enabled verdict ingest"),
-        );
-        for shard in 0..self.shards.len() {
-            self.vparts[shard].clear();
-            self.vseqs[shard].clear();
-            queues.drain_shard_into(shard, &mut self.vparts[shard], &mut self.vseqs[shard]);
-        }
-        for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
-            shard.observe_verdict_batch_into(part, out);
-        }
-        for part in &mut self.vparts {
-            let used = part.len();
-            shrink_slot(part, used);
-        }
-        for seqs in &mut self.vseqs {
-            let used = seqs.len();
-            shrink_slot(seqs, used);
-        }
     }
 
     /// The async epoch driver: drains the ingest rings
@@ -845,28 +746,15 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         responses
     }
 
-    /// Returns drain-scratch outliers to steady state (the policy of
-    /// [`Self::shrink_scratch`], applied to the drain side's slots).
-    fn shrink_drain_scratch(&mut self) {
-        for part in &mut self.parts {
-            let used = part.len();
-            shrink_slot(part, used);
-        }
-        for seqs in &mut self.seqs {
-            let used = seqs.len();
-            shrink_slot(seqs, used);
-        }
-    }
-
     /// Evicts every terminated process across all shards, returning how
-    /// many were dropped (see [`EngineShard::purge_terminated`]). The
+    /// many were dropped (see [`ValkyrieEngine::purge_terminated`]). The
     /// evictions are added to [`Self::purged_total`] whether this is
     /// called directly or by [`Self::tick`].
     pub fn purge_terminated(&mut self) -> usize {
         let purged = self
             .shards
             .iter_mut()
-            .map(EngineShard::purge_terminated)
+            .map(ValkyrieEngine::purge_terminated)
             .sum();
         self.purged_total += purged as u64;
         purged
@@ -879,19 +767,32 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// Returns [`ValkyrieError::UnknownProcess`] when `pid` is not tracked.
     pub fn complete(&mut self, pid: ProcessId) -> Result<(), ValkyrieError> {
         let shard = self.shard_of(pid);
-        self.shards[shard].complete(pid)
+        self.shards[shard].complete(pid)?;
+        self.clear_hint(pid);
+        Ok(())
     }
 
-    /// Stops tracking a process and frees its bookkeeping.
+    /// Stops tracking a process and frees its bookkeeping, its threat hint
+    /// included.
     pub fn forget(&mut self, pid: ProcessId) {
         let shard = self.shard_of(pid);
-        self.shards[shard].forget(pid)
+        self.shards[shard].forget(pid);
+        self.clear_hint(pid);
+    }
+
+    /// Drops `pid`'s priority-lane mark, so a finished or forgotten process
+    /// does not stay in the hint set and a recycled pid does not inherit
+    /// its lane. No lock is taken when no ring routes on the hints.
+    fn clear_hint(&self, pid: ProcessId) {
+        if self.hints_active {
+            self.hints.clear(pid);
+        }
     }
 
     /// Iterates over `(pid, state, threat)` of all tracked processes, shard
     /// by shard (no global ordering). Lazy and allocation-free.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
-        self.shards.iter().flat_map(EngineShard::iter)
+        self.shards.iter().flat_map(ValkyrieEngine::iter)
     }
 }
 
@@ -901,12 +802,8 @@ impl<A: Actuator + Clone> Drop for ShardedEngine<A> {
     /// drain that can no longer come; their publish calls return `false`
     /// from then on.
     fn drop(&mut self) {
-        if let Some(queues) = &self.ingest {
-            queues.close();
-        }
-        if let Some(queues) = &self.verdicts {
-            queues.close();
-        }
+        self.ingest.close();
+        self.verdicts.close();
     }
 }
 
@@ -1185,6 +1082,59 @@ mod tests {
         drop(e);
         assert!(second.is_closed());
         assert!(!second.publish(ProcessId(4), Malicious));
+
+        // The verdict rings are replaced and closed the same way.
+        let mut e = ShardedEngine::new(config(3), 4);
+        let first = e.enable_verdict_ingest(16, OverflowPolicy::Block);
+        assert!(first.publish(ProcessId(1), Verdict::new(0, 1.0)));
+        let second = e.enable_verdict_ingest(16, OverflowPolicy::DropOldest);
+        assert!(first.is_closed());
+        assert!(!first.publish(ProcessId(2), Verdict::new(0, 1.0)));
+        assert!(second.publish(ProcessId(3), Verdict::new(0, 1.0)));
+        assert_eq!(e.drain_tick().len(), 1, "only the live verdict rings drain");
+        drop(e);
+        assert!(second.is_closed());
+        assert!(!second.publish(ProcessId(4), Verdict::new(0, 1.0)));
+    }
+
+    /// A 2-shard engine whose binary rings route on the threat hints.
+    fn hinted_engine() -> (ShardedEngine, IngestPublisher) {
+        let mut e = ShardedEngine::new(config(100), 2);
+        let defense = IngestDefense {
+            priority_lane: true,
+            fair_queueing: false,
+        };
+        let publisher = e.enable_ingest_defended(64, OverflowPolicy::Block, defense);
+        (e, publisher)
+    }
+
+    /// Regression: `forget` used to leave the pid's priority-lane mark in
+    /// the shared hint set, so forgotten pids accumulated there forever
+    /// and a recycled pid inherited the lane.
+    #[test]
+    fn forget_clears_threat_hints() {
+        let (mut e, _publisher) = hinted_engine();
+        let batch: Vec<(ProcessId, Classification)> =
+            (0..1000).map(|pid| (ProcessId(pid), Malicious)).collect();
+        e.tick(&batch);
+        assert_eq!(e.threat_hints().len(), 1000);
+        for &(pid, _) in &batch {
+            e.forget(pid);
+        }
+        assert!(e.threat_hints().is_empty());
+    }
+
+    /// Regression: a completed pid kept its mark after the tick's purge
+    /// evicted it.
+    #[test]
+    fn complete_clears_threat_hints() {
+        let (mut e, _publisher) = hinted_engine();
+        let pid = ProcessId(7);
+        e.tick(&[(pid, Malicious)]);
+        assert!(e.threat_hints().is_hot(pid));
+        e.complete(pid).unwrap();
+        e.tick(&[]);
+        assert!(e.threat_hints().is_empty());
     }
 
     /// The sharded verdict path must agree with a single shard fed the
@@ -1193,7 +1143,7 @@ mod tests {
     #[test]
     fn verdict_batch_matches_single_shard() {
         let mut sharded = ShardedEngine::new(config(3), 5);
-        let mut single = crate::engine::EngineShard::new(config(3));
+        let mut single = ValkyrieEngine::new(config(3));
         for epoch in 0..5u64 {
             let batch: Vec<(ProcessId, Verdict)> = (0..40)
                 .flat_map(|pid| {

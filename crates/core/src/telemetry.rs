@@ -70,8 +70,8 @@ pub struct IngestStats {
     /// observation a flooding publisher failed to destroy.
     pub evictions_deflected: u64,
     /// Evictions charged to each publisher handle (index = publisher id;
-    /// id 0 is the engine's driver-side handle, detector handles take
-    /// 1..). Empty until something is dropped.
+    /// ids start at 1, so slot 0 stays zero). Empty until something is
+    /// dropped.
     pub dropped_by_publisher: Vec<u64>,
 }
 

@@ -61,7 +61,7 @@ impl Verdict {
     ///
     /// The confidence is clamped into `[0, 1]`; NaN passes through and is
     /// dropped as "no measurement" when the engine absorbs the verdict
-    /// ([`EngineShard::absorb_verdict`](crate::EngineShard::absorb_verdict)).
+    /// ([`ValkyrieEngine::absorb_verdict`](crate::ValkyrieEngine::absorb_verdict)).
     pub fn new(detector: u32, confidence: f64) -> Self {
         Self {
             detector,

@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashMap};
 use valkyrie_core::hash::FxBuildHasher;
 use valkyrie_core::ProcessId;
 use valkyrie_core::{
-    Action, Classification, EngineConfig, EngineResponse, OverflowPolicy, ProcessState,
-    ShardedEngine, Verdict,
+    Action, Classification, EngineConfig, EngineResponse, IngestPublisher, OverflowPolicy,
+    ProcessState, ShardedEngine, Verdict,
 };
 use valkyrie_detect::Detector;
 use valkyrie_hpc::SampleWindow;
@@ -114,6 +114,11 @@ pub struct EpochRecord {
 pub struct AugmentedRun<D: Detector> {
     machine: Machine,
     engine: ShardedEngine,
+    /// The publisher into the engine's ingest rings, when
+    /// [`ScenarioConfig::ingest`] is set: binary classifications, or
+    /// verdicts in confidence mode.
+    publisher: Option<IngestPublisher>,
+    verdict_publisher: Option<IngestPublisher<Verdict>>,
     detector: D,
     config: ScenarioConfig,
     windows: HashMap<Pid, SampleWindow, FxBuildHasher>,
@@ -140,16 +145,19 @@ impl<D: Detector> AugmentedRun<D> {
         config: ScenarioConfig,
     ) -> Self {
         let mut engine = ShardedEngine::new(engine_config, config.shards.max(1));
+        let (mut publisher, mut verdict_publisher) = (None, None);
         if let Some(opts) = config.ingest {
             if config.confidence {
-                let _ = engine.enable_verdict_ingest(opts.capacity, opts.policy);
+                verdict_publisher = Some(engine.enable_verdict_ingest(opts.capacity, opts.policy));
             } else {
-                let _ = engine.enable_ingest(opts.capacity, opts.policy);
+                publisher = Some(engine.enable_ingest(opts.capacity, opts.policy));
             }
         }
         Self {
             machine,
             engine,
+            publisher,
+            verdict_publisher,
             detector,
             config,
             windows: HashMap::default(),
@@ -241,10 +249,8 @@ impl<D: Detector> AugmentedRun<D> {
         // `ScenarioConfig::ingest`).
         let mut responses = std::mem::take(&mut self.responses);
         if self.config.confidence {
-            if self.engine.verdict_ingest_enabled() {
-                for &(pid, verdict) in &self.verdict_batch {
-                    let _ = self.engine.ingest_verdict(pid, verdict);
-                }
+            if let Some(publisher) = &self.verdict_publisher {
+                publisher.publish_batch(&self.verdict_batch);
                 responses = self.engine.drain_batch();
             } else {
                 responses = self.engine.observe_verdict_batch(&self.verdict_batch);
@@ -252,10 +258,8 @@ impl<D: Detector> AugmentedRun<D> {
             // Fused responses come back grouped shard-by-shard; the
             // enactment cursor expects batch (ascending-pid) order.
             responses.sort_unstable_by_key(|r| r.pid.0);
-        } else if self.engine.ingest_enabled() {
-            for &(pid, inference) in &self.batch {
-                let _ = self.engine.ingest(pid, inference);
-            }
+        } else if let Some(publisher) = &self.publisher {
+            publisher.publish_batch(&self.batch);
             responses = self.engine.drain_batch();
         } else {
             self.engine.observe_batch_into(&self.batch, &mut responses);

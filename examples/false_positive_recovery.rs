@@ -54,7 +54,12 @@ fn main() -> Result<(), ValkyrieError> {
         if run.history(pid).last().is_some_and(|r| r.cpu_share < 1.0) {
             throttled_epochs += 1;
         }
-        assert!(run.machine().is_alive(pid), "benign program must survive");
+        // A process that finished its work this epoch is no longer alive;
+        // only a kill may end it early.
+        assert!(
+            run.machine().is_alive(pid) || run.machine().is_completed(pid),
+            "benign program must survive"
+        );
     }
 
     let slowdown = (epochs as f64 / baseline as f64 - 1.0) * 100.0;

@@ -2,7 +2,7 @@
 //!
 //! The scaling tier's contract is that sharding is **semantically
 //! invisible**: for any interleaving of pids and classifications, any
-//! batch segmentation and any shard count, `ShardedEngine` produces exactly the `EngineResponse` sequence a single `EngineShard`
+//! batch segmentation and any shard count, `ShardedEngine` produces exactly the `EngineResponse` sequence a single `ValkyrieEngine`
 //! replaying the same observations one at a time would produce — including
 //! when the batches are large enough to take the thread-parallel path.
 
@@ -41,13 +41,13 @@ fn interleaving(max_len: usize) -> impl Strategy<Value = Vec<(ProcessId, Classif
     )
 }
 
-/// The reference semantics: one `EngineShard`, one observation at a time.
+/// The reference semantics: one `ValkyrieEngine`, one observation at a time.
 fn reference_responses(
     observations: &[(ProcessId, Classification)],
     n_star: u64,
     cyclic: bool,
 ) -> Vec<EngineResponse> {
-    let mut shard = EngineShard::new(engine_config(n_star, cyclic));
+    let mut shard = ValkyrieEngine::new(engine_config(n_star, cyclic));
     observations
         .iter()
         .map(|&(pid, cls)| shard.observe(pid, cls))
