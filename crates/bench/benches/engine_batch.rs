@@ -30,6 +30,12 @@
 //! that lets the local pid alone pick the bucket collapses here (and only
 //! here: `fleet_tick_batch` packs ~390 local pids per machine).
 //!
+//! `core/engine_batch_1m` is `fleet_churn`'s tick: 1M observations per
+//! tick over 100k machines × 10 services, every per-shard map far larger
+//! than L2. It compares `observe_loop` with `sharded_x{1,2,16}`; 16 shards
+//! is the `fleet_churn` engine's shape. The fan-out's serial passes and the
+//! second core's payoff only show at this size.
+//!
 //! A separate `core/engine_batch_flood` group (`flood_x{1,4}`) drives the
 //! same 10k fleet through undersized defended rings while a `NoiseFlood`
 //! decoy stream forces the overflow path — pricing the priority lane +
@@ -41,7 +47,7 @@
 //! terminating (`N*` is set beyond the horizon). Timings are per tick;
 //! divide the fleet size by the printed time for observations/second.
 //! Shard speedups require hardware parallelism — on a single-core runner
-//! `sharded_xN` only measures the partition/scatter overhead.
+//! `sharded_xN` only measures the partition/gather overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use valkyrie_core::prelude::*;
@@ -116,6 +122,38 @@ fn bench_fleet_pids(c: &mut Criterion) {
     for groups in [1usize, 4] {
         group.bench_function(format!("fleet_x{groups}").as_str(), |b| {
             let mut engine = FleetEngine::with_capacity(engine_config(n_star), groups, 2, procs);
+            let mut epoch = 0usize;
+            b.iter(|| {
+                epoch += 1;
+                black_box(engine.observe_batch(black_box(&ring[epoch % 7])))
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_engine_batch_1m(c: &mut Criterion) {
+    let mut group = c.benchmark_group("core/engine_batch_1m");
+    let n_star = 1_u64 << 40;
+    const MACHINES: u32 = 100_000;
+    const SERVICES: u64 = 10;
+    let procs = MACHINES as usize * SERVICES as usize;
+    let ring: Vec<Vec<(ProcessId, Classification)>> = (0..7)
+        .map(|epoch| fleet_service_batch(MACHINES, SERVICES, epoch))
+        .collect();
+    group.bench_function("observe_loop", |b| {
+        let mut engine = ValkyrieEngine::with_capacity(engine_config(n_star), procs);
+        let mut epoch = 0usize;
+        b.iter(|| {
+            epoch += 1;
+            for &(pid, cls) in &ring[epoch % 7] {
+                black_box(engine.observe(pid, cls));
+            }
+        });
+    });
+    for shards in [1usize, 2, 16] {
+        group.bench_function(format!("sharded_x{shards}").as_str(), |b| {
+            let mut engine = ShardedEngine::with_capacity(engine_config(n_star), shards, procs);
             let mut epoch = 0usize;
             b.iter(|| {
                 epoch += 1;
@@ -361,6 +399,7 @@ criterion_group!(
     bench_engine_batch_1k,
     bench_engine_batch_10k,
     bench_engine_batch_100k,
+    bench_engine_batch_1m,
     bench_fleet_pids,
     bench_flood,
     bench_tick_with_churn,

@@ -21,6 +21,7 @@ use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::telemetry::FusionStats;
 use crate::threat::{stale_weight, AssessmentFn, Classification, Evidence, ThreatIndex, Verdict};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The response action the embedder must enact after an epoch.
@@ -296,6 +297,11 @@ struct TrackedProcess {
     level: EscalationLevel,
 }
 
+/// [`ValkyrieEngine::forget`] compacts the terminal list once it exceeds
+/// twice the map plus this many entries, so tiny maps do not compact on
+/// every forget.
+const TERMINAL_SLACK: usize = 64;
+
 // A shard map holds up to a million of these; keep each map slot small.
 const _: () = assert!(std::mem::size_of::<TrackedProcess>() <= 96);
 
@@ -310,28 +316,28 @@ impl TrackedProcess {
     }
 }
 
-/// Advances one tracked process by one inference. Free-standing so the
-/// engine can split-borrow its config and its map entry.
+/// Advances one tracked process by one monitor step (`advance` runs its
+/// Algorithm 1 cycle) and turns the report into the response to enact,
+/// updating the tracked shares and the escalation-transition telemetry.
+/// Free-standing so the engine can split-borrow its config, its map entry
+/// and its ledgers.
+///
+/// A step that takes a live process to *terminated* queues its pid on
+/// `terminal` for the next purge. Re-observing an already terminated
+/// process does not, so each termination is queued once.
 fn step<A: Actuator>(
     config: &EngineConfig<A>,
     pid: ProcessId,
     tracked: &mut TrackedProcess,
-    inference: Classification,
     stats: &mut FusionStats,
+    terminal: &mut Vec<ProcessId>,
+    advance: impl FnOnce(&EngineConfig<A>, &mut CycleState) -> StepReport,
 ) -> EngineResponse {
-    let report = tracked.cycle.observe(&config.monitor, inference);
-    enact(config, pid, tracked, report, stats)
-}
-
-/// Turns a monitor step report into the response to enact, updating the
-/// tracked shares and the escalation-transition telemetry.
-fn enact<A: Actuator>(
-    config: &EngineConfig<A>,
-    pid: ProcessId,
-    tracked: &mut TrackedProcess,
-    report: StepReport,
-    stats: &mut FusionStats,
-) -> EngineResponse {
+    let was_live = tracked.cycle.state().is_live();
+    let report = advance(config, &mut tracked.cycle);
+    if was_live && !report.state.is_live() {
+        terminal.push(pid);
+    }
     if report.level > tracked.level && report.level >= EscalationLevel::Throttle {
         stats.escalations += 1;
     }
@@ -421,6 +427,11 @@ pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
     /// Fusion clock: one tick per fuse pass, for staleness accounting.
     fusion_tick: u64,
     fusion_stats: FusionStats,
+    /// Pids whose record went from live to terminated since the last
+    /// purge, which [`Self::purge_terminated`] drains instead of scanning
+    /// the map. An entry goes stale when its pid is forgotten (and perhaps
+    /// re-registered) before the purge; the purge skips those.
+    terminal: Vec<ProcessId>,
 }
 
 /// The latest evidence one ensemble member supplied about a process.
@@ -457,6 +468,7 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             dirty: Vec::new(),
             fusion_tick: 0,
             fusion_stats: FusionStats::default(),
+            terminal: Vec::new(),
         }
     }
 
@@ -520,13 +532,17 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// is a single `get_mut` lookup; only the first observation of an
     /// unknown pid falls into the registration path.
     pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
+        let advance = |config: &EngineConfig<A>, cycle: &mut CycleState| {
+            cycle.observe(&config.monitor, inference)
+        };
         if let Some(tracked) = self.procs.get_mut(&pid) {
             return step(
                 &self.config,
                 pid,
                 tracked,
-                inference,
                 &mut self.fusion_stats,
+                &mut self.terminal,
+                advance,
             );
         }
         let tracked = self.procs.entry(pid).or_insert_with(TrackedProcess::new);
@@ -534,8 +550,9 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             &self.config,
             pid,
             tracked,
-            inference,
             &mut self.fusion_stats,
+            &mut self.terminal,
+            advance,
         )
     }
 
@@ -543,19 +560,28 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// escalation ladder (the weighted-evidence sibling of
     /// [`Self::observe`]).
     pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
-        let config = &self.config;
+        let advance = |config: &EngineConfig<A>, cycle: &mut CycleState| {
+            cycle.observe_mass_with(&config.monitor, config.fusion.ladder, mass)
+        };
         if let Some(tracked) = self.procs.get_mut(&pid) {
-            let report =
-                tracked
-                    .cycle
-                    .observe_mass_with(&config.monitor, config.fusion.ladder, mass);
-            return enact(config, pid, tracked, report, &mut self.fusion_stats);
+            return step(
+                &self.config,
+                pid,
+                tracked,
+                &mut self.fusion_stats,
+                &mut self.terminal,
+                advance,
+            );
         }
         let tracked = self.procs.entry(pid).or_insert_with(TrackedProcess::new);
-        let report = tracked
-            .cycle
-            .observe_mass_with(&config.monitor, config.fusion.ladder, mass);
-        enact(config, pid, tracked, report, &mut self.fusion_stats)
+        step(
+            &self.config,
+            pid,
+            tracked,
+            &mut self.fusion_stats,
+            &mut self.terminal,
+            advance,
+        )
     }
 
     /// Absorbs one ensemble member's verdict into the fusion table without
@@ -729,7 +755,10 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             .procs
             .get_mut(&pid)
             .ok_or(ValkyrieError::UnknownProcess(pid.0))?;
-        tracked.cycle.complete();
+        if tracked.cycle.state().is_live() {
+            tracked.cycle.complete();
+            self.terminal.push(pid);
+        }
         Ok(())
     }
 
@@ -738,6 +767,15 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     pub fn forget(&mut self, pid: ProcessId) {
         self.procs.remove(&pid);
         self.evidence.remove(&pid);
+        // Forgetting a terminated process leaves its terminal-list entry
+        // stale. An embedder that forgets without purging would grow the
+        // list forever, so once it is mostly stale, drop the entries a purge
+        // would skip.
+        if self.terminal.len() > 2 * self.procs.len() + TERMINAL_SLACK {
+            let procs = &self.procs;
+            self.terminal
+                .retain(|pid| procs.get(pid).is_some_and(|p| !p.cycle.state().is_live()));
+        }
     }
 
     /// Evicts every terminated process, returning how many were dropped.
@@ -747,18 +785,30 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// processes grows without bound unless the embedder calls this (the
     /// epoch driver in [`crate::sharded`] does so every tick). After
     /// eviction a purged pid is unknown again: re-observing it registers a
-    /// *fresh* process in the normal state.
+    /// *fresh* process in the normal state. A purged pid's fusion evidence
+    /// goes with it, unless fresh verdicts for it await the next fuse.
+    ///
+    /// The cost is O(processes terminated since the last purge), not
+    /// O(tracked): the engine queues each pid as it terminates, and this
+    /// drains that queue.
     pub fn purge_terminated(&mut self) -> usize {
-        let before = self.procs.len();
-        self.procs.retain(|_, p| p.cycle.state().is_live());
-        if before != self.procs.len() && !self.evidence.is_empty() {
-            // Fusion evidence of purged processes goes with them; dirty
-            // cells (fresh verdicts not yet fused) are kept.
-            let procs = &self.procs;
-            self.evidence
-                .retain(|pid, cell| cell.dirty || procs.contains_key(pid));
+        let mut purged = 0;
+        for pid in self.terminal.drain(..) {
+            let Entry::Occupied(slot) = self.procs.entry(pid) else {
+                continue; // forgotten since it terminated
+            };
+            if slot.get().cycle.state().is_live() {
+                continue; // forgotten and re-registered since
+            }
+            slot.remove();
+            purged += 1;
+            if let Entry::Occupied(cell) = self.evidence.entry(pid) {
+                if !cell.get().dirty {
+                    cell.remove();
+                }
+            }
         }
-        before - self.procs.len()
+        purged
     }
 
     /// Iterates over `(pid, state, threat)` of all tracked processes.
@@ -1159,6 +1209,83 @@ mod tests {
         let r = e.observe_verdict(pid, Verdict::new(0, 0.0));
         assert_eq!(r.action, Action::None);
         assert_eq!(r.state, ProcessState::Terminable);
+    }
+
+    /// Drives `pid` to termination on an `N* = 2` engine.
+    fn terminate(e: &mut ValkyrieEngine, pid: ProcessId) {
+        for _ in 0..3 {
+            e.observe(pid, Malicious);
+        }
+        assert_eq!(e.state(pid), Some(ProcessState::Terminated));
+    }
+
+    #[test]
+    fn purge_skips_a_pid_forgotten_and_re_registered_since_it_terminated() {
+        let mut e = engine(2);
+        let pid = ProcessId(8);
+        terminate(&mut e, pid);
+        e.forget(pid);
+        let r = e.observe(pid, Benign);
+        assert_eq!(r.state, ProcessState::Normal);
+        assert_eq!(e.purge_terminated(), 0);
+        assert_eq!(e.state(pid), Some(ProcessState::Normal));
+    }
+
+    #[test]
+    fn re_observing_or_re_completing_a_terminated_pid_queues_it_once() {
+        let mut e = engine(2);
+        let pid = ProcessId(8);
+        terminate(&mut e, pid);
+        for _ in 0..1000 {
+            assert_eq!(e.observe(pid, Malicious).action, Action::Terminate);
+            assert!(e.terminal.len() <= 1);
+        }
+        e.complete(pid).unwrap();
+        assert_eq!(e.terminal.len(), 1);
+        assert_eq!(e.purge_terminated(), 1);
+        assert_eq!(e.tracked(), 0);
+        assert!(e.terminal.is_empty());
+    }
+
+    #[test]
+    fn completing_and_forgetting_without_a_purge_keeps_the_terminal_list_bounded() {
+        let mut e = engine(2);
+        e.observe(ProcessId(0), Benign);
+        for pid in 1..10_000 {
+            let pid = ProcessId(pid);
+            e.observe(pid, Benign);
+            e.complete(pid).unwrap();
+            e.forget(pid);
+            assert!(e.terminal.len() <= 2 * e.tracked() + TERMINAL_SLACK);
+        }
+        // A pid forgotten and re-terminated before a purge is counted once.
+        let pid = ProcessId(0);
+        terminate(&mut e, pid);
+        e.forget(pid);
+        terminate(&mut e, pid);
+        assert_eq!(e.purge_terminated(), 1);
+        assert_eq!(e.tracked(), 0);
+    }
+
+    #[test]
+    fn purge_keeps_the_dirty_evidence_of_a_purged_pid() {
+        let mut e = fusion_engine(1, FusionConfig::default());
+        let pid = ProcessId(1);
+        e.observe_verdict(pid, Verdict::new(0, 1.0));
+        assert_eq!(
+            e.observe_verdict(pid, Verdict::new(0, 1.0)).action,
+            Action::Terminate
+        );
+        // A fresh verdict arrives before the purge: its cell is dirty.
+        e.absorb_verdict(pid, Verdict::new(0, 0.0));
+        assert_eq!(e.purge_terminated(), 1);
+        assert_eq!(e.state(pid), None);
+        // The kept evidence is fused into a fresh registration.
+        let r = e.fuse_step();
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].pid, pid);
+        assert_eq!(r[0].state, ProcessState::Terminable);
+        assert_eq!(e.tracked(), 1);
     }
 
     #[test]

@@ -813,23 +813,23 @@ impl<P: CoalesceKey> IngestPublisher<P> {
     }
 }
 
-/// Merges per-shard drained responses back into publish order: `seqs[s]`
-/// stamps `results[s]` index-for-index, sequence numbers are globally
-/// unique, and within a shard they ascend in application order — so the
-/// sort reconstructs one valid global serialization (for a single
-/// publisher: exactly its publish order).
+/// Appends per-shard drained responses to `out` in publish order:
+/// `seqs[s]` stamps `replies[s]` index-for-index, and sequence numbers are
+/// globally unique, so sorting by stamp reconstructs one valid global
+/// serialization (for a single publisher: exactly its publish order).
 pub(crate) fn merge_by_seq(
     seqs: &[Vec<u64>],
-    results: Vec<Vec<crate::engine::EngineResponse>>,
-) -> Vec<crate::engine::EngineResponse> {
+    replies: &[Vec<crate::engine::EngineResponse>],
+    out: &mut Vec<crate::engine::EngineResponse>,
+) {
     let total = seqs.iter().map(Vec::len).sum();
-    let mut stamped: Vec<(u64, crate::engine::EngineResponse)> = Vec::with_capacity(total);
-    for (shard_seqs, shard_responses) in seqs.iter().zip(results) {
-        debug_assert_eq!(shard_seqs.len(), shard_responses.len());
-        stamped.extend(shard_seqs.iter().copied().zip(shard_responses));
+    let mut stamped: Vec<(u64, &crate::engine::EngineResponse)> = Vec::with_capacity(total);
+    for (shard_seqs, shard_replies) in seqs.iter().zip(replies) {
+        debug_assert_eq!(shard_seqs.len(), shard_replies.len());
+        stamped.extend(shard_seqs.iter().copied().zip(shard_replies));
     }
     stamped.sort_unstable_by_key(|&(seq, _)| seq);
-    stamped.into_iter().map(|(_, response)| response).collect()
+    out.extend(stamped.into_iter().map(|(_, response)| *response));
 }
 
 #[cfg(test)]

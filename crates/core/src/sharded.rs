@@ -7,11 +7,25 @@
 //! [`ShardedEngine::observe_batch`] feeds one epoch's inferences for the
 //! whole fleet and returns the responses in input order.
 //!
-//! Large batches fan out with [`std::thread::scope`]: the shards are
-//! chunked onto `min(shards, cores)` threads for the duration of the batch,
-//! so no threads exist between ticks. Small batches — and single-core
-//! hosts, where a spawn is pure loss — stay on the caller's thread and
-//! skip the partition/scatter passes entirely
+//! A large batch runs as one three-phase fan-out over `W = min(shards,
+//! cores)` workers, each phase on [`std::thread::scope`] threads, so no
+//! threads exist between ticks:
+//!
+//! 1. **Partition.** The batch is cut into `W` contiguous slices, and
+//!    worker `w` buckets its slice by owning shard.
+//! 2. **Step.** Shards are chunked onto the workers. Shard `s` steps its
+//!    buckets from slice 0, then slice 1, and so on — which is batch order
+//!    — and keeps one reply list per bucket.
+//! 3. **Gather.** Worker `w` walks its slice again and copies each
+//!    observation's reply from its shard's list into its own contiguous
+//!    part of the output.
+//!
+//! Buckets and reply lists are reused across ticks, so
+//! [`ShardedEngine::observe_batch_into`] into a reused buffer allocates
+//! nothing per observation. The ingest drain runs the same step phase on
+//! the per-shard lists its rings empty into. Small batches — and
+//! single-core hosts, where a spawn is pure loss — stay on the caller's
+//! thread and send each observation straight to its shard
 //! ([`ShardedEngine::set_parallel_threshold`] moves the crossover).
 //!
 //! Algorithm 1 semantics are **bit-for-bit identical** to a single
@@ -44,7 +58,7 @@
 //! ```
 
 use crate::actuator::{Actuator, CompositeActuator};
-use crate::engine::{EngineConfig, EngineResponse, ValkyrieEngine};
+use crate::engine::{Action, EngineConfig, EngineResponse, ValkyrieEngine};
 use crate::error::ValkyrieError;
 use crate::hash::shard_of;
 use crate::ingest::{
@@ -74,10 +88,11 @@ pub fn host_parallelism() -> usize {
 }
 
 /// Batches smaller than this per call run on the caller's thread even with
-/// multiple shards: a few hundred observations finish faster than the
-/// spawns they would amortise. Tunable via
-/// [`ShardedEngine::set_parallel_threshold`].
-const DEFAULT_PARALLEL_THRESHOLD: usize = 512;
+/// multiple shards. A fan-out pays three rounds of thread spawns plus the
+/// partition and gather passes; on a 2-core x86-64 host (~50 µs per spawn)
+/// it lost to the inline path at 1k, 10k and 30k observations and won at
+/// 100k. Tunable via [`ShardedEngine::set_parallel_threshold`].
+const DEFAULT_PARALLEL_THRESHOLD: usize = 65_536;
 
 /// A partition-scratch slot whose capacity exceeds this multiple of what
 /// the last batch actually needed is shrunk back, so one giant batch does
@@ -102,14 +117,17 @@ pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
     /// `min(shards, host cores)`, resolved once at construction so the
     /// per-tick hot path never pays the affinity syscall.
     host_workers: usize,
-    /// Per-shard partition scratch, reused across batches so the steady
-    /// state allocates nothing on the partition side (and shrunk back
-    /// after outlier batches, see [`SCRATCH_SHRINK_FACTOR`]). The binary
-    /// drain empties its rings into `parts` as well.
-    parts: Vec<Vec<(ProcessId, Classification)>>,
-    origins: Vec<Vec<usize>>,
-    /// The binary drain's publish stamps, aligned slot-for-slot with
-    /// `parts`.
+    /// The partition phase's buckets: slot `w * shards + s` holds slice
+    /// `w`'s observations owned by shard `s`. The binary drain empties its
+    /// rings into the first `shards` slots, as if the drain were one slice.
+    /// Reused across batches (and shrunk back after outlier batches, see
+    /// [`SCRATCH_SHRINK_FACTOR`]), and sized on first use.
+    buckets: Vec<Vec<(ProcessId, Classification)>>,
+    /// The step phase's answers: slot `s * slices + w` holds shard `s`'s
+    /// responses to bucket `w * shards + s`, in bucket order.
+    replies: Vec<Vec<EngineResponse>>,
+    /// The binary drain's publish stamps, aligned slot-for-slot with the
+    /// first `shards` buckets.
     seqs: Vec<Vec<u64>>,
     /// Per-shard verdict scratch: a verdict batch's partition, or what the
     /// verdict drain emptied out of the rings.
@@ -193,25 +211,20 @@ impl<P: CoalesceKey> Lane<P> {
     }
 }
 
-/// Splits `batch` into per-shard work lists under the pid routing rule,
-/// remembering each observation's position in the input batch.
-/// Free-standing so an engine can split-borrow its scratch next to its
-/// shards.
-fn partition_into<T: Copy>(
-    batch: &[(ProcessId, T)],
-    nshards: usize,
-    parts: &mut [Vec<(ProcessId, T)>],
-    origins: &mut [Vec<usize>],
-) {
-    for (part, origin) in parts.iter_mut().zip(origins.iter_mut()) {
-        part.clear();
-        origin.clear();
+/// Buckets `batch` into `parts` (cleared first) under the pid routing
+/// rule, one slot per shard, keeping batch order within each slot.
+fn partition_into<T: Copy>(batch: &[(ProcessId, T)], parts: &mut [Vec<(ProcessId, T)>]) {
+    parts.iter_mut().for_each(Vec::clear);
+    for &(pid, payload) in batch {
+        parts[shard_of(pid.0, parts.len())].push((pid, payload));
     }
-    for (i, &(pid, payload)) in batch.iter().enumerate() {
-        let shard = shard_of(pid.0, nshards);
-        parts[shard].push((pid, payload));
-        origins[shard].push(i);
-    }
+}
+
+/// Resizes a scratch vector to exactly `len` slots (new slots are empty,
+/// surplus ones are dropped) and returns them.
+fn slots<T>(scratch: &mut Vec<Vec<T>>, len: usize) -> &mut [Vec<T>] {
+    scratch.resize_with(len, Vec::new);
+    scratch
 }
 
 /// The single scratch-shrink policy: each slot keeps at most
@@ -227,71 +240,73 @@ fn shrink_slots<T>(slots: &mut [Vec<T>]) {
     }
 }
 
-/// Applies per-shard work lists to the shards, returning one response list
-/// per shard (in shard order). With more than one worker the shards are
-/// chunked onto `workers` scoped threads (an 8-shard engine on a 4-core
-/// host costs 4 spawns, not 8); with one worker everything runs inline.
-/// Shared by the batch and drain paths — per-shard application order is
-/// identical either way. A panicking shard re-raises its own payload on
-/// the caller's thread.
-fn observe_parts_scoped<A: Actuator + Clone + Send>(
-    shards: &mut [ValkyrieEngine<A>],
-    parts: &[Vec<(ProcessId, Classification)>],
-    workers: usize,
-) -> Vec<Vec<EngineResponse>> {
-    if workers <= 1 {
-        return shards
-            .iter_mut()
-            .zip(parts)
-            .map(|(shard, part)| shard.observe_batch(part))
-            .collect();
-    }
-    let chunk = shards.len().div_ceil(workers);
+/// Runs `work` on every job: the caller's thread takes the first job and
+/// one scoped thread each takes the rest. Every thread is joined before
+/// this returns, and a panicking job re-raises its own payload on the
+/// caller's thread.
+fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else {
+        return;
+    };
+    let work = &work;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .chunks_mut(chunk)
-            .zip(parts.chunks(chunk))
-            .map(|(shard_chunk, part_chunk)| {
-                scope.spawn(move || {
-                    shard_chunk
-                        .iter_mut()
-                        .zip(part_chunk)
-                        .map(|(shard, part)| shard.observe_batch(part))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    })
+        let handles: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
+        work(first);
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
-/// Scatters per-shard response lists back to input order. Every slot is
-/// overwritten: the partition covers each input index exactly once.
-fn scatter_to_input_order(
-    origins: &[Vec<usize>],
-    results: Vec<Vec<EngineResponse>>,
-    len: usize,
-) -> Vec<EngineResponse> {
-    let placeholder = EngineResponse {
-        pid: ProcessId(u64::MAX),
-        state: ProcessState::Normal,
-        threat: ThreatIndex::zero(),
-        resources: ResourceVector::FULL,
-        action: crate::engine::Action::None,
-    };
-    let mut out = vec![placeholder; len];
-    for (indices, responses) in origins.iter().zip(results) {
-        for (&i, response) in indices.iter().zip(responses) {
-            out[i] = response;
-        }
+/// The step phase, shared by the batch and drain paths. `buckets` holds
+/// `slices` groups of one slot per shard (slot `w * shards + s`), and
+/// shard `s` steps its buckets in slice order `w = 0, 1, …`, writing its
+/// answers to bucket `w` into `replies[s * slices + w]`. Slices are
+/// consecutive runs of the batch, so each shard applies its observations
+/// in batch order, exactly as a serial replay would. The shards are
+/// chunked onto `threads` workers (an 8-shard engine on a 4-core host costs
+/// 3 spawns, not 8); with one worker everything runs inline.
+fn step_shards<A: Actuator + Clone + Send>(
+    shards: &mut [ValkyrieEngine<A>],
+    buckets: &[Vec<(ProcessId, Classification)>],
+    replies: &mut [Vec<EngineResponse>],
+    threads: usize,
+) {
+    let nshards = shards.len();
+    let slices = buckets.len() / nshards;
+    debug_assert_eq!(replies.len(), buckets.len());
+    if slices == 0 {
+        return;
     }
-    out
+    let chunk = nshards.div_ceil(threads.max(1));
+    let jobs = shards
+        .chunks_mut(chunk)
+        .zip(replies.chunks_mut(chunk * slices))
+        .enumerate();
+    fan_out(jobs, |(job, (shards, replies))| {
+        for (i, (shard, replies)) in shards
+            .iter_mut()
+            .zip(replies.chunks_mut(slices))
+            .enumerate()
+        {
+            let s = job * chunk + i;
+            for (w, reply) in replies.iter_mut().enumerate() {
+                let bucket = &buckets[w * nshards + s];
+                reply.clear();
+                if reply.capacity() < bucket.len() {
+                    // Grow by an eighth, not a doubling: reply lists span
+                    // megabytes at fleet scale, and a fleet that drifts up
+                    // by a few processes per tick would otherwise realloc
+                    // (and fragment the heap) nearly every tick.
+                    reply.reserve_exact(bucket.len() + bucket.len() / 8);
+                }
+                shard.observe_batch_into(bucket, reply);
+            }
+        }
+    });
 }
 
 impl<A: Actuator + Clone + Send> ShardedEngine<A> {
@@ -322,8 +337,8 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             purged_total: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             host_workers: host_parallelism().min(shards),
-            parts: vec![Vec::new(); shards],
-            origins: vec![Vec::new(); shards],
+            buckets: Vec::new(),
+            replies: Vec::new(),
             seqs: vec![Vec::new(); shards],
             vparts: vec![Vec::new(); shards],
             ingest: Lane(None),
@@ -372,14 +387,14 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         shard_of(pid.0, self.shards.len())
     }
 
-    /// Total capacity (in elements) currently retained by the per-shard
-    /// partition scratch, summed over work lists and origin maps. Exposed
-    /// so tests can pin the shrink policy: after an outlier batch the
-    /// capacity must return to steady state instead of staying at its
+    /// Total capacity (in elements) currently retained by the fan-out
+    /// scratch, summed over the partition buckets and the reply lists.
+    /// Exposed so tests can pin the shrink policy: after an outlier batch
+    /// the capacity must return to steady state instead of staying at its
     /// peak.
     pub fn scratch_capacity(&self) -> usize {
-        self.parts.iter().map(Vec::capacity).sum::<usize>()
-            + self.origins.iter().map(Vec::capacity).sum::<usize>()
+        self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            + self.replies.iter().map(Vec::capacity).sum::<usize>()
     }
 
     /// Number of processes currently tracked across all shards,
@@ -435,7 +450,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         if nshards == 1 {
             return self.shards[0].observe_verdict_batch(batch);
         }
-        partition_into(batch, nshards, &mut self.vparts, &mut self.origins);
+        partition_into(batch, &mut self.vparts);
         let mut out = Vec::new();
         self.fuse_vparts_into(&mut out);
         out
@@ -465,32 +480,43 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// Feeds one epoch's detector inferences for the whole fleet and
     /// returns one response per observation, **in input order**.
     ///
-    /// Observations are partitioned by owning shard; each shard applies its
-    /// observations in batch order. Batches worth parallelising run the
-    /// shards across the host's available cores with
-    /// [`std::thread::scope`] (shards are chunked onto `min(shards, cores)`
-    /// worker threads); small batches — and single-core hosts, where a
-    /// spawn is pure loss — stay on the caller's thread and skip the
-    /// partition/scatter passes entirely. Results are identical on every
-    /// path because shards share no per-process state.
+    /// Each shard applies its observations in batch order. Batches worth
+    /// parallelising run the three-phase fan-out described in the
+    /// [module docs](self) on `min(shards, cores)` scoped threads; small
+    /// batches — and single-core hosts, where a spawn is pure loss — stay
+    /// on the caller's thread and route each observation straight to its
+    /// shard. Results are identical on every path because shards share no
+    /// per-process state. The returned `Vec` is fresh; per-tick embedders
+    /// that keep a buffer should call [`Self::observe_batch_into`].
     pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
+        let mut out = Vec::new();
+        self.observe_batch_into(batch, &mut out);
+        out
+    }
+
+    /// [`Self::observe_batch`] writing into a caller-owned buffer, whose
+    /// previous contents are replaced. With the buffer reused across ticks
+    /// no path allocates per observation: the fan-out's buckets and reply
+    /// lists are engine-owned scratch, and the gather phase overwrites
+    /// `out` in place. Responses are identical on every path.
+    pub fn observe_batch_into(
+        &mut self,
+        batch: &[(ProcessId, Classification)],
+        out: &mut Vec<EngineResponse>,
+    ) {
         let nshards = self.shards.len();
         if nshards == 1 {
-            return self.shards[0].observe_batch(batch);
+            out.clear();
+            self.shards[0].observe_batch_into(batch, out);
+            return;
         }
-        let force_spawns = self.parallel_threshold == 0;
-        let workers = if force_spawns {
-            nshards
-        } else {
-            self.host_workers
-        };
-        let out = if !force_spawns && (workers <= 1 || batch.len() < self.parallel_threshold) {
+        let workers = self.workers_for(batch.len());
+        if workers <= 1 {
             // No parallelism to win (single-core host, or a batch too small
             // to amortise the spawns): route each observation straight to
-            // its shard. This skips the partition and scatter passes
-            // entirely — measured on the 10k bench they cost more than the
-            // observe work they reorganise.
-            let mut out = Vec::with_capacity(batch.len());
+            // its shard, skipping the partition and gather passes.
+            out.clear();
+            out.reserve(batch.len());
             for &(pid, inference) in batch {
                 let shard = shard_of(pid.0, nshards);
                 out.push(self.shards[shard].observe(pid, inference));
@@ -499,36 +525,77 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             // outlier batch left in it is dead weight; empty it so the
             // shrink below releases it, or the inline steady state would
             // pin the peak forever.
-            self.parts.iter_mut().for_each(Vec::clear);
-            self.origins.iter_mut().for_each(Vec::clear);
-            out
+            self.buckets.iter_mut().for_each(Vec::clear);
+            self.replies.iter_mut().for_each(Vec::clear);
         } else {
-            partition_into(batch, nshards, &mut self.parts, &mut self.origins);
-            let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
-            scatter_to_input_order(&self.origins, results, batch.len())
-        };
-        shrink_slots(&mut self.parts);
-        shrink_slots(&mut self.origins);
-        out
+            self.fan_out_batch(batch, workers, out);
+        }
+        shrink_slots(&mut self.buckets);
+        shrink_slots(&mut self.replies);
     }
 
-    /// Batch variant of [`Self::observe_batch`] writing into a caller-owned
-    /// buffer (cleared first). The single-shard path runs allocation-free,
-    /// so per-epoch embedders (the scenario driver) reuse one response
-    /// buffer across steps; multi-shard configurations fall back to
-    /// [`Self::observe_batch`], whose scatter pass allocates per call
-    /// anyway. Responses are identical on every path.
-    pub fn observe_batch_into(
+    /// How many threads a batch of `len` observations fans out over: one
+    /// (inline) below the parallel threshold or on a single-core host,
+    /// one per shard when the threshold 0 forces the spawn path.
+    fn workers_for(&self, len: usize) -> usize {
+        if self.parallel_threshold == 0 {
+            self.shards.len()
+        } else if len < self.parallel_threshold {
+            1
+        } else {
+            self.host_workers
+        }
+    }
+
+    /// The three-phase fan-out of [`Self::observe_batch_into`] (see the
+    /// [module docs](self)) on `workers` threads.
+    fn fan_out_batch(
         &mut self,
         batch: &[(ProcessId, Classification)],
+        workers: usize,
         out: &mut Vec<EngineResponse>,
     ) {
-        out.clear();
-        if self.shards.len() == 1 {
-            self.shards[0].observe_batch_into(batch, out);
-            return;
-        }
-        out.extend(self.observe_batch(batch));
+        let nshards = self.shards.len();
+        let slice = batch.len().div_ceil(workers).max(1);
+        // Fewer slices than workers when the batch is tiny; none when empty.
+        let slices = batch.len().div_ceil(slice);
+
+        // Partition: worker `w` buckets slice `w` by owning shard.
+        let buckets = slots(&mut self.buckets, slices * nshards);
+        fan_out(
+            buckets.chunks_mut(nshards).zip(batch.chunks(slice)),
+            |(buckets, input)| partition_into(input, buckets),
+        );
+
+        // Step: each shard answers its buckets in slice order.
+        let replies = slots(&mut self.replies, slices * nshards);
+        step_shards(&mut self.shards, &self.buckets, replies, workers);
+
+        // Gather: worker `w` fills its part of `out` in input order, taking
+        // each observation's reply from its shard's list for slice `w`.
+        // Every slot is overwritten, so a reused `out` needs no clearing.
+        let placeholder = EngineResponse {
+            pid: ProcessId(u64::MAX),
+            state: ProcessState::Normal,
+            threat: ThreatIndex::zero(),
+            resources: ResourceVector::FULL,
+            action: Action::None,
+        };
+        out.resize(batch.len(), placeholder);
+        let replies = &self.replies;
+        fan_out(
+            out.chunks_mut(slice).zip(batch.chunks(slice)).enumerate(),
+            |(w, (out, input))| {
+                let mut next: Vec<_> = (0..nshards)
+                    .map(|s| replies[s * slices + w].iter())
+                    .collect();
+                for (slot, &(pid, _)) in out.iter_mut().zip(input) {
+                    *slot = *next[shard_of(pid.0, nshards)]
+                        .next()
+                        .expect("the step phase answers every bucketed observation");
+                }
+            },
+        );
     }
 
     /// The epoch driver: feeds one tick's batch, advances the epoch
@@ -536,9 +603,9 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// grow without bound.
     ///
     /// Responses still report the terminal observation (the embedder must
-    /// enact [`Action::Terminate`](crate::Action::Terminate)); the
-    /// bookkeeping is dropped immediately afterwards, so re-observing a
-    /// terminated pid on a later tick registers a *fresh* process.
+    /// enact [`Action::Terminate`]); the bookkeeping is dropped immediately
+    /// afterwards, so re-observing a terminated pid on a later tick
+    /// registers a *fresh* process.
     /// Embedders that need post-mortem queries should use
     /// [`Self::observe_batch`] and purge on their own schedule.
     pub fn tick(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
@@ -693,7 +760,8 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             self.ingest.0.is_some() || self.verdicts.0.is_some(),
             "call enable_ingest or enable_verdict_ingest before ShardedEngine::drain_batch"
         );
-        let mut out = self.drain_binary();
+        let mut out = Vec::new();
+        self.drain_binary(&mut out);
         if self.verdicts.drain_into(&mut self.vparts, None) {
             self.fuse_vparts_into(&mut out);
         }
@@ -701,33 +769,28 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         out
     }
 
-    /// The binary half of [`Self::drain_batch`] (empty when only verdict
-    /// ingest is enabled).
-    fn drain_binary(&mut self) -> Vec<EngineResponse> {
-        if !self
-            .ingest
-            .drain_into(&mut self.parts, Some(&mut self.seqs))
-        {
-            return Vec::new();
+    /// The binary half of [`Self::drain_batch`], appending to `out` (a
+    /// no-op when only verdict ingest is enabled). The rings empty into the
+    /// first `shards` buckets, which the shared step phase answers as one
+    /// slice.
+    fn drain_binary(&mut self, out: &mut Vec<EngineResponse>) {
+        let nshards = self.shards.len();
+        let buckets = slots(&mut self.buckets, nshards);
+        if !self.ingest.drain_into(buckets, Some(&mut self.seqs)) {
+            return;
         }
+        let total: usize = buckets.iter().map(Vec::len).sum();
+        let workers = self.workers_for(total);
+        let replies = slots(&mut self.replies, nshards);
+        step_shards(&mut self.shards, &self.buckets, replies, workers);
         // One ring applies in ring order, but the *returned* order must
         // still be stamp order — under `Coalesce` a restamped entry keeps
         // its ring slot, and skipping the merge would make response order
         // depend on the shard count.
-        let nshards = self.shards.len();
-        let total: usize = self.parts.iter().map(Vec::len).sum();
-        let workers = if self.parallel_threshold == 0 {
-            nshards
-        } else if total < self.parallel_threshold {
-            1
-        } else {
-            self.host_workers
-        };
-        let results = observe_parts_scoped(&mut self.shards, &self.parts, workers);
-        let out = merge_by_seq(&self.seqs, results);
-        shrink_slots(&mut self.parts);
+        merge_by_seq(&self.seqs, &self.replies, out);
+        shrink_slots(&mut self.buckets);
+        shrink_slots(&mut self.replies);
         shrink_slots(&mut self.seqs);
-        out
     }
 
     /// The async epoch driver: drains the ingest rings
@@ -854,9 +917,13 @@ mod tests {
 
     #[test]
     fn sharded_matches_single_engine_sequential_and_parallel() {
-        for threshold in [usize::MAX, 0] {
-            let mut sharded = ShardedEngine::new(config(3), 5);
+        // (threshold, host workers): inline; forced, one shard per worker;
+        // and the default fan-out with fewer workers than shards, so each
+        // step-phase job owns a chunk of shards.
+        for (threshold, workers) in [(usize::MAX, 1), (0, 1), (1, 3)] {
+            let mut sharded = ShardedEngine::new(config(3), 7);
             sharded.set_parallel_threshold(threshold);
+            sharded.host_workers = workers;
             let mut single = ValkyrieEngine::new(config(3));
             for epoch in 0..6 {
                 let batch = mixed_batch(50, epoch);
@@ -865,7 +932,10 @@ mod tests {
                     .iter()
                     .map(|&(pid, cls)| single.observe(pid, cls))
                     .collect();
-                assert_eq!(got, want, "epoch {epoch}, threshold {threshold}");
+                assert_eq!(
+                    got, want,
+                    "epoch {epoch}, threshold {threshold}, workers {workers}"
+                );
             }
         }
     }
@@ -978,9 +1048,9 @@ mod tests {
     }
 
     /// Regression: the inline fast path used to return before any shrink
-    /// ran, so in the default configuration (threshold 512, small steady
-    /// batches) one forced outlier batch pinned the scratch at its peak
-    /// for the engine's life.
+    /// ran, so in the default configuration (small steady batches below
+    /// the threshold) one forced outlier batch pinned the scratch at its
+    /// peak for the engine's life.
     #[test]
     fn inline_fast_path_also_releases_outlier_scratch() {
         let mut e = ShardedEngine::new(config(1_000_000), 4);

@@ -444,3 +444,27 @@ fn shard_panic_keeps_its_message_across_the_thread_boundary() {
     batch[17].1 = Classification::Malicious;
     e.observe_batch(&batch);
 }
+
+/// The drain path runs the same step phase: a shard panicking while it
+/// answers drained observations re-raises its own payload too.
+#[test]
+#[should_panic(expected = "actuator refused to throttle the flagged pid")]
+fn shard_panic_on_the_drain_path_keeps_its_message() {
+    let config = ValkyrieEngine::with_actuator(
+        5,
+        AssessmentFn::incremental(),
+        AssessmentFn::incremental(),
+        PanicOnThreat,
+    )
+    .config()
+    .clone();
+    let mut e = ShardedEngine::new(config, 4);
+    e.set_parallel_threshold(0);
+    let publisher = e.enable_ingest(64, OverflowPolicy::Block);
+    let mut batch: Vec<(ProcessId, Classification)> = (0..64)
+        .map(|pid| (ProcessId(pid), Classification::Benign))
+        .collect();
+    batch[17].1 = Classification::Malicious;
+    assert_eq!(publisher.publish_batch(&batch), batch.len());
+    e.drain_tick();
+}

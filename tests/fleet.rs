@@ -115,8 +115,8 @@ proptest! {
 
     /// Fleet results are invariant to how machines are partitioned into
     /// engine groups: every group count produces the same response
-    /// sequence, because per-pid state is independent and scatter restores
-    /// input order.
+    /// sequence, because per-pid state is independent and the gather
+    /// phase restores input order.
     #[test]
     fn responses_are_invariant_to_machine_grouping(
         obs in fleet_interleaving(200),

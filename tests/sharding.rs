@@ -56,7 +56,7 @@ fn reference_responses(
 
 /// The sharded run: the same observations split into `chunk`-sized batches.
 /// A parallel threshold of 0 forces the spawn path even on one core, so the
-/// property also covers the threaded partition/scatter code (for shard
+/// property also covers the threaded partition/step/gather code (for shard
 /// counts above one — a one-shard engine always runs inline).
 fn sharded_responses(
     observations: &[(ProcessId, Classification)],
@@ -163,4 +163,52 @@ fn tick_driver_bounds_the_map_under_churn() {
     assert_eq!(engine.epoch(), 200);
     assert_eq!(engine.purged_total(), 2_500); // 50 generations of 50 pids
     assert_eq!(engine.tracked(), engine.tracked_live());
+}
+
+/// Batches shorter than the worker count leave some of the fan-out's
+/// slices empty (or, for the empty batch, every one); the forced parallel
+/// path must still answer exactly like the single-engine reference.
+#[test]
+fn tiny_batches_on_many_shards_match_the_reference() {
+    let mut engine = ShardedEngine::new(engine_config(2, false), 8);
+    engine.set_parallel_threshold(0);
+    let mut reference = ValkyrieEngine::new(engine_config(2, false));
+    for len in [0usize, 1, 2, 0, 2, 1] {
+        let batch: Vec<(ProcessId, Classification)> = (0..len as u64)
+            .map(|pid| (ProcessId(pid), Classification::Malicious))
+            .collect();
+        let want: Vec<EngineResponse> = batch
+            .iter()
+            .map(|&(pid, cls)| reference.observe(pid, cls))
+            .collect();
+        assert_eq!(engine.observe_batch(&batch), want, "len {len}");
+    }
+}
+
+/// A reused output buffer that still holds a longer, older tick's
+/// responses is fully replaced: same length and contents as the reference.
+#[test]
+fn observe_batch_into_replaces_a_dirty_longer_buffer() {
+    let mut engine = ShardedEngine::new(engine_config(4, true), 8);
+    engine.set_parallel_threshold(0);
+    let mut reference = ValkyrieEngine::new(engine_config(4, true));
+    let mut out = Vec::new();
+    for (epoch, len) in [(0u64, 300u64), (1, 37), (2, 5), (3, 300), (4, 1)] {
+        let batch: Vec<(ProcessId, Classification)> = (0..len)
+            .map(|i| {
+                let cls = if (i + epoch) % 3 == 0 {
+                    Classification::Malicious
+                } else {
+                    Classification::Benign
+                };
+                (ProcessId(i % 97), cls)
+            })
+            .collect();
+        let want: Vec<EngineResponse> = batch
+            .iter()
+            .map(|&(pid, cls)| reference.observe(pid, cls))
+            .collect();
+        engine.observe_batch_into(&batch, &mut out);
+        assert_eq!(out, want, "epoch {epoch}, len {len}");
+    }
 }
