@@ -56,7 +56,7 @@
 //! ```
 
 use crate::actuator::{Actuator, LawFamily, ThrottleLaw};
-use crate::engine::{Action, EngineConfig, ValkyrieEngine};
+use crate::engine::{Action, EngineConfig, EngineResponse, ValkyrieEngine};
 use crate::resource::ProcessId;
 use crate::threat::Classification;
 use rand::rngs::StdRng;
@@ -965,52 +965,10 @@ pub fn run_adaptive<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
     scenario: &AdaptiveScenario,
     strategy: &mut S,
 ) -> EvasionOutcome {
-    let mut engine = ValkyrieEngine::new(config.clone());
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    let pid = ProcessId(1);
-    strategy.reset();
-
-    let mut progress = 0.0;
-    let mut unimpeded = 0.0;
-    let mut active_epochs = 0;
-    let mut terminated_at = None;
-    let mut cpu_share = 1.0;
-    let mut measurements = 0;
-
-    for epoch in 1..=scenario.horizon {
-        let view = AttackerView {
-            epoch,
-            cpu_share,
-            measurements,
-        };
-        let intensity = sane_intensity(strategy.intensity(&view));
-        if intensity > 0.0 {
-            unimpeded += intensity;
-        }
-        if terminated_at.is_some() {
-            continue;
-        }
-
-        let inference = scenario.detector.classify_graded(intensity, &mut rng);
-        let response = engine.observe(pid, inference);
-        measurements += 1;
-        if response.action == Action::Terminate {
-            terminated_at = Some(epoch);
-            continue;
-        }
-        cpu_share = response.resources.cpu;
-        if intensity > 0.0 {
-            progress += intensity * cpu_share;
-            active_epochs += 1;
-        }
-    }
-
-    EvasionOutcome {
-        progress,
-        unimpeded,
-        terminated_at,
-        active_epochs,
-    }
+    replay(config, scenario, strategy, |engine, pid, intensity, rng| {
+        let inference = scenario.detector.classify_graded(intensity, rng);
+        engine.observe(pid, inference)
+    })
 }
 
 /// Replays an adaptive attacker against the weighted-evidence path.
@@ -1026,6 +984,21 @@ pub fn run_adaptive_mass<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
     config: &EngineConfig<A>,
     scenario: &AdaptiveScenario,
     strategy: &mut S,
+) -> EvasionOutcome {
+    replay(config, scenario, strategy, |engine, pid, intensity, rng| {
+        let mass = scenario.detector.confidence(intensity, scenario.noise, rng);
+        engine.observe_mass(pid, mass)
+    })
+}
+
+/// The adaptive replay loop shared by [`run_adaptive`] and
+/// [`run_adaptive_mass`]: `step` samples the detector at the epoch's
+/// effort and advances the engine by one measurement.
+fn replay<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
+    config: &EngineConfig<A>,
+    scenario: &AdaptiveScenario,
+    strategy: &mut S,
+    mut step: impl FnMut(&mut ValkyrieEngine<A>, ProcessId, f64, &mut StdRng) -> EngineResponse,
 ) -> EvasionOutcome {
     let mut engine = ValkyrieEngine::new(config.clone());
     let mut rng = StdRng::seed_from_u64(scenario.seed);
@@ -1053,10 +1026,7 @@ pub fn run_adaptive_mass<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
             continue;
         }
 
-        let mass = scenario
-            .detector
-            .confidence(intensity, scenario.noise, &mut rng);
-        let response = engine.observe_mass(pid, mass);
+        let response = step(&mut engine, pid, intensity, &mut rng);
         measurements += 1;
         if response.action == Action::Terminate {
             terminated_at = Some(epoch);

@@ -63,14 +63,17 @@
 //!   suspicious, fed back through a shared [`ThreatHints`] handle.
 //!   Priority entries are drained first and are never evicted by
 //!   normal-lane overflow — once a process is on the escalation ladder,
-//!   no flood can silence the verdicts that decide its fate.
+//!   no flood can silence the verdicts that decide its fate. The priority
+//!   lane runs the same overflow routine as the normal lane, under its
+//!   own `capacity` budget and with fair queueing off.
 //! * **Per-publisher fair queueing** ([`IngestDefense::fair_queueing`]):
-//!   every [`IngestPublisher`] handle carries an id, and overflow
-//!   evictions are charged to whoever is hogging the ring: a publisher
-//!   pushing past its fair share (`capacity / publisher handles`) evicts
-//!   its *own* oldest entry, and otherwise the heaviest backlog holder
-//!   pays — so one flooding publisher destroys its own decoys, not the
-//!   other members' verdicts. Redirected evictions are counted as
+//!   every [`IngestPublisher`] handle carries an id, and normal-lane
+//!   overflow evictions are charged to whoever is hogging the ring: a
+//!   publisher pushing past its fair share (`capacity / live publisher
+//!   handles`, so a dropped handle gives its share back) evicts its *own*
+//!   oldest entry, and otherwise the heaviest backlog holder pays — so
+//!   one flooding publisher destroys its own decoys, not the other
+//!   members' verdicts. Redirected evictions are counted as
 //!   [`IngestStats::evictions_deflected`].
 //!
 //! With the defense enabled but the rings never full, drained results are
@@ -109,8 +112,10 @@ use crate::resource::ProcessId;
 use crate::telemetry::IngestStats;
 use crate::threat::{Classification, Verdict};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// The sub-key [`OverflowPolicy::Coalesce`] merges on, within a pid: two
 /// queued entries coalesce only when both the pid *and* this key match.
@@ -159,34 +164,35 @@ impl ThreatHints {
         Arc::new(Self::default())
     }
 
+    // A writer that panicked leaves a valid set, and the hints are
+    // advisory and rewritten every tick: recover the lock, never re-raise.
+    fn read(&self) -> RwLockReadGuard<'_, HashSet<u64>> {
+        self.hot.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, HashSet<u64>> {
+        self.hot.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether `pid` is currently marked suspicious.
     pub fn is_hot(&self, pid: ProcessId) -> bool {
-        self.hot
-            .read()
-            .expect("threat hints poisoned")
-            .contains(&pid.0)
+        self.read().contains(&pid.0)
     }
 
     /// Marks `pid` suspicious; returns whether it was newly marked.
     pub fn mark(&self, pid: ProcessId) -> bool {
-        self.hot
-            .write()
-            .expect("threat hints poisoned")
-            .insert(pid.0)
+        self.write().insert(pid.0)
     }
 
     /// Clears `pid`'s mark; returns whether it was marked.
     pub fn clear(&self, pid: ProcessId) -> bool {
-        self.hot
-            .write()
-            .expect("threat hints poisoned")
-            .remove(&pid.0)
+        self.write().remove(&pid.0)
     }
 
     /// Applies a batch of `(pid, mark)` updates under one lock
     /// acquisition (`true` marks, `false` clears).
     pub fn update(&self, updates: impl IntoIterator<Item = (ProcessId, bool)>) {
-        let mut hot = self.hot.write().expect("threat hints poisoned");
+        let mut hot = self.write();
         for (pid, mark) in updates {
             if mark {
                 hot.insert(pid.0);
@@ -198,7 +204,7 @@ impl ThreatHints {
 
     /// How many pids are currently marked.
     pub fn len(&self) -> usize {
-        self.hot.read().expect("threat hints poisoned").len()
+        self.read().len()
     }
 
     /// Whether no pid is currently marked.
@@ -228,11 +234,6 @@ impl IngestDefense {
             priority_lane: true,
             fair_queueing: true,
         }
-    }
-
-    /// Whether any mechanism is enabled.
-    pub fn enabled(&self) -> bool {
-        self.priority_lane || self.fair_queueing
     }
 }
 
@@ -269,13 +270,18 @@ struct QueuedObs<P> {
     payload: P,
 }
 
+/// [`RingState::lanes`] index of the priority lane: entries for
+/// [`ThreatHints`]-marked pids. Drained first.
+const PRIORITY: usize = 0;
+/// [`RingState::lanes`] index of the normal lane.
+const NORMAL: usize = 1;
+
 /// The lock-protected interior of one shard's ring.
 #[derive(Debug)]
 struct RingState<P> {
-    buf: VecDeque<QueuedObs<P>>,
-    /// The priority lane: entries for [`ThreatHints`]-marked pids. Its own
-    /// capacity budget; normal-lane overflow can never evict from it.
-    prio: VecDeque<QueuedObs<P>>,
+    /// The priority and normal lanes. Each has its own `capacity` budget;
+    /// overflow in one lane never evicts from the other.
+    lanes: [VecDeque<QueuedObs<P>>; 2],
     /// Normal-lane entries per publisher id (fair-queueing bookkeeping;
     /// maintained only when the defense runs with fair queueing).
     occupancy: Vec<u32>,
@@ -295,8 +301,7 @@ struct RingState<P> {
 impl<P> Default for RingState<P> {
     fn default() -> Self {
         Self {
-            buf: VecDeque::new(),
-            prio: VecDeque::new(),
+            lanes: [VecDeque::new(), VecDeque::new()],
             occupancy: Vec::new(),
             dropped: 0,
             coalesced: 0,
@@ -355,6 +360,15 @@ impl<P> Default for ShardRing<P> {
     }
 }
 
+impl<P> ShardRing<P> {
+    // Every critical section leaves the lanes and counters structurally
+    // valid, so a guard poisoned by a panicking thread is safe to reuse:
+    // one panic must not wedge every later publish and drain.
+    fn lock(&self) -> MutexGuard<'_, RingState<P>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// All of one engine's ingest rings: one bounded MPSC ring per shard,
 /// shared (via `Arc`) between the engine and every [`IngestPublisher`]
 /// clone.
@@ -383,6 +397,8 @@ pub struct IngestQueues<P = Classification> {
     seq: AtomicU64,
     /// The next publisher id to hand out. Ids start at 1.
     next_publisher: AtomicU32,
+    /// Publisher handles currently alive (fair shares divide by this).
+    live_publishers: AtomicUsize,
     published: AtomicU64,
     drained: AtomicU64,
     /// Set when the owning engine replaces or drops the queue set; wakes
@@ -392,20 +408,23 @@ pub struct IngestQueues<P = Classification> {
 }
 
 impl<P> IngestQueues<P> {
-    /// Registers a new publisher handle and returns its id.
-    pub(crate) fn register_publisher(&self) -> u32 {
+    /// Registers a new publisher handle and returns its id. Ids are never
+    /// reused; the handle's `Drop` gives its fair share back.
+    fn register_publisher(&self) -> u32 {
+        self.live_publishers.fetch_add(1, Ordering::Relaxed);
         self.next_publisher.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Publisher handles registered so far (ids start at 1).
-    fn publisher_handles(&self) -> usize {
-        (self.next_publisher.load(Ordering::Relaxed) as usize).saturating_sub(1)
+    /// One publisher's fair share of a ring: `capacity / live handles`,
+    /// never below one entry.
+    fn fair_share(&self) -> usize {
+        (self.capacity / self.live_publishers.load(Ordering::Relaxed).max(1)).max(1)
     }
 
-    /// One publisher's fair share of a ring: `capacity / handles`,
-    /// never below one entry.
-    pub(crate) fn fair_share(&self) -> usize {
-        (self.capacity / self.publisher_handles().max(1)).max(1)
+    /// Whether fair queueing governs `lane`: the normal lane only, as the
+    /// priority lane holds nothing but suspects' verdicts.
+    fn fair(&self, lane: usize) -> bool {
+        self.defense.fair_queueing && lane == NORMAL
     }
 }
 
@@ -451,6 +470,7 @@ impl<P: CoalesceKey> IngestQueues<P> {
             hints,
             seq: AtomicU64::new(0),
             next_publisher: AtomicU32::new(1),
+            live_publishers: AtomicUsize::new(0),
             published: AtomicU64::new(0),
             drained: AtomicU64::new(0),
             closed: AtomicBool::new(false),
@@ -468,53 +488,61 @@ impl<P: CoalesceKey> IngestQueues<P> {
     /// the queue set has been closed.
     pub(crate) fn push(&self, publisher: u32, shard: usize, pid: ProcessId, payload: P) -> bool {
         let ring = &self.rings[shard];
-        let mut state = ring.state.lock().expect("ingest ring poisoned");
+        let mut state = ring.lock();
         // A closed queue rejects the publish before any overflow
         // handling: an eviction on behalf of an observation that is about
         // to be discarded anyway would destroy queued data for nothing.
         if self.closed.load(Ordering::Acquire) {
             return false;
         }
-        if self.defense.priority_lane && self.hints.is_hot(pid) {
-            return self.push_priority(ring, state, publisher, pid, payload);
-        }
-        if state.buf.len() >= self.capacity {
+        let lane = if self.defense.priority_lane && self.hints.is_hot(pid) {
+            PRIORITY
+        } else {
+            NORMAL
+        };
+        let fair = self.fair(lane);
+        if state.lanes[lane].len() >= self.capacity {
             match self.policy {
                 OverflowPolicy::Block => {
-                    while state.buf.len() >= self.capacity && !self.closed.load(Ordering::Acquire) {
-                        state = ring.space.wait(state).expect("ingest ring poisoned");
+                    while state.lanes[lane].len() >= self.capacity
+                        && !self.closed.load(Ordering::Acquire)
+                    {
+                        state = ring
+                            .space
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                 }
-                OverflowPolicy::DropOldest => {
-                    self.evict_normal(&mut state, publisher, false);
-                }
+                OverflowPolicy::DropOldest => self.evict(&mut state, lane, publisher, false),
                 OverflowPolicy::Coalesce => {
                     let key = payload.coalesce_key();
-                    if let Some(i) = state
-                        .buf
+                    if let Some(i) = state.lanes[lane]
                         .iter()
                         .rposition(|o| o.pid == pid && o.payload.coalesce_key() == key)
                     {
                         // Same (pid, key) already queued: keep its queue
                         // position, take the newer verdict, publish-order
                         // stamp and publisher attribution.
-                        let prev = state.buf[i].publisher;
-                        state.buf[i].seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                        state.buf[i].payload = payload;
-                        state.buf[i].publisher = publisher;
-                        if self.defense.fair_queueing && prev != publisher {
+                        let entry = &mut state.lanes[lane][i];
+                        let prev = std::mem::replace(&mut entry.publisher, publisher);
+                        entry.seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                        entry.payload = payload;
+                        if fair && prev != publisher {
                             state.occ_dec(prev);
                             state.occ_inc(publisher);
                         }
                         state.coalesced += 1;
+                        if lane == PRIORITY {
+                            state.priority_queued += 1;
+                        }
                         self.published.fetch_add(1, Ordering::Relaxed);
                         return true;
                     }
                     // No entry to merge into: evict the stalest *verdict*
                     // (minimum stamp — coalescing restamps entries in
-                    // place, so the front of the ring is not necessarily
+                    // place, so the front of the lane is not necessarily
                     // the oldest observation).
-                    self.evict_normal(&mut state, publisher, true);
+                    self.evict(&mut state, lane, publisher, true);
                 }
             }
         }
@@ -522,107 +550,45 @@ impl<P: CoalesceKey> IngestQueues<P> {
             return false;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if self.defense.fair_queueing {
+        if fair {
             state.occ_inc(publisher);
         }
-        state.buf.push_back(QueuedObs {
+        state.lanes[lane].push_back(QueuedObs {
             seq,
             pid,
             publisher,
             payload,
         });
+        if lane == PRIORITY {
+            state.priority_queued += 1;
+        }
         self.published.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// The priority-lane half of [`Self::push`]: its own capacity budget
-    /// and overflow handling, entirely insulated from the normal lane —
-    /// when *it* overflows (suspicious pids alone exceed a ring), the
-    /// policy applies within the lane, so even then a flood of normal
-    /// traffic cannot be the cause.
-    fn push_priority(
-        &self,
-        ring: &ShardRing<P>,
-        mut state: std::sync::MutexGuard<'_, RingState<P>>,
-        publisher: u32,
-        pid: ProcessId,
-        payload: P,
-    ) -> bool {
-        if state.prio.len() >= self.capacity {
-            match self.policy {
-                OverflowPolicy::Block => {
-                    while state.prio.len() >= self.capacity && !self.closed.load(Ordering::Acquire)
-                    {
-                        state = ring.space.wait(state).expect("ingest ring poisoned");
-                    }
-                }
-                OverflowPolicy::DropOldest => {
-                    if let Some(victim) = state.prio.pop_front() {
-                        state.charge_drop(victim.publisher);
-                    }
-                }
-                OverflowPolicy::Coalesce => {
-                    let key = payload.coalesce_key();
-                    if let Some(i) = state
-                        .prio
-                        .iter()
-                        .rposition(|o| o.pid == pid && o.payload.coalesce_key() == key)
-                    {
-                        state.prio[i].seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                        state.prio[i].payload = payload;
-                        state.prio[i].publisher = publisher;
-                        state.coalesced += 1;
-                        state.priority_queued += 1;
-                        self.published.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    if let Some(stalest) = (0..state.prio.len()).min_by_key(|&i| state.prio[i].seq)
-                    {
-                        if let Some(victim) = state.prio.remove(stalest) {
-                            state.charge_drop(victim.publisher);
-                        }
-                    }
-                }
-            }
-        }
-        if self.closed.load(Ordering::Acquire) {
-            return false;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        state.prio.push_back(QueuedObs {
-            seq,
-            pid,
-            publisher,
-            payload,
-        });
-        state.priority_queued += 1;
-        self.published.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Evicts one normal-lane entry to make room. The naive victim is the
+    /// Evicts one entry of `lane` to make room. The naive victim is the
     /// front (`DropOldest`) or the minimum-stamp entry (`Coalesce`'s
     /// fallback, `stalest`); with fair queueing the eviction is instead
     /// charged to `pusher` itself once it holds its fair share, and
     /// otherwise to the heaviest backlog holder — redirections away from
     /// the naive victim's publisher are counted as deflected.
-    fn evict_normal(&self, state: &mut RingState<P>, pusher: u32, stalest: bool) {
+    fn evict(&self, state: &mut RingState<P>, lane: usize, pusher: u32, stalest: bool) {
+        let fair = self.fair(lane);
+        let queue = &state.lanes[lane];
         let naive = if stalest {
-            (0..state.buf.len()).min_by_key(|&i| state.buf[i].seq)
-        } else if state.buf.is_empty() {
-            None
+            (0..queue.len()).min_by_key(|&i| queue[i].seq)
         } else {
-            Some(0)
+            (!queue.is_empty()).then_some(0)
         };
         let Some(naive) = naive else { return };
         let mut idx = naive;
-        if self.defense.fair_queueing {
+        if fair {
             let victim_pub = if state.occ(pusher) >= self.fair_share() {
                 pusher
             } else {
                 // The heaviest normal-lane backlog holder pays; ties go
                 // to the lowest id, deterministically.
-                let mut heaviest = state.buf[naive].publisher;
+                let mut heaviest = queue[naive].publisher;
                 let mut max_occ = 0;
                 for p in 0..state.occupancy.len() as u32 {
                     if state.occ(p) > max_occ {
@@ -633,21 +599,21 @@ impl<P: CoalesceKey> IngestQueues<P> {
                 heaviest
             };
             let owned = if stalest {
-                (0..state.buf.len())
-                    .filter(|&i| state.buf[i].publisher == victim_pub)
-                    .min_by_key(|&i| state.buf[i].seq)
+                (0..queue.len())
+                    .filter(|&i| queue[i].publisher == victim_pub)
+                    .min_by_key(|&i| queue[i].seq)
             } else {
-                (0..state.buf.len()).find(|&i| state.buf[i].publisher == victim_pub)
+                (0..queue.len()).find(|&i| queue[i].publisher == victim_pub)
             };
             if let Some(i) = owned {
-                if state.buf[naive].publisher != victim_pub {
+                if queue[naive].publisher != victim_pub {
                     state.evictions_deflected += 1;
                 }
                 idx = i;
             }
         }
-        if let Some(victim) = state.buf.remove(idx) {
-            if self.defense.fair_queueing {
+        if let Some(victim) = state.lanes[lane].remove(idx) {
+            if fair {
                 state.occ_dec(victim.publisher);
             }
             state.charge_drop(victim.publisher);
@@ -665,21 +631,23 @@ impl<P: CoalesceKey> IngestQueues<P> {
         mut seqs: Option<&mut Vec<u64>>,
     ) {
         let ring = &self.rings[shard];
-        let mut guard = ring.state.lock().expect("ingest ring poisoned");
-        let state = &mut *guard;
-        let n = state.prio.len() + state.buf.len();
+        let mut state = ring.lock();
+        let n = state.lanes.iter().map(VecDeque::len).sum();
         work.reserve(n);
         if let Some(seqs) = seqs.as_deref_mut() {
             seqs.reserve(n);
         }
-        for obs in state.prio.drain(..).chain(state.buf.drain(..)) {
-            work.push((obs.pid, obs.payload));
-            if let Some(seqs) = seqs.as_deref_mut() {
-                seqs.push(obs.seq);
+        // The priority lane is lanes[0], so it drains first.
+        for lane in &mut state.lanes {
+            for obs in lane.drain(..) {
+                work.push((obs.pid, obs.payload));
+                if let Some(seqs) = seqs.as_deref_mut() {
+                    seqs.push(obs.seq);
+                }
             }
         }
         state.occupancy.clear();
-        drop(guard);
+        drop(state);
         if n > 0 {
             self.drained.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -693,7 +661,7 @@ impl<P: CoalesceKey> IngestQueues<P> {
         for ring in &self.rings {
             // Acquiring the lock orders the store before any waiter's
             // re-check; without it a publisher could re-sleep forever.
-            drop(ring.state.lock().expect("ingest ring poisoned"));
+            drop(ring.lock());
             ring.space.notify_all();
         }
     }
@@ -714,10 +682,10 @@ impl<P: CoalesceKey> IngestQueues<P> {
             ..IngestStats::default()
         };
         for ring in &self.rings {
-            let state = ring.state.lock().expect("ingest ring poisoned");
+            let state = ring.lock();
             stats.dropped += state.dropped;
             stats.coalesced += state.coalesced;
-            stats.queued += state.buf.len() + state.prio.len();
+            stats.queued += state.lanes.iter().map(VecDeque::len).sum::<usize>();
             stats.priority_queued += state.priority_queued;
             stats.evictions_deflected += state.evictions_deflected;
             if stats.dropped_by_publisher.len() < state.dropped_by_pub.len() {
@@ -763,6 +731,12 @@ impl<P> Clone for IngestPublisher<P> {
             id: self.queues.register_publisher(),
             queues: Arc::clone(&self.queues),
         }
+    }
+}
+
+impl<P> Drop for IngestPublisher<P> {
+    fn drop(&mut self) {
+        self.queues.live_publishers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1132,6 +1106,98 @@ mod tests {
         assert!(!hints.is_hot(suspect));
         assert!(publisher.publish(suspect, Malicious));
         assert_eq!(queues.stats().priority_queued, 1, "no longer prioritized");
+    }
+
+    /// Fair shares divide by *live* handles: dropped clones give their
+    /// share back, so the publisher over `capacity / live` pays.
+    #[test]
+    fn fair_share_counts_only_live_handles() {
+        let defense = IngestDefense {
+            priority_lane: false,
+            fair_queueing: true,
+        };
+        let queues = IngestQueues::with_defense(
+            1,
+            4,
+            OverflowPolicy::DropOldest,
+            defense,
+            ThreatHints::new(),
+        );
+        let a = IngestPublisher::new(queues.clone());
+        let b = a.clone();
+        for _ in 0..100 {
+            drop(a.clone());
+        }
+        for pid in 1..=3 {
+            assert!(a.publish(ProcessId(pid), Benign));
+        }
+        assert!(b.publish(ProcessId(4), Benign));
+        // Ring full. `a` holds 3 entries, over its share of 4 / 2 live
+        // handles, so its oldest entry goes.
+        assert!(b.publish(ProcessId(5), Benign));
+        let drained = drain_all(&queues);
+        let pids: Vec<u64> = drained.iter().map(|&(_, pid, _)| pid.0).collect();
+        assert_eq!(pids, vec![2, 3, 4, 5]);
+        assert_eq!(
+            queues.stats().dropped_by_publisher.get(a.id() as usize),
+            Some(&1)
+        );
+    }
+
+    /// The priority lane runs the normal lane's overflow routine with fair
+    /// queueing off: a defended ring with every pid hot drains, drops and
+    /// coalesces exactly like an undefended one.
+    #[test]
+    fn hot_priority_lane_overflows_like_an_undefended_ring() {
+        // (handle, pid, verdict): repeated pids coalesce, fresh ones evict.
+        let script = [
+            (0, 1, Malicious),
+            (1, 2, Benign),
+            (0, 3, Malicious),
+            (1, 1, Benign),
+            (0, 4, Malicious),
+            (1, 2, Malicious),
+            (1, 5, Benign),
+            (0, 4, Benign),
+            (0, 6, Malicious),
+            (1, 5, Malicious),
+            (0, 1, Benign),
+            (1, 7, Malicious),
+        ];
+        let run = |queues: Arc<IngestQueues>| {
+            let first = IngestPublisher::new(queues.clone());
+            let handles = [first.clone(), first];
+            for &(h, pid, cls) in &script {
+                assert!(handles[h].publish(ProcessId(pid), cls));
+            }
+            (drain_all(&queues), queues.stats())
+        };
+        for policy in [OverflowPolicy::DropOldest, OverflowPolicy::Coalesce] {
+            let hints = ThreatHints::new();
+            hints.update(script.iter().map(|&(_, pid, _)| (ProcessId(pid), true)));
+            let (plain, plain_stats) = run(IngestQueues::new(1, 3, policy));
+            let hot = IngestQueues::with_defense(1, 3, policy, IngestDefense::full(), hints);
+            let (prio, prio_stats) = run(hot);
+            assert_eq!(prio, plain, "{policy:?}: drained entries differ");
+            assert!(
+                plain_stats.dropped > 0,
+                "{policy:?}: the ring never overflowed"
+            );
+            if policy == OverflowPolicy::Coalesce {
+                assert!(plain_stats.coalesced > 0, "Coalesce never merged");
+            }
+            assert_eq!(prio_stats.dropped, plain_stats.dropped, "{policy:?}");
+            assert_eq!(prio_stats.coalesced, plain_stats.coalesced, "{policy:?}");
+            assert_eq!(
+                prio_stats.dropped_by_publisher, plain_stats.dropped_by_publisher,
+                "{policy:?}"
+            );
+            assert_eq!(prio_stats.evictions_deflected, 0, "{policy:?}");
+            assert_eq!(
+                prio_stats.priority_queued, prio_stats.published,
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

@@ -430,14 +430,6 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         self.shards[shard].observe(pid, inference)
     }
 
-    /// Feeds one per-detector [`Verdict`] for one process through the
-    /// fusion tier of its owning shard (see
-    /// [`ValkyrieEngine::observe_verdict`]).
-    pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
-        let shard = self.shard_of(pid);
-        self.shards[shard].observe_verdict(pid, verdict)
-    }
-
     /// Feeds one tick's per-detector verdicts for the whole fleet. Each
     /// shard absorbs its verdicts in batch order, then fuses every touched
     /// process **once** — so a process with three members reporting this
