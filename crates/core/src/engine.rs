@@ -60,16 +60,18 @@ pub struct EngineResponse {
 }
 
 /// Configuration of the verdict-fusion tier (see
-/// [`ValkyrieEngine::absorb_verdict`]).
+/// [`ValkyrieEngine::observe_verdict_batch`]).
 ///
 /// `weights[detector_id]` is each ensemble member's fusion weight
 /// (`default_weight` for ids past the end of the table); `stale_decay`
 /// down-weights members whose last verdict outlived its cadence
 /// ([`stale_weight`]); `ladder` maps the fused evidence mass to the
-/// graduated escalation level each epoch.
+/// graduated escalation level each epoch. Detector ids run from 0 to 63:
+/// the engine drops a verdict from a higher id as no measurement, and the
+/// builder rejects a longer `weights` table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionConfig {
-    /// Per-detector fusion weights, indexed by detector id.
+    /// Per-detector fusion weights, indexed by detector id (at most 64).
     pub weights: Vec<f64>,
     /// Weight for detector ids not covered by `weights`.
     pub default_weight: f64,
@@ -256,7 +258,8 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ValkyrieError::InvalidConfig`] if `N*` was never set, is
-    /// zero, or no actuator part was supplied.
+    /// zero, no actuator part was supplied, or the fusion weights cover
+    /// more than 64 detector ids.
     pub fn build(self) -> Result<EngineConfig<CompositeActuator>, ValkyrieError> {
         let n_star = self
             .n_star
@@ -270,6 +273,11 @@ impl EngineConfigBuilder {
             return Err(ValkyrieError::InvalidConfig(
                 "at least one actuator part is required".into(),
             ));
+        }
+        if self.fusion.weights.len() > MAX_DETECTORS {
+            return Err(ValkyrieError::InvalidConfig(format!(
+                "fusion weights cover at most {MAX_DETECTORS} detector ids"
+            )));
         }
         Ok(EngineConfig {
             monitor: MonitorParams {
@@ -296,6 +304,11 @@ struct TrackedProcess {
     /// telemetry.
     level: EscalationLevel,
 }
+
+/// Detector ids at or above this are dropped at absorption: each distinct
+/// id costs a member slot per process and a `per_detector` counter, so an
+/// unbounded `u32` id would let one verdict allocate without limit.
+const MAX_DETECTORS: usize = 64;
 
 /// [`ValkyrieEngine::forget`] compacts the terminal list once it exceeds
 /// twice the map plus this many entries, so tiny maps do not compact on
@@ -420,11 +433,12 @@ pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
     procs: HashMap<ProcessId, TrackedProcess, FxBuildHasher>,
     /// Per-process fusion table: the latest evidence from each ensemble
     /// member, kept across epochs so slow members stay represented.
-    evidence: HashMap<ProcessId, FusionCell, FxBuildHasher>,
-    /// Processes with fresh evidence since the last fuse, in first-arrival
-    /// order (the response order of [`Self::fuse_step_into`]).
+    evidence: HashMap<ProcessId, Vec<MemberEvidence>, FxBuildHasher>,
+    /// Scratch for one verdict batch: the pids it touched, in first-arrival
+    /// order (the response order of [`Self::observe_verdict_batch_into`]).
+    /// Empty between calls; kept only for its allocation.
     dirty: Vec<ProcessId>,
-    /// Fusion clock: one tick per fuse pass, for staleness accounting.
+    /// Fusion clock: one tick per verdict batch, for staleness accounting.
     fusion_tick: u64,
     fusion_stats: FusionStats,
     /// Pids whose record went from live to terminated since the last
@@ -442,14 +456,6 @@ struct MemberEvidence {
     cadence: u32,
     /// Fusion tick the verdict was absorbed into.
     seen_tick: u64,
-}
-
-/// Per-process fusion state: one slot per ensemble member, plus the dirty
-/// flag keeping the pid at most once in the engine's dirty list.
-#[derive(Debug, Clone, Default)]
-struct FusionCell {
-    members: Vec<MemberEvidence>,
-    dirty: bool,
 }
 
 impl<A: Actuator + Clone> ValkyrieEngine<A> {
@@ -585,82 +591,59 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     }
 
     /// Absorbs one ensemble member's verdict into the fusion table without
-    /// advancing the monitor. The process is stepped (once, regardless of
-    /// how many members published) by the next
-    /// [`Self::fuse_step_into`].
+    /// advancing the monitor, queueing the pid on `dirty` on its first
+    /// verdict of the batch.
     ///
     /// `confidence` is a public field, so this is the boundary that
     /// sanitises it: a NaN confidence is dropped as "no measurement from
     /// this member" (one NaN would otherwise poison the fused mass and
-    /// veto every kill), and any other value is clamped into `[0, 1]`.
-    pub fn absorb_verdict(&mut self, pid: ProcessId, mut verdict: Verdict) {
-        if verdict.confidence.is_nan() {
+    /// veto every kill), and any other value is clamped into `[0, 1]`. A
+    /// detector id of `MAX_DETECTORS` or more is dropped the same way.
+    fn absorb_verdict(&mut self, pid: ProcessId, mut verdict: Verdict) {
+        if verdict.confidence.is_nan() || verdict.detector as usize >= MAX_DETECTORS {
             return;
         }
         verdict.confidence = verdict.confidence.clamp(0.0, 1.0);
         self.fusion_stats.saw(verdict.detector);
-        let cell = self.evidence.entry(pid).or_default();
+        let members = self.evidence.entry(pid).or_default();
+        // Members absorbed in this batch carry `seen_tick`; earlier batches
+        // stamped at most `fusion_tick`. So a pid is already queued iff one
+        // of its members carries the current stamp.
         let seen_tick = self.fusion_tick + 1;
-        match cell
-            .members
-            .iter_mut()
-            .find(|m| m.detector == verdict.detector)
-        {
-            Some(m) => {
-                m.confidence = verdict.confidence;
-                m.cadence = verdict.cadence;
-                m.seen_tick = seen_tick;
+        let mut queued = false;
+        let mut slot = None;
+        for (i, m) in members.iter().enumerate() {
+            queued |= m.seen_tick == seen_tick;
+            if m.detector == verdict.detector {
+                slot = Some(i);
             }
-            None => cell.members.push(MemberEvidence {
-                detector: verdict.detector,
-                confidence: verdict.confidence,
-                cadence: verdict.cadence,
-                seen_tick,
-            }),
         }
-        if !cell.dirty {
-            cell.dirty = true;
+        let fresh = MemberEvidence {
+            detector: verdict.detector,
+            confidence: verdict.confidence,
+            cadence: verdict.cadence,
+            seen_tick,
+        };
+        match slot {
+            Some(i) => members[i] = fresh,
+            None => members.push(fresh),
+        }
+        if !queued {
             self.dirty.push(pid);
         }
     }
 
-    /// Fuses all pending evidence and advances each touched process by one
-    /// monitor step, appending one response per dirty process (first-arrival
-    /// order) to `out`.
+    /// Fuses the evidence of a pid absorbed in the current batch.
+    /// `fusion_tick` must already be advanced by the caller.
     ///
     /// Members that last published longer ago than their cadence are
     /// down-weighted by the configured staleness decay, so a wedged slow
     /// member fades out instead of pinning the fused mass.
-    pub fn fuse_step_into(&mut self, out: &mut Vec<EngineResponse>) {
-        self.fusion_tick += 1;
-        let dirty = std::mem::take(&mut self.dirty);
-        out.reserve(dirty.len());
-        for pid in dirty {
-            if let Some(response) = self.fuse_one(pid) {
-                out.push(response);
-            }
-        }
-    }
-
-    /// Batch variant of [`Self::fuse_step_into`].
-    pub fn fuse_step(&mut self) -> Vec<EngineResponse> {
-        let mut out = Vec::new();
-        self.fuse_step_into(&mut out);
-        out
-    }
-
-    /// Fuses the evidence of a single dirty process (no-op when the cell is
-    /// clean). `fusion_tick` must already be advanced by the caller.
-    fn fuse_one(&mut self, pid: ProcessId) -> Option<EngineResponse> {
+    fn fuse_one(&mut self, pid: ProcessId) -> EngineResponse {
         let fusion = &self.config.fusion;
-        let cell = self.evidence.get_mut(&pid)?;
-        if !cell.dirty {
-            return None;
-        }
-        cell.dirty = false;
         let mut ev = Evidence::new();
         let mut stale = 0;
-        for m in &cell.members {
+        for m in &self.evidence[&pid] {
             let age = self.fusion_tick.saturating_sub(m.seen_tick);
             let decay = stale_weight(fusion.stale_decay, age, m.cadence);
             if decay < 1.0 {
@@ -669,37 +652,18 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             ev.add(m.confidence, fusion.weight_of(m.detector) * decay);
         }
         self.fusion_stats.stale_decayed += stale;
-        Some(self.observe_mass(pid, ev.mass()))
+        self.observe_mass(pid, ev.mass())
     }
 
-    /// Absorbs one verdict and immediately fuses the process's evidence:
-    /// the single-caller convenience path (one verdict per epoch). Batch
-    /// embedders absorb many verdicts and call
-    /// [`Self::fuse_step_into`] once per tick instead.
+    /// Feeds one tick's per-detector verdicts: absorbs the whole batch,
+    /// then fuses each touched process once and advances it by one monitor
+    /// step, appending one response per *process* with fresh evidence
+    /// (first-arrival order), not one per verdict, to `out`.
     ///
-    /// A NaN-confidence verdict is no measurement: the process is not
-    /// stepped and the response reports its current standing with
-    /// [`Action::None`].
-    pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
-        self.absorb_verdict(pid, verdict);
-        self.fusion_tick += 1;
-        // `absorb_verdict` queued the pid; consume that entry here so the
-        // next batch fuse does not re-step the process.
-        if self.dirty.last() == Some(&pid) {
-            self.dirty.pop();
-        }
-        self.fuse_one(pid).unwrap_or_else(|| EngineResponse {
-            pid,
-            state: self.state(pid).unwrap_or(ProcessState::Normal),
-            threat: self.threat(pid).unwrap_or_else(ThreatIndex::zero),
-            resources: self.resources(pid).unwrap_or(ResourceVector::FULL),
-            action: Action::None,
-        })
-    }
-
-    /// Absorbs a batch of per-detector verdicts, then fuses once: one
-    /// response per *process* with fresh evidence (first-arrival order),
-    /// not one per verdict.
+    /// This is the only way verdicts enter the engine, so each process
+    /// takes at most one Algorithm 1 step per batch however many ensemble
+    /// members spoke. A process whose every verdict this batch was dropped
+    /// (NaN confidence, or a detector id of 64 or more) is not stepped.
     pub fn observe_verdict_batch_into(
         &mut self,
         batch: &[(ProcessId, Verdict)],
@@ -708,11 +672,16 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         for &(pid, verdict) in batch {
             self.absorb_verdict(pid, verdict);
         }
-        self.fuse_step_into(out);
+        self.fusion_tick += 1;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        out.reserve(dirty.len());
+        for pid in dirty.drain(..) {
+            out.push(self.fuse_one(pid));
+        }
+        self.dirty = dirty;
     }
 
-    /// Batch variant of [`Self::observe_verdict`]; see
-    /// [`Self::observe_verdict_batch_into`].
+    /// Allocating variant of [`Self::observe_verdict_batch_into`].
     pub fn observe_verdict_batch(&mut self, batch: &[(ProcessId, Verdict)]) -> Vec<EngineResponse> {
         let mut out = Vec::new();
         self.observe_verdict_batch_into(batch, &mut out);
@@ -786,7 +755,7 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// epoch driver in [`crate::sharded`] does so every tick). After
     /// eviction a purged pid is unknown again: re-observing it registers a
     /// *fresh* process in the normal state. A purged pid's fusion evidence
-    /// goes with it, unless fresh verdicts for it await the next fuse.
+    /// goes with it.
     ///
     /// The cost is O(processes terminated since the last purge), not
     /// O(tracked): the engine queues each pid as it terminates, and this
@@ -802,11 +771,7 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             }
             slot.remove();
             purged += 1;
-            if let Entry::Occupied(cell) = self.evidence.entry(pid) {
-                if !cell.get().dirty {
-                    cell.remove();
-                }
-            }
+            self.evidence.remove(&pid);
         }
         purged
     }
@@ -845,6 +810,16 @@ mod tests {
         let err = EngineConfig::builder()
             .measurements_required(0)
             .actuator(ShareActuator::cpu_percent_point(0.1, 0.01))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ValkyrieError::InvalidConfig(_)));
+        let err = EngineConfig::builder()
+            .measurements_required(5)
+            .actuator(ShareActuator::cpu_percent_point(0.1, 0.01))
+            .fusion(FusionConfig {
+                weights: vec![1.0; MAX_DETECTORS + 1],
+                ..FusionConfig::default()
+            })
             .build()
             .unwrap_err();
         assert!(matches!(err, ValkyrieError::InvalidConfig(_)));
@@ -1096,31 +1071,32 @@ mod tests {
         ];
         for c in stream {
             let want = binary.observe(pid, c);
-            let got = fused.observe_verdict(pid, Verdict::from_classification(0, c));
-            assert_eq!(got, want);
+            let got = fused.observe_verdict_batch(&[(pid, Verdict::from_classification(0, c))]);
+            assert_eq!(got, vec![want]);
         }
         assert_eq!(fused.state(pid), Some(ProcessState::Terminated));
         assert_eq!(fused.fusion_stats().verdicts, stream.len() as u64);
     }
 
     #[test]
-    fn fuse_step_advances_each_process_once_per_tick() {
+    fn verdict_batch_advances_each_process_once_per_tick() {
         // Three members publishing in the same tick must cost the process
         // ONE monitor step, not three.
         let mut e = fusion_engine(10, FusionConfig::default());
         let pid = ProcessId(5);
-        e.absorb_verdict(pid, Verdict::new(0, 1.0));
-        e.absorb_verdict(pid, Verdict::new(1, 1.0));
-        e.absorb_verdict(pid, Verdict::new(2, 1.0));
-        let responses = e.fuse_step();
+        let responses = e.observe_verdict_batch(&[
+            (pid, Verdict::new(0, 1.0)),
+            (pid, Verdict::new(1, 1.0)),
+            (pid, Verdict::new(2, 1.0)),
+        ]);
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].action, Action::Throttle);
         assert_eq!(e.fusion_stats().verdicts, 3);
         assert_eq!(e.fusion_stats().per_detector, vec![1, 1, 1]);
         // One step was taken: a monitor at measurement 1, not 3.
         assert_eq!(e.threat(pid).unwrap().value(), 1.0);
-        // No pending evidence: an empty fuse produces no responses.
-        assert!(e.fuse_step().is_empty());
+        // An empty batch steps no process.
+        assert!(e.observe_verdict_batch(&[]).is_empty());
     }
 
     #[test]
@@ -1134,9 +1110,8 @@ mod tests {
         };
         let mut e = fusion_engine(10, fusion);
         let pid = ProcessId(1);
-        e.absorb_verdict(pid, Verdict::new(0, 0.0));
-        e.absorb_verdict(pid, Verdict::new(1, 1.0));
-        let r = e.fuse_step();
+        let r =
+            e.observe_verdict_batch(&[(pid, Verdict::new(0, 0.0)), (pid, Verdict::new(1, 1.0))]);
         assert_eq!(r[0].action, Action::Throttle);
 
         // Flipped: the heavy member says benign → mass 0.2 → no throttle.
@@ -1145,9 +1120,8 @@ mod tests {
             ..FusionConfig::default()
         };
         let mut e = fusion_engine(10, fusion);
-        e.absorb_verdict(pid, Verdict::new(0, 1.0));
-        e.absorb_verdict(pid, Verdict::new(1, 0.0));
-        let r = e.fuse_step();
+        let r =
+            e.observe_verdict_batch(&[(pid, Verdict::new(0, 1.0)), (pid, Verdict::new(1, 0.0))]);
         assert_eq!(r[0].action, Action::None);
         assert_eq!(r[0].state, ProcessState::Normal);
     }
@@ -1163,17 +1137,17 @@ mod tests {
         };
         let mut e = fusion_engine(100, fusion);
         let pid = ProcessId(9);
-        e.absorb_verdict(pid, Verdict::new(1, 1.0).with_cadence(2));
-        e.absorb_verdict(pid, Verdict::new(0, 0.0));
-        let r = e.fuse_step();
+        let r = e.observe_verdict_batch(&[
+            (pid, Verdict::new(1, 1.0).with_cadence(2)),
+            (pid, Verdict::new(0, 0.0)),
+        ]);
         // Tick 1: both fresh, mass 0.5 → Observe band on the graduated
         // ladder → no action.
         assert_eq!(r[0].action, Action::None);
         // Ticks 2-4: only the fast benign member keeps publishing. At tick
         // 4 the slow verdict is 3 ticks old (> cadence 2) and fully decays.
         for _ in 0..3 {
-            e.absorb_verdict(pid, Verdict::new(0, 0.0));
-            e.fuse_step();
+            e.observe_verdict_batch(&[(pid, Verdict::new(0, 0.0))]);
         }
         assert!(e.fusion_stats().stale_decayed > 0);
         assert_eq!(e.state(pid), Some(ProcessState::Normal));
@@ -1200,15 +1174,16 @@ mod tests {
     fn forget_and_purge_drop_fusion_evidence() {
         let mut e = fusion_engine(1, FusionConfig::default());
         let pid = ProcessId(1);
-        e.observe_verdict(pid, Verdict::new(0, 1.0));
-        let r = e.observe_verdict(pid, Verdict::new(0, 1.0));
-        assert_eq!(r.action, Action::Terminate);
+        let malicious = [(pid, Verdict::new(0, 1.0))];
+        e.observe_verdict_batch(&malicious);
+        let r = e.observe_verdict_batch(&malicious);
+        assert_eq!(r[0].action, Action::Terminate);
         assert_eq!(e.purge_terminated(), 1);
         // The purged pid's evidence went with it: a fresh verdict registers
         // a fresh process (a stale one would short-circuit with Terminate).
-        let r = e.observe_verdict(pid, Verdict::new(0, 0.0));
-        assert_eq!(r.action, Action::None);
-        assert_eq!(r.state, ProcessState::Terminable);
+        let r = e.observe_verdict_batch(&[(pid, Verdict::new(0, 0.0))]);
+        assert_eq!(r[0].action, Action::None);
+        assert_eq!(r[0].state, ProcessState::Terminable);
     }
 
     /// Drives `pid` to termination on an `N* = 2` engine.
@@ -1265,27 +1240,6 @@ mod tests {
         terminate(&mut e, pid);
         assert_eq!(e.purge_terminated(), 1);
         assert_eq!(e.tracked(), 0);
-    }
-
-    #[test]
-    fn purge_keeps_the_dirty_evidence_of_a_purged_pid() {
-        let mut e = fusion_engine(1, FusionConfig::default());
-        let pid = ProcessId(1);
-        e.observe_verdict(pid, Verdict::new(0, 1.0));
-        assert_eq!(
-            e.observe_verdict(pid, Verdict::new(0, 1.0)).action,
-            Action::Terminate
-        );
-        // A fresh verdict arrives before the purge: its cell is dirty.
-        e.absorb_verdict(pid, Verdict::new(0, 0.0));
-        assert_eq!(e.purge_terminated(), 1);
-        assert_eq!(e.state(pid), None);
-        // The kept evidence is fused into a fresh registration.
-        let r = e.fuse_step();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].pid, pid);
-        assert_eq!(r[0].state, ProcessState::Terminable);
-        assert_eq!(e.tracked(), 1);
     }
 
     #[test]

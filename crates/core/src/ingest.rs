@@ -14,7 +14,7 @@
 //!
 //! # Architecture
 //!
-//! One bounded MPSC ring per engine shard ([`IngestQueues`] owns them all).
+//! One bounded MPSC ring per engine shard (`IngestQueues` owns them all).
 //! Publishing routes each observation to the ring of the shard that owns
 //! its pid (the same [`mix64`](crate::hash::mix64)-based placement the
 //! batch path uses), so draining a shard's ring never crosses shard
@@ -383,7 +383,7 @@ impl<P> ShardRing<P> {
 /// embedders interact with it through the publisher and the engine's
 /// drain methods.
 #[derive(Debug)]
-pub struct IngestQueues<P = Classification> {
+pub(crate) struct IngestQueues<P = Classification> {
     rings: Vec<ShardRing<P>>,
     capacity: usize,
     policy: OverflowPolicy,

@@ -90,16 +90,14 @@ pub use evasion::{
     StepDown,
 };
 pub use fleet::FleetEngine;
-pub use ingest::{
-    CoalesceKey, IngestDefense, IngestPublisher, IngestQueues, OverflowPolicy, ThreatHints,
-};
+pub use ingest::{CoalesceKey, IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
 pub use migration::{migration_progress, MigrationPolicy};
 pub use monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
 pub use resource::{ProcessId, ResourceKind, ResourceVector};
 pub use sharded::{host_parallelism, ShardedEngine};
 pub use slowdown::{simulate_response, slowdown_percent, ResponseTrace};
 pub use state::ProcessState;
-pub use telemetry::{FusionStats, IngestStats, LogEntry, ProcessSummary, ResponseLog};
+pub use telemetry::{FusionStats, IngestStats};
 pub use threat::{stale_weight, AssessmentFn, Classification, Evidence, ThreatIndex, Verdict};
 
 /// Convenient glob import of the crate's primary types.

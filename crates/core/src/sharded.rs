@@ -388,11 +388,11 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 
     /// Total capacity (in elements) currently retained by the fan-out
-    /// scratch, summed over the partition buckets and the reply lists.
-    /// Exposed so tests can pin the shrink policy: after an outlier batch
-    /// the capacity must return to steady state instead of staying at its
-    /// peak.
-    pub fn scratch_capacity(&self) -> usize {
+    /// scratch, summed over the partition buckets and the reply lists, so
+    /// tests can pin the shrink policy: after an outlier batch the capacity
+    /// must return to steady state instead of staying at its peak.
+    #[cfg(test)]
+    fn scratch_capacity(&self) -> usize {
         self.buckets.iter().map(Vec::capacity).sum::<usize>()
             + self.replies.iter().map(Vec::capacity).sum::<usize>()
     }

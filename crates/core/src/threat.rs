@@ -49,6 +49,8 @@ pub fn clamp_metric(x: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Verdict {
     /// Stable detector id within its ensemble (indexes fusion weights).
+    /// Ids below 64 are fused; the engine drops a verdict from a higher id
+    /// as no measurement.
     pub detector: u32,
     /// Malicious confidence in `[0, 1]`; `1.0` means certainly malicious.
     pub confidence: f64,
@@ -61,7 +63,7 @@ impl Verdict {
     ///
     /// The confidence is clamped into `[0, 1]`; NaN passes through and is
     /// dropped as "no measurement" when the engine absorbs the verdict
-    /// ([`ValkyrieEngine::absorb_verdict`](crate::ValkyrieEngine::absorb_verdict)).
+    /// ([`ValkyrieEngine::observe_verdict_batch`](crate::ValkyrieEngine::observe_verdict_batch)).
     pub fn new(detector: u32, confidence: f64) -> Self {
         Self {
             detector,

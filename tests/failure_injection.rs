@@ -215,49 +215,6 @@ fn perverse_detector_rates_keep_evasion_invariants() {
     }
 }
 
-#[test]
-fn response_log_stays_consistent_under_process_churn() {
-    use valkyrie::core::telemetry::ResponseLog;
-    let mut rng = StdRng::seed_from_u64(0x106);
-    let mut e = ValkyrieEngine::new(engine(15));
-    let mut log = ResponseLog::new();
-    let mut live: Vec<ProcessId> = (0..8).map(ProcessId).collect();
-    for epoch in 0..500u64 {
-        if rng.gen_bool(0.05) {
-            live.push(ProcessId(1000 + epoch));
-        }
-        for &pid in &live {
-            let c = if rng.gen_bool(0.2) {
-                Classification::Malicious
-            } else {
-                Classification::Benign
-            };
-            let r = e.observe(pid, c);
-            log.record(epoch, &r);
-        }
-        live.retain(|&pid| e.state(pid) != Some(ProcessState::Terminated));
-    }
-    // The log's per-process epoch counts must sum to the entry count, and
-    // every summary must be internally consistent.
-    let mut total = 0;
-    let mut seen = 0;
-    for entry in log.entries() {
-        let _ = entry;
-        total += 1;
-    }
-    for pid in (0..8).map(ProcessId).chain((1000..1500).map(ProcessId)) {
-        if let Some(s) = log.summary(pid) {
-            seen += s.epochs_observed;
-            assert!(s.throttled_epochs <= s.epochs_observed);
-            assert!((0.0..=1.0).contains(&s.min_cpu_share));
-            assert!((0.0..=1.0).contains(&s.mean_cpu_share()));
-            assert!((0.0..=100.0).contains(&s.peak_threat));
-        }
-    }
-    assert_eq!(seen as usize, total);
-    assert_eq!(log.len(), total);
-}
-
 /// A detector that wedges forever — it holds a publisher for the engine's
 /// ingest rings but never publishes a single verdict — must not stall the
 /// async epoch driver: `drain_tick` keeps returning on schedule, healthy
@@ -374,13 +331,47 @@ fn nan_confidence_member_cannot_veto_a_kill() {
     let poisoned = fused_kill_epoch(&[Verdict::new(0, f64::NAN), Verdict::new(1, 1.0)]);
     assert_eq!(poisoned, control);
 
-    // The single-verdict path answers a lone NaN with the process's
-    // current standing instead of stepping it.
+    // A lone NaN verdict is no measurement: the process is neither stepped
+    // nor registered.
     let mut e = ValkyrieEngine::new(engine(5));
-    let r = e.observe_verdict(ProcessId(1), Verdict::new(0, f64::NAN));
-    assert_eq!(r.action, Action::None);
-    assert!(r.threat.is_zero());
+    let r = e.observe_verdict_batch(&[(ProcessId(1), Verdict::new(0, f64::NAN))]);
+    assert!(r.is_empty());
+    assert_eq!(e.tracked(), 0);
     assert_eq!(e.fusion_stats().verdicts, 0);
+}
+
+/// `detector` is a public `u32` any publisher picks. Each distinct id costs
+/// a member slot per process and a per-detector counter, so an id of
+/// `u32::MAX` used to ask for a 32 GiB counter vector and abort the
+/// process. Ids past the engine's bound are now no measurement, like NaN.
+#[test]
+fn out_of_range_detector_id_is_no_measurement() {
+    let huge = Verdict {
+        detector: u32::MAX,
+        confidence: 1.0,
+        cadence: 1,
+    };
+    let run = |with_huge: bool| {
+        let mut e = ShardedEngine::new(engine(3), 2);
+        let responses: Vec<Vec<EngineResponse>> = (0..6u64)
+            .map(|epoch| {
+                let mut batch = vec![
+                    (ProcessId(1), Verdict::new(0, 1.0)),
+                    (ProcessId(2), Verdict::new(1, 0.0)),
+                ];
+                if with_huge {
+                    batch.insert(1, (ProcessId(1 + epoch % 3), huge));
+                }
+                e.observe_verdict_batch(&batch)
+            })
+            .collect();
+        (responses, e.fusion_stats())
+    };
+    let (clean, clean_stats) = run(false);
+    let (mixed, mixed_stats) = run(true);
+    assert_eq!(mixed, clean);
+    assert_eq!(mixed_stats, clean_stats);
+    assert!(mixed_stats.per_detector.len() <= 64);
 }
 
 /// `confidence` is a public field: struct-literal verdicts are sanitised at

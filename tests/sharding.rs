@@ -113,6 +113,92 @@ proptest! {
     }
 }
 
+/// One tick of the verdict path: a batch of `(pid, detector, cadence,
+/// confidence index)` verdicts plus an optional pid to forget afterwards.
+type VerdictTick = (Vec<(u64, u32, u32, usize)>, bool, u64);
+
+/// Confidences the verdict property draws from, NaN (no measurement)
+/// included.
+const CONFIDENCES: [f64; 6] = [0.0, 0.3, 0.5, 0.7, 1.0, f64::NAN];
+
+fn fused_config(n_star: u64, cyclic: bool) -> EngineConfig {
+    EngineConfig::builder()
+        .measurements_required(n_star)
+        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+        .cyclic(cyclic)
+        .fusion(FusionConfig {
+            weights: vec![1.0, 2.0, 0.5],
+            stale_decay: 0.5,
+            ..FusionConfig::default()
+        })
+        .build()
+        .unwrap()
+}
+
+fn verdict_ticks() -> impl Strategy<Value = Vec<VerdictTick>> {
+    let verdict = (0u64..24, 0u32..3, 1u32..=3, 0usize..CONFIDENCES.len());
+    prop::collection::vec(
+        (
+            prop::collection::vec(verdict, 0..41),
+            prop::bool::ANY,
+            0u64..24,
+        ),
+        1..17,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fused verdict batches with purges and forgets between ticks: every
+    /// shard count answers each tick exactly like one engine, and each
+    /// process with a usable verdict takes exactly one step per tick.
+    #[test]
+    fn sharded_verdict_path_is_equivalent_to_a_single_shard(
+        ticks in verdict_ticks(),
+        n_star in 1u64..6,
+        cyclic in prop::bool::ANY,
+    ) {
+        for shards in SHARD_COUNTS {
+            let mut sharded = ShardedEngine::new(fused_config(n_star, cyclic), shards);
+            let mut single = ValkyrieEngine::new(fused_config(n_star, cyclic));
+            for (tick, (raw, forget, forget_pid)) in ticks.iter().enumerate() {
+                let batch: Vec<(ProcessId, Verdict)> = raw
+                    .iter()
+                    .map(|&(pid, detector, cadence, c)| {
+                        let verdict = Verdict::new(detector, CONFIDENCES[c]).with_cadence(cadence);
+                        (ProcessId(pid), verdict)
+                    })
+                    .collect();
+                let mut got = sharded.observe_verdict_batch(&batch);
+                let mut want = single.observe_verdict_batch(&batch);
+                got.sort_by_key(|r| r.pid.0);
+                want.sort_by_key(|r| r.pid.0);
+                prop_assert_eq!(&got, &want, "shards={}, tick={}", shards, tick);
+
+                let mut measured: Vec<u64> = raw
+                    .iter()
+                    .filter(|&&(_, _, _, c)| !CONFIDENCES[c].is_nan())
+                    .map(|&(pid, ..)| pid)
+                    .collect();
+                measured.sort_unstable();
+                measured.dedup();
+                let responded: Vec<u64> = want.iter().map(|r| r.pid.0).collect();
+                prop_assert_eq!(&responded, &measured, "shards={}, tick={}", shards, tick);
+
+                sharded.purge_terminated();
+                single.purge_terminated();
+                if *forget {
+                    sharded.forget(ProcessId(*forget_pid));
+                    single.forget(ProcessId(*forget_pid));
+                }
+                prop_assert_eq!(sharded.tracked(), single.tracked());
+                prop_assert_eq!(&sharded.fusion_stats(), single.fusion_stats());
+            }
+        }
+    }
+}
+
 /// Two identical runs of the same sharded deployment are bit-identical —
 /// shard placement and batch fan-out introduce no run-to-run variation.
 #[test]
