@@ -64,21 +64,29 @@ pub struct EngineResponse {
 ///
 /// `weights[detector_id]` is each ensemble member's fusion weight
 /// (`default_weight` for ids past the end of the table); `stale_decay`
-/// down-weights members whose last verdict outlived its cadence
-/// ([`stale_weight`]); `ladder` maps the fused evidence mass to the
-/// graduated escalation level each epoch. Detector ids run from 0 to 63:
-/// the engine drops a verdict from a higher id as no measurement, and the
-/// builder rejects a longer `weights` table.
+/// down-weights a member whose last verdict is `age` epochs old by
+/// `stale_decay^(age − cadence)` once it is overdue; `ladder` maps the
+/// fused evidence mass to the graduated escalation level each epoch.
+/// Detector ids run from 0 to 63: the engine drops a verdict from a higher
+/// id as no measurement, and the builder rejects a longer `weights` table.
+///
+/// [`EngineConfigBuilder::build`] rejects a config whose fused mass could
+/// come out NaN, since NaN engages no rung and would veto every kill: the
+/// rules are stated on each field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionConfig {
     /// Per-detector fusion weights, indexed by detector id (at most 64).
+    /// Each is positive, and 64 times it is still finite (a fused mass sums
+    /// at most 64 weights).
     pub weights: Vec<f64>,
-    /// Weight for detector ids not covered by `weights`.
+    /// Weight for detector ids not covered by `weights`; the same rule as
+    /// for `weights` applies.
     pub default_weight: f64,
-    /// Per-overdue-epoch weight multiplier for stale verdicts
+    /// Per-overdue-epoch weight multiplier for stale verdicts, in `[0, 1]`
     /// (1.0 disables staleness decay).
     pub stale_decay: f64,
-    /// The escalation ladder driven by the fused mass.
+    /// The escalation ladder driven by the fused mass. Every threshold is
+    /// in `[0, 1]`, with `compensate_below <= throttle_above <= kill_above`.
     pub ladder: EscalationLadder,
 }
 
@@ -96,11 +104,41 @@ impl Default for FusionConfig {
 
 impl FusionConfig {
     /// The fusion weight of a detector id.
-    pub fn weight_of(&self, detector: u32) -> f64 {
+    fn weight_of(&self, detector: u32) -> f64 {
         self.weights
             .get(detector as usize)
             .copied()
             .unwrap_or(self.default_weight)
+    }
+
+    /// Checks the rules stated on the fields, naming the first one broken.
+    fn validate(&self) -> Result<(), String> {
+        if self.weights.len() > MAX_DETECTORS {
+            return Err(format!(
+                "fusion weights cover at most {MAX_DETECTORS} detector ids"
+            ));
+        }
+        let bounded = |w: f64| w > 0.0 && (w * MAX_DETECTORS as f64).is_finite();
+        if !self.weights.iter().all(|&w| bounded(w)) || !bounded(self.default_weight) {
+            return Err(format!(
+                "fusion weights must be positive and finite when summed {MAX_DETECTORS} times"
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.stale_decay) {
+            return Err("fusion stale_decay must be in [0, 1]".into());
+        }
+        // Written so that a NaN threshold fails a comparison.
+        let l = &self.ladder;
+        let ordered = 0.0 <= l.compensate_below
+            && l.compensate_below <= l.throttle_above
+            && l.throttle_above <= l.kill_above
+            && l.kill_above <= 1.0;
+        if !ordered {
+            return Err("ladder thresholds must satisfy \
+                 0 <= compensate_below <= throttle_above <= kill_above <= 1"
+                .into());
+        }
+        Ok(())
     }
 }
 
@@ -258,8 +296,8 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ValkyrieError::InvalidConfig`] if `N*` was never set, is
-    /// zero, no actuator part was supplied, or the fusion weights cover
-    /// more than 64 detector ids.
+    /// zero, no actuator part was supplied, or the fusion config breaks a
+    /// rule stated on [`FusionConfig`]'s fields.
     pub fn build(self) -> Result<EngineConfig<CompositeActuator>, ValkyrieError> {
         let n_star = self
             .n_star
@@ -274,11 +312,9 @@ impl EngineConfigBuilder {
                 "at least one actuator part is required".into(),
             ));
         }
-        if self.fusion.weights.len() > MAX_DETECTORS {
-            return Err(ValkyrieError::InvalidConfig(format!(
-                "fusion weights cover at most {MAX_DETECTORS} detector ids"
-            )));
-        }
+        self.fusion
+            .validate()
+            .map_err(ValkyrieError::InvalidConfig)?;
         Ok(EngineConfig {
             monitor: MonitorParams {
                 n_star,

@@ -98,7 +98,7 @@ pub use sharded::{host_parallelism, ShardedEngine};
 pub use slowdown::{simulate_response, slowdown_percent, ResponseTrace};
 pub use state::ProcessState;
 pub use telemetry::{FusionStats, IngestStats};
-pub use threat::{stale_weight, AssessmentFn, Classification, Evidence, ThreatIndex, Verdict};
+pub use threat::{AssessmentFn, Classification, ThreatIndex, Verdict};
 
 /// Convenient glob import of the crate's primary types.
 pub mod prelude {
@@ -116,5 +116,5 @@ pub mod prelude {
     pub use crate::slowdown::{simulate_response, slowdown_percent};
     pub use crate::state::ProcessState;
     pub use crate::telemetry::{FusionStats, IngestStats};
-    pub use crate::threat::{AssessmentFn, Classification, Evidence, ThreatIndex, Verdict};
+    pub use crate::threat::{AssessmentFn, Classification, ThreatIndex, Verdict};
 }

@@ -52,7 +52,7 @@ pub enum EscalationLevel {
 impl EscalationLevel {
     /// The level the legacy binary path implies for a directive (used to
     /// stamp [`StepReport::level`] on [`Monitor::observe`] steps).
-    pub fn from_directive(directive: Directive) -> Self {
+    fn from_directive(directive: Directive) -> Self {
         match directive {
             Directive::Terminate => EscalationLevel::Kill,
             Directive::Adjust { delta_threat } if delta_threat > 0.0 => EscalationLevel::Throttle,

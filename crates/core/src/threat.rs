@@ -89,16 +89,6 @@ impl Verdict {
     pub fn from_classification(detector: u32, c: Classification) -> Self {
         Self::new(detector, if c.is_malicious() { 1.0 } else { 0.0 })
     }
-
-    /// Collapses the verdict back to the binary classification the legacy
-    /// path would have seen (malicious iff confidence strictly above 0.5).
-    pub fn classification(&self) -> Classification {
-        if self.confidence > 0.5 {
-            Classification::Malicious
-        } else {
-            Classification::Benign
-        }
-    }
 }
 
 /// Weighted-evidence accumulator: folds per-detector confidences into one
@@ -107,23 +97,22 @@ impl Verdict {
 /// The mass is the weighted mean of the contributed confidences. With unit
 /// weights and binary confidences it reduces to the vote fraction
 /// `malicious / total`, which is why the legacy combination rules are a
-/// degenerate configuration of the fusion layer (see
-/// `valkyrie_detect::FusionEngine`).
+/// degenerate configuration of the fusion layer.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Evidence {
+pub(crate) struct Evidence {
     weighted: f64,
     total: f64,
 }
 
 impl Evidence {
     /// An empty accumulator (mass 0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one detector's confidence with the given weight. Non-positive
     /// weights contribute nothing (a fully-decayed stale verdict).
-    pub fn add(&mut self, confidence: f64, weight: f64) {
+    pub(crate) fn add(&mut self, confidence: f64, weight: f64) {
         if weight > 0.0 {
             self.weighted += confidence * weight;
             self.total += weight;
@@ -132,22 +121,12 @@ impl Evidence {
 
     /// The fused evidence mass: weighted mean confidence in `[0, 1]`
     /// (`0.0` when nothing was accumulated).
-    pub fn mass(&self) -> f64 {
+    pub(crate) fn mass(&self) -> f64 {
         if self.total > 0.0 {
             self.weighted / self.total
         } else {
             0.0
         }
-    }
-
-    /// Total weight accumulated so far.
-    pub fn total_weight(&self) -> f64 {
-        self.total
-    }
-
-    /// True when no evidence carried weight.
-    pub fn is_empty(&self) -> bool {
-        self.total <= 0.0
     }
 }
 
@@ -157,7 +136,7 @@ impl Evidence {
 ///
 /// `decay = 1.0` disables staleness (a slow member keeps full weight
 /// forever); `decay = 0.0` drops an overdue member entirely.
-pub fn stale_weight(decay: f64, age: u64, cadence: u32) -> f64 {
+pub(crate) fn stale_weight(decay: f64, age: u64, cadence: u32) -> f64 {
     let overdue = age.saturating_sub(u64::from(cadence));
     if overdue == 0 {
         1.0
@@ -382,17 +361,8 @@ mod tests {
 
     #[test]
     fn verdict_clamps_confidence_and_round_trips_classification() {
-        let v = Verdict::new(3, 1.7);
-        assert_eq!(v.confidence, 1.0);
-        assert_eq!(v.classification(), Classification::Malicious);
-        let v = Verdict::new(0, -0.2);
-        assert_eq!(v.confidence, 0.0);
-        assert_eq!(v.classification(), Classification::Benign);
-        // Exactly 0.5 is benign, matching the legacy majority tie rule.
-        assert_eq!(
-            Verdict::new(1, 0.5).classification(),
-            Classification::Benign
-        );
+        assert_eq!(Verdict::new(3, 1.7).confidence, 1.0);
+        assert_eq!(Verdict::new(0, -0.2).confidence, 0.0);
         let v = Verdict::from_classification(2, Classification::Malicious).with_cadence(4);
         assert_eq!((v.detector, v.confidence, v.cadence), (2, 1.0, 4));
     }
@@ -406,12 +376,10 @@ mod tests {
     #[test]
     fn evidence_mass_is_weighted_mean() {
         let mut e = Evidence::new();
-        assert!(e.is_empty());
         assert_eq!(e.mass(), 0.0);
         e.add(1.0, 1.0);
         e.add(0.0, 3.0);
         assert_eq!(e.mass(), 0.25);
-        assert_eq!(e.total_weight(), 4.0);
         // Non-positive weights contribute nothing.
         e.add(1.0, 0.0);
         e.add(1.0, -2.0);

@@ -304,7 +304,7 @@ mod tests {
     }
 
     /// Pins the degenerate corners of every rule on an empty vote count
-    /// (`total == 0`) — the fusion threshold mapping must reproduce these.
+    /// (`total == 0`).
     #[test]
     fn degenerate_empty_totals_per_rule() {
         assert_eq!(CombinationRule::Any.decide(0, 0), Benign);

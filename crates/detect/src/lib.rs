@@ -36,7 +36,6 @@
 
 pub mod efficacy;
 pub mod ensemble;
-pub mod fusion;
 pub mod latency;
 pub mod ml_backed;
 pub mod scripted;
@@ -45,7 +44,6 @@ pub mod voting;
 
 pub use efficacy::{measure_efficacy, measure_efficacy_votes, EfficacyGrid};
 pub use ensemble::{CombinationRule, EnsembleDetector, MultiLevelDetector};
-pub use fusion::{FusionEngine, FusionMember};
 pub use latency::LatencyModel;
 pub use ml_backed::{LstmDetector, MajorityVoteDetector, PooledDetector};
 pub use scripted::ScriptedDetector;

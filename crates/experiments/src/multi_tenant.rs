@@ -137,7 +137,7 @@ pub struct FusionTier {
     /// cadence and is staleness-decayed by the fusion table.
     pub slow_dropout: f64,
     /// Per-epoch decay applied to a member's weight once its verdict is
-    /// older than its cadence ([`valkyrie_core::stale_weight`]).
+    /// older than its cadence: `stale_decay^(age − cadence)` once overdue.
     pub stale_decay: f64,
     /// Verdict-ingest ring capacity, in verdicts per shard.
     pub capacity: usize,

@@ -398,6 +398,75 @@ fn struct_literal_confidences_are_clamped_at_absorption() {
     }
 }
 
+/// A fusion config whose fused mass can come out NaN (an infinite or NaN
+/// weight, two weights whose sum overflows) or whose kill rung is NaN used
+/// to build, and then left a unanimous attacker at Terminable with threat 0
+/// and full shares forever: NaN engages no rung. The builder now rejects
+/// every such config, and the shipped ladders still build.
+#[test]
+fn fusion_configs_that_veto_every_kill_are_rejected() {
+    let build = |fusion: FusionConfig| {
+        EngineConfig::builder()
+            .measurements_required(3)
+            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+            .fusion(fusion)
+            .build()
+    };
+    let with_weights = |weights: Vec<f64>| FusionConfig {
+        weights,
+        ..FusionConfig::default()
+    };
+    let with_ladder = |kill_above, throttle_above, compensate_below| FusionConfig {
+        ladder: EscalationLadder {
+            kill_above,
+            throttle_above,
+            compensate_below,
+        },
+        ..FusionConfig::default()
+    };
+    let vetoes = [
+        FusionConfig {
+            default_weight: f64::INFINITY,
+            ..FusionConfig::default()
+        },
+        with_weights(vec![f64::INFINITY, 1.0]),
+        with_weights(vec![f64::NAN, f64::NAN]),
+        with_weights(vec![f64::MAX, f64::MAX]),
+        with_weights(vec![0.0, 1.0]),
+        with_weights(vec![-1.0, 1.0]),
+        FusionConfig {
+            stale_decay: f64::NAN,
+            ..FusionConfig::default()
+        },
+        FusionConfig {
+            stale_decay: 2.0,
+            ..FusionConfig::default()
+        },
+        with_ladder(f64::NAN, 0.6, 0.35),
+        with_ladder(0.35, 0.6, 0.85),
+        with_ladder(1.5, 0.6, 0.35),
+        with_ladder(0.85, 0.6, -0.1),
+    ];
+    for fusion in vetoes {
+        let err = build(fusion.clone()).unwrap_err();
+        assert!(
+            matches!(err, ValkyrieError::InvalidConfig(_)),
+            "{fusion:?} built"
+        );
+    }
+    for ladder in [
+        EscalationLadder::default(),
+        EscalationLadder::graduated(),
+        EscalationLadder::BINARY,
+    ] {
+        let fusion = FusionConfig {
+            ladder,
+            ..FusionConfig::default()
+        };
+        assert!(build(fusion).is_ok(), "{ladder:?} rejected");
+    }
+}
+
 /// An actuator that panics the moment its process's threat rises: in the
 /// test below only one pid is ever flagged, so it fires for that pid alone.
 #[derive(Debug, Clone)]

@@ -446,14 +446,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fusing uniformly weighted binary verdicts with a majority threshold
-    /// reproduces `CombinationRule::Majority` **bit-for-bit**: the
-    /// `FusionEngine` answers exactly like the legacy `EnsembleDetector`
-    /// across ensemble sizes {1, 3, 5}, and carrying the fused decision
-    /// through the engine's weighted-evidence verdict path (unit weight,
-    /// binary escalation ladder) leaves every response — threat values
-    /// included — identical to the legacy classification path across shard
-    /// counts {1, 2, 7}.
+    /// Fusing uniformly weighted binary verdicts under the binary ladder
+    /// reproduces the legacy classification path **bit-for-bit**: the
+    /// `CombinationRule::Majority` decision stream of an `EnsembleDetector`
+    /// of size {1, 3, 5}, lifted into unit-weight verdicts, leaves every
+    /// engine response — threat values included — identical to feeding the
+    /// decisions themselves, across shard counts {1, 2, 7}.
     #[test]
     fn unit_weight_majority_fusion_matches_legacy_ensemble(
         scripts in prop::collection::vec(classification_seq(12), 5),
@@ -462,38 +460,26 @@ proptest! {
         n_star in 1u64..8,
     ) {
         use valkyrie::core::{EscalationLadder, FusionConfig, ShardedEngine, Verdict};
-        use valkyrie::detect::{
-            CombinationRule, Detector, EnsembleDetector, FusionEngine, ScriptedDetector,
-        };
+        use valkyrie::detect::{CombinationRule, Detector, EnsembleDetector, ScriptedDetector};
         use valkyrie::hpc::SampleWindow;
 
         let size = [1usize, 3, 5][size_idx];
         let shards = [1usize, 2, 7][shard_idx];
         let epochs = 12usize;
 
-        let members = || -> Vec<Box<dyn Detector>> {
-            scripts[..size]
-                .iter()
-                .map(|s| Box::new(ScriptedDetector::cycle(s.clone())) as Box<dyn Detector>)
-                .collect()
-        };
-        let mut legacy = EnsembleDetector::new("legacy", members(), CombinationRule::Majority);
-        let mut fused = FusionEngine::from_rule("fused", members(), CombinationRule::Majority);
-
-        // Detector level: identical decisions, epoch by epoch.
+        let members: Vec<Box<dyn Detector>> = scripts[..size]
+            .iter()
+            .map(|s| Box::new(ScriptedDetector::cycle(s.clone())) as Box<dyn Detector>)
+            .collect();
+        let mut ensemble = EnsembleDetector::new("legacy", members, CombinationRule::Majority);
         let window = SampleWindow::new(4);
-        let pid = ProcessId(1);
-        let mut decisions = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let want = legacy.infer(pid, &window);
-            let got = fused.infer(pid, &window);
-            prop_assert_eq!(got, want);
-            decisions.push(want);
-        }
+        let decisions: Vec<Classification> = (0..epochs)
+            .map(|_| ensemble.infer(ProcessId(1), &window))
+            .collect();
 
-        // Engine level: the fused decision stream, lifted into unit-weight
-        // verdicts under the binary ladder, yields bit-identical responses
-        // to the legacy binary path — across processes spread over shards.
+        // The decision stream, lifted into unit-weight verdicts under the
+        // binary ladder, yields bit-identical responses to the legacy
+        // binary path — across processes spread over shards.
         let build = |fusion: Option<FusionConfig>| {
             let mut b = EngineConfig::builder()
                 .measurements_required(n_star)
@@ -645,6 +631,71 @@ proptest! {
         prop_assert_eq!(template.encrypted_bytes(), 0);
         prop_assert_eq!(a.filesystem().total_bytes(), template.total_bytes());
         prop_assert_eq!(b.filesystem().total_bytes(), template.total_bytes());
+    }
+}
+
+proptest! {
+    // Most drawn configs are rejected; this many cases let about two dozen
+    // build.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Any fusion config the builder accepts lets a unanimous attacker be
+    /// killed. Two members at confidence 1.0 every batch fuse to mass
+    /// exactly 1.0 (the weighted sum and the total weight are the same
+    /// sum), so with `kill_above < 1` the pid is terminated at batch N*+1
+    /// and not before. A config that would make the mass NaN (a NaN,
+    /// infinite or overflowing weight) or the kill rung unreachable must be
+    /// rejected by the builder instead.
+    #[test]
+    fn any_accepted_fusion_config_kills_a_unanimous_attacker_at_n_star_plus_one(
+        w0 in 0usize..8,
+        w1 in 0usize..8,
+        w_default in 0usize..8,
+        decay_idx in 0usize..6,
+        ladder_idx in 0usize..5,
+        n_star in 1u64..8,
+        cyclic in prop::bool::ANY,
+    ) {
+        const WEIGHTS: [f64; 8] =
+            [f64::NAN, -1.0, 0.0, 1e-300, 0.5, 4.0, f64::MAX, f64::INFINITY];
+        const DECAYS: [f64; 6] = [f64::NAN, -0.5, 0.0, 0.5, 1.0, 2.0];
+        let g = EscalationLadder::graduated();
+        let ladder = [
+            EscalationLadder::BINARY,
+            g,
+            EscalationLadder { kill_above: f64::NAN, ..g },
+            EscalationLadder {
+                kill_above: g.compensate_below,
+                compensate_below: g.kill_above,
+                ..g
+            },
+            EscalationLadder { kill_above: 1.0, ..g },
+        ][ladder_idx];
+        let built = EngineConfig::builder()
+            .measurements_required(n_star)
+            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+            .cyclic(cyclic)
+            .fusion(FusionConfig {
+                weights: vec![WEIGHTS[w0], WEIGHTS[w1]],
+                default_weight: WEIGHTS[w_default],
+                stale_decay: DECAYS[decay_idx],
+                ladder,
+            })
+            .build();
+        let Ok(config) = built else {
+            return Ok(());
+        };
+        if ladder.kill_above >= 1.0 {
+            return Ok(());
+        }
+        let mut engine = ValkyrieEngine::new(config);
+        let pid = ProcessId(1);
+        let batch = [(pid, Verdict::new(0, 1.0)), (pid, Verdict::new(1, 1.0))];
+        for b in 1..=n_star + 1 {
+            let r = engine.observe_verdict_batch(&batch);
+            prop_assert_eq!(r.len(), 1);
+            prop_assert_eq!(r[0].action == Action::Terminate, b == n_star + 1, "batch {}", b);
+        }
     }
 }
 
