@@ -203,6 +203,39 @@ fn capture_fig5a() -> Vec<(String, u64, u64, bool)> {
         .collect()
 }
 
+/// The Section V-C worked example, one row per actuator interpretation:
+/// `(interpretation, attack_pct, false_positive_pct)`.
+fn capture_analytic() -> Vec<(&'static str, f64, f64)> {
+    x::analytic::run()
+        .rows
+        .into_iter()
+        .map(|r| (r.interpretation, r.attack_pct, r.false_positive_pct))
+        .collect()
+}
+
+/// The four design-choice sweeps, one `(config, attack_slowdown_pct,
+/// fp_slowdown_pct)` row per data point, keyed by sweep name.
+#[allow(clippy::type_complexity)]
+fn capture_ablations() -> Vec<(&'static str, Vec<(String, f64, f64)>)> {
+    use x::ablations as a;
+    [
+        a::assessment_functions(),
+        a::actuator_laws(),
+        a::n_star_sensitivity(),
+        a::resource_floor(),
+    ]
+    .into_iter()
+    .map(|r| {
+        let rows = r
+            .rows
+            .into_iter()
+            .map(|row| (row.config, row.attack_slowdown_pct, row.fp_slowdown_pct))
+            .collect();
+        (r.name, rows)
+    })
+    .collect()
+}
+
 /// Prints the current values as Rust literals (for regeneration).
 #[test]
 #[ignore]
@@ -250,6 +283,20 @@ fn print_golden_values() {
             "    (\"{label}\", {floor:?}, {prog:?}, {killed:?}, {epoch:?}, {fixed:?}, {gap:?}),"
         );
     }
+    println!("// --- analytic rows ---");
+    for (name, attack, fp) in capture_analytic() {
+        println!("    (\"{name}\", {attack:?}, {fp:?}),");
+    }
+    println!("// --- ablation sweeps ---");
+    for (name, rows) in capture_ablations() {
+        println!("    (\"{name}\", &[");
+        for (config, attack, fp) in rows {
+            println!("        (\"{config}\", {attack:?}, {fp:?}),");
+        }
+        println!("    ]),");
+    }
+    println!("// --- ablations report ---");
+    println!("{:?}", x::ablations::run());
     println!("// --- adaptive probe quick ---");
     for (label, family, est, hit, floor) in capture_adaptive_probe() {
         println!("    (\"{label}\", \"{family}\", {est:?}, {hit}, {floor:?}),");
@@ -939,4 +986,152 @@ fn fig5a_quick_rows_are_bit_identical_to_seed() {
         assert_eq!(valk, ev, "{name}: valkyrie epochs");
         assert_eq!(term, et, "{name}: terminated");
     }
+}
+
+/// The Section V-C worked example through `simulate_response`, bit for bit:
+/// the percentage-point reading gives the paper's ~79.6 % attack slowdown.
+#[test]
+fn analytic_rows_are_bit_identical_to_seed() {
+    let expected: &[(&str, f64, f64)] = &[
+        (
+            "10 pp per unit of threat (percentage points)",
+            79.26666666666668,
+            33.00000000000001,
+        ),
+        (
+            "x0.9 per unit of threat (multiplicative)",
+            73.60471517217442,
+            31.972543185164938,
+        ),
+        (
+            "Eq. 8 scheduler weight (gamma = 0.1)",
+            75.15850666666668,
+            36.2252928,
+        ),
+    ];
+    let got = capture_analytic();
+    assert_eq!(got.len(), expected.len());
+    for ((name, attack, fp), (en, ea, ef)) in got.iter().zip(expected) {
+        assert_eq!(name, en);
+        assert_eq!(
+            attack.to_bits(),
+            ea.to_bits(),
+            "{name}: {attack:?} vs {ea:?}"
+        );
+        assert_eq!(fp.to_bits(), ef.to_bits(), "{name}: {fp:?} vs {ef:?}");
+    }
+}
+
+/// Every data point of the four design-choice sweeps, bit for bit, and the
+/// rendered `ablations::run()` report line for line.
+#[test]
+fn ablation_sweeps_are_bit_identical_to_seed() {
+    #[allow(clippy::type_complexity)]
+    let expected: &[(&str, &[(&str, f64, f64)])] = &[
+        (
+            "assessment functions Fp = Fc",
+            &[
+                ("incremental (x + 1)", 89.13333333333335, 81.375),
+                ("linear (1.5x + 1)", 90.05000000000003, 81.63875),
+                ("linear (x + 2)", 91.76666666666668, 81.821875),
+                ("exponential (2ix + 1)", 91.43333333333335, 82.1325),
+            ],
+        ),
+        (
+            "actuator law",
+            &[
+                ("10 pp per threat unit", 89.13333333333335, 81.375),
+                ("x0.9 per threat unit", 86.30235758608723, 81.31795144375),
+                ("Eq. 8 weight (gamma 0.1)", 87.07925333333336, 81.368125),
+                ("halve per increase", 92.61875000000002, 81.859375),
+            ],
+        ),
+        (
+            "measurement requirement N*",
+            &[
+                ("N* = 5", 39.80000000000001, 93.65104166666667),
+                ("N* = 15", 79.26666666666668, 90.88020833333334),
+                ("N* = 30", 89.13333333333335, 84.47916666666669),
+                ("N* = 60", 94.06666666666669, 73.38020833333333),
+                ("N* = 120", 96.53333333333335, 49.54427083333333),
+            ],
+        ),
+        (
+            "minimum resource share (slowdown bound)",
+            &[
+                ("floor = 1%", 89.13333333333335, 81.375),
+                ("floor = 5%", 85.66666666666669, 81.375),
+                ("floor = 10%", 81.33333333333334, 81.375),
+                ("floor = 25%", 68.33333333333333, 81.375),
+                ("floor = 50%", 46.33333333333333, 81.35),
+            ],
+        ),
+    ];
+    let got = capture_ablations();
+    assert_eq!(got.len(), expected.len());
+    for ((name, rows), (en, erows)) in got.iter().zip(expected) {
+        assert_eq!(name, en);
+        assert_eq!(rows.len(), erows.len(), "{name}");
+        for ((config, attack, fp), (ec, ea, ef)) in rows.iter().zip(erows.iter()) {
+            assert_eq!(config, ec, "{name}");
+            assert_eq!(
+                attack.to_bits(),
+                ea.to_bits(),
+                "{name}/{config}: {attack:?} vs {ea:?}"
+            );
+            assert_eq!(
+                fp.to_bits(),
+                ef.to_bits(),
+                "{name}/{config}: {fp:?} vs {ef:?}"
+            );
+        }
+    }
+
+    let expected_report = [
+        "Design-choice ablations (Section V-C slowdown model; attack = flagged",
+        "every epoch until N*, benign = flagged in 10% of epochs)",
+        "",
+        "Ablation — assessment functions Fp = Fc",
+        "",
+        "Fp / Fc                attack slowdown  FP slowdown (10% FP)  ",
+        "--------------------------------------------------------------",
+        "incremental (x + 1)    89.1%            81.4%                 ",
+        "linear (1.5x + 1)      90.1%            81.6%                 ",
+        "linear (x + 2)         91.8%            81.8%                 ",
+        "exponential (2ix + 1)  91.4%            82.1%                 ",
+        "",
+        "Ablation — actuator law",
+        "",
+        "law                       attack slowdown  FP slowdown (10% FP)  ",
+        "-----------------------------------------------------------------",
+        "10 pp per threat unit     89.1%            81.4%                 ",
+        "x0.9 per threat unit      86.3%            81.3%                 ",
+        "Eq. 8 weight (gamma 0.1)  87.1%            81.4%                 ",
+        "halve per increase        92.6%            81.9%                 ",
+        "",
+        "Ablation — measurement requirement N*",
+        "",
+        "N*        attack slowdown  FP slowdown (10% FP)  ",
+        "-------------------------------------------------",
+        "N* = 5    39.8%            93.7%                 ",
+        "N* = 15   79.3%            90.9%                 ",
+        "N* = 30   89.1%            84.5%                 ",
+        "N* = 60   94.1%            73.4%                 ",
+        "N* = 120  96.5%            49.5%                 ",
+        "",
+        "Ablation — minimum resource share (slowdown bound)",
+        "",
+        "floor        attack slowdown  FP slowdown (10% FP)  ",
+        "----------------------------------------------------",
+        "floor = 1%   89.1%            81.4%                 ",
+        "floor = 5%   85.7%            81.4%                 ",
+        "floor = 10%  81.3%            81.4%                 ",
+        "floor = 25%  68.3%            81.4%                 ",
+        "floor = 50%  46.3%            81.3%                 ",
+        "",
+        "",
+    ];
+    let report = x::ablations::run();
+    let got: Vec<&str> = report.split('\n').collect();
+    assert_eq!(got, expected_report);
 }
