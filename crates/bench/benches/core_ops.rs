@@ -1,29 +1,8 @@
-//! Benchmarks of the Valkyrie core primitives: per-epoch monitor steps,
-//! engine observations, actuator laws and `N*` planning.
+//! Benchmarks of the Valkyrie core primitives: engine observations,
+//! actuator laws, `N*` planning and the single-process replays.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use valkyrie_core::prelude::*;
-use valkyrie_core::Monitor;
-
-fn bench_monitor_step(c: &mut Criterion) {
-    c.bench_function("core/monitor_observe", |b| {
-        let mut m = Monitor::new(
-            1_000_000,
-            AssessmentFn::incremental(),
-            AssessmentFn::incremental(),
-        );
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let c = if flip {
-                Classification::Malicious
-            } else {
-                Classification::Benign
-            };
-            black_box(m.observe(c))
-        });
-    });
-}
 
 fn bench_engine_observe(c: &mut Criterion) {
     c.bench_function("core/engine_observe_100_procs", |b| {
@@ -174,7 +153,6 @@ fn bench_baseline_policies(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_monitor_step,
     bench_engine_observe,
     bench_actuator_laws,
     bench_efficacy_planning,

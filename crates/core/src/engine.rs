@@ -186,7 +186,7 @@ impl<A: Actuator + Clone> EngineConfig<A> {
     }
 
     /// Whether monitoring is cyclic (Algorithm 1's outer loop; see
-    /// [`crate::Monitor::new_cyclic`]).
+    /// [`EngineConfigBuilder::cyclic`]).
     pub fn is_cyclic(&self) -> bool {
         self.monitor.cyclic
     }
@@ -514,11 +514,13 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         }
     }
 
-    /// Creates an engine with a non-composite actuator.
+    /// Creates an engine with a non-composite actuator, one-shot monitoring
+    /// and the default fusion config.
     ///
     /// # Panics
     ///
-    /// Panics if `n_star` is zero (see [`crate::Monitor::new`]).
+    /// Panics if `n_star` is zero; a detector that needs zero measurements
+    /// would terminate processes without ever observing them.
     pub fn with_actuator(n_star: u64, fp: AssessmentFn, fc: AssessmentFn, actuator: A) -> Self {
         assert!(n_star > 0, "N* must be at least one measurement");
         Self::new(EngineConfig {
@@ -567,16 +569,16 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         self.procs.get(&pid).map(|p| p.resources)
     }
 
-    /// Feeds one epoch's detector inference for `pid` and returns the
-    /// response to enact.
+    /// Runs one monitor step on `pid`, registering it on first sight.
     ///
     /// The hot path — a repeat observation of an already-tracked process —
     /// is a single `get_mut` lookup; only the first observation of an
     /// unknown pid falls into the registration path.
-    pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
-        let advance = |config: &EngineConfig<A>, cycle: &mut CycleState| {
-            cycle.observe(&config.monitor, inference)
-        };
+    fn step_pid(
+        &mut self,
+        pid: ProcessId,
+        advance: impl FnOnce(&EngineConfig<A>, &mut CycleState) -> StepReport,
+    ) -> EngineResponse {
         if let Some(tracked) = self.procs.get_mut(&pid) {
             return step(
                 &self.config,
@@ -598,32 +600,40 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         )
     }
 
-    /// Advances a process by one fused evidence mass under the configured
-    /// escalation ladder (the weighted-evidence sibling of
-    /// [`Self::observe`]).
+    /// Feeds one epoch's detector inference `D(t, i)` for `pid`, advances
+    /// its Algorithm 1 cycle and returns the response to enact.
+    ///
+    /// Once a process has terminated, observing it again keeps answering
+    /// [`Action::Terminate`] with its final state, threat and shares, and
+    /// changes nothing, until the process is purged or forgotten.
+    pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
+        self.step_pid(pid, |config, cycle| {
+            cycle.observe(&config.monitor, inference)
+        })
+    }
+
+    /// Advances a process by one fused evidence mass (clamped into
+    /// `[0, 1]`) under the configured escalation ladder: the
+    /// weighted-evidence sibling of [`Self::observe`].
+    ///
+    /// The ladder picks the escalation rung; the rung picks the Algorithm 1
+    /// arm. `Throttle`/`Kill` run the penalty arm with the assessment step
+    /// scaled by the mass, `Compensate` runs the compensation arm scaled by
+    /// `1 - mass`, and `Observe` holds every metric. In the terminable
+    /// state, `Kill` terminates, `Compensate` restores (recycling under
+    /// cyclic monitoring) and the middle rungs hold the decision open. A
+    /// terminated process keeps answering [`Action::Terminate`], as on
+    /// [`Self::observe`].
+    ///
+    /// The extremes are degenerate by construction: under
+    /// [`EscalationLadder::BINARY`], mass exactly `1.0` executes the same
+    /// arithmetic as a `Malicious` observation and mass exactly `0.0` the
+    /// same as a `Benign` one, so a binary detector driven through this
+    /// path gets bit-for-bit the responses of [`Self::observe`].
     pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
-        let advance = |config: &EngineConfig<A>, cycle: &mut CycleState| {
+        self.step_pid(pid, |config, cycle| {
             cycle.observe_mass_with(&config.monitor, config.fusion.ladder, mass)
-        };
-        if let Some(tracked) = self.procs.get_mut(&pid) {
-            return step(
-                &self.config,
-                pid,
-                tracked,
-                &mut self.fusion_stats,
-                &mut self.terminal,
-                advance,
-            );
-        }
-        let tracked = self.procs.entry(pid).or_insert_with(TrackedProcess::new);
-        step(
-            &self.config,
-            pid,
-            tracked,
-            &mut self.fusion_stats,
-            &mut self.terminal,
-            advance,
-        )
+        })
     }
 
     /// Absorbs one ensemble member's verdict into the fusion table without

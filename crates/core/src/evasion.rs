@@ -179,24 +179,15 @@ impl DetectorModel {
         self.fpr
     }
 
-    /// Samples one epoch's inference given the attacker's behaviour.
-    pub fn classify<R: Rng>(&self, active: bool, rng: &mut R) -> Classification {
-        let p = if active { self.tpr } else { self.fpr };
-        if rng.gen::<f64>() < p {
-            Classification::Malicious
-        } else {
-            Classification::Benign
-        }
-    }
-
     /// Probability of a malicious verdict at a graded attack `intensity`.
     ///
     /// Interpolates linearly between the false-positive rate at intensity 0
     /// (a dormant attacker is only flagged by mistake) and the true-positive
     /// rate at intensity 1 (a flat-out attacker faces the detector's full
     /// sensitivity). The extremes return `fpr`/`tpr` *exactly* rather than
-    /// through the interpolation arithmetic, so graded replays degenerate
-    /// bit-for-bit to the binary ones at intensity 0/1. A non-finite
+    /// through the interpolation arithmetic, so a replay at intensity 0/1
+    /// is exactly a binary detector with these two rates (which is how
+    /// [`run_evasion`] replays the fixed strategies). A non-finite
     /// intensity is treated as 0: effort is bounded by construction, so NaN
     /// is an upstream bug that must not reach the RNG comparison.
     pub fn detection_probability(&self, intensity: f64) -> f64 {
@@ -322,57 +313,17 @@ impl EvasionOutcome {
 /// The unimpeded counterfactual runs the *same* activity sequence at full
 /// share with no termination, so the comparison isolates the response
 /// framework's effect.
+///
+/// This is [`run_adaptive`] with the scenario's strategy playing effort 1
+/// when active and 0 when dormant; at those efforts the graded replay is
+/// exactly the binary one.
 pub fn run_evasion<A: Actuator + Clone>(
     config: &EngineConfig<A>,
     scenario: &EvasionScenario,
 ) -> EvasionOutcome {
-    let mut engine = ValkyrieEngine::new(config.clone());
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    let pid = ProcessId(1);
-
-    let mut progress = 0.0;
-    let mut unimpeded = 0.0;
-    let mut active_epochs = 0;
-    let mut terminated_at = None;
-    let mut cpu_share = 1.0;
-    let mut measurements = 0;
-
-    for epoch in 1..=scenario.horizon {
-        let view = AttackerView {
-            epoch,
-            cpu_share,
-            measurements,
-        };
-        let active = scenario.strategy.is_active(&view);
-        if active {
-            // The counterfactual attacker follows the same duty cycle but is
-            // never throttled or terminated.
-            unimpeded += 1.0;
-        }
-        if terminated_at.is_some() {
-            continue;
-        }
-
-        let inference = scenario.detector.classify(active, &mut rng);
-        let response = engine.observe(pid, inference);
-        measurements += 1;
-        if response.action == Action::Terminate {
-            terminated_at = Some(epoch);
-            continue;
-        }
-        cpu_share = response.resources.cpu;
-        if active {
-            progress += cpu_share;
-            active_epochs += 1;
-        }
-    }
-
-    EvasionOutcome {
-        progress,
-        unimpeded,
-        terminated_at,
-        active_epochs,
-    }
+    let adaptive =
+        AdaptiveScenario::new(scenario.detector, scenario.horizon).with_seed(scenario.seed);
+    run_adaptive(config, &adaptive, &mut scenario.strategy.clone())
 }
 
 /// A closed-loop attacker: chooses a graded effort in `[0, 1]` from what it

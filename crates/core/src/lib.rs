@@ -92,7 +92,7 @@ pub use evasion::{
 pub use fleet::FleetEngine;
 pub use ingest::{CoalesceKey, IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
 pub use migration::{migration_progress, MigrationPolicy};
-pub use monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
+pub use monitor::{EscalationLadder, EscalationLevel};
 pub use resource::{ProcessId, ResourceKind, ResourceVector};
 pub use sharded::{host_parallelism, ShardedEngine};
 pub use slowdown::{simulate_response, slowdown_percent, ResponseTrace};
@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::error::ValkyrieError;
     pub use crate::fleet::FleetEngine;
     pub use crate::ingest::{IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
-    pub use crate::monitor::{Directive, EscalationLadder, EscalationLevel, Monitor, StepReport};
+    pub use crate::monitor::{EscalationLadder, EscalationLevel};
     pub use crate::resource::{ProcessId, ResourceKind, ResourceVector};
     pub use crate::sharded::ShardedEngine;
     pub use crate::slowdown::{simulate_response, slowdown_percent};

@@ -1,17 +1,19 @@
 //! Per-process threat monitor — a faithful implementation of Algorithm 1.
 //!
-//! A [`Monitor`] consumes the detector's per-epoch inference stream for one
-//! process and maintains the penalty (`P_i^t`), compensation (`C_i^t`) and
-//! threat index (`T_i^t`) metrics, the measurement count (`N_i^t`) and the
-//! Fig. 3 process state. Each step yields a [`Directive`] telling the caller
-//! what response to enact (adjust resources, restore, or terminate).
+//! For every tracked process, [`ValkyrieEngine`](crate::ValkyrieEngine)
+//! consumes the detector's per-epoch inference stream and maintains the
+//! penalty (`P_i^t`), compensation (`C_i^t`) and threat index (`T_i^t`)
+//! metrics, the measurement count (`N_i^t`) and the Fig. 3 process state.
+//! This module holds that per-process machine and the escalation ladder the
+//! weighted-evidence path maps fused masses onto.
 
 use crate::state::ProcessState;
 use crate::threat::{AssessmentFn, Classification, ThreatIndex};
 
-/// Response directive emitted by one monitor step.
+/// Response directive emitted by one monitor step; the engine turns it
+/// into an [`Action`](crate::Action) and new resource shares.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Directive {
+pub(crate) enum Directive {
     /// No action required (normal state, nothing changed).
     Continue,
     /// Regulate resources by the embedded threat-index change
@@ -34,9 +36,10 @@ pub enum Directive {
 ///
 /// The binary path maps onto the ladder's extremes (a malicious epoch is a
 /// `Throttle`/`Kill`, a benign one a `Compensate`); the weighted-evidence
-/// path ([`Monitor::observe_mass`]) can also park a process at `Observe`
-/// when the fused evidence is inconclusive. Ordering follows response
-/// intensity, so `a > b` means `a` is the harder response.
+/// path ([`ValkyrieEngine::observe_mass`](crate::ValkyrieEngine::observe_mass))
+/// can also park a process at `Observe` when the fused evidence is
+/// inconclusive. Ordering follows response intensity, so `a > b` means `a`
+/// is the harder response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EscalationLevel {
     /// Evidence inconclusive: hold every metric, take no action.
@@ -51,7 +54,7 @@ pub enum EscalationLevel {
 
 impl EscalationLevel {
     /// The level the legacy binary path implies for a directive (used to
-    /// stamp [`StepReport::level`] on [`Monitor::observe`] steps).
+    /// stamp [`StepReport::level`] on [`CycleState::observe`] steps).
     fn from_directive(directive: Directive) -> Self {
         match directive {
             Directive::Terminate => EscalationLevel::Kill,
@@ -165,22 +168,18 @@ impl Default for EscalationLadder {
     }
 }
 
-/// The outcome of feeding one epoch's inference into a [`Monitor`].
+/// The outcome of one [`CycleState`] step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepReport {
-    /// Epoch index of this step (1-based, the `i` of Algorithm 1).
-    pub epoch: u64,
+pub(crate) struct StepReport {
     /// State after the step.
-    pub state: ProcessState,
+    pub(crate) state: ProcessState,
     /// Threat index after the step.
-    pub threat: ThreatIndex,
-    /// Threat-index change produced by the step.
-    pub delta_threat: f64,
+    pub(crate) threat: ThreatIndex,
     /// What the response layer should do.
-    pub directive: Directive,
+    pub(crate) directive: Directive,
     /// The escalation rung this step landed on (ladder-derived on the
     /// weighted-evidence path, directive-derived on the binary path).
-    pub level: EscalationLevel,
+    pub(crate) level: EscalationLevel,
 }
 
 /// The half of Algorithm 1 every process under one engine shares: `N*`,
@@ -198,7 +197,7 @@ pub(crate) struct MonitorParams {
 ///
 /// Engines keep one `CycleState` per tracked process and pass the shared
 /// [`MonitorParams`] to every step, so a tracked process carries no copy of
-/// the configuration. [`Monitor`] pairs the two for single-process callers.
+/// the configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CycleState {
     state: ProcessState,
@@ -247,10 +246,13 @@ impl CycleState {
         };
     }
 
-    /// See [`Monitor::observe`].
+    /// Feeds one epoch's inference `D(t, i)` and advances Algorithm 1.
+    ///
+    /// Calling this after the process has terminated keeps returning
+    /// [`Directive::Terminate`] without further state changes.
     pub(crate) fn observe(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
         if self.state == ProcessState::Terminated {
-            return self.report(0.0, Directive::Terminate);
+            return self.report(Directive::Terminate);
         }
         self.epoch += 1;
 
@@ -268,7 +270,10 @@ impl CycleState {
         }
     }
 
-    /// See [`Monitor::observe_mass_with`].
+    /// Feeds one epoch's fused evidence mass under `ladder`; the contract is
+    /// stated on [`ValkyrieEngine::observe_mass`](crate::ValkyrieEngine::observe_mass).
+    /// Under [`EscalationLadder::BINARY`], masses 1.0 and 0.0 are bit-for-bit
+    /// [`Self::observe`] with `Malicious` and `Benign`.
     pub(crate) fn observe_mass_with(
         &mut self,
         p: &MonitorParams,
@@ -277,7 +282,7 @@ impl CycleState {
     ) -> StepReport {
         let mass = mass.clamp(0.0, 1.0);
         if self.state == ProcessState::Terminated {
-            return self.report_leveled(0.0, Directive::Terminate, EscalationLevel::Kill);
+            return self.report_leveled(Directive::Terminate, EscalationLevel::Kill);
         }
         self.epoch += 1;
         let level = ladder.level(mass);
@@ -333,43 +338,42 @@ impl CycleState {
             }
             EscalationLevel::Observe => {}
         }
-        let delta = self.threat.value() - prev_threat.value();
         if self.threat.is_zero() && self.state == ProcessState::Suspicious {
             self.state = ProcessState::Normal;
-            return self.report_leveled(delta, Directive::ResetToNormal, level);
+            return self.report_leveled(Directive::ResetToNormal, level);
         }
         let directive = if self.state == ProcessState::Suspicious {
             Directive::Adjust {
-                delta_threat: delta,
+                delta_threat: self.threat.value() - prev_threat.value(),
             }
         } else {
             Directive::Continue
         };
-        self.report_leveled(delta, directive, level)
+        self.report_leveled(directive, level)
     }
 
     fn observe_mass_terminable(&mut self, p: &MonitorParams, level: EscalationLevel) -> StepReport {
         match level {
             EscalationLevel::Kill => {
                 self.state = ProcessState::Terminated;
-                self.report_leveled(0.0, Directive::Terminate, level)
+                self.report_leveled(Directive::Terminate, level)
             }
             EscalationLevel::Compensate => {
                 if p.cyclic {
                     self.recycle();
-                    return self.report_leveled(0.0, Directive::Restore, level);
+                    return self.report_leveled(Directive::Restore, level);
                 }
                 if self.restored {
-                    self.report_leveled(0.0, Directive::Continue, level)
+                    self.report_leveled(Directive::Continue, level)
                 } else {
                     self.restored = true;
-                    self.report_leveled(0.0, Directive::Restore, level)
+                    self.report_leveled(Directive::Restore, level)
                 }
             }
             // The terminable decision stays open while the evidence sits in
             // the middle of the ladder.
             EscalationLevel::Observe | EscalationLevel::Throttle => {
-                self.report_leveled(0.0, Directive::Continue, level)
+                self.report_leveled(Directive::Continue, level)
             }
         }
     }
@@ -393,20 +397,19 @@ impl CycleState {
                 }
             }
         }
-        let delta = self.threat.value() - prev_threat.value();
         // Lines 17-18: full recovery returns the process to normal.
         if self.threat.is_zero() && self.state == ProcessState::Suspicious {
             self.state = ProcessState::Normal;
-            return self.report(delta, Directive::ResetToNormal);
+            return self.report(Directive::ResetToNormal);
         }
         let directive = if self.state == ProcessState::Suspicious {
             Directive::Adjust {
-                delta_threat: delta,
+                delta_threat: self.threat.value() - prev_threat.value(),
             }
         } else {
             Directive::Continue
         };
-        self.report(delta, directive)
+        self.report(directive)
     }
 
     fn observe_terminable(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
@@ -416,177 +419,35 @@ impl CycleState {
                     // A_reset plus the outer while-loop of Algorithm 1:
                     // restore resources and begin a new measurement cycle.
                     self.recycle();
-                    return self.report(0.0, Directive::Restore);
+                    return self.report(Directive::Restore);
                 }
                 // Line 24: A_reset — restore default resources, once.
                 if self.restored {
-                    self.report(0.0, Directive::Continue)
+                    self.report(Directive::Continue)
                 } else {
                     self.restored = true;
-                    self.report(0.0, Directive::Restore)
+                    self.report(Directive::Restore)
                 }
             }
             Classification::Malicious => {
                 // Line 26: terminate.
                 self.state = ProcessState::Terminated;
-                self.report(0.0, Directive::Terminate)
+                self.report(Directive::Terminate)
             }
         }
     }
 
-    fn report(&self, delta: f64, directive: Directive) -> StepReport {
-        self.report_leveled(delta, directive, EscalationLevel::from_directive(directive))
+    fn report(&self, directive: Directive) -> StepReport {
+        self.report_leveled(directive, EscalationLevel::from_directive(directive))
     }
 
-    fn report_leveled(
-        &self,
-        delta: f64,
-        directive: Directive,
-        level: EscalationLevel,
-    ) -> StepReport {
+    fn report_leveled(&self, directive: Directive, level: EscalationLevel) -> StepReport {
         StepReport {
-            epoch: self.epoch,
             state: self.state,
             threat: self.threat,
-            delta_threat: delta,
             directive,
             level,
         }
-    }
-}
-
-/// Per-process implementation of Algorithm 1.
-///
-/// # Examples
-///
-/// ```
-/// use valkyrie_core::{AssessmentFn, Classification, Directive, Monitor, ProcessState};
-///
-/// let mut m = Monitor::new(3, AssessmentFn::incremental(), AssessmentFn::incremental());
-/// let r = m.observe(Classification::Malicious);
-/// assert_eq!(r.state, ProcessState::Suspicious);
-/// assert_eq!(r.delta_threat, 1.0);
-/// // After N* = 3 measurements the process becomes terminable …
-/// m.observe(Classification::Malicious);
-/// m.observe(Classification::Malicious);
-/// assert_eq!(m.state(), ProcessState::Terminable);
-/// // … and the next malicious classification terminates it.
-/// let r = m.observe(Classification::Malicious);
-/// assert_eq!(r.directive, Directive::Terminate);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Monitor {
-    params: MonitorParams,
-    cycle: CycleState,
-}
-
-impl Monitor {
-    /// Creates a monitor that needs `n_star` measurements before the process
-    /// becomes terminable, with penalty assessment `fp` and compensation
-    /// assessment `fc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_star` is zero; a detector that needs zero measurements
-    /// would terminate processes without ever observing them.
-    pub fn new(n_star: u64, fp: AssessmentFn, fc: AssessmentFn) -> Self {
-        assert!(n_star > 0, "N* must be at least one measurement");
-        Self {
-            params: MonitorParams {
-                n_star,
-                fp,
-                fc,
-                cyclic: false,
-            },
-            cycle: CycleState::new(),
-        }
-    }
-
-    /// Like [`Monitor::new`], but monitoring is *cyclic*: Algorithm 1's
-    /// outer `while t is executing` loop. After a benign verdict in the
-    /// terminable state the resources are restored (`A_reset`) **and a new
-    /// measurement cycle begins** — the process returns to the normal state
-    /// with fresh penalty/compensation metrics and measurement counter.
-    /// Long-running processes thus stay under watch for their whole life,
-    /// while attacks are still terminated at the end of their first cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_star` is zero.
-    pub fn new_cyclic(n_star: u64, fp: AssessmentFn, fc: AssessmentFn) -> Self {
-        let mut m = Self::new(n_star, fp, fc);
-        m.params.cyclic = true;
-        m
-    }
-
-    /// Current Fig. 3 state.
-    pub fn state(&self) -> ProcessState {
-        self.cycle.state
-    }
-
-    /// Current threat index `T_i^t`.
-    pub fn threat(&self) -> ThreatIndex {
-        self.cycle.threat
-    }
-
-    /// Current penalty metric `P_i^t`.
-    pub fn penalty(&self) -> f64 {
-        self.cycle.penalty
-    }
-
-    /// Current compensation metric `C_i^t`.
-    pub fn compensation(&self) -> f64 {
-        self.cycle.compensation
-    }
-
-    /// Measurements captured so far (`N_i^t`).
-    pub fn measurements(&self) -> u64 {
-        self.cycle.measurements
-    }
-
-    /// The configured measurement requirement `N*`.
-    pub fn measurements_required(&self) -> u64 {
-        self.params.n_star
-    }
-
-    /// Feeds one epoch's inference `D(t, i)` and advances Algorithm 1.
-    ///
-    /// Calling this after the process has terminated keeps returning
-    /// [`Directive::Terminate`] without further state changes.
-    pub fn observe(&mut self, inference: Classification) -> StepReport {
-        self.cycle.observe(&self.params, inference)
-    }
-
-    /// Feeds one epoch's *fused evidence mass* (in `[0, 1]`) and advances
-    /// Algorithm 1 under the default graduated [`EscalationLadder`].
-    ///
-    /// See [`Monitor::observe_mass_with`].
-    pub fn observe_mass(&mut self, mass: f64) -> StepReport {
-        self.observe_mass_with(EscalationLadder::default(), mass)
-    }
-
-    /// Feeds one epoch's fused evidence mass under an explicit ladder.
-    ///
-    /// The ladder picks the escalation rung; the rung picks the Algorithm 1
-    /// arm. `Throttle`/`Kill` run the penalty arm with the assessment-step
-    /// scaled by the mass, `Compensate` runs the compensation arm scaled by
-    /// `1 - mass`, and `Observe` holds every metric. In the terminable
-    /// state, `Kill` terminates, `Compensate` restores (recycling under
-    /// cyclic monitoring) and the middle rungs hold the decision open.
-    ///
-    /// The extremes are degenerate by construction: mass exactly `1.0`
-    /// executes the same arithmetic as a `Malicious` observation and mass
-    /// exactly `0.0` the same as a `Benign` one, so a binary detector
-    /// driven through this path (with [`EscalationLadder::BINARY`]) is
-    /// bit-for-bit the legacy [`Monitor::observe`].
-    pub fn observe_mass_with(&mut self, ladder: EscalationLadder, mass: f64) -> StepReport {
-        self.cycle.observe_mass_with(&self.params, ladder, mass)
-    }
-
-    /// Marks the process as finished (Fig. 3: completion also moves the
-    /// process to *terminated*).
-    pub fn complete(&mut self) {
-        self.cycle.complete();
     }
 }
 
@@ -595,25 +456,34 @@ mod tests {
     use super::*;
     use Classification::{Benign, Malicious};
 
-    fn monitor(n_star: u64) -> Monitor {
-        Monitor::new(
+    fn params(n_star: u64) -> MonitorParams {
+        MonitorParams {
             n_star,
-            AssessmentFn::incremental(),
-            AssessmentFn::incremental(),
-        )
+            fp: AssessmentFn::incremental(),
+            fc: AssessmentFn::incremental(),
+            cyclic: false,
+        }
+    }
+
+    fn cyclic(n_star: u64) -> MonitorParams {
+        MonitorParams {
+            cyclic: true,
+            ..params(n_star)
+        }
     }
 
     #[test]
     fn benign_stream_stays_normal() {
-        let mut m = monitor(10);
+        let p = params(10);
+        let mut c = CycleState::new();
         for _ in 0..9 {
-            let r = m.observe(Benign);
+            let r = c.observe(&p, Benign);
             assert_eq!(r.state, ProcessState::Normal);
             assert_eq!(r.directive, Directive::Continue);
             assert!(r.threat.is_zero());
         }
         // The 10th measurement satisfies N*: the process becomes terminable.
-        let r = m.observe(Benign);
+        let r = c.observe(&p, Benign);
         assert_eq!(r.state, ProcessState::Terminable);
     }
 
@@ -621,134 +491,155 @@ mod tests {
     fn incremental_penalty_growth_matches_paper_example() {
         // Section V-C: penalty increases by 1 on each malicious epoch and the
         // threat index increases by the penalty: T = 1, 3, 6, 10, 15, …
-        let mut m = monitor(100);
+        let p = params(100);
+        let mut c = CycleState::new();
         let expected = [1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0];
         for want in expected {
-            let r = m.observe(Malicious);
+            let r = c.observe(&p, Malicious);
             assert_eq!(r.threat.value(), want);
         }
     }
 
     #[test]
     fn compensation_recovers_and_returns_to_normal() {
-        let mut m = monitor(100);
+        let p = params(100);
+        let mut c = CycleState::new();
         for _ in 0..5 {
-            m.observe(Malicious);
+            c.observe(&p, Malicious);
         }
-        assert_eq!(m.threat().value(), 15.0);
+        assert_eq!(c.threat.value(), 15.0);
         // Compensation: 1, 2, 3, 4, 5 → threat 14, 12, 9, 5, 0.
         let expected = [14.0, 12.0, 9.0, 5.0, 0.0];
         for (i, want) in expected.iter().enumerate() {
-            let r = m.observe(Benign);
+            let r = c.observe(&p, Benign);
             assert_eq!(r.threat.value(), *want, "step {i}");
         }
-        assert_eq!(m.state(), ProcessState::Normal);
+        assert_eq!(c.state, ProcessState::Normal);
     }
 
     #[test]
     fn reset_to_normal_directive_emitted_once() {
-        let mut m = monitor(100);
-        m.observe(Malicious);
-        let r = m.observe(Benign);
+        let p = params(100);
+        let mut c = CycleState::new();
+        c.observe(&p, Malicious);
+        let r = c.observe(&p, Benign);
         assert_eq!(r.directive, Directive::ResetToNormal);
         assert_eq!(r.state, ProcessState::Normal);
         // Further benign epochs in the normal state are plain continues.
-        let r = m.observe(Benign);
+        let r = c.observe(&p, Benign);
         assert_eq!(r.directive, Directive::Continue);
     }
 
     #[test]
     fn benign_epochs_in_normal_state_do_not_compensate() {
-        let mut m = monitor(100);
-        m.observe(Benign);
-        assert_eq!(m.compensation(), 0.0);
-        m.observe(Malicious);
-        m.observe(Benign);
-        assert_eq!(m.compensation(), 1.0);
+        let p = params(100);
+        let mut c = CycleState::new();
+        c.observe(&p, Benign);
+        assert_eq!(c.compensation, 0.0);
+        c.observe(&p, Malicious);
+        c.observe(&p, Benign);
+        assert_eq!(c.compensation, 1.0);
     }
 
     #[test]
     fn threat_is_clamped_at_100() {
-        let mut m = monitor(1000);
+        let p = params(1000);
+        let mut c = CycleState::new();
         for _ in 0..30 {
-            m.observe(Malicious);
+            c.observe(&p, Malicious);
         }
-        assert_eq!(m.threat().value(), 100.0);
+        assert_eq!(c.threat.value(), 100.0);
     }
 
     #[test]
     fn terminable_then_terminate_on_malicious() {
-        let mut m = monitor(3);
-        m.observe(Benign);
-        m.observe(Benign);
-        m.observe(Benign);
-        assert_eq!(m.state(), ProcessState::Terminable);
-        let r = m.observe(Malicious);
+        let p = params(3);
+        let mut c = CycleState::new();
+        c.observe(&p, Benign);
+        c.observe(&p, Benign);
+        c.observe(&p, Benign);
+        assert_eq!(c.state, ProcessState::Terminable);
+        let r = c.observe(&p, Malicious);
         assert_eq!(r.directive, Directive::Terminate);
-        assert_eq!(m.state(), ProcessState::Terminated);
+        assert_eq!(c.state, ProcessState::Terminated);
     }
 
     #[test]
     fn terminable_then_restore_on_benign() {
-        let mut m = monitor(2);
-        m.observe(Malicious);
-        m.observe(Malicious);
-        assert_eq!(m.state(), ProcessState::Terminable);
-        let r = m.observe(Benign);
+        let p = params(2);
+        let mut c = CycleState::new();
+        c.observe(&p, Malicious);
+        c.observe(&p, Malicious);
+        assert_eq!(c.state, ProcessState::Terminable);
+        let r = c.observe(&p, Benign);
         assert_eq!(r.directive, Directive::Restore);
         // Restoration is reported once; afterwards the process just runs.
-        let r = m.observe(Benign);
+        let r = c.observe(&p, Benign);
         assert_eq!(r.directive, Directive::Continue);
         // It can still be terminated later.
-        let r = m.observe(Malicious);
+        let r = c.observe(&p, Malicious);
         assert_eq!(r.directive, Directive::Terminate);
     }
 
     #[test]
     fn observe_after_termination_is_stable() {
-        let mut m = monitor(1);
-        m.observe(Malicious);
-        let r = m.observe(Malicious);
+        let p = params(1);
+        let mut c = CycleState::new();
+        c.observe(&p, Malicious);
+        let r = c.observe(&p, Malicious);
         assert_eq!(r.directive, Directive::Terminate);
-        let r = m.observe(Benign);
+        let epoch = c.epoch;
+        let r = c.observe(&p, Benign);
         assert_eq!(r.directive, Directive::Terminate);
-        assert_eq!(m.state(), ProcessState::Terminated);
+        assert_eq!(c.state, ProcessState::Terminated);
+        // A terminated process takes no further step.
+        assert_eq!(c.epoch, epoch);
     }
 
     #[test]
     fn complete_marks_terminated() {
-        let mut m = monitor(10);
-        m.observe(Benign);
-        m.complete();
-        assert_eq!(m.state(), ProcessState::Terminated);
+        let p = params(10);
+        let mut c = CycleState::new();
+        c.observe(&p, Benign);
+        c.complete();
+        assert_eq!(c.state, ProcessState::Terminated);
     }
 
     #[test]
     fn penalty_is_retained_while_benign() {
         // Algorithm 1 line 15: P_i = P_{i-1} on benign epochs, so a repeat
         // offender resumes from the old penalty level.
-        let mut m = monitor(100);
+        let p = params(100);
+        let mut c = CycleState::new();
         for _ in 0..3 {
-            m.observe(Malicious);
+            c.observe(&p, Malicious);
         }
-        assert_eq!(m.penalty(), 3.0);
-        m.observe(Benign);
-        assert_eq!(m.penalty(), 3.0);
-        m.observe(Malicious);
-        assert_eq!(m.penalty(), 4.0);
+        assert_eq!(c.penalty, 3.0);
+        c.observe(&p, Benign);
+        assert_eq!(c.penalty, 3.0);
+        c.observe(&p, Malicious);
+        assert_eq!(c.penalty, 4.0);
     }
 
-    #[test]
-    #[should_panic(expected = "N*")]
-    fn zero_n_star_panics() {
-        let _ = monitor(0);
+    /// Every field of a cycle, for exact comparisons.
+    fn fields(c: &CycleState) -> (ProcessState, ThreatIndex, f64, f64, u64, u64, bool) {
+        (
+            c.state,
+            c.threat,
+            c.penalty,
+            c.compensation,
+            c.measurements,
+            c.epoch,
+            c.restored,
+        )
     }
 
     #[test]
     fn binary_ladder_mass_path_is_bit_identical_to_observe() {
         // The migration guarantee behind the whole fusion refactor: masses
         // in {0.0, 1.0} through the BINARY ladder reproduce the legacy
-        // binary path exactly — states, threat values, directives, epochs.
+        // binary path exactly — states, threat values, directives (each
+        // `Adjust` carries its threat delta) and every metric of the cycle.
         let streams: [&[Classification]; 4] = [
             &[Malicious; 12],
             &[Benign; 12],
@@ -761,46 +652,25 @@ mod tests {
             ],
         ];
         for n_star in [1, 3, 7] {
-            for (cyclic, stream) in [(false, streams), (true, streams)]
-                .into_iter()
-                .flat_map(|(c, ss)| ss.into_iter().map(move |s| (c, s)))
-            {
-                let make = || {
-                    if cyclic {
-                        Monitor::new_cyclic(
-                            n_star,
-                            AssessmentFn::incremental(),
-                            AssessmentFn::incremental(),
-                        )
-                    } else {
-                        monitor(n_star)
+            for p in [params(n_star), cyclic(n_star)] {
+                for stream in streams {
+                    let mut binary = CycleState::new();
+                    let mut mass = CycleState::new();
+                    for &c in stream {
+                        let want = binary.observe(&p, c);
+                        let got = mass.observe_mass_with(
+                            &p,
+                            EscalationLadder::BINARY,
+                            if c.is_malicious() { 1.0 } else { 0.0 },
+                        );
+                        assert_eq!(
+                            (got.state, got.threat, got.directive),
+                            (want.state, want.threat, want.directive),
+                            "n_star={n_star} cyclic={}",
+                            p.cyclic
+                        );
+                        assert_eq!(fields(&mass), fields(&binary));
                     }
-                };
-                let mut binary = make();
-                let mut mass = make();
-                for &c in stream {
-                    let want = binary.observe(c);
-                    let got = mass.observe_mass_with(
-                        EscalationLadder::BINARY,
-                        if c.is_malicious() { 1.0 } else { 0.0 },
-                    );
-                    assert_eq!(
-                        (
-                            got.epoch,
-                            got.state,
-                            got.threat,
-                            got.delta_threat,
-                            got.directive
-                        ),
-                        (
-                            want.epoch,
-                            want.state,
-                            want.threat,
-                            want.delta_threat,
-                            want.directive
-                        ),
-                        "n_star={n_star} cyclic={cyclic}"
-                    );
                 }
             }
         }
@@ -860,83 +730,88 @@ mod tests {
     fn partial_mass_scales_the_penalty_arm() {
         // Mass 0.7 through the graduated ladder throttles but accumulates
         // threat slower than full-confidence evidence.
-        let mut strong = monitor(100);
-        let mut partial = monitor(100);
+        let (p, ladder) = (params(100), EscalationLadder::graduated());
+        let mut strong = CycleState::new();
+        let mut partial = CycleState::new();
         for _ in 0..5 {
-            strong.observe_mass(1.0);
-            partial.observe_mass(0.7);
+            strong.observe_mass_with(&p, ladder, 1.0);
+            partial.observe_mass_with(&p, ladder, 0.7);
         }
-        assert_eq!(strong.state(), ProcessState::Suspicious);
-        assert_eq!(partial.state(), ProcessState::Suspicious);
-        assert!(strong.threat().value() > partial.threat().value());
-        assert!(partial.threat().value() > 0.0);
+        assert_eq!(strong.state, ProcessState::Suspicious);
+        assert_eq!(partial.state, ProcessState::Suspicious);
+        assert!(strong.threat.value() > partial.threat.value());
+        assert!(partial.threat.value() > 0.0);
     }
 
     #[test]
     fn observe_band_holds_every_metric() {
-        let mut m = monitor(100);
-        m.observe_mass(1.0);
-        let (threat, penalty) = (m.threat(), m.penalty());
+        let (p, ladder) = (params(100), EscalationLadder::graduated());
+        let mut c = CycleState::new();
+        c.observe_mass_with(&p, ladder, 1.0);
+        let (threat, penalty) = (c.threat, c.penalty);
         // Inconclusive evidence: nothing moves, but the measurement counts.
-        let r = m.observe_mass(0.5);
+        let r = c.observe_mass_with(&p, ladder, 0.5);
         assert_eq!(r.level, EscalationLevel::Observe);
-        assert_eq!(m.threat(), threat);
-        assert_eq!(m.penalty(), penalty);
-        assert_eq!(m.measurements(), 2);
+        assert_eq!(c.threat, threat);
+        assert_eq!(c.penalty, penalty);
+        assert_eq!(c.measurements, 2);
     }
 
     #[test]
     fn terminable_middle_rungs_hold_the_decision_open() {
-        let mut m = monitor(2);
-        m.observe_mass(1.0);
-        m.observe_mass(1.0);
-        assert_eq!(m.state(), ProcessState::Terminable);
+        let (p, ladder) = (params(2), EscalationLadder::graduated());
+        let mut c = CycleState::new();
+        c.observe_mass_with(&p, ladder, 1.0);
+        c.observe_mass_with(&p, ladder, 1.0);
+        assert_eq!(c.state, ProcessState::Terminable);
         // Observe and Throttle hold; only Kill terminates.
-        let r = m.observe_mass(0.5);
+        let r = c.observe_mass_with(&p, ladder, 0.5);
         assert_eq!(r.directive, Directive::Continue);
-        let r = m.observe_mass(0.7);
+        let r = c.observe_mass_with(&p, ladder, 0.7);
         assert_eq!(r.directive, Directive::Continue);
-        assert_eq!(m.state(), ProcessState::Terminable);
-        let r = m.observe_mass(0.95);
+        assert_eq!(c.state, ProcessState::Terminable);
+        let r = c.observe_mass_with(&p, ladder, 0.95);
         assert_eq!(r.directive, Directive::Terminate);
     }
 
     #[test]
     fn terminable_low_mass_restores_and_recycles_cyclically() {
-        let mut m =
-            Monitor::new_cyclic(2, AssessmentFn::incremental(), AssessmentFn::incremental());
-        m.observe_mass(1.0);
-        m.observe_mass(1.0);
-        let r = m.observe_mass(0.1);
+        let (p, ladder) = (cyclic(2), EscalationLadder::graduated());
+        let mut c = CycleState::new();
+        c.observe_mass_with(&p, ladder, 1.0);
+        c.observe_mass_with(&p, ladder, 1.0);
+        let r = c.observe_mass_with(&p, ladder, 0.1);
         assert_eq!(r.directive, Directive::Restore);
-        assert_eq!(m.state(), ProcessState::Normal);
-        assert_eq!(m.measurements(), 0);
+        assert_eq!(c.state, ProcessState::Normal);
+        assert_eq!(c.measurements, 0);
     }
 
     #[test]
     fn legacy_observe_reports_directive_derived_levels() {
-        let mut m = monitor(3);
-        let r = m.observe(Malicious);
+        let p = params(3);
+        let mut c = CycleState::new();
+        let r = c.observe(&p, Malicious);
         assert_eq!(r.level, EscalationLevel::Throttle);
-        let r = m.observe(Benign);
+        let r = c.observe(&p, Benign);
         assert_eq!(r.level, EscalationLevel::Compensate);
-        m.observe(Benign); // terminable at N* = 3
-        let r = m.observe(Malicious);
+        c.observe(&p, Benign); // terminable at N* = 3
+        let r = c.observe(&p, Malicious);
         assert_eq!(r.level, EscalationLevel::Kill);
     }
 
     #[test]
     fn all_transitions_are_legal_per_fig3() {
-        // Drive a monitor through a noisy inference stream and check that
+        // Drive a cycle through a noisy inference stream and check that
         // every transition it takes is allowed by Fig. 3.
-        let mut m = monitor(8);
+        let p = params(8);
+        let mut c = CycleState::new();
         let stream = [
             Benign, Malicious, Benign, Benign, Malicious, Malicious, Benign, Benign, Benign,
             Malicious,
         ];
-        let mut prev = m.state();
-        for c in stream {
-            let r = m.observe(c);
+        let mut prev = c.state;
+        for inference in stream {
+            let r = c.observe(&p, inference);
             assert!(
                 prev.can_transition_to(r.state),
                 "illegal transition {prev} -> {}",

@@ -5,15 +5,15 @@
 //! over the `K` epochs the detector needs to reach its required efficacy,
 //! Eq. 4 defines the effective slowdown `S(t)` in percent.
 //!
-//! [`simulate_response`] replays an inference sequence through a
-//! [`crate::Monitor`] + actuator pair and records the resource
-//! shares enforced in every epoch, which is how the paper's worked example
-//! (`N* = 15`, incremental `F_p`/`F_c`, CPU −10 pp per unit of threat, 1 %
-//! floor → ≈79.6 % attack slowdown) is reproduced.
+//! [`simulate_response`] replays an inference sequence through a one-process
+//! [`ValkyrieEngine`] and records the resource shares enforced in every
+//! epoch, which is how the paper's worked example (`N* = 15`, incremental
+//! `F_p`/`F_c`, CPU −10 pp per unit of threat, 1 % floor → ≈79.6 % attack
+//! slowdown) is reproduced.
 
 use crate::actuator::Actuator;
-use crate::monitor::{Directive, Monitor};
-use crate::resource::ResourceVector;
+use crate::engine::{Action, ValkyrieEngine};
+use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::threat::{AssessmentFn, Classification};
 
@@ -92,18 +92,24 @@ impl ResponseTrace {
 /// Replays `inferences` through Algorithm 1 with the given assessment
 /// functions and actuator, recording the resources enforced in each epoch.
 ///
-/// Epoch `i`'s inference determines the resources for epoch `i + 1`
-/// (Eq. 3: `B_0(R_0)` is always unthrottled). If the process reaches the
-/// terminable state and is classified malicious, it is terminated and the
-/// remaining epochs contribute zero progress.
-pub fn simulate_response<A: Actuator>(
+/// The replay is one process on a [`ValkyrieEngine::with_actuator`] engine
+/// (one-shot monitoring). Epoch `i`'s inference determines the resources
+/// for epoch `i + 1` (Eq. 3: `B_0(R_0)` is always unthrottled). If the
+/// process reaches the terminable state and is classified malicious, it is
+/// terminated and the remaining epochs contribute zero progress.
+///
+/// # Panics
+///
+/// Panics if `n_star` is zero.
+pub fn simulate_response<A: Actuator + Clone>(
     n_star: u64,
     inferences: &[Classification],
     fp: AssessmentFn,
     fc: AssessmentFn,
     actuator: A,
 ) -> ResponseTrace {
-    let mut monitor = Monitor::new(n_star, fp, fc);
+    let mut engine = ValkyrieEngine::with_actuator(n_star, fp, fc, actuator);
+    let pid = ProcessId(0);
     let mut current = ResourceVector::FULL;
     let mut trace = ResponseTrace {
         cpu_shares: Vec::with_capacity(inferences.len()),
@@ -126,23 +132,13 @@ pub fn simulate_response<A: Actuator>(
             trace.resources.push(current);
         }
 
-        let report = monitor.observe(inference);
-        match report.directive {
-            Directive::Adjust { delta_threat } => {
-                current = actuator.apply(&current, delta_threat);
-            }
-            Directive::ResetToNormal | Directive::Restore => {
-                current = actuator.reset();
-            }
-            Directive::Terminate => {
-                if trace.terminated_at.is_none() {
-                    trace.terminated_at = Some(i);
-                }
-            }
-            Directive::Continue => {}
+        let response = engine.observe(pid, inference);
+        current = response.resources;
+        if response.action == Action::Terminate && trace.terminated_at.is_none() {
+            trace.terminated_at = Some(i);
         }
-        trace.threat.push(report.threat.value());
-        trace.states.push(report.state);
+        trace.threat.push(response.threat.value());
+        trace.states.push(response.state);
     }
     trace
 }
@@ -270,6 +266,18 @@ mod tests {
     fn completion_slowdown() {
         assert!((completion_slowdown_percent(100.0, 101.0) - 1.0).abs() < 1e-9);
         assert_eq!(completion_slowdown_percent(50.0, 50.0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "N*")]
+    fn zero_n_star_panics() {
+        let _ = simulate_response(
+            0,
+            &[Malicious],
+            AssessmentFn::incremental(),
+            AssessmentFn::incremental(),
+            percent_point_actuator(),
+        );
     }
 
     #[test]

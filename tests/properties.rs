@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use valkyrie::core::prelude::*;
+use valkyrie::core::simulate_response;
 use valkyrie::core::slowdown::completion_slowdown_percent;
-use valkyrie::core::{simulate_response, Monitor};
 
 fn classification_seq(max_len: usize) -> impl Strategy<Value = Vec<Classification>> {
     prop::collection::vec(
@@ -18,13 +18,28 @@ fn classification_seq(max_len: usize) -> impl Strategy<Value = Vec<Classificatio
     )
 }
 
+/// The one process the single-process properties drive.
+const PID: ProcessId = ProcessId(1);
+
+/// An engine for one process: incremental `F_p`/`F_c`, the Section V-C
+/// percentage-point actuator, one-shot or cyclic monitoring.
+fn one_pid_engine(n_star: u64, cyclic: bool) -> ValkyrieEngine {
+    let config = EngineConfig::builder()
+        .measurements_required(n_star)
+        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+        .cyclic(cyclic)
+        .build()
+        .unwrap();
+    ValkyrieEngine::new(config)
+}
+
 proptest! {
     /// The threat index is clamped into [0, 100] for any inference stream.
     #[test]
     fn threat_index_is_always_bounded(seq in classification_seq(200), n_star in 1u64..100) {
-        let mut m = Monitor::new(n_star, AssessmentFn::incremental(), AssessmentFn::incremental());
+        let mut engine = one_pid_engine(n_star, false);
         for c in seq {
-            let r = m.observe(c);
+            let r = engine.observe(PID, c);
             prop_assert!(r.threat.value() >= 0.0 && r.threat.value() <= 100.0);
         }
     }
@@ -76,14 +91,27 @@ proptest! {
         prop_assert_eq!(last.state, ProcessState::Normal);
     }
 
-    /// Every state transition taken by the monitor is legal per Fig. 3.
+    /// Every state transition a process takes is legal per Fig. 3, plus
+    /// cyclic monitoring's recycle: terminable back to normal, only on
+    /// `RestoreAndRecycle` and only when monitoring is cyclic.
     #[test]
-    fn monitor_transitions_follow_fig3(seq in classification_seq(120), n_star in 1u64..40) {
-        let mut m = Monitor::new(n_star, AssessmentFn::incremental(), AssessmentFn::incremental());
-        let mut prev = m.state();
+    fn monitor_transitions_follow_fig3(
+        seq in classification_seq(120),
+        n_star in 1u64..40,
+        cyclic in prop::bool::ANY,
+    ) {
+        let mut engine = one_pid_engine(n_star, cyclic);
+        let mut prev = ProcessState::Normal;
         for c in seq {
-            let r = m.observe(c);
-            prop_assert!(prev.can_transition_to(r.state), "{} -> {}", prev, r.state);
+            let r = engine.observe(PID, c);
+            let recycled = r.action == Action::RestoreAndRecycle;
+            prop_assert!(cyclic || !recycled, "one-shot monitoring recycled");
+            let legal = if recycled {
+                prev == ProcessState::Terminable && r.state == ProcessState::Normal
+            } else {
+                prev.can_transition_to(r.state)
+            };
+            prop_assert!(legal, "{} -> {} ({:?})", prev, r.state, r.action);
             prev = r.state;
         }
     }
@@ -408,36 +436,46 @@ proptest! {
         }
     }
 
-    /// A cyclic monitor that receives a benign verdict restarts with fresh
-    /// metrics: threat zero, normal state, zero measurements.
+    /// Under cyclic monitoring a benign terminable verdict restarts the
+    /// process with fresh metrics: `RestoreAndRecycle` leaves it normal,
+    /// with threat zero and full resources, and from then on it answers
+    /// exactly like a never-observed process fed the same stream. That
+    /// equality shows the measurement count, penalty and compensation were
+    /// all reset (the incremental `F_p`/`F_c` ignore the epoch index, the
+    /// one count a recycle carries over).
     #[test]
-    fn cyclic_monitor_recycles_cleanly(prefix in classification_seq(40), n_star in 2u64..20) {
-        let mut m = Monitor::new_cyclic(
-            n_star,
-            AssessmentFn::incremental(),
-            AssessmentFn::incremental(),
-        );
+    fn cyclic_monitor_recycles_cleanly(
+        prefix in classification_seq(40),
+        suffix in classification_seq(60),
+        n_star in 2u64..20,
+    ) {
+        let mut engine = one_pid_engine(n_star, true);
+        let state = |e: &ValkyrieEngine| e.state(PID).unwrap_or_default();
         for c in prefix {
-            if m.state() == ProcessState::Terminated {
+            if state(&engine) == ProcessState::Terminated {
                 return Ok(());
             }
-            m.observe(c);
+            engine.observe(PID, c);
         }
         // Drive to the terminable verdict with benign epochs, then check
         // that the verdict resets the cycle.
         for _ in 0..(2 * n_star) {
-            if m.state() == ProcessState::Terminated {
+            if state(&engine) == ProcessState::Terminated {
                 return Ok(());
             }
-            if m.state() == ProcessState::Terminable {
-                m.observe(Classification::Benign);
-                prop_assert_eq!(m.state(), ProcessState::Normal);
-                prop_assert_eq!(m.measurements(), 0);
-                prop_assert!(m.threat().is_zero());
-                prop_assert_eq!(m.penalty(), 0.0);
+            if state(&engine) == ProcessState::Terminable {
+                let r = engine.observe(PID, Classification::Benign);
+                prop_assert_eq!(r.action, Action::RestoreAndRecycle);
+                prop_assert_eq!(r.state, ProcessState::Normal);
+                prop_assert!(r.threat.is_zero());
+                prop_assert!(r.resources.is_full());
+                let mut fresh = one_pid_engine(n_star, true);
+                for c in suffix {
+                    prop_assert_eq!(engine.observe(PID, c), fresh.observe(PID, c));
+                }
                 return Ok(());
             }
-            m.observe(Classification::Benign);
+            engine.observe(PID, Classification::Benign);
         }
         prop_assert!(false, "terminable state never reached");
     }
