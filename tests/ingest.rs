@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use valkyrie::attacks::cryptominer::Cryptominer;
 use valkyrie::core::prelude::*;
+use valkyrie::core::CoalesceKey;
 use valkyrie::detect::LatencyModel;
 use valkyrie::experiments::scenario::{AugmentedRun, IngestOptions, ScenarioConfig};
 use valkyrie::sim::machine::{Machine, MachineConfig};
@@ -172,6 +173,145 @@ proptest! {
                 &got, &want,
                 "shards={}, chunk={}, n_star={}", shards, chunk, n_star
             );
+        }
+    }
+}
+
+/// An arbitrary verdict stream: up to 24 pids, three ensemble members (so
+/// `Coalesce` merges by (pid, detector)), three confidence levels.
+fn verdict_stream(max_len: usize) -> impl Strategy<Value = Vec<(ProcessId, Verdict)>> {
+    prop::collection::vec(
+        (0u64..24, 0u32..3, 0u32..3).prop_map(|(pid, detector, level)| {
+            (
+                ProcessId(pid),
+                Verdict::new(detector, f64::from(level) / 2.0),
+            )
+        }),
+        1..max_len,
+    )
+}
+
+/// One drained tick and the ingest counters right after it.
+type StatsTrace = Vec<(Vec<EngineResponse>, IngestStats)>;
+
+/// Feeds `observations` to `engine` chunk by chunk and answers each chunk
+/// with one `drain_tick`. Chunk `i` goes through `handles[i % 2]`, as one
+/// `publish_batch` when `batched` and as one `publish` per entry
+/// otherwise; before chunk `mark_at`, the `marked` pids are marked hot in
+/// the engine's threat hints. Every tick's responses are recorded with the
+/// counters `stats` reads.
+#[allow(clippy::too_many_arguments)]
+fn chunked_run<P: CoalesceKey>(
+    mut engine: ShardedEngine,
+    handles: &[IngestPublisher<P>; 2],
+    stats: fn(&ShardedEngine) -> Option<IngestStats>,
+    observations: &[(ProcessId, P)],
+    chunk: usize,
+    mark_at: usize,
+    marked: &[u64],
+    batched: bool,
+) -> StatsTrace {
+    observations
+        .chunks(chunk)
+        .enumerate()
+        .map(|(i, batch)| {
+            if i == mark_at {
+                let hints = engine.threat_hints();
+                for &pid in marked {
+                    hints.mark(ProcessId(pid));
+                }
+            }
+            let handle = &handles[i % 2];
+            let accepted = if batched {
+                handle.publish_batch(batch)
+            } else {
+                batch
+                    .iter()
+                    .filter(|&&(pid, payload)| handle.publish(pid, payload))
+                    .count()
+            };
+            assert_eq!(accepted, batch.len(), "open rings accept every entry");
+            (engine.drain_tick(), stats(&engine).expect("ingest enabled"))
+        })
+        .collect()
+}
+
+/// The overflow policies the batch ≡ per-entry pin runs, with the ring
+/// capacity each uses: `Block` rings hold at least a whole chunk, so a
+/// publisher that drains its own engine never waits.
+fn pin_capacities(capacity: usize, chunk: usize) -> [(OverflowPolicy, usize); 3] {
+    [
+        (OverflowPolicy::Block, capacity.max(chunk)),
+        (OverflowPolicy::DropOldest, capacity),
+        (OverflowPolicy::Coalesce, capacity),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `publish_batch` is a run of `publish` calls in one: twin engines,
+    /// one fed whole chunks and one fed entry by entry, answer every tick
+    /// identically and report identical `IngestStats` — evictions,
+    /// per-publisher drop charges, coalescing, priority routing and
+    /// deflected evictions included. Ring capacity 1..8 makes the lossy
+    /// policies overflow; every defense configuration runs, with hints
+    /// marked mid-run; shards {1, 2, 7}; binary and verdict payloads.
+    #[test]
+    fn batch_publish_matches_per_entry_publish_through_overflow(
+        classes in interleaving(80),
+        verdicts in verdict_stream(80),
+        chunk in 1usize..24,
+        capacity in 1usize..9,
+        n_star in 1u64..8,
+        mark_at in 0usize..6,
+        marked in prop::collection::vec(0u64..24, 0..6),
+    ) {
+        let defenses = [
+            IngestDefense::default(),
+            IngestDefense { priority_lane: true, fair_queueing: false },
+            IngestDefense { priority_lane: false, fair_queueing: true },
+            IngestDefense::full(),
+        ];
+        for shards in [1usize, 2, 7] {
+            for (policy, cap) in pin_capacities(capacity, chunk) {
+                for defense in defenses {
+                    let run = |batched| {
+                        let mut engine =
+                            ShardedEngine::new(engine_config(n_star, true), shards);
+                        let first = engine.enable_ingest_defended(cap, policy, defense);
+                        let handles = [first.clone(), first];
+                        chunked_run(
+                            engine, &handles, ShardedEngine::ingest_stats,
+                            &classes, chunk, mark_at, &marked, batched,
+                        )
+                    };
+                    prop_assert_eq!(
+                        run(true), run(false),
+                        "binary: shards={}, {:?} cap={}, {:?}, chunk={}",
+                        shards, policy, cap, defense, chunk
+                    );
+                }
+                let run = |batched| {
+                    let config = EngineConfig::builder()
+                        .measurements_required(n_star)
+                        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+                        .fusion(FusionConfig::default())
+                        .build()
+                        .unwrap();
+                    let mut engine = ShardedEngine::new(config, shards);
+                    let first = engine.enable_verdict_ingest(cap, policy);
+                    let handles = [first.clone(), first];
+                    chunked_run(
+                        engine, &handles, ShardedEngine::verdict_ingest_stats,
+                        &verdicts, chunk, mark_at, &marked, batched,
+                    )
+                };
+                prop_assert_eq!(
+                    run(true), run(false),
+                    "verdicts: shards={}, {:?} cap={}, chunk={}", shards, policy, cap, chunk
+                );
+            }
         }
     }
 }
