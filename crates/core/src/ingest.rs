@@ -21,13 +21,21 @@
 //! boundaries.
 //!
 //! Each accepted observation is stamped with a global sequence number,
-//! allocated under the destination ring's lock. Within a ring, sequence
-//! numbers are strictly increasing in application order, so a drain can
+//! and every stamp is taken while the publisher holds the destination
+//! ring's lock: a single [`publish`](IngestPublisher::publish) takes one
+//! stamp under that one lock, and a
+//! [`publish_batch`](IngestPublisher::publish_batch) locks every ring (in
+//! index order, then the threat-hint set) and reserves one contiguous run
+//! of stamps for the whole batch. Within a ring, sequence numbers are
+//! therefore strictly increasing in application order, so a drain can
 //! merge the per-shard response lists back into one publish-ordered
 //! response batch — which is what makes Block-mode ingest **bit-for-bit
 //! equivalent** to the synchronous
 //! [`observe_batch`](crate::ShardedEngine::observe_batch) path (pinned by
-//! the property tests in `tests/ingest.rs`).
+//! the property tests in `tests/ingest.rs`). A batch pays for its ring
+//! locks, its stamps and its `published` count once, not once per entry,
+//! and publishing a batch is equivalent to publishing its entries one by
+//! one (also pinned there, overflow included).
 //!
 //! # Overflow policies
 //!
@@ -270,6 +278,16 @@ struct QueuedObs<P> {
     payload: P,
 }
 
+/// What [`IngestQueues::push_locked`] did with one observation.
+enum Pushed {
+    /// Queued, coalesced into a queued entry, or queued after an eviction.
+    Accepted,
+    /// The queue set is closed; the observation was discarded.
+    Closed,
+    /// The lane is full under [`OverflowPolicy::Block`]; nothing changed.
+    Full,
+}
+
 /// [`RingState::lanes`] index of the priority lane: entries for
 /// [`ThreatHints`]-marked pids. Drained first.
 const PRIORITY: usize = 0;
@@ -391,9 +409,12 @@ pub(crate) struct IngestQueues<P = Classification> {
     defense: IngestDefense,
     /// The engine-fed suspicious-pid set the priority lane routes on.
     hints: Arc<ThreatHints>,
-    /// Global publish-order stamp. Allocated under the destination ring's
-    /// lock so per-ring sequences are strictly increasing in application
-    /// order (the property the drain merge relies on).
+    /// Global publish-order stamp. Taken only under a ring lock: one
+    /// stamp under the destination ring's lock per single publish, one
+    /// contiguous run under every ring's lock per batch. So per-ring
+    /// sequences are strictly increasing in application order (the
+    /// property the drain merge relies on), and no other publish lands
+    /// inside a batch's run.
     seq: AtomicU64,
     /// The next publisher id to hand out. Ids start at 1.
     next_publisher: AtomicU32,
@@ -477,43 +498,106 @@ impl<P: CoalesceKey> IngestQueues<P> {
         })
     }
 
-    /// Number of per-shard rings.
-    pub(crate) fn shards(&self) -> usize {
-        self.rings.len()
+    /// The ring that owns `pid` (the batch path's shard placement).
+    fn ring_of(&self, pid: ProcessId) -> usize {
+        crate::hash::shard_of(pid.0, self.rings.len())
     }
 
-    /// Publishes one observation from publisher `publisher` to shard
-    /// `shard`'s ring, applying the overflow policy if the destination
-    /// lane is full. Returns `false` (observation discarded) only when
-    /// the queue set has been closed.
-    pub(crate) fn push(&self, publisher: u32, shard: usize, pid: ProcessId, payload: P) -> bool {
-        let ring = &self.rings[shard];
+    /// Publishes one observation from publisher `publisher` to the ring
+    /// that owns `pid`, waiting under [`OverflowPolicy::Block`] while the
+    /// destination lane is full. Returns `false` (observation discarded)
+    /// only when the queue set has been closed.
+    pub(crate) fn push(&self, publisher: u32, pid: ProcessId, payload: P) -> bool {
+        let ring = &self.rings[self.ring_of(pid)];
         let mut state = ring.lock();
+        let hot = self.defense.priority_lane && self.hints.is_hot(pid);
+        let stamp = || self.seq.fetch_add(1, Ordering::Relaxed);
+        loop {
+            match self.push_locked(&mut state, publisher, pid, payload, hot, stamp) {
+                Pushed::Accepted => {
+                    self.published.fetch_add(1, Ordering::Relaxed);
+                    return true;
+                }
+                Pushed::Closed => return false,
+                Pushed::Full => {
+                    state = ring
+                        .space
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+
+    /// Publishes `batch` in order from publisher `publisher` and returns
+    /// how many observations were accepted. Holds every ring (locked in
+    /// index order, then the hint set) for the whole batch, reserves its
+    /// stamps with one atomic and counts it as published with another.
+    /// When a `Block` lane fills mid-batch, every guard is released and
+    /// the rest of the batch goes through [`Self::push`] one entry at a
+    /// time: nothing waits on a condvar while holding more than one ring.
+    /// No other path holds two ring locks, and every path that takes the
+    /// hint set under a ring lock takes the ring first.
+    pub(crate) fn push_batch(&self, publisher: u32, batch: &[(ProcessId, P)]) -> usize {
+        if batch.is_empty() {
+            return 0;
+        }
+        let mut rings: Vec<_> = self.rings.iter().map(ShardRing::lock).collect();
+        let hints = self.defense.priority_lane.then(|| self.hints.read());
+        // Every stamp is taken under a ring lock and this batch holds them
+        // all, so its stamps form one contiguous run.
+        let base = self.seq.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let mut accepted = 0;
+        let mut rest: &[(ProcessId, P)] = &[];
+        for (i, &(pid, payload)) in batch.iter().enumerate() {
+            let hot = hints.as_ref().is_some_and(|hot| hot.contains(&pid.0));
+            let state = &mut rings[self.ring_of(pid)];
+            match self.push_locked(state, publisher, pid, payload, hot, || base + i as u64) {
+                Pushed::Accepted => accepted += 1,
+                Pushed::Closed => break,
+                Pushed::Full => {
+                    rest = &batch[i..];
+                    break;
+                }
+            }
+        }
+        self.published.fetch_add(accepted as u64, Ordering::Relaxed);
+        drop(hints);
+        drop(rings);
+        accepted
+            + rest
+                .iter()
+                .filter(|&&(pid, payload)| self.push(publisher, pid, payload))
+                .count()
+    }
+
+    /// The body of every publish, run under the destination ring's lock:
+    /// routes the observation to its lane (`hot` picks the priority
+    /// lane), applies the overflow policy if that lane is full, and
+    /// queues it under the stamp `stamp` hands out. Returns
+    /// [`Pushed::Full`], having changed nothing, only under
+    /// [`OverflowPolicy::Block`]; the caller decides how to wait.
+    fn push_locked(
+        &self,
+        state: &mut RingState<P>,
+        publisher: u32,
+        pid: ProcessId,
+        payload: P,
+        hot: bool,
+        stamp: impl FnOnce() -> u64,
+    ) -> Pushed {
         // A closed queue rejects the publish before any overflow
         // handling: an eviction on behalf of an observation that is about
         // to be discarded anyway would destroy queued data for nothing.
         if self.closed.load(Ordering::Acquire) {
-            return false;
+            return Pushed::Closed;
         }
-        let lane = if self.defense.priority_lane && self.hints.is_hot(pid) {
-            PRIORITY
-        } else {
-            NORMAL
-        };
+        let lane = if hot { PRIORITY } else { NORMAL };
         let fair = self.fair(lane);
         if state.lanes[lane].len() >= self.capacity {
             match self.policy {
-                OverflowPolicy::Block => {
-                    while state.lanes[lane].len() >= self.capacity
-                        && !self.closed.load(Ordering::Acquire)
-                    {
-                        state = ring
-                            .space
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-                OverflowPolicy::DropOldest => self.evict(&mut state, lane, publisher, false),
+                OverflowPolicy::Block => return Pushed::Full,
+                OverflowPolicy::DropOldest => self.evict(state, lane, publisher, false),
                 OverflowPolicy::Coalesce => {
                     let key = payload.coalesce_key();
                     if let Some(i) = state.lanes[lane]
@@ -525,7 +609,7 @@ impl<P: CoalesceKey> IngestQueues<P> {
                         // stamp and publisher attribution.
                         let entry = &mut state.lanes[lane][i];
                         let prev = std::mem::replace(&mut entry.publisher, publisher);
-                        entry.seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                        entry.seq = stamp();
                         entry.payload = payload;
                         if fair && prev != publisher {
                             state.occ_dec(prev);
@@ -535,26 +619,21 @@ impl<P: CoalesceKey> IngestQueues<P> {
                         if lane == PRIORITY {
                             state.priority_queued += 1;
                         }
-                        self.published.fetch_add(1, Ordering::Relaxed);
-                        return true;
+                        return Pushed::Accepted;
                     }
                     // No entry to merge into: evict the stalest *verdict*
                     // (minimum stamp — coalescing restamps entries in
                     // place, so the front of the lane is not necessarily
                     // the oldest observation).
-                    self.evict(&mut state, lane, publisher, true);
+                    self.evict(state, lane, publisher, true);
                 }
             }
         }
-        if self.closed.load(Ordering::Acquire) {
-            return false;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if fair {
             state.occ_inc(publisher);
         }
         state.lanes[lane].push_back(QueuedObs {
-            seq,
+            seq: stamp(),
             pid,
             publisher,
             payload,
@@ -562,8 +641,7 @@ impl<P: CoalesceKey> IngestQueues<P> {
         if lane == PRIORITY {
             state.priority_queued += 1;
         }
-        self.published.fetch_add(1, Ordering::Relaxed);
-        true
+        Pushed::Accepted
     }
 
     /// Evicts one entry of `lane` to make room. The naive victim is the
@@ -759,20 +837,24 @@ impl<P: CoalesceKey> IngestPublisher<P> {
     /// is full. Returns `false` — and discards the observation — only when
     /// the engine has closed or replaced its ingest queues.
     pub fn publish(&self, pid: ProcessId, payload: P) -> bool {
-        let shard = crate::hash::shard_of(pid.0, self.queues.shards());
-        self.queues.push(self.id, shard, pid, payload)
+        self.queues.push(self.id, pid, payload)
     }
 
     /// Publishes a batch in order. Returns how many observations were
     /// accepted (all of them unless the queues were closed mid-batch).
+    ///
+    /// The batch pays for its synchronisation once: it locks every ring
+    /// (in index order, then the threat-hint set), takes one contiguous
+    /// run of sequence stamps and counts itself published with one atomic
+    /// add. It is therefore atomic against other publishers — no other
+    /// entry lands between two of its entries — and a concurrent drain
+    /// waits for the whole batch. The one exception is a
+    /// [`OverflowPolicy::Block`] lane that fills mid-batch: the batch then
+    /// releases every ring and publishes its remaining entries one at a
+    /// time, each waiting for space as [`Self::publish`] does, so other
+    /// publishers may interleave with that tail.
     pub fn publish_batch(&self, batch: &[(ProcessId, P)]) -> usize {
-        let mut accepted = 0;
-        for &(pid, payload) in batch {
-            if self.publish(pid, payload) {
-                accepted += 1;
-            }
-        }
-        accepted
+        self.queues.push_batch(self.id, batch)
     }
 
     /// The current ingest counters (shared with the engine's
@@ -809,11 +891,12 @@ pub(crate) fn merge_by_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use Classification::{Benign, Malicious};
 
     fn drain_all(queues: &IngestQueues) -> Vec<(u64, ProcessId, Classification)> {
         let mut out = Vec::new();
-        for shard in 0..queues.shards() {
+        for shard in 0..queues.rings.len() {
             let mut work = Vec::new();
             let mut seqs = Vec::new();
             queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
@@ -1237,5 +1320,134 @@ mod tests {
         let mut seqs: Vec<u64> = drained.iter().map(|&(seq, _, _)| seq).collect();
         seqs.dedup();
         assert_eq!(seqs.len(), 4 * 256);
+    }
+
+    /// Four threads publish `batches` batches of 256 observations each
+    /// into rings that never fill, while this thread drains them with
+    /// stamps. Each ring's stamps rise strictly in drain order, each batch
+    /// holds one contiguous stamp run in entry order, and every published
+    /// observation is drained.
+    fn concurrent_batches_take_contiguous_stamp_runs(batches: u64) {
+        const THREADS: u64 = 4;
+        const BATCH: u64 = 256;
+        let total = THREADS * batches * BATCH;
+        let queues = IngestQueues::new(4, total as usize, OverflowPolicy::Block);
+        let publisher = IngestPublisher::new(queues.clone());
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let publisher = publisher.clone();
+                std::thread::spawn(move || {
+                    let mut batch = Vec::with_capacity(BATCH as usize);
+                    for b in 0..batches {
+                        // The pid encodes the batch and the entry's index.
+                        let first = (t * batches + b) * BATCH;
+                        batch.clear();
+                        batch.extend((first..first + BATCH).map(|pid| (ProcessId(pid), Benign)));
+                        assert_eq!(publisher.publish_batch(&batch), batch.len());
+                    }
+                })
+            })
+            .collect();
+        // Per batch: the stamp of its entry 0, and how many entries landed.
+        let mut runs: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut last = vec![None; queues.rings.len()];
+        let (mut work, mut seqs) = (Vec::new(), Vec::new());
+        let mut drained = 0;
+        while drained < total {
+            for (shard, last) in last.iter_mut().enumerate() {
+                work.clear();
+                seqs.clear();
+                queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
+                for (&seq, &(pid, _)) in seqs.iter().zip(&work) {
+                    assert!(
+                        Some(seq) > *last,
+                        "ring {shard}: stamp {seq} after {last:?}"
+                    );
+                    *last = Some(seq);
+                    let base = seq - pid.0 % BATCH;
+                    let run = runs.entry(pid.0 / BATCH).or_insert((base, 0));
+                    assert_eq!(run.0, base, "batch {} is not one stamp run", pid.0 / BATCH);
+                    run.1 += 1;
+                }
+                drained += work.len() as u64;
+            }
+            std::thread::yield_now();
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(runs.len() as u64, THREADS * batches);
+        assert!(runs.values().all(|&(_, n)| n == BATCH));
+        let stats = queues.stats();
+        assert_eq!(stats.published, total);
+        assert_eq!(stats.drained, stats.published);
+        assert_eq!(stats.queued, 0);
+    }
+
+    #[test]
+    fn concurrent_batches_are_contiguous_and_ring_ordered() {
+        concurrent_batches_take_contiguous_stamp_runs(16);
+    }
+
+    #[test]
+    #[ignore = "stress: 10k batches; run with --ignored"]
+    fn concurrent_batches_are_contiguous_and_ring_ordered_stress() {
+        concurrent_batches_take_contiguous_stamp_runs(2_500);
+    }
+
+    /// A `Block` batch three times the size of the rings cannot fit while
+    /// it holds them, so it falls back to publishing entry by entry: a
+    /// drainer racing it receives every observation exactly once, in
+    /// publish order, and neither side deadlocks.
+    #[test]
+    fn oversized_block_batch_waits_entry_by_entry() {
+        const CAPACITY: usize = 4;
+        let queues = IngestQueues::new(3, CAPACITY, OverflowPolicy::Block);
+        let batch: Vec<(ProcessId, Classification)> = (0..(3 * CAPACITY * 3) as u64)
+            .map(|pid| (ProcessId(pid), Malicious))
+            .collect();
+        let publisher = IngestPublisher::new(queues.clone());
+        let (done, finished) = std::sync::mpsc::channel();
+        let publishing = {
+            let batch = batch.clone();
+            std::thread::spawn(move || done.send(publisher.publish_batch(&batch)).unwrap())
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let mut drained = Vec::new();
+        let mut last = vec![None; queues.rings.len()];
+        let (mut work, mut seqs) = (Vec::new(), Vec::new());
+        while drained.len() < batch.len() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "publish or drain deadlocked"
+            );
+            for (shard, last) in last.iter_mut().enumerate() {
+                work.clear();
+                seqs.clear();
+                queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
+                for (&seq, &(pid, cls)) in seqs.iter().zip(&work) {
+                    assert!(
+                        Some(seq) > *last,
+                        "ring {shard}: stamp {seq} after {last:?}"
+                    );
+                    *last = Some(seq);
+                    drained.push((seq, pid, cls));
+                }
+            }
+            std::thread::yield_now();
+        }
+        let accepted = finished
+            .recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+            .expect("the batch publish never returned");
+        publishing.join().unwrap();
+        assert_eq!(accepted, batch.len());
+        drained.sort_unstable_by_key(|&(seq, _, _)| seq);
+        let got: Vec<(ProcessId, Classification)> = drained
+            .into_iter()
+            .map(|(_, pid, cls)| (pid, cls))
+            .collect();
+        assert_eq!(got, batch, "every entry once, in publish order");
+        let stats = queues.stats();
+        assert_eq!((stats.published, stats.drained), (36, 36));
     }
 }

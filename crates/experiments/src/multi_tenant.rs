@@ -411,7 +411,8 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
     let mut decoys: Vec<(ProcessId, Classification)> = Vec::new();
     let mut flood_decoys = 0u64;
     // The fused tier: each member publishes over its **own** publisher
-    // handle into the shared verdict rings, at its own cadence.
+    // handle into the shared verdict rings, at its own cadence, one batch
+    // per epoch.
     let fusion_pubs = cfg.fusion.map(|ft| {
         let fast = engine.enable_verdict_ingest(ft.capacity, OverflowPolicy::Block);
         let slow = engine
@@ -419,6 +420,8 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
             .expect("verdict ingest just enabled");
         (fast, slow)
     });
+    let mut fast_batch: Vec<(ProcessId, Verdict)> = Vec::new();
+    let mut slow_batch: Vec<(ProcessId, Verdict)> = Vec::new();
     let mut pending: Vec<Vec<ProcessId>> = cfg
         .ingest
         .map(|ai| vec![Vec::new(); (ai.delay + ai.jitter + 1) as usize])
@@ -482,6 +485,8 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
             // cadence and occasionally drops a window, leaving its held
             // verdict to staleness-decay inside the fusion table.
             let slow_window = epoch.is_multiple_of(u64::from(ft.slow_cadence.max(1)));
+            fast_batch.clear();
+            slow_batch.clear();
             for &pid in &measured {
                 let idx = pid.0 as usize;
                 let fast_prob = if idx < benign.len() {
@@ -494,7 +499,7 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                 } else {
                     0.0
                 };
-                fast_pub.publish(pid, Verdict::new(0, fast_conf));
+                fast_batch.push((pid, Verdict::new(0, fast_conf)));
                 if slow_window && rng.gen::<f64>() >= ft.slow_dropout {
                     let slow_prob = if idx < benign.len() {
                         ft.slow_fpr
@@ -506,12 +511,14 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                     } else {
                         0.0
                     };
-                    slow_pub.publish(
+                    slow_batch.push((
                         pid,
                         Verdict::new(1, slow_conf).with_cadence(ft.slow_cadence),
-                    );
+                    ));
                 }
             }
+            fast_pub.publish_batch(&fast_batch);
+            slow_pub.publish_batch(&slow_batch);
             engine.drain_tick()
         } else {
             match (&publisher, cfg.ingest) {
@@ -531,6 +538,7 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                     // completed while the measurement was in flight)...
                     let due = (epoch % pending.len() as u64) as usize;
                     let due_pids = std::mem::take(&mut pending[due]);
+                    batch.clear();
                     for &pid in &due_pids {
                         let idx = pid.0 as usize;
                         let live = if idx < benign.len() {
@@ -540,9 +548,10 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                         };
                         if live {
                             let inference = verdict(pid, &benign, &attacks, &mut rng);
-                            publisher.publish(pid, inference);
+                            batch.push((pid, inference));
                         }
                     }
+                    publisher.publish_batch(&batch);
                     pending[due] = {
                         let mut reclaimed = due_pids;
                         reclaimed.clear();
@@ -555,9 +564,7 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                     if let (Some(flood_pub), Some(flood)) = (&flood_pub, &flood) {
                         decoys.clear();
                         flood.decoys_into(epoch, &mut decoys);
-                        for &(pid, cls) in &decoys {
-                            flood_pub.publish(pid, cls);
-                        }
+                        flood_pub.publish_batch(&decoys);
                         flood_decoys += decoys.len() as u64;
                     }
                     // ...and tick on schedule, whatever has arrived.
