@@ -539,9 +539,6 @@ impl<P: CoalesceKey> IngestQueues<P> {
     /// No other path holds two ring locks, and every path that takes the
     /// hint set under a ring lock takes the ring first.
     pub(crate) fn push_batch(&self, publisher: u32, batch: &[(ProcessId, P)]) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
         let mut rings: Vec<_> = self.rings.iter().map(ShardRing::lock).collect();
         let hints = self.defense.priority_lane.then(|| self.hints.read());
         // Every stamp is taken under a ring lock and this batch holds them

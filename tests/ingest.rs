@@ -5,7 +5,9 @@
 //! is **semantically invisible** relative to handing the same observations
 //! to the synchronous `observe_batch`/`tick` path — for any interleaving,
 //! any batch segmentation and shard counts {1, 2, 7, 16} — as long as `OverflowPolicy::Block` with adequate capacity keeps
-//! the rings lossless. On top of the equivalence, the async epoch driver
+//! the rings lossless. Publishing a chunk with `publish_batch` is, in
+//! turn, equivalent to publishing its entries one by one, overflow
+//! included. On top of the equivalence, the async epoch driver
 //! must tick on schedule no matter how slow or jittery the detector tier
 //! is (`LatencyModel`), which is the entire point of the subsystem.
 
@@ -236,17 +238,6 @@ fn chunked_run<P: CoalesceKey>(
         .collect()
 }
 
-/// The overflow policies the batch ≡ per-entry pin runs, with the ring
-/// capacity each uses: `Block` rings hold at least a whole chunk, so a
-/// publisher that drains its own engine never waits.
-fn pin_capacities(capacity: usize, chunk: usize) -> [(OverflowPolicy, usize); 3] {
-    [
-        (OverflowPolicy::Block, capacity.max(chunk)),
-        (OverflowPolicy::DropOldest, capacity),
-        (OverflowPolicy::Coalesce, capacity),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -273,8 +264,15 @@ proptest! {
             IngestDefense { priority_lane: false, fair_queueing: true },
             IngestDefense::full(),
         ];
+        // `Block` rings hold a whole chunk: a publisher that drains its
+        // own engine must never wait.
+        let policies = [
+            (OverflowPolicy::Block, capacity.max(chunk)),
+            (OverflowPolicy::DropOldest, capacity),
+            (OverflowPolicy::Coalesce, capacity),
+        ];
         for shards in [1usize, 2, 7] {
-            for (policy, cap) in pin_capacities(capacity, chunk) {
+            for (policy, cap) in policies {
                 for defense in defenses {
                     let run = |batched| {
                         let mut engine =
