@@ -236,6 +236,31 @@ fn capture_ablations() -> Vec<(&'static str, Vec<(String, f64, f64)>)> {
     .collect()
 }
 
+/// The evasion study at the smoke config (`trials: 3, horizon: 50`).
+fn capture_evasion() -> x::evasion::EvasionResult {
+    x::evasion::run(&x::evasion::EvasionConfig {
+        trials: 3,
+        horizon: 50,
+        ..x::evasion::EvasionConfig::default()
+    })
+}
+
+/// The quantified Table I at the smoke config (`benign_trials: 5,
+/// benign_epochs: 80`).
+fn capture_responses() -> x::responses::ResponsesResult {
+    x::responses::run(&x::responses::ResponsesConfig {
+        benign_trials: 5,
+        benign_epochs: 80,
+        ..x::responses::ResponsesConfig::default()
+    })
+}
+
+/// Fig. 5b on the quick Fig. 5a rows.
+fn capture_fig5b() -> x::fig5::Fig5bResult {
+    let cfg = x::fig5::Fig5Config::quick();
+    x::fig5::run_5b(&cfg, &x::fig5::run_5a(&cfg))
+}
+
 /// Prints the current values as Rust literals (for regeneration).
 #[test]
 #[ignore]
@@ -300,6 +325,45 @@ fn print_golden_values() {
     println!("// --- adaptive probe quick ---");
     for (label, family, est, hit, floor) in capture_adaptive_probe() {
         println!("    (\"{label}\", \"{family}\", {est:?}, {hit}, {floor:?}),");
+    }
+    let r = capture_evasion();
+    println!("// --- evasion smoke rows ---");
+    for row in r.duty_cycle {
+        println!(
+            "    ({:?}, {:?}, {:?}, {:?}, {:?}, {:?}),",
+            row.strategy,
+            row.progress,
+            row.unimpeded,
+            row.slowdown_pct,
+            row.terminated_pct,
+            row.mean_termination_epoch
+        );
+    }
+    println!("// --- evasion smoke hardening ---");
+    for (name, prog) in r.hardening {
+        println!("    ({name:?}, {prog:?}),");
+    }
+    let r = capture_responses();
+    println!("// --- responses smoke rows ---");
+    for row in r.rows {
+        println!(
+            "    ({:?}, {:?}, {:?}, {:?}),",
+            row.policy, row.attack_progress_pct, row.benign_killed_pct, row.benign_slowdown_pct
+        );
+    }
+    println!("// --- responses smoke rowhammer ---");
+    for (policy, flips) in r.rowhammer {
+        println!("    ({policy:?}, {flips}),");
+    }
+    let r = capture_fig5b();
+    println!("// --- fig5b quick ---");
+    println!(
+        "    ({:?}, {:?}, {:?}, {:?})",
+        r.valkyrie_avg, r.core_migration_avg, r.system_migration_avg, r.consecutive_kill_frac
+    );
+    println!("// --- table1 ---");
+    for line in x::table1::run().split('\n') {
+        println!("        {line:?},");
     }
 }
 
@@ -1134,4 +1198,194 @@ fn ablation_sweeps_are_bit_identical_to_seed() {
     let report = x::ablations::run();
     let got: Vec<&str> = report.split('\n').collect();
     assert_eq!(got, expected_report);
+}
+
+/// The evasion study at the smoke config, bit for bit: every swept
+/// strategy's trial means and the penalty-hardening sweep.
+#[test]
+fn evasion_smoke_rows_are_bit_identical_to_seed() {
+    #[allow(clippy::type_complexity)]
+    let expected: &[(&str, f64, f64, f64, f64, f64)] = &[
+        (
+            "always active",
+            4.153333333333328,
+            50.0,
+            91.69333333333334,
+            100.0,
+            31.0,
+        ),
+        (
+            "duty cycle 1 on / 1 off",
+            3.986666666666666,
+            25.0,
+            84.05333333333334,
+            100.0,
+            31.0,
+        ),
+        (
+            "duty cycle 1 on / 3 off",
+            4.236666666666666,
+            13.0,
+            67.41025641025642,
+            100.0,
+            33.0,
+        ),
+        (
+            "duty cycle 3 on / 1 off",
+            4.779999999999997,
+            38.0,
+            87.42105263157896,
+            100.0,
+            31.0,
+        ),
+        (
+            "sprint 15 epochs",
+            3.1066666666666642,
+            15.0,
+            79.2888888888889,
+            66.66666666666667,
+            39.0,
+        ),
+        (
+            "sawtooth (resume at 95% share)",
+            5.786666666666666,
+            35.0,
+            83.46666666666667,
+            100.0,
+            31.333333333333332,
+        ),
+        (
+            "sawtooth (resume at 70% share)",
+            6.253333333333331,
+            36.0,
+            82.62962962962963,
+            100.0,
+            31.333333333333332,
+        ),
+    ];
+    let expected_hardening: &[(&str, f64)] = &[
+        ("incremental (x + 1)", 6.253333333333331),
+        ("linear (1.5x + 1)", 3.536666666666665),
+        ("linear (x + 3)", 3.2333333333333325),
+        ("exponential (2ix + 1)", 3.6366666666666645),
+    ];
+    let r = capture_evasion();
+    assert_eq!(r.duty_cycle.len(), expected.len());
+    for (row, &(name, ep, eu, es, et, ee)) in r.duty_cycle.iter().zip(expected) {
+        assert_eq!(row.strategy, name);
+        for (what, g, e) in [
+            ("progress", row.progress, ep),
+            ("unimpeded", row.unimpeded, eu),
+            ("slowdown", row.slowdown_pct, es),
+            ("terminated", row.terminated_pct, et),
+            ("kill epoch", row.mean_termination_epoch, ee),
+        ] {
+            assert_eq!(g.to_bits(), e.to_bits(), "{name}: {what} {g:?} vs {e:?}");
+        }
+    }
+    assert_eq!(r.hardening.len(), expected_hardening.len());
+    for ((name, prog), (en, ep)) in r.hardening.iter().zip(expected_hardening) {
+        assert_eq!(name, en);
+        assert_eq!(prog.to_bits(), ep.to_bits(), "{name}: {prog:?} vs {ep:?}");
+    }
+}
+
+/// The quantified Table I at the smoke config, bit for bit: every baseline
+/// policy, the migration baselines and Valkyrie on identical traces, plus
+/// the rowhammer flip counts.
+#[test]
+fn responses_smoke_rows_are_bit_identical_to_seed() {
+    let expected: &[(&str, f64, f64, f64)] = &[
+        ("warning only", 100.0, 0.0, 0.0),
+        ("terminate on 1st detection", 0.0, 100.0, 63.75),
+        (
+            "terminate on 3 consecutive",
+            3.3333333333333335,
+            80.0,
+            47.75,
+        ),
+        ("priority reduction (50%)", 50.0, 0.0, 31.875),
+        ("core migration", 47.999999999999964, 0.0, 3.600000000000006),
+        (
+            "system migration",
+            17.33333333333333,
+            0.0,
+            6.2999999999999945,
+        ),
+        ("valkyrie", 6.44999999999999, 0.0, 4.6599999999999975),
+    ];
+    let expected_rowhammer: &[(&str, u64)] = &[
+        ("warning only", 29),
+        ("DRAM refresh (ANVIL)", 0),
+        ("valkyrie", 0),
+    ];
+    let r = capture_responses();
+    assert_eq!(r.rows.len(), expected.len());
+    for (row, &(policy, ea, ek, es)) in r.rows.iter().zip(expected) {
+        assert_eq!(row.policy, policy);
+        for (what, g, e) in [
+            ("attack progress", row.attack_progress_pct, ea),
+            ("benign killed", row.benign_killed_pct, ek),
+            ("benign slowdown", row.benign_slowdown_pct, es),
+        ] {
+            assert_eq!(g.to_bits(), e.to_bits(), "{policy}: {what} {g:?} vs {e:?}");
+        }
+    }
+    let rowhammer: Vec<(&str, u64)> = r.rowhammer.iter().map(|(p, f)| (p.as_str(), *f)).collect();
+    assert_eq!(rowhammer, expected_rowhammer);
+}
+
+/// Fig. 5b on the quick Fig. 5a rows, bit for bit: Valkyrie against the
+/// core- and system-migration baselines and the 3-consecutive rule.
+#[test]
+fn fig5b_quick_averages_are_bit_identical_to_seed() {
+    let r = capture_fig5b();
+    for (what, g, e) in [
+        ("valkyrie", r.valkyrie_avg, 2.00063121910524),
+        ("core migration", r.core_migration_avg, 2.6968161012471823),
+        ("system migration", r.system_migration_avg, 8.56025926637736),
+        (
+            "consecutive kill fraction",
+            r.consecutive_kill_frac,
+            0.025974025974025976,
+        ),
+    ] {
+        assert_eq!(g.to_bits(), f64::to_bits(e), "{what}: {g:?} vs {e:?}");
+    }
+}
+
+/// The rendered Table I survey, line for line.
+#[test]
+fn table1_report_is_identical_to_seed() {
+    let expected = [
+        "Table I — existing post-detection responses (v = satisfied, ~ = partial, x = not)",
+        "",
+        "Post-detection response                       Paper                   R1  R2  False positives reported    ",
+        "----------------------------------------------------------------------------------------------------------",
+        "Not specified                                 Alam et al. [12]        x   x   5-7%                        ",
+        "Not specified                                 Briongos et al. [19]    x   x   1.6-4.3%                    ",
+        "Not specified                                 Chiapetta et al. [23]   x   x   Not reported                ",
+        "Not specified                                 Gulmezoglu et al. [32]  x   x   0.21%                       ",
+        "Not specified                                 Mushtaq et al. [46]     x   x   1-30%                       ",
+        "Not specified                                 Mushtaq et al. [47]     x   x   5%                          ",
+        "Not specified                                 Wang et al. [64]        x   x   up to 13.6%                 ",
+        "Not specified                                 Karapoola et al. [33]   x   x   0.01%                       ",
+        "Not specified                                 Ahmed et al. [10]       x   x   0.58%                       ",
+        "Not specified                                 Vig et al. [63]         x   x   1%                          ",
+        "Not specified                                 Pott et al. [56]        x   x   0.2%                        ",
+        "Not specified                                 Tahir et al. [61]       x   x   0.25%                       ",
+        "Not specified                                 Mani et al. [40]        x   x   0.2-3.8%                    ",
+        "Warning                                       Kulah et al. [38]       ~   x   Not reported                ",
+        "Migration                                     Zhang et al. [69]       v   ~   Not reported                ",
+        "Migration                                     Nomani et al. [49]      v   ~   Not reported                ",
+        "Termination                                   Mushtaq et al. [48]     v   x   1-3%                        ",
+        "Termination                                   Payer [53]              v   x   Not reported                ",
+        "DRAM responses                                Aweke et al. [14]       v   v   1%                          ",
+        "DRAM responses                                Yaglikci et al. [65]    v   v   0.01%                       ",
+        "Systematic throttling + eventual termination  Valkyrie (this paper)   v   v   Same as augmented detector  ",
+        "",
+    ];
+    let report = x::table1::run();
+    let got: Vec<&str> = report.split('\n').collect();
+    assert_eq!(got, expected);
 }
