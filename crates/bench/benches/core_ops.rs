@@ -99,27 +99,25 @@ fn bench_slowdown_simulation(c: &mut Criterion) {
 }
 
 fn bench_evasion_replay(c: &mut Criterion) {
-    use valkyrie_core::{
-        run_evasion, AttackerStrategy, DetectorModel, EngineConfig, EvasionScenario,
+    use valkyrie_core::EngineConfig;
+    use valkyrie_experiments::attacker::{
+        run_adaptive, AdaptiveScenario, AttackerStrategy, DetectorModel,
     };
     let config = EngineConfig::builder()
         .measurements_required(30)
         .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
         .build()
         .unwrap();
-    let scenario = EvasionScenario::new(
-        AttackerStrategy::ThreatAdaptive { resume_above: 0.7 },
-        DetectorModel::new(0.9, 0.04).unwrap(),
-        120,
-    );
+    let scenario = AdaptiveScenario::new(DetectorModel::new(0.9, 0.04).unwrap(), 120);
+    let mut strategy = AttackerStrategy::ThreatAdaptive { resume_above: 0.7 };
     c.bench_function("core/evasion_replay_120_epochs", |b| {
-        b.iter(|| black_box(run_evasion(black_box(&config), black_box(&scenario))))
+        b.iter(|| black_box(run_adaptive(&config, black_box(&scenario), &mut strategy)))
     });
 }
 
 fn bench_baseline_policies(c: &mut Criterion) {
-    use valkyrie_core::migration::{migration_progress, MigrationPolicy};
-    use valkyrie_core::{ConsecutiveTermination, PriorityReduction};
+    use valkyrie_experiments::baselines::{ConsecutiveTermination, PriorityReduction};
+    use valkyrie_experiments::migration::{migration_progress, MigrationPolicy};
     let inferences: Vec<Classification> = (0..300)
         .map(|i| {
             if i % 25 == 0 {

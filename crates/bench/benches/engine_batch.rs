@@ -376,7 +376,7 @@ fn bench_tick_with_churn(c: &mut Criterion) {
 /// the unit of work the best-response search re-evaluates hundreds of times
 /// per ranked law, so its cost bounds the `adaptive` experiment's runtime.
 fn bench_adaptive(c: &mut Criterion) {
-    use valkyrie_core::evasion::{
+    use valkyrie_experiments::attacker::{
         run_adaptive, AdaptiveScenario, DetectorModel, IntensityModulator, LawProbe,
     };
     let mut group = c.benchmark_group("core/engine_batch_adaptive");

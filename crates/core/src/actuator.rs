@@ -81,10 +81,10 @@ pub enum ThrottleLaw {
 /// The shape of a [`ThrottleLaw`], stripped of its parameter.
 ///
 /// Used as ground truth for the adaptive tier's law probe
-/// ([`crate::evasion::LawProbe`] estimates the family and parameter of the
-/// deployed law from observed share responses, and the `adaptive` experiment
-/// scores the estimate against this introspection) and as a stable label for
-/// per-law rankings.
+/// (`valkyrie_experiments::attacker::LawProbe` estimates the family and
+/// parameter of the deployed law from observed share responses, and the
+/// `adaptive` experiment scores the estimate against this introspection)
+/// and as a stable label for per-law rankings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LawFamily {
     /// [`ThrottleLaw::PercentPointPerUnit`].

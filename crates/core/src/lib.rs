@@ -59,15 +59,12 @@
 //! ```
 
 pub mod actuator;
-pub mod baselines;
 pub mod efficacy;
 pub mod engine;
 pub mod error;
-pub mod evasion;
 pub mod fleet;
 pub mod hash;
 pub mod ingest;
-pub mod migration;
 pub mod monitor;
 pub mod resource;
 pub mod sharded;
@@ -77,21 +74,13 @@ pub mod telemetry;
 pub mod threat;
 
 pub use actuator::{Actuator, CompositeActuator, LawFamily, ShareActuator, ThrottleLaw};
-pub use baselines::{ConsecutiveTermination, DramRefresh, PriorityReduction, WarningOnly};
 pub use efficacy::{EfficacyCurve, EfficacyPoint, EfficacySpec};
 pub use engine::{
     Action, EngineConfig, EngineConfigBuilder, EngineResponse, FusionConfig, ValkyrieEngine,
 };
 pub use error::ValkyrieError;
-pub use evasion::{
-    fit_throttle_law, run_adaptive, run_adaptive_mass, run_evasion, AdaptiveScenario,
-    AdaptiveStrategy, AttackerStrategy, ConstantIntensity, DetectorModel, EvasionOutcome,
-    EvasionScenario, IntensityModulator, LawEstimate, LawProbe, MassRider, PeriodicIntensity,
-    StepDown,
-};
 pub use fleet::FleetEngine;
 pub use ingest::{CoalesceKey, IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
-pub use migration::{migration_progress, MigrationPolicy};
 pub use monitor::{EscalationLadder, EscalationLevel};
 pub use resource::{ProcessId, ResourceKind, ResourceVector};
 pub use sharded::{host_parallelism, ShardedEngine};

@@ -114,7 +114,7 @@ impl EscalationLadder {
     ///
     /// This is the boundary query the adaptive tier's attackers use: a
     /// mass-riding strategy holds its expected evidence just below the rung
-    /// it wants to avoid (see `valkyrie_core::evasion::MassRider`).
+    /// it wants to avoid (see `valkyrie_experiments::attacker::MassRider`).
     pub fn engages_above(&self, level: EscalationLevel) -> Option<f64> {
         match level {
             EscalationLevel::Kill => Some(self.kill_above),

@@ -23,12 +23,12 @@
 //! family and parameter from share responses alone, plus the floor achieved
 //! by the full probe→calibrate→modulate closed loop.
 
-use crate::harness::{fmt, pct, TextTable};
-use valkyrie_core::evasion::{
-    run_adaptive, run_adaptive_mass, run_evasion, AdaptiveScenario, AdaptiveStrategy,
-    ConstantIntensity, DetectorModel, EvasionOutcome, EvasionScenario, IntensityModulator,
-    LawProbe, MassRider,
+use crate::attacker::{
+    run_adaptive, run_adaptive_mass, AdaptiveScenario, AdaptiveStrategy, ConstantIntensity,
+    DetectorModel, EvasionOutcome, IntensityModulator, LawProbe, MassRider,
 };
+use crate::evasion::{trials, TrialStats};
+use crate::harness::{fmt, pct, TextTable};
 use valkyrie_core::monitor::{EscalationLadder, EscalationLevel};
 use valkyrie_core::{
     AssessmentFn, EngineConfig, FusionConfig, ResourceKind, ShareActuator, ThrottleLaw,
@@ -223,36 +223,9 @@ fn defenses(cfg: &AdaptiveConfig) -> Vec<Defense> {
     out
 }
 
-/// Aggregate of one strategy's trials.
-struct RunStats {
-    progress: f64,
-    killed_pct: f64,
-    mean_kill_epoch: f64,
-}
-
 /// Averages `run(seed)` over the study's trial seeds.
-fn collect(cfg: &AdaptiveConfig, mut run: impl FnMut(u64) -> EvasionOutcome) -> RunStats {
-    let mut progress = 0.0;
-    let mut killed = 0u64;
-    let mut kill_epoch_sum = 0.0;
-    for t in 0..cfg.trials {
-        let out = run(0xADA + t);
-        progress += out.progress;
-        if let Some(epoch) = out.terminated_at {
-            killed += 1;
-            kill_epoch_sum += epoch as f64;
-        }
-    }
-    let n = cfg.trials as f64;
-    RunStats {
-        progress: progress / n,
-        killed_pct: 100.0 * killed as f64 / n,
-        mean_kill_epoch: if killed > 0 {
-            kill_epoch_sum / killed as f64
-        } else {
-            f64::NAN
-        },
-    }
+fn collect(cfg: &AdaptiveConfig, run: impl FnMut(u64) -> EvasionOutcome) -> TrialStats {
+    trials(cfg.trials, 0xADA, run)
 }
 
 /// Efficacy floor: the percentage of the horizon denied to the attacker.
@@ -266,7 +239,7 @@ fn run_strategy(
     cfg: &AdaptiveConfig,
     detector: DetectorModel,
     strategy: &mut dyn AdaptiveStrategy,
-) -> RunStats {
+) -> TrialStats {
     collect(cfg, |seed| {
         let scenario = AdaptiveScenario::new(detector, cfg.horizon)
             .with_seed(seed)
@@ -371,20 +344,8 @@ fn rank_defense(defense: &Defense, cfg: &AdaptiveConfig, detector: DetectorModel
     //    the same seeds (average-case baseline).
     let mut fixed_best: Option<(String, f64)> = None;
     for strategy in crate::evasion::strategies(cfg.n_star) {
-        let progress = match defense.path {
-            DefensePath::Binary => {
-                collect(cfg, |seed| {
-                    let scenario =
-                        EvasionScenario::new(strategy, detector, cfg.horizon).with_seed(seed);
-                    run_evasion(&defense.config, &scenario)
-                })
-                .progress
-            }
-            DefensePath::Ladder(_) => {
-                let mut adapter = strategy;
-                run_strategy(defense, cfg, detector, &mut adapter).progress
-            }
-        };
+        let mut adapter = strategy;
+        let progress = run_strategy(defense, cfg, detector, &mut adapter).progress;
         let better = fixed_best.as_ref().is_none_or(|(_, best)| progress > *best);
         if better {
             fixed_best = Some((crate::evasion::label(strategy), progress));

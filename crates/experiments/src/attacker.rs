@@ -7,7 +7,7 @@
 //! index decays, and resume — to make progress indefinitely without being
 //! terminated?
 //!
-//! The answer, quantified by [`run_evasion`] and the `evasion` experiment
+//! The answer, quantified by [`run_adaptive`] and the `evasion` experiment
 //! binary, is that duty-cycling is a losing trade under Valkyrie:
 //!
 //! * every dormant epoch costs the attacker wall-clock time but still counts
@@ -28,26 +28,25 @@
 //! from the share responses to a calibrated burst; [`IntensityModulator`]
 //! rides a share-hysteresis band and goes quiet at its `N*` estimate;
 //! [`MassRider`] holds the expected fused confidence just below an
-//! [`crate::EscalationLadder`] rung. The `adaptive` experiment searches
-//! these parameter spaces per response law and reports the *worst-case*
-//! efficacy floor each law retains.
+//! [`valkyrie_core::EscalationLadder`] rung. The `adaptive` experiment
+//! searches these parameter spaces per response law and reports the
+//! *worst-case* efficacy floor each law retains.
 //!
 //! # Examples
 //!
 //! ```
-//! use valkyrie_core::evasion::{AttackerStrategy, DetectorModel, EvasionScenario, run_evasion};
 //! use valkyrie_core::{EngineConfig, ShareActuator};
+//! use valkyrie_experiments::attacker::{
+//!     run_adaptive, AdaptiveScenario, AttackerStrategy, DetectorModel,
+//! };
 //!
 //! let config = EngineConfig::builder()
 //!     .measurements_required(15)
 //!     .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
 //!     .build()?;
-//! let scenario = EvasionScenario::new(
-//!     AttackerStrategy::DutyCycle { active: 2, dormant: 3 },
-//!     DetectorModel::perfect(),
-//!     60,
-//! );
-//! let outcome = run_evasion(&config, &scenario);
+//! let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 60);
+//! let mut strategy = AttackerStrategy::DutyCycle { active: 2, dormant: 3 };
+//! let outcome = run_adaptive(&config, &scenario, &mut strategy);
 //! // The duty-cycling attacker is still terminated and makes far less
 //! // progress than it would unimpeded.
 //! assert!(outcome.terminated_at.is_some());
@@ -55,12 +54,12 @@
 //! # Ok::<(), valkyrie_core::ValkyrieError>(())
 //! ```
 
-use crate::actuator::{Actuator, LawFamily, ThrottleLaw};
-use crate::engine::{Action, EngineConfig, EngineResponse, ValkyrieEngine};
-use crate::resource::ProcessId;
-use crate::threat::Classification;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use valkyrie_core::{
+    Action, Actuator, Classification, EngineConfig, EngineResponse, LawFamily, ProcessId,
+    ThrottleLaw, ValkyrieEngine, ValkyrieError,
+};
 
 /// What the attacker can observe about its own situation when deciding
 /// whether to attack in the next epoch.
@@ -71,7 +70,8 @@ use rand::{Rng, SeedableRng};
 /// the share rather than the index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackerView {
-    /// Epoch index about to start (1-based).
+    /// Epoch index about to start (1-based; the schedules treat epoch 0
+    /// like epoch 1).
     pub epoch: u64,
     /// CPU share granted in the previous epoch (1.0 = unthrottled).
     pub cpu_share: f64,
@@ -119,11 +119,20 @@ impl AttackerStrategy {
                 if period == 0 {
                     return false;
                 }
-                (view.epoch - 1) % period < u64::from(active)
+                view.epoch.saturating_sub(1) % period < u64::from(active)
             }
             AttackerStrategy::Sprint { active_epochs } => view.epoch <= active_epochs,
             AttackerStrategy::ThreatAdaptive { resume_above } => view.cpu_share >= resume_above,
         }
+    }
+}
+
+/// Sanitises an effort, threshold or mass into `[0, 1]`; non-finite → 0.
+fn unit(v: f64) -> f64 {
+    if v.is_finite() {
+        v.clamp(0.0, 1.0)
+    } else {
+        0.0
     }
 }
 
@@ -133,7 +142,7 @@ impl AttackerStrategy {
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::evasion::DetectorModel;
+/// use valkyrie_experiments::attacker::DetectorModel;
 /// let d = DetectorModel::new(0.95, 0.04).unwrap();
 /// assert_eq!(d.tpr(), 0.95);
 /// assert!(DetectorModel::new(1.5, 0.0).is_err());
@@ -151,12 +160,12 @@ impl DetectorModel {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::ValkyrieError::InvalidConfig`] when either rate is
+    /// Returns [`ValkyrieError::InvalidConfig`] when either rate is
     /// outside `[0, 1]` or not finite.
-    pub fn new(tpr: f64, fpr: f64) -> Result<Self, crate::ValkyrieError> {
+    pub fn new(tpr: f64, fpr: f64) -> Result<Self, ValkyrieError> {
         for (name, v) in [("tpr", tpr), ("fpr", fpr)] {
             if !(0.0..=1.0).contains(&v) || v.is_nan() {
-                return Err(crate::ValkyrieError::InvalidConfig(format!(
+                return Err(ValkyrieError::InvalidConfig(format!(
                     "{name} must lie in [0, 1], got {v}"
                 )));
             }
@@ -186,16 +195,12 @@ impl DetectorModel {
     /// rate at intensity 1 (a flat-out attacker faces the detector's full
     /// sensitivity). The extremes return `fpr`/`tpr` *exactly* rather than
     /// through the interpolation arithmetic, so a replay at intensity 0/1
-    /// is exactly a binary detector with these two rates (which is how
-    /// [`run_evasion`] replays the fixed strategies). A non-finite
+    /// is exactly a binary detector with these two rates (which is how the
+    /// fixed [`AttackerStrategy`] schedules replay). A non-finite
     /// intensity is treated as 0: effort is bounded by construction, so NaN
     /// is an upstream bug that must not reach the RNG comparison.
     pub fn detection_probability(&self, intensity: f64) -> f64 {
-        let i = if intensity.is_finite() {
-            intensity.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
+        let i = unit(intensity);
         if i == 0.0 {
             self.fpr
         } else if i == 1.0 {
@@ -229,49 +234,6 @@ impl DetectorModel {
     }
 }
 
-/// One evasion experiment: a strategy, a detector model and a horizon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvasionScenario {
-    strategy: AttackerStrategy,
-    detector: DetectorModel,
-    horizon: u64,
-    seed: u64,
-}
-
-impl EvasionScenario {
-    /// A scenario observed for `horizon` epochs with the default seed.
-    pub fn new(strategy: AttackerStrategy, detector: DetectorModel, horizon: u64) -> Self {
-        Self {
-            strategy,
-            detector,
-            horizon,
-            seed: 0x56414C4B, // "VALK"
-        }
-    }
-
-    /// Replaces the RNG seed (the replay is deterministic per seed).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The attacker strategy under test.
-    pub fn strategy(&self) -> AttackerStrategy {
-        self.strategy
-    }
-
-    /// The detector model in use.
-    pub fn detector(&self) -> DetectorModel {
-        self.detector
-    }
-
-    /// Number of epochs the replay covers.
-    pub fn horizon(&self) -> u64 {
-        self.horizon
-    }
-}
-
 /// The result of replaying an evasion scenario with and without Valkyrie.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvasionOutcome {
@@ -299,31 +261,6 @@ impl EvasionOutcome {
             (1.0 - self.progress / self.unimpeded) * 100.0
         }
     }
-}
-
-/// Replays an [`EvasionScenario`] through a [`ValkyrieEngine`] built from
-/// `config` and returns the attacker's progress with and without Valkyrie.
-///
-/// Each epoch the strategy decides whether to work; the detector model
-/// samples an inference; the engine updates the threat index and resource
-/// shares. An active epoch contributes the granted CPU share to `progress`
-/// (attack work rate is CPU-bound, as in every case study of Section VI);
-/// dormant epochs contribute nothing. Termination stops the attack for good.
-///
-/// The unimpeded counterfactual runs the *same* activity sequence at full
-/// share with no termination, so the comparison isolates the response
-/// framework's effect.
-///
-/// This is [`run_adaptive`] with the scenario's strategy playing effort 1
-/// when active and 0 when dormant; at those efforts the graded replay is
-/// exactly the binary one.
-pub fn run_evasion<A: Actuator + Clone>(
-    config: &EngineConfig<A>,
-    scenario: &EvasionScenario,
-) -> EvasionOutcome {
-    let adaptive =
-        AdaptiveScenario::new(scenario.detector, scenario.horizon).with_seed(scenario.seed);
-    run_adaptive(config, &adaptive, &mut scenario.strategy.clone())
 }
 
 /// A closed-loop attacker: chooses a graded effort in `[0, 1]` from what it
@@ -393,7 +330,7 @@ impl AdaptiveStrategy for PeriodicIntensity {
         if period == 0 {
             return self.low;
         }
-        if (view.epoch - 1) % period < u64::from(self.active) {
+        if view.epoch.saturating_sub(1) % period < u64::from(self.active) {
             self.high
         } else {
             self.low
@@ -461,7 +398,7 @@ pub struct LawEstimate {
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::evasion::{fit_throttle_law, ShareResponse};
+/// use valkyrie_experiments::attacker::{fit_throttle_law, ShareResponse};
 /// use valkyrie_core::ThrottleLaw;
 /// let law = ThrottleLaw::PercentPointPerUnit { step: 0.10 };
 /// let mut share = 1.0;
@@ -492,48 +429,38 @@ pub fn fit_throttle_law(responses: &[ShareResponse]) -> Option<LawEstimate> {
         return None;
     }
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    let mean_of = |f: fn(&ShareResponse) -> f64| mean(&falling.iter().map(f).collect::<Vec<_>>());
+    // Geometric mean of the share ratios that kept a positive share, per
+    // unit of delta or per event.
+    let ratio_mean = |per_unit: bool| {
+        let logs: Vec<f64> = falling
+            .iter()
+            .filter(|r| r.after > 0.0)
+            .map(|r| {
+                let ln = (r.after / r.before).ln();
+                if per_unit {
+                    ln / r.delta
+                } else {
+                    ln
+                }
+            })
+            .collect();
+        (!logs.is_empty()).then(|| mean(&logs).exp())
+    };
     let mut best: Option<LawEstimate> = None;
     for family in LawFamily::ALL {
         let param = match family {
-            LawFamily::PercentPoint => mean(
-                &falling
-                    .iter()
-                    .map(|r| (r.before - r.after) / r.delta)
-                    .collect::<Vec<_>>(),
-            ),
-            LawFamily::SchedulerWeight => mean(
-                &falling
-                    .iter()
-                    .map(|r| (r.before - r.after) / (r.before * r.delta))
-                    .collect::<Vec<_>>(),
-            ),
-            LawFamily::MultiplicativePerUnit => {
-                let logs: Vec<f64> = falling
-                    .iter()
-                    .filter(|r| r.after > 0.0)
-                    .map(|r| (r.after / r.before).ln() / r.delta)
-                    .collect();
-                if logs.is_empty() {
-                    continue;
-                }
-                mean(&logs).exp()
+            LawFamily::PercentPoint => Some(mean_of(|r| (r.before - r.after) / r.delta)),
+            LawFamily::SchedulerWeight => {
+                Some(mean_of(|r| (r.before - r.after) / (r.before * r.delta)))
             }
-            LawFamily::Halve => 0.5,
-            LawFamily::MultiplicativePerEvent => {
-                let logs: Vec<f64> = falling
-                    .iter()
-                    .filter(|r| r.after > 0.0)
-                    .map(|r| (r.after / r.before).ln())
-                    .collect();
-                if logs.is_empty() {
-                    continue;
-                }
-                mean(&logs).exp()
-            }
+            LawFamily::MultiplicativePerUnit => ratio_mean(true),
+            LawFamily::Halve => Some(0.5),
+            LawFamily::MultiplicativePerEvent => ratio_mean(false),
         };
-        if !param.is_finite() {
+        let Some(param) = param.filter(|p| p.is_finite()) else {
             continue;
-        }
+        };
         let law = ThrottleLaw::with_parameter(family, param);
         let residual: f64 = falling
             .iter()
@@ -594,11 +521,6 @@ impl<S: AdaptiveStrategy> LawProbe<S> {
     /// The law estimate, once the burst produced enough responses.
     pub fn estimate(&self) -> Option<&LawEstimate> {
         self.estimate.as_ref()
-    }
-
-    /// The inner exploit strategy.
-    pub fn exploit(&self) -> &S {
-        &self.exploit
     }
 }
 
@@ -676,20 +598,13 @@ impl IntensityModulator {
         quiet_after: u64,
         terminal_intensity: f64,
     ) -> Self {
-        let sane = |v: f64| {
-            if v.is_finite() {
-                v.clamp(0.0, 1.0)
-            } else {
-                0.0
-            }
-        };
-        let pause_below = sane(pause_below);
+        let pause_below = unit(pause_below);
         Self {
-            attack_intensity: sane(attack_intensity),
+            attack_intensity: unit(attack_intensity),
             pause_below,
-            resume_above: sane(resume_above).max(pause_below),
+            resume_above: unit(resume_above).max(pause_below),
             quiet_after,
-            terminal_intensity: sane(terminal_intensity),
+            terminal_intensity: unit(terminal_intensity),
             attacking: true,
         }
     }
@@ -774,9 +689,9 @@ impl AdaptiveStrategy for IntensityModulator {
     }
 }
 
-/// Best-responds to an [`crate::EscalationLadder`] by holding the *expected fused
-/// mass* just below a rung boundary (obtained from
-/// [`crate::EscalationLadder::ride_below`]).
+/// Best-responds to a [`valkyrie_core::EscalationLadder`] by holding the
+/// *expected fused mass* just below a rung boundary (obtained from
+/// [`valkyrie_core::EscalationLadder::ride_below`]).
 ///
 /// The effort is the inverse of [`DetectorModel::detection_probability`]:
 /// the intensity whose expected confidence equals the target mass. Below
@@ -803,23 +718,16 @@ impl MassRider {
         quiet_after: u64,
         terminal_mass: f64,
     ) -> Self {
-        let sane = |v: f64| {
-            if v.is_finite() {
-                v.clamp(0.0, 1.0)
-            } else {
-                0.0
-            }
-        };
         Self {
             detector,
-            target_mass: sane(target_mass),
+            target_mass: unit(target_mass),
             quiet_after,
-            terminal_mass: sane(terminal_mass),
+            terminal_mass: unit(terminal_mass),
         }
     }
 
     /// The effort whose expected confidence equals `target`.
-    pub fn effort_for(&self, target: f64) -> f64 {
+    fn effort_for(&self, target: f64) -> f64 {
         let span = self.detector.tpr() - self.detector.fpr();
         if span <= 0.0 {
             // A flat (or inverted) detector gives the attacker no dial to
@@ -876,41 +784,23 @@ impl AdaptiveScenario {
         self.noise = noise;
         self
     }
-
-    /// The detector model in use.
-    pub fn detector(&self) -> DetectorModel {
-        self.detector
-    }
-
-    /// Number of epochs the replay covers.
-    pub fn horizon(&self) -> u64 {
-        self.horizon
-    }
-
-    /// The confidence-jitter width.
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
 }
 
-/// Sanitises a strategy's declared effort: `[0, 1]`, non-finite → 0.
-fn sane_intensity(raw: f64) -> f64 {
-    if raw.is_finite() {
-        raw.clamp(0.0, 1.0)
-    } else {
-        0.0
-    }
-}
-
-/// Replays an adaptive attacker against the binary-verdict path.
+/// Replays an adaptive attacker against the binary-verdict path and returns
+/// its progress with and without Valkyrie.
 ///
-/// The graded sibling of [`run_evasion`]: each epoch the strategy picks an
-/// effort, the detector samples a verdict at the interpolated detection
-/// probability, and an active epoch contributes `intensity × share` to
-/// progress (and `intensity` to the unimpeded counterfactual). At effort
-/// exactly 0/1 every arithmetic step degenerates to the binary path, so a
-/// degenerate adaptive strategy replays bit-for-bit like its fixed
-/// counterpart (property-pinned in `tests/properties.rs`).
+/// Each epoch the strategy picks an effort, the detector samples a verdict
+/// at the interpolated detection probability, and the engine updates the
+/// threat index and resource shares. An active epoch contributes
+/// `intensity × share` to progress (attack work rate is CPU-bound, as in
+/// every case study of Section VI) and `intensity` to the unimpeded
+/// counterfactual, which runs the same effort sequence at full share with
+/// no termination. Termination stops the attack for good.
+///
+/// A fixed [`AttackerStrategy`] plays effort 1 when active and 0 when
+/// dormant. At effort exactly 0/1 every arithmetic step degenerates to a
+/// binary detector, so a degenerate graded strategy replays bit-for-bit like
+/// its fixed counterpart (property-pinned in `tests/properties.rs`).
 pub fn run_adaptive<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
     config: &EngineConfig<A>,
     scenario: &AdaptiveScenario,
@@ -928,9 +818,9 @@ pub fn run_adaptive<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
 /// (detection probability at the chosen effort plus uniform jitter of the
 /// scenario's noise width) and the engine advances through
 /// [`ValkyrieEngine::observe_mass`] under its configured
-/// [`crate::EscalationLadder`]. This is the path a [`MassRider`] games: holding the
-/// expected confidence below the throttle rung keeps the ladder in its
-/// observe band, where no penalty is ever assessed.
+/// [`valkyrie_core::EscalationLadder`]. This is the path a [`MassRider`]
+/// games: holding the expected confidence below the throttle rung keeps the
+/// ladder in its observe band, where no penalty is ever assessed.
 pub fn run_adaptive_mass<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
     config: &EngineConfig<A>,
     scenario: &AdaptiveScenario,
@@ -969,7 +859,7 @@ fn replay<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
             cpu_share,
             measurements,
         };
-        let intensity = sane_intensity(strategy.intensity(&view));
+        let intensity = unit(strategy.intensity(&view));
         if intensity > 0.0 {
             unimpeded += intensity;
         }
@@ -1011,7 +901,7 @@ fn replay<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::evasion::expected_terminable_progress;
+/// use valkyrie_experiments::attacker::expected_terminable_progress;
 /// assert_eq!(expected_terminable_progress(1.0), 0.0);
 /// assert_eq!(expected_terminable_progress(0.5), 1.0);
 /// assert!(expected_terminable_progress(0.0).is_infinite());
@@ -1028,9 +918,9 @@ pub fn expected_terminable_progress(tpr: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actuator::ShareActuator;
-    use crate::engine::EngineConfig;
-    use crate::state::ProcessState;
+    use valkyrie_core::{
+        AssessmentFn, EscalationLadder, EscalationLevel, FusionConfig, ResourceKind, ShareActuator,
+    };
 
     fn config(n_star: u64) -> EngineConfig {
         EngineConfig::builder()
@@ -1042,9 +932,8 @@ mod tests {
 
     #[test]
     fn always_active_attacker_is_terminated_right_after_n_star() {
-        let scenario =
-            EvasionScenario::new(AttackerStrategy::AlwaysActive, DetectorModel::perfect(), 40);
-        let out = run_evasion(&config(15), &scenario);
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 40);
+        let out = run_adaptive(&config(15), &scenario, &mut AttackerStrategy::AlwaysActive);
         assert_eq!(out.terminated_at, Some(16));
         assert!(out.progress < out.unimpeded);
         assert!(out.slowdown_percent() > 70.0, "{}", out.slowdown_percent());
@@ -1052,12 +941,9 @@ mod tests {
 
     #[test]
     fn dormant_attacker_makes_no_progress_and_survives() {
-        let scenario = EvasionScenario::new(
-            AttackerStrategy::Sprint { active_epochs: 0 },
-            DetectorModel::perfect(),
-            50,
-        );
-        let out = run_evasion(&config(10), &scenario);
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 50);
+        let mut sprint = AttackerStrategy::Sprint { active_epochs: 0 };
+        let out = run_adaptive(&config(10), &scenario, &mut sprint);
         assert_eq!(out.progress, 0.0);
         assert_eq!(out.unimpeded, 0.0);
         assert_eq!(out.terminated_at, None);
@@ -1069,15 +955,12 @@ mod tests {
         // 1 active, 4 dormant; N* = 10. Epochs 1, 6, 11, ... are active.
         // The terminable state is reached at measurement 10; the next
         // *active* epoch (11) draws a malicious verdict and dies.
-        let scenario = EvasionScenario::new(
-            AttackerStrategy::DutyCycle {
-                active: 1,
-                dormant: 4,
-            },
-            DetectorModel::perfect(),
-            60,
-        );
-        let out = run_evasion(&config(10), &scenario);
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 60);
+        let mut duty = AttackerStrategy::DutyCycle {
+            active: 1,
+            dormant: 4,
+        };
+        let out = run_adaptive(&config(10), &scenario, &mut duty);
         assert_eq!(out.terminated_at, Some(11));
         // Two active epochs survived (1 and 6), both heavily compensated in
         // between, so progress stays below 2 full epochs.
@@ -1089,12 +972,9 @@ mod tests {
     fn sprint_inside_one_cycle_is_throttled_not_free() {
         // Attack hard for 5 epochs, then hide. The sprint is throttled from
         // epoch 2 on, and the attacker still faces the terminable verdict.
-        let scenario = EvasionScenario::new(
-            AttackerStrategy::Sprint { active_epochs: 5 },
-            DetectorModel::perfect(),
-            30,
-        );
-        let out = run_evasion(&config(15), &scenario);
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 30);
+        let mut sprint = AttackerStrategy::Sprint { active_epochs: 5 };
+        let out = run_adaptive(&config(15), &scenario, &mut sprint);
         assert_eq!(out.unimpeded, 5.0);
         assert!(
             out.progress < 5.0 * 0.8,
@@ -1108,22 +988,10 @@ mod tests {
     #[test]
     fn threat_adaptive_sawtooth_is_bounded_by_duty_cycle() {
         let cfg = config(20);
-        let sawtooth = run_evasion(
-            &cfg,
-            &EvasionScenario::new(
-                AttackerStrategy::ThreatAdaptive { resume_above: 0.95 },
-                DetectorModel::perfect(),
-                100,
-            ),
-        );
-        let always = run_evasion(
-            &cfg,
-            &EvasionScenario::new(
-                AttackerStrategy::AlwaysActive,
-                DetectorModel::perfect(),
-                100,
-            ),
-        );
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 100);
+        let mut sawtooth = AttackerStrategy::ThreatAdaptive { resume_above: 0.95 };
+        let sawtooth = run_adaptive(&cfg, &scenario, &mut sawtooth);
+        let always = run_adaptive(&cfg, &scenario, &mut AttackerStrategy::AlwaysActive);
         // Dormant epochs still count toward N*, so the sawtooth cannot
         // postpone the terminable verdict …
         assert_eq!(sawtooth.terminated_at, always.terminated_at);
@@ -1141,13 +1009,9 @@ mod tests {
         let mut total = 0.0;
         let trials = 400;
         for seed in 0..trials {
-            let scenario = EvasionScenario::new(
-                AttackerStrategy::AlwaysActive,
-                DetectorModel::new(tpr, 0.0).unwrap(),
-                400,
-            )
-            .with_seed(seed);
-            let out = run_evasion(&cfg, &scenario);
+            let scenario =
+                AdaptiveScenario::new(DetectorModel::new(tpr, 0.0).unwrap(), 400).with_seed(seed);
+            let out = run_adaptive(&cfg, &scenario, &mut AttackerStrategy::AlwaysActive);
             // Progress after the restore at N* is at full share; subtract
             // the (throttled) pre-N* part by measuring terminable survival.
             let t = out.terminated_at.expect("tpr>0 should terminate");
@@ -1167,40 +1031,26 @@ mod tests {
         // the incremental one for the same compensation.
         let inc = EngineConfig::builder()
             .measurements_required(30)
-            .penalty(crate::AssessmentFn::incremental())
-            .compensation(crate::AssessmentFn::incremental())
+            .penalty(AssessmentFn::incremental())
+            .compensation(AssessmentFn::incremental())
             .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
             .build()
             .unwrap();
         let exp = EngineConfig::builder()
             .measurements_required(30)
-            .penalty(crate::AssessmentFn::exponential(2.0))
-            .compensation(crate::AssessmentFn::incremental())
+            .penalty(AssessmentFn::exponential(2.0))
+            .compensation(AssessmentFn::incremental())
             .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
             .build()
             .unwrap();
-        let scenario = EvasionScenario::new(
-            AttackerStrategy::DutyCycle {
-                active: 3,
-                dormant: 3,
-            },
-            DetectorModel::perfect(),
-            30,
-        );
-        let p_inc = run_evasion(&inc, &scenario).progress;
-        let p_exp = run_evasion(&exp, &scenario).progress;
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 30);
+        let mut duty = AttackerStrategy::DutyCycle {
+            active: 3,
+            dormant: 3,
+        };
+        let p_inc = run_adaptive(&inc, &scenario, &mut duty).progress;
+        let p_exp = run_adaptive(&exp, &scenario, &mut duty).progress;
         assert!(p_exp < p_inc, "exp {p_exp} !< inc {p_inc}");
-    }
-
-    #[test]
-    fn termination_state_is_reflected_in_engine() {
-        let cfg = config(3);
-        let mut engine = ValkyrieEngine::new(cfg.clone());
-        let pid = ProcessId(1);
-        for _ in 0..4 {
-            engine.observe(pid, Classification::Malicious);
-        }
-        assert_eq!(engine.state(pid), Some(ProcessState::Terminated));
     }
 
     #[test]
@@ -1217,26 +1067,7 @@ mod tests {
         assert!(!s.is_active(&view));
     }
 
-    #[test]
-    fn scenario_accessors_round_trip() {
-        let s = EvasionScenario::new(AttackerStrategy::AlwaysActive, DetectorModel::perfect(), 7)
-            .with_seed(9);
-        assert_eq!(s.horizon(), 7);
-        assert_eq!(s.detector().tpr(), 1.0);
-        assert_eq!(s.strategy(), AttackerStrategy::AlwaysActive);
-    }
-
     // ---- adaptive tier ----
-
-    #[test]
-    fn adaptive_scenario_accessors_round_trip() {
-        let s = AdaptiveScenario::new(DetectorModel::perfect(), 12)
-            .with_seed(3)
-            .with_noise(0.25);
-        assert_eq!(s.horizon(), 12);
-        assert_eq!(s.detector().fpr(), 0.0);
-        assert_eq!(s.noise(), 0.25);
-    }
 
     #[test]
     fn detection_probability_interpolates_with_exact_extremes() {
@@ -1252,28 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_full_intensity_replays_exactly_like_always_active() {
-        let cfg = config(15);
-        for seed in [0u64, 1, 42, 0xDEAD] {
-            let fixed = run_evasion(
-                &cfg,
-                &EvasionScenario::new(
-                    AttackerStrategy::AlwaysActive,
-                    DetectorModel::new(0.9, 0.04).unwrap(),
-                    60,
-                )
-                .with_seed(seed),
-            );
-            let graded = run_adaptive(
-                &cfg,
-                &AdaptiveScenario::new(DetectorModel::new(0.9, 0.04).unwrap(), 60).with_seed(seed),
-                &mut ConstantIntensity(1.0),
-            );
-            assert_eq!(fixed, graded);
-        }
-    }
-
-    #[test]
     fn law_probe_identifies_every_family_from_a_calibrated_burst() {
         for law in [
             ThrottleLaw::PercentPointPerUnit { step: 0.10 },
@@ -1284,11 +1093,7 @@ mod tests {
         ] {
             let cfg = EngineConfig::builder()
                 .measurements_required(30)
-                .actuator(ShareActuator::new(
-                    crate::resource::ResourceKind::Cpu,
-                    law,
-                    0.01,
-                ))
+                .actuator(ShareActuator::new(ResourceKind::Cpu, law, 0.01))
                 .build()
                 .unwrap();
             let mut probe = LawProbe::new(3, ConstantIntensity(0.0));
@@ -1343,8 +1148,6 @@ mod tests {
 
     #[test]
     fn mass_rider_below_the_throttle_rung_is_never_throttled_or_killed() {
-        use crate::engine::FusionConfig;
-        use crate::monitor::{EscalationLadder, EscalationLevel};
         let ladder = EscalationLadder::graduated();
         let cfg = EngineConfig::builder()
             .measurements_required(15)
@@ -1425,13 +1228,10 @@ mod tests {
     #[test]
     fn blind_detector_tpr_zero_never_terminates_and_stays_finite() {
         let cfg = config(10);
-        let out = run_evasion(
+        let out = run_adaptive(
             &cfg,
-            &EvasionScenario::new(
-                AttackerStrategy::AlwaysActive,
-                DetectorModel::new(0.0, 0.0).unwrap(),
-                50,
-            ),
+            &AdaptiveScenario::new(DetectorModel::new(0.0, 0.0).unwrap(), 50),
+            &mut AttackerStrategy::AlwaysActive,
         );
         assert_eq!(out.terminated_at, None);
         assert_eq!(out.progress, 50.0);
@@ -1445,13 +1245,10 @@ mod tests {
         // the dormant process is terminated right after N* with zero
         // attacker progress — the wrongful-termination worst case.
         let cfg = config(10);
-        let out = run_evasion(
+        let out = run_adaptive(
             &cfg,
-            &EvasionScenario::new(
-                AttackerStrategy::Sprint { active_epochs: 0 },
-                DetectorModel::new(1.0, 1.0).unwrap(),
-                50,
-            ),
+            &AdaptiveScenario::new(DetectorModel::new(1.0, 1.0).unwrap(), 50),
+            &mut AttackerStrategy::Sprint { active_epochs: 0 },
         );
         assert_eq!(out.terminated_at, Some(11));
         assert_eq!(out.progress, 0.0);
@@ -1480,13 +1277,10 @@ mod tests {
             .actuator(ShareActuator::cpu_percent_point(0.25, 0.0))
             .build()
             .unwrap();
-        let out = run_evasion(
+        let out = run_adaptive(
             &cfg,
-            &EvasionScenario::new(
-                AttackerStrategy::ThreatAdaptive { resume_above: 0.95 },
-                DetectorModel::perfect(),
-                50,
-            ),
+            &AdaptiveScenario::new(DetectorModel::perfect(), 50),
+            &mut AttackerStrategy::ThreatAdaptive { resume_above: 0.95 },
         );
         assert!(out.progress.is_finite());
         assert!(out.progress >= 0.0);
@@ -1503,9 +1297,10 @@ mod tests {
             .actuator(ShareActuator::scheduler_weight(0.1, 0.0))
             .build()
             .unwrap();
-        let out = run_evasion(
+        let out = run_adaptive(
             &cfg,
-            &EvasionScenario::new(AttackerStrategy::AlwaysActive, DetectorModel::perfect(), 35),
+            &AdaptiveScenario::new(DetectorModel::perfect(), 35),
+            &mut AttackerStrategy::AlwaysActive,
         );
         assert!(out.progress.is_finite());
         assert!(out.progress > 0.0);
@@ -1518,19 +1313,10 @@ mod tests {
         let cfg = config(20);
         let detector = DetectorModel::new(0.9, 0.04).unwrap();
         for seed in [0u64, 7, 99] {
-            let zero = run_evasion(
-                &cfg,
-                &EvasionScenario::new(
-                    AttackerStrategy::ThreatAdaptive { resume_above: 0.0 },
-                    detector,
-                    80,
-                )
-                .with_seed(seed),
-            );
-            let always = run_evasion(
-                &cfg,
-                &EvasionScenario::new(AttackerStrategy::AlwaysActive, detector, 80).with_seed(seed),
-            );
+            let scenario = AdaptiveScenario::new(detector, 80).with_seed(seed);
+            let mut zero = AttackerStrategy::ThreatAdaptive { resume_above: 0.0 };
+            let zero = run_adaptive(&cfg, &scenario, &mut zero);
+            let always = run_adaptive(&cfg, &scenario, &mut AttackerStrategy::AlwaysActive);
             assert_eq!(zero, always);
         }
     }
@@ -1538,13 +1324,10 @@ mod tests {
     #[test]
     fn threat_adaptive_resume_at_one_only_works_at_full_share() {
         let cfg = config(20);
-        let out = run_evasion(
+        let out = run_adaptive(
             &cfg,
-            &EvasionScenario::new(
-                AttackerStrategy::ThreatAdaptive { resume_above: 1.0 },
-                DetectorModel::perfect(),
-                80,
-            ),
+            &AdaptiveScenario::new(DetectorModel::perfect(), 80),
+            &mut AttackerStrategy::ThreatAdaptive { resume_above: 1.0 },
         );
         // Every active epoch happened at share 1.0 (before the response
         // lands), so progress counts full-share epochs…
@@ -1557,18 +1340,12 @@ mod tests {
     #[test]
     fn horizon_shorter_than_n_star_never_terminates() {
         let cfg = config(30);
-        let fixed = run_evasion(
-            &cfg,
-            &EvasionScenario::new(AttackerStrategy::AlwaysActive, DetectorModel::perfect(), 10),
-        );
+        let scenario = AdaptiveScenario::new(DetectorModel::perfect(), 10);
+        let fixed = run_adaptive(&cfg, &scenario, &mut AttackerStrategy::AlwaysActive);
         assert_eq!(fixed.terminated_at, None);
         assert!(fixed.progress > 0.0);
         let mut strat = IntensityModulator::new(1.0, 0.2, 0.8, 30, 0.0);
-        let graded = run_adaptive(
-            &cfg,
-            &AdaptiveScenario::new(DetectorModel::perfect(), 10),
-            &mut strat,
-        );
+        let graded = run_adaptive(&cfg, &scenario, &mut strat);
         assert_eq!(graded.terminated_at, None);
         assert!(graded.progress.is_finite());
     }

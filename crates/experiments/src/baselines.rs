@@ -17,14 +17,14 @@
 //!   R2 — but only for rowhammer ("the response specifically targets
 //!   rowhammer and is not applicable to other attacks").
 
-use crate::threat::Classification;
+use valkyrie_core::Classification;
 
 /// Terminate after `k` consecutive malicious classifications.
 ///
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::baselines::ConsecutiveTermination;
+/// use valkyrie_experiments::baselines::ConsecutiveTermination;
 /// use valkyrie_core::Classification::{self, *};
 /// let outcome = ConsecutiveTermination::new(3)
 ///     .run(&[Malicious, Malicious, Benign, Malicious, Malicious, Malicious, Benign]);
@@ -65,11 +65,6 @@ impl ConsecutiveTermination {
     pub fn new(k: u32) -> Self {
         assert!(k >= 1, "need at least one classification to terminate");
         Self { k }
-    }
-
-    /// The configured streak length.
-    pub fn k(&self) -> u32 {
-        self.k
     }
 
     /// Replays an inference trace; the process runs at full speed until the
@@ -130,7 +125,7 @@ impl ConsecutiveTermination {
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::baselines::WarningOnly;
+/// use valkyrie_experiments::baselines::WarningOnly;
 /// use valkyrie_core::Classification::{self, *};
 /// let outcome = WarningOnly.run(&[Malicious, Benign, Malicious]);
 /// assert!(outcome.survived());
@@ -147,11 +142,6 @@ impl WarningOnly {
             terminated_at: None,
         }
     }
-
-    /// Number of alerts a vigilant user would have to triage.
-    pub fn alerts(&self, inferences: &[Classification]) -> usize {
-        inferences.iter().filter(|c| c.is_malicious()).count()
-    }
 }
 
 /// The priority-reduction response of Payer \[53\]: on the first malicious
@@ -166,7 +156,7 @@ impl WarningOnly {
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::baselines::PriorityReduction;
+/// use valkyrie_experiments::baselines::PriorityReduction;
 /// use valkyrie_core::Classification::{self, *};
 /// let outcome = PriorityReduction::new(0.25).run(&[Benign, Malicious, Benign, Benign]);
 /// assert!(outcome.survived());
@@ -229,7 +219,7 @@ impl PriorityReduction {
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::baselines::DramRefresh;
+/// use valkyrie_experiments::baselines::DramRefresh;
 /// use valkyrie_core::Classification::{self, *};
 /// let policy = DramRefresh::new(3);
 /// // 2 undetected epochs, refresh, 3 undetected epochs → exactly one flip.
@@ -264,11 +254,6 @@ impl DramRefresh {
         Self { flip_threshold }
     }
 
-    /// Consecutive undetected epochs needed per flip.
-    pub fn flip_threshold(&self) -> u32 {
-        self.flip_threshold
-    }
-
     /// Replays a trace in which the attacker hammers every epoch; each
     /// malicious classification refreshes the victim rows and resets the
     /// disturbance accumulator.
@@ -288,13 +273,6 @@ impl DramRefresh {
             }
         }
         out
-    }
-
-    /// The maximum per-epoch detection gap (as a recall floor) that still
-    /// prevents every flip: the detector must flag the attack at least once
-    /// every `flip_threshold` epochs.
-    pub fn required_detection_period(&self) -> u32 {
-        self.flip_threshold
     }
 }
 
@@ -381,13 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn warning_only_counts_alerts() {
-        let out = WarningOnly.run(&[Malicious, Malicious, Benign]);
-        assert!(out.survived());
-        assert_eq!(WarningOnly.alerts(&[Malicious, Malicious, Benign]), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one")]
     fn zero_k_panics() {
         let _ = ConsecutiveTermination::new(0);
@@ -442,11 +413,6 @@ mod tests {
         let policy = DramRefresh::new(29);
         let out = policy.run(&[Benign; 290]);
         assert_eq!(out.flips, 10);
-    }
-
-    #[test]
-    fn dram_refresh_detection_period_bound() {
-        assert_eq!(DramRefresh::new(29).required_detection_period(), 29);
     }
 
     #[test]

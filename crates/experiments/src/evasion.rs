@@ -18,11 +18,11 @@
 //!    of the detector's TPR (the `(1 − p)/p` geometric tail), measured
 //!    against the analytic bound.
 
-use crate::harness::{fmt, pct, TextTable};
-use valkyrie_core::evasion::{
-    expected_terminable_progress, run_evasion, AttackerStrategy, DetectorModel, EvasionOutcome,
-    EvasionScenario,
+use crate::attacker::{
+    expected_terminable_progress, run_adaptive, AdaptiveScenario, AttackerStrategy, DetectorModel,
+    EvasionOutcome,
 };
+use crate::harness::{fmt, pct, TextTable};
 use valkyrie_core::{AssessmentFn, EngineConfig, ShareActuator};
 
 /// Configuration of the evasion study.
@@ -103,42 +103,64 @@ pub(crate) fn label(strategy: AttackerStrategy) -> String {
     }
 }
 
-fn measure(config: &EngineConfig, strategy: AttackerStrategy, cfg: &EvasionConfig) -> StrategyRow {
+fn measure(
+    config: &EngineConfig,
+    mut strategy: AttackerStrategy,
+    cfg: &EvasionConfig,
+) -> StrategyRow {
     let detector = DetectorModel::new(cfg.tpr, cfg.fpr).expect("rates validated by config");
-    let mut acc = EvasionOutcome {
-        progress: 0.0,
-        unimpeded: 0.0,
-        terminated_at: None,
-        active_epochs: 0,
-    };
-    let mut terminated = 0u64;
-    let mut term_epoch_sum = 0.0;
-    for seed in 0..cfg.trials {
-        let scenario =
-            EvasionScenario::new(strategy, detector, cfg.horizon).with_seed(0xE7A + seed);
-        let out = run_evasion(config, &scenario);
-        acc.progress += out.progress;
-        acc.unimpeded += out.unimpeded;
-        if let Some(t) = out.terminated_at {
-            terminated += 1;
-            term_epoch_sum += t as f64;
-        }
-    }
-    let n = cfg.trials as f64;
-    let progress = acc.progress / n;
-    let unimpeded = acc.unimpeded / n;
+    let stats = trials(cfg.trials, 0xE7A, |seed| {
+        let scenario = AdaptiveScenario::new(detector, cfg.horizon).with_seed(seed);
+        run_adaptive(config, &scenario, &mut strategy)
+    });
     StrategyRow {
         strategy: label(strategy),
-        progress,
-        unimpeded,
-        slowdown_pct: if unimpeded > 0.0 {
-            (1.0 - progress / unimpeded) * 100.0
+        progress: stats.progress,
+        unimpeded: stats.unimpeded,
+        slowdown_pct: if stats.unimpeded > 0.0 {
+            (1.0 - stats.progress / stats.unimpeded) * 100.0
         } else {
             0.0
         },
-        terminated_pct: 100.0 * terminated as f64 / n,
-        mean_termination_epoch: if terminated > 0 {
-            term_epoch_sum / terminated as f64
+        terminated_pct: stats.killed_pct,
+        mean_termination_epoch: stats.mean_kill_epoch,
+    }
+}
+
+/// Means over a study's seeded replays; `mean_kill_epoch` is NaN when no
+/// trial ended in termination.
+pub(crate) struct TrialStats {
+    pub(crate) progress: f64,
+    pub(crate) unimpeded: f64,
+    pub(crate) killed_pct: f64,
+    pub(crate) mean_kill_epoch: f64,
+}
+
+/// Averages `run(seed)` over the seeds `seed_base .. seed_base + trials`.
+pub(crate) fn trials(
+    trials: u64,
+    seed_base: u64,
+    mut run: impl FnMut(u64) -> EvasionOutcome,
+) -> TrialStats {
+    let (mut progress, mut unimpeded) = (0.0, 0.0);
+    let mut killed = 0u64;
+    let mut kill_epoch_sum = 0.0;
+    for seed in seed_base..seed_base + trials {
+        let out = run(seed);
+        progress += out.progress;
+        unimpeded += out.unimpeded;
+        if let Some(epoch) = out.terminated_at {
+            killed += 1;
+            kill_epoch_sum += epoch as f64;
+        }
+    }
+    let n = trials as f64;
+    TrialStats {
+        progress: progress / n,
+        unimpeded: unimpeded / n,
+        killed_pct: 100.0 * killed as f64 / n,
+        mean_kill_epoch: if killed > 0 {
+            kill_epoch_sum / killed as f64
         } else {
             f64::NAN
         },

@@ -6,12 +6,12 @@
 //! * Fig. 5b: the same false-positive traces handled by the migration
 //!   baselines (CPU-core migration, system/VM migration) for comparison.
 
+use crate::baselines::ConsecutiveTermination;
 use crate::harness::{geo_mean_pct, mean, pct, TextTable};
+use crate::migration::{migration_progress, MigrationPolicy};
 use crate::scenario::{AugmentedRun, CpuLever, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use valkyrie_core::baselines::ConsecutiveTermination;
-use valkyrie_core::migration::{migration_progress, MigrationPolicy};
 use valkyrie_core::{AssessmentFn, Classification, EngineConfig, ShareActuator};
 use valkyrie_detect::{StatisticalDetector, VotingDetector};
 use valkyrie_sim::machine::Machine;

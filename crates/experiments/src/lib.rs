@@ -25,10 +25,21 @@
 //! | Fleet-scale cluster (ours) | [`fleet_scale::run`] | `fleet_scale` |
 //! | Noise-flood sweep (ours) | [`flood::run`] | `flood` |
 //! | Adaptive best-response ranking (ours) | [`adaptive::run`] | `adaptive` |
+//!
+//! Three modules hold the evaluation apparatus the studies share rather
+//! than an artefact of their own:
+//!
+//! | Model | Module | Used by |
+//! |---|---|---|
+//! | Duty-cycling and best-response attackers | [`attacker`] | [`evasion`], [`adaptive`] |
+//! | Table I non-throttling baselines | [`baselines`] | [`responses`], [`fig5`] |
+//! | Fig. 5b migration baselines | [`migration`] | [`responses`], [`fig5`] |
 
 pub mod ablations;
 pub mod adaptive;
 pub mod analytic;
+pub mod attacker;
+pub mod baselines;
 pub mod cache;
 pub mod ensemble;
 pub mod evasion;
@@ -39,6 +50,7 @@ pub mod fig6;
 pub mod fleet_scale;
 pub mod flood;
 pub mod harness;
+pub mod migration;
 pub mod multi_tenant;
 pub mod responses;
 pub mod scenario;

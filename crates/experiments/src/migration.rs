@@ -7,7 +7,7 @@
 //! module models those baselines so Fig. 5b can compare them with Valkyrie
 //! on identical inference traces.
 
-use crate::threat::Classification;
+use valkyrie_core::Classification;
 
 /// A migration-based response policy.
 ///
@@ -20,7 +20,7 @@ use crate::threat::Classification;
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::migration::MigrationPolicy;
+/// use valkyrie_experiments::migration::MigrationPolicy;
 /// let core = MigrationPolicy::core_migration();
 /// let sys = MigrationPolicy::system_migration();
 /// assert!(sys.cost_epochs() > core.cost_epochs());
@@ -66,11 +66,6 @@ impl MigrationPolicy {
     pub fn cost_epochs(&self) -> f64 {
         self.cost_epochs
     }
-
-    /// Epochs after a migration during which no new migration starts.
-    pub fn cooldown_epochs(&self) -> u32 {
-        self.cooldown_epochs
-    }
 }
 
 /// Per-epoch progress of a process under a migration policy, given the
@@ -83,7 +78,8 @@ impl MigrationPolicy {
 /// # Examples
 ///
 /// ```
-/// use valkyrie_core::{migration_progress, Classification, MigrationPolicy};
+/// use valkyrie_core::Classification;
+/// use valkyrie_experiments::migration::{migration_progress, MigrationPolicy};
 /// use Classification::*;
 /// let progress = migration_progress(&[Benign, Malicious, Benign], MigrationPolicy::core_migration());
 /// let total: f64 = progress.iter().sum();
@@ -110,7 +106,7 @@ pub fn migration_progress(inferences: &[Classification], policy: MigrationPolicy
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slowdown::slowdown_percent;
+    use valkyrie_core::slowdown_percent;
     use Classification::{Benign, Malicious};
 
     #[test]

@@ -32,13 +32,13 @@
 //! (ANVIL / BlockHammer) to show why it earns its Table I checkmarks — and
 //! why they do not generalise beyond rowhammer.
 
+use crate::baselines::{
+    BaselineOutcome, ConsecutiveTermination, DramRefresh, PriorityReduction, WarningOnly,
+};
 use crate::harness::{pct, TextTable};
+use crate::migration::{migration_progress, MigrationPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use valkyrie_core::baselines::{
-    ConsecutiveTermination, DramRefresh, PriorityReduction, WarningOnly,
-};
-use valkyrie_core::migration::{migration_progress, MigrationPolicy};
 use valkyrie_core::{
     slowdown_percent, Action, AssessmentFn, Classification, EngineConfig, ProcessId, ProcessState,
     ShardedEngine, ShareActuator,
@@ -170,6 +170,15 @@ struct PolicyEval {
     terminated: bool,
 }
 
+impl From<BaselineOutcome> for PolicyEval {
+    fn from(out: BaselineOutcome) -> Self {
+        Self {
+            terminated: out.terminated_at.is_some(),
+            progress: out.progress,
+        }
+    }
+}
+
 /// Cyclic-monitoring Valkyrie engine configuration shared by the fleet
 /// evaluator (the Section VI-A operating point).
 fn valkyrie_config(n_star: u64) -> EngineConfig {
@@ -277,34 +286,10 @@ fn evaluate(
     cfg: &ResponsesConfig,
 ) -> PolicyEval {
     match policy {
-        "warning only" => {
-            let out = WarningOnly.run(inferences);
-            PolicyEval {
-                progress: out.progress,
-                terminated: false,
-            }
-        }
-        "terminate on 1st detection" => {
-            let out = ConsecutiveTermination::new(1).run(inferences);
-            PolicyEval {
-                terminated: out.terminated_at.is_some(),
-                progress: out.progress,
-            }
-        }
-        "terminate on 3 consecutive" => {
-            let out = ConsecutiveTermination::new(3).run(inferences);
-            PolicyEval {
-                terminated: out.terminated_at.is_some(),
-                progress: out.progress,
-            }
-        }
-        "priority reduction (50%)" => {
-            let out = PriorityReduction::new(0.5).run(inferences);
-            PolicyEval {
-                progress: out.progress,
-                terminated: false,
-            }
-        }
+        "warning only" => WarningOnly.run(inferences).into(),
+        "terminate on 1st detection" => ConsecutiveTermination::new(1).run(inferences).into(),
+        "terminate on 3 consecutive" => ConsecutiveTermination::new(3).run(inferences).into(),
+        "priority reduction (50%)" => PriorityReduction::new(0.5).run(inferences).into(),
         "core migration" => PolicyEval {
             progress: migration_progress(inferences, MigrationPolicy::core_migration()),
             terminated: false,

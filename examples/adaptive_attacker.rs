@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --example adaptive_attacker`
 
-use valkyrie::core::evasion::{
-    expected_terminable_progress, run_evasion, AttackerStrategy, DetectorModel, EvasionScenario,
-};
 use valkyrie::core::prelude::*;
+use valkyrie::experiments::attacker::{
+    expected_terminable_progress, run_adaptive, AdaptiveScenario, AttackerStrategy, DetectorModel,
+};
 
 fn main() -> Result<(), ValkyrieError> {
     let config = EngineConfig::builder()
@@ -32,7 +32,8 @@ fn main() -> Result<(), ValkyrieError> {
         "{:<34} {:>9} {:>10} {:>9} {:>11}",
         "strategy", "progress", "unimpeded", "slowdown", "killed at"
     );
-    for (name, strategy) in [
+    let scenario = AdaptiveScenario::new(detector, horizon).with_seed(7);
+    for (name, mut strategy) in [
         ("always active", AttackerStrategy::AlwaysActive),
         (
             "duty cycle: 1 on / 3 off",
@@ -50,8 +51,7 @@ fn main() -> Result<(), ValkyrieError> {
             AttackerStrategy::ThreatAdaptive { resume_above: 0.70 },
         ),
     ] {
-        let scenario = EvasionScenario::new(strategy, detector, horizon).with_seed(7);
-        let out = run_evasion(&config, &scenario);
+        let out = run_adaptive(&config, &scenario, &mut strategy);
         println!(
             "{:<34} {:>9.1} {:>10.1} {:>8.1}% {:>11}",
             name,

@@ -193,18 +193,17 @@ fn perverse_detector_rates_keep_evasion_invariants() {
     // silence (fpr = 1): throttling and termination land on the *dormant*
     // phases. The replay must still uphold its invariants — bounded
     // slowdown, progress never exceeding the unimpeded baseline.
-    use valkyrie::core::{run_evasion, AttackerStrategy, DetectorModel, EvasionScenario};
+    use valkyrie::experiments::attacker::{
+        run_adaptive, AdaptiveScenario, AttackerStrategy, DetectorModel,
+    };
     let config = engine(10);
     for (tpr, fpr) in [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)] {
-        let scenario = EvasionScenario::new(
-            AttackerStrategy::DutyCycle {
-                active: 2,
-                dormant: 2,
-            },
-            DetectorModel::new(tpr, fpr).unwrap(),
-            60,
-        );
-        let out = run_evasion(&config, &scenario);
+        let scenario = AdaptiveScenario::new(DetectorModel::new(tpr, fpr).unwrap(), 60);
+        let mut strategy = AttackerStrategy::DutyCycle {
+            active: 2,
+            dormant: 2,
+        };
+        let out = run_adaptive(&config, &scenario, &mut strategy);
         assert!(out.progress <= out.unimpeded + 1e-9, "tpr={tpr} fpr={fpr}");
         assert!((0.0..=100.0).contains(&out.slowdown_percent()));
         if tpr == 0.0 && fpr == 0.0 {
@@ -213,6 +212,37 @@ fn perverse_detector_rates_keep_evasion_invariants() {
             assert!((out.progress - out.unimpeded).abs() < 1e-9);
         }
     }
+}
+
+/// `AttackerView`'s fields are public, so epoch 0 is a value the attacker
+/// API accepts. The periodic schedules treat it like epoch 1 rather than
+/// underflowing `epoch - 1` (a debug-build panic, a wrapped phase in
+/// release). A 1-on/6-off period tells the two apart: the wrapped phase
+/// `u64::MAX % 7 = 1` would fall in the dormant window.
+#[test]
+fn epoch_zero_attacker_view_schedules_like_epoch_one() {
+    use valkyrie::experiments::attacker::{
+        AdaptiveStrategy, AttackerStrategy, AttackerView, PeriodicIntensity,
+    };
+    let view = |epoch| AttackerView {
+        epoch,
+        cpu_share: 1.0,
+        measurements: 0,
+    };
+    let duty = AttackerStrategy::DutyCycle {
+        active: 1,
+        dormant: 6,
+    };
+    assert!(duty.is_active(&view(0)));
+    assert_eq!(duty.is_active(&view(0)), duty.is_active(&view(1)));
+    let mut periodic = PeriodicIntensity {
+        active: 1,
+        dormant: 6,
+        high: 0.8,
+        low: 0.1,
+    };
+    assert_eq!(periodic.intensity(&view(0)), 0.8);
+    assert_eq!(periodic.intensity(&view(0)), periodic.intensity(&view(1)));
 }
 
 /// A detector that wedges forever — it holds a publisher for the engine's

@@ -324,8 +324,8 @@ proptest! {
     }
 }
 
-fn evasion_strategy() -> impl Strategy<Value = valkyrie::core::AttackerStrategy> {
-    use valkyrie::core::AttackerStrategy;
+fn evasion_strategy() -> impl Strategy<Value = valkyrie::experiments::attacker::AttackerStrategy> {
+    use valkyrie::experiments::attacker::AttackerStrategy;
     prop_oneof![
         Just(AttackerStrategy::AlwaysActive),
         (1u32..6, 0u32..6)
@@ -348,19 +348,16 @@ proptest! {
         n_star in 2u64..40,
         seed in 0u64..1_000,
     ) {
-        use valkyrie::core::{run_evasion, DetectorModel, EvasionScenario};
+        use valkyrie::experiments::attacker::{run_adaptive, AdaptiveScenario, DetectorModel};
         let config = EngineConfig::builder()
             .measurements_required(n_star)
             .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
             .build()
             .unwrap();
-        let scenario = EvasionScenario::new(
-            strategy,
-            DetectorModel::new(tpr, fpr).unwrap(),
-            80,
-        )
-        .with_seed(seed);
-        let out = run_evasion(&config, &scenario);
+        let scenario = AdaptiveScenario::new(DetectorModel::new(tpr, fpr).unwrap(), 80)
+            .with_seed(seed);
+        let mut strategy = strategy;
+        let out = run_adaptive(&config, &scenario, &mut strategy);
         prop_assert!(out.progress <= out.unimpeded + 1e-9);
         prop_assert!((0.0..=100.0).contains(&out.slowdown_percent()));
         prop_assert!(out.active_epochs as f64 >= out.progress - 1e-9);
@@ -375,7 +372,7 @@ proptest! {
         k in 1u32..6,
         n in 1usize..200,
     ) {
-        use valkyrie::core::ConsecutiveTermination;
+        use valkyrie::experiments::baselines::ConsecutiveTermination;
         let (lo, hi) = if p1 < p2 { (p1, p2) } else { (p2, p1) };
         let policy = ConsecutiveTermination::new(k);
         prop_assert!(
@@ -396,7 +393,7 @@ proptest! {
         seq in classification_seq(150),
         share in 0.0f64..1.0,
     ) {
-        use valkyrie::core::PriorityReduction;
+        use valkyrie::experiments::baselines::PriorityReduction;
         let out = PriorityReduction::new(share).run(&seq);
         prop_assert!(out.survived());
         let n = seq.len() as f64;
@@ -408,7 +405,7 @@ proptest! {
     /// epochs, and zero flips if detections come faster than the threshold.
     #[test]
     fn dram_refresh_flip_bound(seq in classification_seq(300), threshold in 1u32..40) {
-        use valkyrie::core::DramRefresh;
+        use valkyrie::experiments::baselines::DramRefresh;
         let out = DramRefresh::new(threshold).run(&seq);
         prop_assert!(out.flips <= (seq.len() as u32 / threshold) as u64);
         let max_gap = seq
@@ -743,9 +740,11 @@ proptest! {
     /// Degenerate adaptive strategies replay the fixed roster **bit-for-bit**:
     /// constant intensity 1.0 is `AlwaysActive`, a 1.0/0.0 periodic schedule
     /// is `DutyCycle`, and a 1.0→0.0 step-down is `Sprint` — across seeds,
-    /// detector qualities and measurement requirements. This pins the graded
-    /// evasion path (`run_adaptive`) as a strict generalisation of the
-    /// binary one (`run_evasion`): same RNG draws, same share arithmetic.
+    /// detector qualities and measurement requirements. The fixed strategies
+    /// replay through the `AttackerStrategy` adapter (effort 1 when active,
+    /// 0 when dormant), so this pins the graded path as a strict
+    /// generalisation of the fixed one: same RNG draws, same share
+    /// arithmetic.
     #[test]
     fn degenerate_adaptive_strategies_replay_fixed_ones_bitwise(
         which in 0usize..3,
@@ -757,9 +756,9 @@ proptest! {
         n_star in 2u64..40,
         seed in 0u64..1_000,
     ) {
-        use valkyrie::core::evasion::{
-            run_adaptive, run_evasion, AdaptiveScenario, AdaptiveStrategy, AttackerStrategy,
-            ConstantIntensity, DetectorModel, EvasionScenario, PeriodicIntensity, StepDown,
+        use valkyrie::experiments::attacker::{
+            run_adaptive, AdaptiveScenario, AdaptiveStrategy, AttackerStrategy, ConstantIntensity,
+            DetectorModel, PeriodicIntensity, StepDown,
         };
         let config = EngineConfig::builder()
             .measurements_required(n_star)
@@ -767,7 +766,7 @@ proptest! {
             .build()
             .unwrap();
         let detector = DetectorModel::new(tpr, fpr).unwrap();
-        let (fixed, mut graded): (AttackerStrategy, Box<dyn AdaptiveStrategy>) = match which {
+        let (mut fixed, mut graded): (AttackerStrategy, Box<dyn AdaptiveStrategy>) = match which {
             0 => (
                 AttackerStrategy::AlwaysActive,
                 Box::new(ConstantIntensity(1.0)),
@@ -790,49 +789,13 @@ proptest! {
                 }),
             ),
         };
-        let want =
-            run_evasion(&config, &EvasionScenario::new(fixed, detector, 80).with_seed(seed));
-        let got = run_adaptive(
-            &config,
-            &AdaptiveScenario::new(detector, 80).with_seed(seed),
-            graded.as_mut(),
-        );
+        let scenario = AdaptiveScenario::new(detector, 80).with_seed(seed);
+        let want = run_adaptive(&config, &scenario, &mut fixed);
+        let got = run_adaptive(&config, &scenario, graded.as_mut());
         prop_assert_eq!(want.progress.to_bits(), got.progress.to_bits());
         prop_assert_eq!(want.unimpeded.to_bits(), got.unimpeded.to_bits());
         prop_assert_eq!(want.terminated_at, got.terminated_at);
         prop_assert_eq!(want.active_epochs, got.active_epochs);
-    }
-
-    /// The `AttackerStrategy → AdaptiveStrategy` adapter (fixed strategies
-    /// lifted to intensities {0.0, 1.0}) is bit-identical to the binary
-    /// runner for **every** fixed strategy, not just the three families with
-    /// hand-written graded twins.
-    #[test]
-    fn attacker_strategy_adapter_is_bit_identical(
-        strategy in evasion_strategy(),
-        tpr in 0.1f64..1.0,
-        fpr in 0.0f64..0.5,
-        n_star in 2u64..40,
-        seed in 0u64..1_000,
-    ) {
-        use valkyrie::core::evasion::{
-            run_adaptive, run_evasion, AdaptiveScenario, DetectorModel, EvasionScenario,
-        };
-        let config = EngineConfig::builder()
-            .measurements_required(n_star)
-            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
-            .build()
-            .unwrap();
-        let detector = DetectorModel::new(tpr, fpr).unwrap();
-        let want =
-            run_evasion(&config, &EvasionScenario::new(strategy, detector, 80).with_seed(seed));
-        let mut adapter = strategy;
-        let got = run_adaptive(
-            &config,
-            &AdaptiveScenario::new(detector, 80).with_seed(seed),
-            &mut adapter,
-        );
-        prop_assert_eq!(want, got);
     }
 }
 
