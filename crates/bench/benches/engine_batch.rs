@@ -31,10 +31,12 @@
 //! here: `fleet_tick_batch` packs ~390 local pids per machine).
 //!
 //! `core/engine_batch_1m` is `fleet_churn`'s tick: 1M observations per
-//! tick over 100k machines × 10 services, every per-shard map far larger
+//! tick over 100k machines × 10 services, every per-shard table far larger
 //! than L2. It compares `observe_loop` with `sharded_x{1,2,16}`; 16 shards
-//! is the `fleet_churn` engine's shape. The fan-out's serial passes and the
-//! second core's payoff only show at this size.
+//! is the `fleet_churn` engine's shape. `sharded_x16_shuffled` replays the
+//! same ticks with each batch permuted by a fixed seed, so the fleet is
+//! never presented in the order it registered in. The fan-out's serial
+//! passes and the second core's payoff only show at this size.
 //!
 //! A separate `core/engine_batch_flood` group (`flood_x{1,4}`) drives the
 //! same 10k fleet through undersized defended rings while a `NoiseFlood`
@@ -50,6 +52,8 @@
 //! `sharded_xN` only measures the partition/gather overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::time::Duration;
+use valkyrie_core::hash::mix64;
 use valkyrie_core::prelude::*;
 use valkyrie_workloads::NoiseFlood;
 
@@ -134,6 +138,10 @@ fn bench_fleet_pids(c: &mut Criterion) {
 
 fn bench_engine_batch_1m(c: &mut Criterion) {
     let mut group = c.benchmark_group("core/engine_batch_1m");
+    // A tick takes ~0.1 s here, so the default budget would time one or
+    // two batches per variant.
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
     let n_star = 1_u64 << 40;
     const MACHINES: u32 = 100_000;
     const SERVICES: u64 = 10;
@@ -151,8 +159,21 @@ fn bench_engine_batch_1m(c: &mut Criterion) {
             }
         });
     });
-    for shards in [1usize, 2, 16] {
-        group.bench_function(format!("sharded_x{shards}").as_str(), |b| {
+    // The same ticks with each batch in its own fixed random order, so no
+    // tick presents the fleet in the order it registered: the process
+    // table's worst case for locality.
+    let shuffled: Vec<Vec<(ProcessId, Classification)>> = ring
+        .iter()
+        .zip(1u64..)
+        .map(|(batch, seed)| shuffle(batch, seed))
+        .collect();
+    for (shards, ring, suffix) in [
+        (1usize, &ring, ""),
+        (2, &ring, ""),
+        (16, &ring, ""),
+        (16, &shuffled, "_shuffled"),
+    ] {
+        group.bench_function(format!("sharded_x{shards}{suffix}").as_str(), |b| {
             let mut engine = ShardedEngine::with_capacity(engine_config(n_star), shards, procs);
             let mut epoch = 0usize;
             b.iter(|| {
@@ -162,6 +183,17 @@ fn bench_engine_batch_1m(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// A Fisher-Yates permutation of `batch` drawn from `mix64(seed, i)`.
+fn shuffle<T: Clone>(batch: &[T], seed: u64) -> Vec<T> {
+    let mut out = batch.to_vec();
+    for i in (1..out.len()).rev() {
+        let j =
+            (mix64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64) % (i as u64 + 1)) as usize;
+        out.swap(i, j);
+    }
+    out
 }
 
 fn bench_fleet(c: &mut Criterion, label: &str, procs: u64) {

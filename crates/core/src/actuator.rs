@@ -314,6 +314,37 @@ impl ShareActuator {
     pub fn min_share(&self) -> f64 {
         self.floor
     }
+
+    /// Checks that the actuator's parameters give a defined response,
+    /// naming the first broken rule:
+    /// - a NaN floor is ignored by `share.max(floor)`;
+    /// - a NaN or infinite law parameter sends a share straight to the floor
+    ///   or to 1 (a NaN `step` pins every recovering share at the floor);
+    /// - a negative `step` or `gamma` raises the share when the threat
+    ///   rises.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.floor.is_nan() {
+            return Err(format!("{} actuator floor is NaN", self.kind));
+        }
+        let parameter = self.law.parameter();
+        if !parameter.is_finite() {
+            return Err(format!(
+                "{} law parameter must be finite, got {parameter}",
+                self.law.family()
+            ));
+        }
+        let signed = matches!(
+            self.law,
+            ThrottleLaw::PercentPointPerUnit { .. } | ThrottleLaw::SchedulerWeight { .. }
+        );
+        if signed && parameter < 0.0 {
+            return Err(format!(
+                "{} law parameter must not be negative, got {parameter}",
+                self.law.family()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Actuator for ShareActuator {

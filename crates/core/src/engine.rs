@@ -14,14 +14,12 @@ use crate::actuator::{Actuator, CompositeActuator, ShareActuator};
 use crate::efficacy::{EfficacyCurve, EfficacySpec};
 use crate::error::ValkyrieError;
 use crate::hash::FxBuildHasher;
-use crate::monitor::{
-    CycleState, Directive, EscalationLadder, EscalationLevel, MonitorParams, StepReport,
-};
+use crate::monitor::{CycleState, Directive, EscalationLadder, MonitorParams, StepReport};
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
+use crate::table::ProcessTable;
 use crate::telemetry::FusionStats;
 use crate::threat::{stale_weight, AssessmentFn, Classification, Evidence, ThreatIndex, Verdict};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The response action the embedder must enact after an epoch.
@@ -296,8 +294,10 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ValkyrieError::InvalidConfig`] if `N*` was never set, is
-    /// zero, no actuator part was supplied, or the fusion config breaks a
-    /// rule stated on [`FusionConfig`]'s fields.
+    /// zero, no actuator part was supplied, an actuator part has a NaN
+    /// floor, a NaN or infinite law parameter or a negative `step` or
+    /// `gamma`, or the fusion config breaks a rule stated on
+    /// [`FusionConfig`]'s fields.
     pub fn build(self) -> Result<EngineConfig<CompositeActuator>, ValkyrieError> {
         let n_star = self
             .n_star
@@ -311,6 +311,9 @@ impl EngineConfigBuilder {
             return Err(ValkyrieError::InvalidConfig(
                 "at least one actuator part is required".into(),
             ));
+        }
+        for part in &self.parts {
+            part.validate().map_err(ValkyrieError::InvalidConfig)?;
         }
         self.fusion
             .validate()
@@ -328,17 +331,15 @@ impl EngineConfigBuilder {
     }
 }
 
-/// One tracked process: its Algorithm 1 cycle, the shares it runs under
-/// and its last escalation rung. Everything shared (`N*`, the assessment
-/// functions, the actuator) stays in the engine's [`EngineConfig`], so the
-/// record is plain data with no heap allocation of its own.
+/// One tracked process: its Algorithm 1 cycle (which also keeps its last
+/// escalation rung) and the shares it runs under. Everything shared (`N*`,
+/// the assessment functions, the actuator) stays in the engine's
+/// [`EngineConfig`], so the record is plain data with no heap allocation of
+/// its own.
 #[derive(Debug, Clone)]
 struct TrackedProcess {
     cycle: CycleState,
     resources: ResourceVector,
-    /// Escalation rung of the previous step, for ladder-transition
-    /// telemetry.
-    level: EscalationLevel,
 }
 
 /// Detector ids at or above this are dropped at absorption: each distinct
@@ -347,12 +348,12 @@ struct TrackedProcess {
 const MAX_DETECTORS: usize = 64;
 
 /// [`ValkyrieEngine::forget`] compacts the terminal list once it exceeds
-/// twice the map plus this many entries, so tiny maps do not compact on
+/// twice the table plus this many entries, so tiny tables do not compact on
 /// every forget.
 const TERMINAL_SLACK: usize = 64;
 
-// A shard map holds up to a million of these; keep each map slot small.
-const _: () = assert!(std::mem::size_of::<TrackedProcess>() <= 96);
+// A shard's table holds up to a million of these records; keep each small.
+const _: () = assert!(std::mem::size_of::<(ProcessId, TrackedProcess)>() <= 88);
 
 impl TrackedProcess {
     /// A newly registered process: normal, full shares.
@@ -360,7 +361,6 @@ impl TrackedProcess {
         TrackedProcess {
             cycle: CycleState::new(),
             resources: ResourceVector::FULL,
-            level: EscalationLevel::Observe,
         }
     }
 }
@@ -368,8 +368,8 @@ impl TrackedProcess {
 /// Advances one tracked process by one monitor step (`advance` runs its
 /// Algorithm 1 cycle) and turns the report into the response to enact,
 /// updating the tracked shares and the escalation-transition telemetry.
-/// Free-standing so the engine can split-borrow its config, its map entry
-/// and its ledgers.
+/// Free-standing so the engine can split-borrow its config, its table
+/// record and its ledgers.
 ///
 /// A step that takes a live process to *terminated* queues its pid on
 /// `terminal` for the next purge. Re-observing an already terminated
@@ -387,10 +387,9 @@ fn step<A: Actuator>(
     if was_live && !report.state.is_live() {
         terminal.push(pid);
     }
-    if report.level > tracked.level && report.level >= EscalationLevel::Throttle {
+    if tracked.cycle.record_level(report.level) {
         stats.escalations += 1;
     }
-    tracked.level = report.level;
     let action = match report.directive {
         Directive::Continue => Action::None,
         Directive::Adjust { delta_threat } => {
@@ -432,7 +431,7 @@ fn step<A: Actuator>(
     }
 }
 
-/// The Valkyrie response engine (paper Fig. 2): one process map plus the
+/// The Valkyrie response engine (paper Fig. 2): one process table plus the
 /// observe path.
 ///
 /// A `ValkyrieEngine` is also the unit the scaling tier distributes work
@@ -444,9 +443,14 @@ fn step<A: Actuator>(
 ///
 /// Processes are tracked lazily: the first observation of an unknown
 /// [`ProcessId`] registers it in the *normal* state with full resources.
-/// The map distinguishes **live** processes from **terminated** ones that
+/// The table distinguishes **live** processes from **terminated** ones that
 /// are kept for post-mortem queries until [`Self::purge_terminated`] (or
 /// [`Self::forget`]) evicts them.
+///
+/// The table stores its records densely in registration order behind a
+/// compact hash index, so an embedder that presents its processes in a
+/// stable order every epoch walks the records almost sequentially, and a
+/// lookup reads only 8-byte index entries until the one record it returns.
 ///
 /// # Examples
 ///
@@ -466,7 +470,7 @@ fn step<A: Actuator>(
 #[derive(Debug)]
 pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
     config: EngineConfig<A>,
-    procs: HashMap<ProcessId, TrackedProcess, FxBuildHasher>,
+    procs: ProcessTable<TrackedProcess>,
     /// Per-process fusion table: the latest evidence from each ensemble
     /// member, kept across epochs so slow members stay represented.
     evidence: HashMap<ProcessId, Vec<MemberEvidence>, FxBuildHasher>,
@@ -479,7 +483,7 @@ pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
     fusion_stats: FusionStats,
     /// Pids whose record went from live to terminated since the last
     /// purge, which [`Self::purge_terminated`] drains instead of scanning
-    /// the map. An entry goes stale when its pid is forgotten (and perhaps
+    /// the table. An entry goes stale when its pid is forgotten (and perhaps
     /// re-registered) before the purge; the purge skips those.
     terminal: Vec<ProcessId>,
 }
@@ -501,11 +505,13 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     }
 
     /// Creates an engine pre-sized for `capacity` processes, so batch
-    /// embedders don't pay rehash-and-move costs while the fleet registers.
+    /// embedders don't pay re-index and move costs while the fleet
+    /// registers. The table is reserved, not filled: pages it never touches
+    /// cost no memory.
     pub fn with_capacity(config: EngineConfig<A>, capacity: usize) -> Self {
         Self {
             config,
-            procs: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            procs: ProcessTable::with_capacity(capacity),
             evidence: HashMap::default(),
             dirty: Vec::new(),
             fusion_tick: 0,
@@ -549,47 +555,34 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// Number of tracked processes that have not terminated.
     pub fn tracked_live(&self) -> usize {
         self.procs
-            .values()
-            .filter(|p| p.cycle.state().is_live())
+            .iter()
+            .filter(|(_, p)| p.cycle.state().is_live())
             .count()
     }
 
     /// Current state of a process, if tracked.
     pub fn state(&self, pid: ProcessId) -> Option<ProcessState> {
-        self.procs.get(&pid).map(|p| p.cycle.state())
+        self.procs.get(pid).map(|p| p.cycle.state())
     }
 
     /// Current threat index of a process, if tracked.
     pub fn threat(&self, pid: ProcessId) -> Option<ThreatIndex> {
-        self.procs.get(&pid).map(|p| p.cycle.threat())
+        self.procs.get(pid).map(|p| p.cycle.threat())
     }
 
     /// Current resource shares of a process, if tracked.
     pub fn resources(&self, pid: ProcessId) -> Option<ResourceVector> {
-        self.procs.get(&pid).map(|p| p.resources)
+        self.procs.get(pid).map(|p| p.resources)
     }
 
-    /// Runs one monitor step on `pid`, registering it on first sight.
-    ///
-    /// The hot path — a repeat observation of an already-tracked process —
-    /// is a single `get_mut` lookup; only the first observation of an
-    /// unknown pid falls into the registration path.
+    /// Runs one monitor step on `pid`, registering it on first sight. A
+    /// repeat observation and a registration cost the same single probe.
     fn step_pid(
         &mut self,
         pid: ProcessId,
         advance: impl FnOnce(&EngineConfig<A>, &mut CycleState) -> StepReport,
     ) -> EngineResponse {
-        if let Some(tracked) = self.procs.get_mut(&pid) {
-            return step(
-                &self.config,
-                pid,
-                tracked,
-                &mut self.fusion_stats,
-                &mut self.terminal,
-                advance,
-            );
-        }
-        let tracked = self.procs.entry(pid).or_insert_with(TrackedProcess::new);
+        let tracked = self.procs.get_or_insert_with(pid, TrackedProcess::new);
         step(
             &self.config,
             pid,
@@ -768,7 +761,7 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     pub fn complete(&mut self, pid: ProcessId) -> Result<(), ValkyrieError> {
         let tracked = self
             .procs
-            .get_mut(&pid)
+            .get_mut(pid)
             .ok_or(ValkyrieError::UnknownProcess(pid.0))?;
         if tracked.cycle.state().is_live() {
             tracked.cycle.complete();
@@ -780,7 +773,7 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// Stops tracking a process and frees its bookkeeping (fusion evidence
     /// included).
     pub fn forget(&mut self, pid: ProcessId) {
-        self.procs.remove(&pid);
+        self.procs.remove(pid);
         self.evidence.remove(&pid);
         // Forgetting a terminated process leaves its terminal-list entry
         // stale. An embedder that forgets without purging would grow the
@@ -789,13 +782,13 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         if self.terminal.len() > 2 * self.procs.len() + TERMINAL_SLACK {
             let procs = &self.procs;
             self.terminal
-                .retain(|pid| procs.get(pid).is_some_and(|p| !p.cycle.state().is_live()));
+                .retain(|&pid| procs.get(pid).is_some_and(|p| !p.cycle.state().is_live()));
         }
     }
 
     /// Evicts every terminated process, returning how many were dropped.
     ///
-    /// Terminated processes (Fig. 3's terminal state) never leave the map
+    /// Terminated processes (Fig. 3's terminal state) never leave the table
     /// on their own, so a long-running engine that tracks short-lived
     /// processes grows without bound unless the embedder calls this (the
     /// epoch driver in [`crate::sharded`] does so every tick). After
@@ -809,13 +802,13 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     pub fn purge_terminated(&mut self) -> usize {
         let mut purged = 0;
         for pid in self.terminal.drain(..) {
-            let Entry::Occupied(slot) = self.procs.entry(pid) else {
+            let Some(tracked) = self.procs.get(pid) else {
                 continue; // forgotten since it terminated
             };
-            if slot.get().cycle.state().is_live() {
+            if tracked.cycle.state().is_live() {
                 continue; // forgotten and re-registered since
             }
-            slot.remove();
+            self.procs.remove(pid);
             purged += 1;
             self.evidence.remove(&pid);
         }
@@ -823,10 +816,14 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     }
 
     /// Iterates over `(pid, state, threat)` of all tracked processes.
+    ///
+    /// The order is unspecified. Today it is registration order, perturbed
+    /// by removals (a removed process's slot goes to the most recently
+    /// registered one).
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
         self.procs
             .iter()
-            .map(|(pid, p)| (*pid, p.cycle.state(), p.cycle.threat()))
+            .map(|(pid, p)| (pid, p.cycle.state(), p.cycle.threat()))
     }
 }
 
@@ -869,6 +866,48 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ValkyrieError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn builder_rejects_non_finite_or_negative_actuator_parameters() {
+        use crate::actuator::ThrottleLaw;
+        use crate::resource::ResourceKind::Cpu;
+        let build = |part: ShareActuator| {
+            EngineConfig::builder()
+                .measurements_required(5)
+                .actuator_part(ShareActuator::fs_halving(0.01))
+                .actuator_part(part)
+                .build()
+        };
+        let rejected = [
+            ShareActuator::cpu_percent_point(0.10, f64::NAN),
+            ShareActuator::cpu_percent_point(f64::NAN, 0.01),
+            ShareActuator::cpu_percent_point(f64::INFINITY, 0.01),
+            ShareActuator::cpu_percent_point(-0.10, 0.01),
+            ShareActuator::scheduler_weight(-0.1, 0.01),
+            ShareActuator::scheduler_weight(f64::NEG_INFINITY, 0.01),
+            ShareActuator::network_multiplicative(f64::NAN, 0.01),
+            ShareActuator::new(
+                Cpu,
+                ThrottleLaw::MultiplicativePerUnit {
+                    factor: f64::INFINITY,
+                },
+                0.01,
+            ),
+        ];
+        for part in rejected {
+            let err = build(part).unwrap_err();
+            assert!(matches!(err, ValkyrieError::InvalidConfig(_)), "{part:?}");
+        }
+        // The edges that stay defined still build: a zero step, an
+        // out-of-range floor (clamped into [0, 1]) and a zero gamma.
+        for part in [
+            ShareActuator::cpu_percent_point(0.0, 0.01),
+            ShareActuator::cpu_percent_point(0.10, f64::INFINITY),
+            ShareActuator::scheduler_weight(0.0, -1.0),
+        ] {
+            assert!(build(part).is_ok(), "{part:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A fast, deterministic hasher for [`ProcessId`](crate::ProcessId)-keyed
 //! maps.
 //!
-//! The engine's hot path is a hash-map lookup per observation, and the
+//! The engine's hot path is a hash-index lookup per observation, and the
 //! standard library's default SipHash is built for HashDoS resistance the
 //! engine does not need: process ids are assigned by the embedder (the OS
 //! or the simulator), not by the adversary the detector watches. [`FxHasher`]
@@ -43,6 +43,16 @@ impl Hasher for FxHasher {
     /// dozen home buckets, and each lookup would walk a long probe chain. A
     /// rotate would move the machine bits down but leave the tag blind to
     /// them; [`mix64`] feeds every input bit to both.
+    ///
+    /// The mix runs on the multiplied state, not on the raw key, and that
+    /// matters to each shard's process table, whose index takes its home
+    /// slot from this hash's low bits. [`shard_of`] routes by
+    /// `mix64(key) % nparts`, so inside one of 16 shards the low four bits
+    /// of `mix64(key)` are the same for every key. An index that reused
+    /// `mix64(key)` would give a shard's keys one home slot in 16 and pile
+    /// them into long probe runs, the collapse described above in another
+    /// form. A one-word key hashes to `mix64(key × SEED)` here, which the
+    /// routing hash does not predict.
     #[inline]
     fn finish(&self) -> u64 {
         mix64(self.hash)

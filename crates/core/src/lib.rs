@@ -70,6 +70,7 @@ pub mod resource;
 pub mod sharded;
 pub mod slowdown;
 pub mod state;
+mod table;
 pub mod telemetry;
 pub mod threat;
 

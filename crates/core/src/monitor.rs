@@ -207,6 +207,10 @@ pub(crate) struct CycleState {
     measurements: u64,
     epoch: u64,
     restored: bool,
+    /// Escalation rung of the previous step, for ladder-transition
+    /// telemetry. The engine owns it (see [`Self::record_level`]); it sits
+    /// here because the struct's tail padding holds it for free.
+    level: EscalationLevel,
 }
 
 impl CycleState {
@@ -221,6 +225,7 @@ impl CycleState {
             measurements: 0,
             epoch: 0,
             restored: false,
+            level: EscalationLevel::Observe,
         }
     }
 
@@ -237,11 +242,21 @@ impl CycleState {
         self.state = ProcessState::Terminated;
     }
 
+    /// Records the rung of the step just taken, returning whether it
+    /// climbed from a lower rung to `Throttle` or above.
+    pub(crate) fn record_level(&mut self, level: EscalationLevel) -> bool {
+        let escalated = level > self.level && level >= EscalationLevel::Throttle;
+        self.level = level;
+        escalated
+    }
+
     /// Algorithm 1's outer loop: a fresh measurement cycle with the epoch
-    /// count carried over.
+    /// count carried over. The previous rung is carried over too: the
+    /// engine compares the recycling step's rung against it.
     fn recycle(&mut self) {
         *self = Self {
             epoch: self.epoch,
+            level: self.level,
             ..Self::new()
         };
     }

@@ -323,12 +323,22 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// share of `expected_procs` processes (see
     /// [`ValkyrieEngine::with_capacity`]).
     ///
+    /// Hashing gives each shard a binomially distributed share, so each is
+    /// sized four standard deviations above the mean: at a million
+    /// processes over 16 shards that is ~1.6% more, and no shard's table
+    /// has to reallocate its records as the fleet registers.
+    ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn with_capacity(config: EngineConfig<A>, shards: usize, expected_procs: usize) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        let per_shard = expected_procs.div_ceil(shards);
+        let mean = expected_procs.div_ceil(shards);
+        let per_shard = if shards == 1 {
+            mean
+        } else {
+            mean + 4 * mean.isqrt()
+        };
         Self {
             shards: (0..shards)
                 .map(|_| ValkyrieEngine::with_capacity(config.clone(), per_shard))
@@ -591,7 +601,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 
     /// The epoch driver: feeds one tick's batch, advances the epoch
-    /// counter, and evicts terminated processes so the fleet map cannot
+    /// counter, and evicts terminated processes so the shard tables cannot
     /// grow without bound.
     ///
     /// Responses still report the terminal observation (the embedder must
