@@ -618,11 +618,17 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// terminated process keeps answering [`Action::Terminate`], as on
     /// [`Self::observe`].
     ///
-    /// The extremes are degenerate by construction: under
-    /// [`EscalationLadder::BINARY`], mass exactly `1.0` executes the same
-    /// arithmetic as a `Malicious` observation and mass exactly `0.0` the
-    /// same as a `Benign` one, so a binary detector driven through this
-    /// path gets bit-for-bit the responses of [`Self::observe`].
+    /// The extremes are degenerate by construction: [`Self::observe`] *is*
+    /// the [`EscalationLadder::BINARY`] step of mass `1.0` (`Malicious`) or
+    /// `0.0` (`Benign`), so a binary detector driven through this path gets
+    /// bit-for-bit the responses of [`Self::observe`]. A mass above 1 (`+inf`
+    /// included) answers exactly like `1.0`, and one below 0 (`-inf` and
+    /// `-0.0` included) exactly like `0.0`.
+    ///
+    /// A NaN mass is an `Observe`-band measurement on every ladder: threat,
+    /// penalty, compensation and resource shares are held and the action is
+    /// [`Action::None`], but the measurement counts toward `N*`. It never
+    /// terminates or restores a process, terminable or not.
     pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
         self.step_pid(pid, |config, cycle| {
             cycle.observe_mass_with(&config.monitor, config.fusion.ladder, mass)
@@ -802,15 +808,16 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     pub fn purge_terminated(&mut self) -> usize {
         let mut purged = 0;
         for pid in self.terminal.drain(..) {
-            let Some(tracked) = self.procs.get(pid) else {
-                continue; // forgotten since it terminated
-            };
-            if tracked.cycle.state().is_live() {
-                continue; // forgotten and re-registered since
+            // A pid forgotten since it terminated is gone, and one forgotten
+            // and re-registered since is live: the purge skips both.
+            if self
+                .procs
+                .remove_if(pid, |p| !p.cycle.state().is_live())
+                .is_some()
+            {
+                purged += 1;
+                self.evidence.remove(&pid);
             }
-            self.procs.remove(pid);
-            purged += 1;
-            self.evidence.remove(&pid);
         }
         purged
     }
@@ -1237,6 +1244,111 @@ mod tests {
         assert!(e.fusion_stats().stale_decayed > 0);
         assert_eq!(e.state(pid), Some(ProcessState::Normal));
         assert!(e.threat(pid).unwrap().is_zero());
+    }
+
+    /// Every field of a response, floats as bits so `-0.0` is not `0.0`.
+    fn bits(r: &EngineResponse) -> (u64, ProcessState, u64, [u64; 4], Action) {
+        let s = r.resources;
+        (
+            r.pid.0,
+            r.state,
+            r.threat.value().to_bits(),
+            [s.cpu, s.mem, s.net, s.fs].map(f64::to_bits),
+            r.action,
+        )
+    }
+
+    #[test]
+    fn observe_mass_pins_its_f64_edges() {
+        for ladder in [EscalationLadder::BINARY, EscalationLadder::graduated()] {
+            for cyclic in [false, true] {
+                let fresh = |n_star| {
+                    let config = EngineConfig::builder()
+                        .measurements_required(n_star)
+                        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+                        .cyclic(cyclic)
+                        .fusion(FusionConfig {
+                            ladder,
+                            ..FusionConfig::default()
+                        })
+                        .build()
+                        .unwrap();
+                    ValkyrieEngine::new(config)
+                };
+                let at = format!("{ladder:?} cyclic={cyclic}");
+                let pid = ProcessId(9);
+
+                // Masses beyond an extreme answer exactly like the extreme,
+                // in the penalty or compensation arm, at the N* switch, in
+                // the terminable state and after termination.
+                for (edge, extreme) in [
+                    (f64::INFINITY, 1.0),
+                    (1.5, 1.0),
+                    (f64::NEG_INFINITY, 0.0),
+                    (-0.5, 0.0),
+                    (-0.0, 0.0),
+                ] {
+                    let (mut got, mut want) = (fresh(4), fresh(4));
+                    for m in [1.0, 1.0, edge, edge, edge, 1.0, edge, 1.0, edge] {
+                        let reference = if m.to_bits() == edge.to_bits() {
+                            extreme
+                        } else {
+                            m
+                        };
+                        assert_eq!(
+                            bits(&got.observe_mass(pid, m)),
+                            bits(&want.observe_mass(pid, reference)),
+                            "{at}: mass {edge} vs {extreme}"
+                        );
+                    }
+                }
+
+                // NaN is an observe-band measurement: threat, penalty and
+                // shares hold, and it counts toward N*.
+                let (mut got, mut want) = (fresh(100), fresh(100));
+                for _ in 0..2 {
+                    got.observe_mass(pid, 1.0);
+                    want.observe_mass(pid, 1.0);
+                }
+                let before = bits(&got.observe_mass(pid, 1.0));
+                for _ in 0..3 {
+                    let r = got.observe_mass(pid, f64::NAN);
+                    assert_eq!(r.action, Action::None, "{at}");
+                    let after = bits(&r);
+                    assert_eq!(
+                        (after.1, after.2, after.3),
+                        (before.1, before.2, before.3),
+                        "{at}"
+                    );
+                }
+                // The penalty held too: the next full-mass step climbs
+                // exactly as if the NaN epochs never happened.
+                want.observe_mass(pid, 1.0);
+                assert_eq!(
+                    bits(&got.observe_mass(pid, 1.0)),
+                    bits(&want.observe_mass(pid, 1.0)),
+                    "{at}"
+                );
+
+                // It never terminates or restores, even once terminable.
+                let mut e = fresh(3);
+                e.observe_mass(pid, 1.0);
+                for _ in 0..2 {
+                    e.observe_mass(pid, f64::NAN);
+                }
+                assert_eq!(e.state(pid), Some(ProcessState::Terminable), "{at}");
+                let held = e.resources(pid);
+                for _ in 0..5 {
+                    let r = e.observe_mass(pid, f64::NAN);
+                    assert_eq!(
+                        (r.state, r.action),
+                        (ProcessState::Terminable, Action::None)
+                    );
+                    assert_eq!(Some(r.resources), held, "{at}");
+                }
+                assert_eq!(e.observe_mass(pid, 1.0).action, Action::Terminate, "{at}");
+            }
+        }
     }
 
     #[test]

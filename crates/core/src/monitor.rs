@@ -6,6 +6,12 @@
 //! metrics, the measurement count (`N_i^t`) and the Fig. 3 process state.
 //! This module holds that per-process machine and the escalation ladder the
 //! weighted-evidence path maps fused masses onto.
+//!
+//! Algorithm 1 is written out once, as the mass step: an escalation rung
+//! picks the arm and the evidence mass scales it. A binary inference is the
+//! [`EscalationLadder::BINARY`] step of mass 1.0 (`Malicious`) or 0.0
+//! (`Benign`), so the binary and weighted-evidence paths share every line
+//! of the algorithm.
 
 use crate::state::ProcessState;
 use crate::threat::{AssessmentFn, Classification, ThreatIndex};
@@ -263,32 +269,33 @@ impl CycleState {
 
     /// Feeds one epoch's inference `D(t, i)` and advances Algorithm 1.
     ///
+    /// This is the [`EscalationLadder::BINARY`] step: `Malicious` is mass
+    /// 1.0 on the `Kill` rung and `Benign` mass 0.0 on the `Compensate`
+    /// rung, which are the rungs `BINARY` gives those masses, so the binary
+    /// path pays no clamp and no ladder compare. The reported level is the
+    /// one the directive implies (a malicious epoch that raises the threat
+    /// is a `Throttle`), which is what `FusionStats::escalations` counts on
+    /// this path.
+    ///
     /// Calling this after the process has terminated keeps returning
     /// [`Directive::Terminate`] without further state changes.
+    #[inline]
     pub(crate) fn observe(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
-        if self.state == ProcessState::Terminated {
-            return self.report(Directive::Terminate);
-        }
-        self.epoch += 1;
-
-        if self.measurements < p.n_star {
-            let mut report = self.observe_pre_efficacy(p, inference);
-            if self.measurements >= p.n_star && self.state != ProcessState::Terminated {
-                // Algorithm 1 line 21: once N* measurements are captured the
-                // process switches to the terminable state.
-                self.state = ProcessState::Terminable;
-                report.state = self.state;
-            }
-            report
-        } else {
-            self.observe_terminable(p, inference)
-        }
+        // One call per rung, so each inlined copy of the step is specialised
+        // to its constant rung and mass.
+        let mut report = match inference {
+            Classification::Malicious => self.step(p, EscalationLevel::Kill, 1.0),
+            Classification::Benign => self.step(p, EscalationLevel::Compensate, 0.0),
+        };
+        report.level = EscalationLevel::from_directive(report.directive);
+        report
     }
 
-    /// Feeds one epoch's fused evidence mass under `ladder`; the contract is
-    /// stated on [`ValkyrieEngine::observe_mass`](crate::ValkyrieEngine::observe_mass).
-    /// Under [`EscalationLadder::BINARY`], masses 1.0 and 0.0 are bit-for-bit
-    /// [`Self::observe`] with `Malicious` and `Benign`.
+    /// Feeds one epoch's fused evidence mass under `ladder`: the mass is
+    /// clamped into `[0, 1]`, the ladder picks the rung, and the same step
+    /// as [`Self::observe`] runs. The contract is stated on
+    /// [`ValkyrieEngine::observe_mass`](crate::ValkyrieEngine::observe_mass).
+    #[inline]
     pub(crate) fn observe_mass_with(
         &mut self,
         p: &MonitorParams,
@@ -296,167 +303,105 @@ impl CycleState {
         mass: f64,
     ) -> StepReport {
         let mass = mass.clamp(0.0, 1.0);
-        if self.state == ProcessState::Terminated {
-            return self.report_leveled(Directive::Terminate, EscalationLevel::Kill);
-        }
-        self.epoch += 1;
-        let level = ladder.level(mass);
-
-        if self.measurements < p.n_star {
-            let mut report = self.observe_mass_pre_efficacy(p, mass, level);
-            if self.measurements >= p.n_star && self.state != ProcessState::Terminated {
-                self.state = ProcessState::Terminable;
-                report.state = self.state;
-            }
-            report
-        } else {
-            self.observe_mass_terminable(p, level)
-        }
+        self.step(p, ladder.level(mass), mass)
     }
 
-    fn observe_mass_pre_efficacy(
-        &mut self,
-        p: &MonitorParams,
-        mass: f64,
-        level: EscalationLevel,
-    ) -> StepReport {
-        self.measurements += 1;
-        let prev_threat = self.threat;
-        match level {
-            EscalationLevel::Throttle | EscalationLevel::Kill => {
-                self.state = ProcessState::Suspicious;
-                if mass == 1.0 {
-                    // Degenerate full-confidence evidence: the exact legacy
-                    // Malicious arithmetic (scaling by 1.0 is not an IEEE754
-                    // no-op, so the branch is load-bearing).
-                    self.penalty = p.fp.next(self.penalty, self.epoch);
-                    self.threat = self.threat.penalized(self.penalty);
-                } else {
-                    let next = p.fp.next(self.penalty, self.epoch);
-                    self.penalty += (next - self.penalty) * mass;
-                    self.threat = self.threat.penalized(self.penalty * mass);
+    /// One epoch of Algorithm 1 on rung `level` with evidence `mass`. The
+    /// rung picks the arm: `Throttle`/`Kill` run the penalty arm with the
+    /// assessment step scaled by `mass`, `Compensate` runs the compensation
+    /// arm scaled by `1 - mass`, and `Observe` holds every metric.
+    ///
+    /// Always inlined: an out-of-line step cost the binary path of a
+    /// 1M-process fleet about 5% of its throughput.
+    #[inline(always)]
+    fn step(&mut self, p: &MonitorParams, level: EscalationLevel, mass: f64) -> StepReport {
+        if self.state == ProcessState::Terminated {
+            return StepReport {
+                state: self.state,
+                threat: self.threat,
+                directive: Directive::Terminate,
+                level: EscalationLevel::Kill,
+            };
+        }
+        self.epoch += 1;
+
+        let directive = if self.measurements >= p.n_star {
+            match level {
+                // Line 26: terminate.
+                EscalationLevel::Kill => {
+                    self.state = ProcessState::Terminated;
+                    Directive::Terminate
                 }
+                // A_reset plus the outer while-loop of Algorithm 1: restore
+                // resources and begin a new measurement cycle.
+                EscalationLevel::Compensate if p.cyclic => {
+                    self.recycle();
+                    Directive::Restore
+                }
+                // Line 24: A_reset — restore default resources, once.
+                EscalationLevel::Compensate if !self.restored => {
+                    self.restored = true;
+                    Directive::Restore
+                }
+                // A restored process just runs, and the terminable decision
+                // stays open while the evidence sits in the middle of the
+                // ladder.
+                EscalationLevel::Compensate
+                | EscalationLevel::Observe
+                | EscalationLevel::Throttle => Directive::Continue,
             }
-            EscalationLevel::Compensate => {
-                if self.state == ProcessState::Suspicious {
-                    if mass == 0.0 {
-                        // Degenerate zero-evidence: the exact legacy Benign
-                        // arithmetic.
-                        self.compensation = p.fc.next(self.compensation, self.epoch);
-                        self.threat = self.threat.compensated(self.compensation);
+        } else {
+            self.measurements += 1;
+            let prev_threat = self.threat;
+            // Scaling by 1.0 is exact, but `p + (next - p)` can round away
+            // from `next`, so masses 1.0 and 0.0 take `next` itself: that
+            // keeps them bit for bit the paper's Malicious and Benign
+            // arithmetic.
+            match level {
+                // Lines 8-11.
+                EscalationLevel::Throttle | EscalationLevel::Kill => {
+                    self.state = ProcessState::Suspicious;
+                    let next = p.fp.next(self.penalty, self.epoch);
+                    if mass == 1.0 {
+                        self.penalty = next;
+                        self.threat = self.threat.penalized(next);
                     } else {
-                        let next = p.fc.next(self.compensation, self.epoch);
+                        self.penalty += (next - self.penalty) * mass;
+                        self.threat = self.threat.penalized(self.penalty * mass);
+                    }
+                }
+                // Lines 12-15: compensation only applies in the suspicious
+                // state.
+                EscalationLevel::Compensate if self.state == ProcessState::Suspicious => {
+                    let next = p.fc.next(self.compensation, self.epoch);
+                    if mass == 0.0 {
+                        self.compensation = next;
+                        self.threat = self.threat.compensated(next);
+                    } else {
                         self.compensation += (next - self.compensation) * (1.0 - mass);
                         self.threat = self.threat.compensated(self.compensation * (1.0 - mass));
                     }
                 }
+                EscalationLevel::Compensate | EscalationLevel::Observe => {}
             }
-            EscalationLevel::Observe => {}
-        }
-        if self.threat.is_zero() && self.state == ProcessState::Suspicious {
-            self.state = ProcessState::Normal;
-            return self.report_leveled(Directive::ResetToNormal, level);
-        }
-        let directive = if self.state == ProcessState::Suspicious {
-            Directive::Adjust {
-                delta_threat: self.threat.value() - prev_threat.value(),
+            let directive = if self.state != ProcessState::Suspicious {
+                Directive::Continue
+            } else if self.threat.is_zero() {
+                // Lines 17-18: full recovery returns the process to normal.
+                self.state = ProcessState::Normal;
+                Directive::ResetToNormal
+            } else {
+                Directive::Adjust {
+                    delta_threat: self.threat.value() - prev_threat.value(),
+                }
+            };
+            if self.measurements >= p.n_star {
+                // Line 21: once N* measurements are captured the process
+                // switches to the terminable state.
+                self.state = ProcessState::Terminable;
             }
-        } else {
-            Directive::Continue
+            directive
         };
-        self.report_leveled(directive, level)
-    }
-
-    fn observe_mass_terminable(&mut self, p: &MonitorParams, level: EscalationLevel) -> StepReport {
-        match level {
-            EscalationLevel::Kill => {
-                self.state = ProcessState::Terminated;
-                self.report_leveled(Directive::Terminate, level)
-            }
-            EscalationLevel::Compensate => {
-                if p.cyclic {
-                    self.recycle();
-                    return self.report_leveled(Directive::Restore, level);
-                }
-                if self.restored {
-                    self.report_leveled(Directive::Continue, level)
-                } else {
-                    self.restored = true;
-                    self.report_leveled(Directive::Restore, level)
-                }
-            }
-            // The terminable decision stays open while the evidence sits in
-            // the middle of the ladder.
-            EscalationLevel::Observe | EscalationLevel::Throttle => {
-                self.report_leveled(Directive::Continue, level)
-            }
-        }
-    }
-
-    fn observe_pre_efficacy(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
-        self.measurements += 1;
-        let prev_threat = self.threat;
-        match inference {
-            Classification::Malicious => {
-                // Lines 8-11.
-                self.state = ProcessState::Suspicious;
-                self.penalty = p.fp.next(self.penalty, self.epoch);
-                self.threat = self.threat.penalized(self.penalty);
-            }
-            Classification::Benign => {
-                // Lines 12-15: compensation only applies in the suspicious
-                // state.
-                if self.state == ProcessState::Suspicious {
-                    self.compensation = p.fc.next(self.compensation, self.epoch);
-                    self.threat = self.threat.compensated(self.compensation);
-                }
-            }
-        }
-        // Lines 17-18: full recovery returns the process to normal.
-        if self.threat.is_zero() && self.state == ProcessState::Suspicious {
-            self.state = ProcessState::Normal;
-            return self.report(Directive::ResetToNormal);
-        }
-        let directive = if self.state == ProcessState::Suspicious {
-            Directive::Adjust {
-                delta_threat: self.threat.value() - prev_threat.value(),
-            }
-        } else {
-            Directive::Continue
-        };
-        self.report(directive)
-    }
-
-    fn observe_terminable(&mut self, p: &MonitorParams, inference: Classification) -> StepReport {
-        match inference {
-            Classification::Benign => {
-                if p.cyclic {
-                    // A_reset plus the outer while-loop of Algorithm 1:
-                    // restore resources and begin a new measurement cycle.
-                    self.recycle();
-                    return self.report(Directive::Restore);
-                }
-                // Line 24: A_reset — restore default resources, once.
-                if self.restored {
-                    self.report(Directive::Continue)
-                } else {
-                    self.restored = true;
-                    self.report(Directive::Restore)
-                }
-            }
-            Classification::Malicious => {
-                // Line 26: terminate.
-                self.state = ProcessState::Terminated;
-                self.report(Directive::Terminate)
-            }
-        }
-    }
-
-    fn report(&self, directive: Directive) -> StepReport {
-        self.report_leveled(directive, EscalationLevel::from_directive(directive))
-    }
-
-    fn report_leveled(&self, directive: Directive, level: EscalationLevel) -> StepReport {
         StepReport {
             state: self.state,
             threat: self.threat,
@@ -688,6 +633,60 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn full_and_zero_mass_take_the_assessment_value_itself() {
+        // Under F(x) = 3x + 0.1 the fifth step of a run has `next` =
+        // 12.100000000000003, where `p + (next - p)` gives
+        // 12.100000000000001. So the metrics match a plain fold of
+        // `AssessmentFn::next` bit for bit only if masses 1.0 and 0.0 take
+        // `next` itself, on the binary path and on the mass path alike.
+        let f = AssessmentFn::linear(3.0, 0.1);
+        for cyclic in [false, true] {
+            let p = MonitorParams {
+                n_star: 100,
+                fp: f,
+                fc: f,
+                cyclic,
+            };
+            let mut cycles = [CycleState::new(); 3];
+            let step = |cycles: &mut [CycleState; 3], malicious: bool| {
+                let mass = if malicious { 1.0 } else { 0.0 };
+                cycles[0].observe(&p, if malicious { Malicious } else { Benign });
+                cycles[1].observe_mass_with(&p, EscalationLadder::BINARY, mass);
+                cycles[2].observe_mass_with(&p, EscalationLadder::graduated(), mass);
+            };
+            let check = |cycles: &[CycleState; 3], want: (f64, f64, ThreatIndex), epoch| {
+                for (path, c) in cycles.iter().enumerate() {
+                    let got = (c.penalty, c.compensation, c.threat.value());
+                    let want = (want.0, want.1, want.2.value());
+                    assert_eq!(
+                        [got.0.to_bits(), got.1.to_bits(), got.2.to_bits()],
+                        [want.0.to_bits(), want.1.to_bits(), want.2.to_bits()],
+                        "cyclic={cyclic} path {path} epoch {epoch}: {got:?} vs {want:?}"
+                    );
+                }
+            };
+            let (mut penalty, mut compensation, mut threat) = (0.0, 0.0, ThreatIndex::zero());
+            let mut epoch = 0;
+            for _ in 0..6 {
+                epoch += 1;
+                penalty = f.next(penalty, epoch);
+                threat = threat.penalized(penalty);
+                step(&mut cycles, true);
+                check(&cycles, (penalty, compensation, threat), epoch);
+            }
+            while cycles[0].state == ProcessState::Suspicious {
+                epoch += 1;
+                compensation = f.next(compensation, epoch);
+                threat = threat.compensated(compensation);
+                step(&mut cycles, false);
+                check(&cycles, (penalty, compensation, threat), epoch);
+            }
+            // The benign run went past its fifth step before recovering.
+            assert!(epoch >= 11 && threat.is_zero(), "epoch {epoch}");
         }
     }
 

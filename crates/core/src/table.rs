@@ -170,7 +170,17 @@ impl<V> ProcessTable<V> {
     /// Removes `pid`'s record, returning it. The last record moves into the
     /// freed position.
     pub(crate) fn remove(&mut self, pid: ProcessId) -> Option<V> {
+        self.remove_if(pid, |_| true)
+    }
+
+    /// Removes `pid`'s record if `pred` holds for it, returning it; the
+    /// predicate reads the record the lookup probe found, so a conditional
+    /// removal costs no second probe.
+    pub(crate) fn remove_if(&mut self, pid: ProcessId, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         let (slot, p) = self.find(pid, hash(pid)).ok()?;
+        if !pred(&self.records[p].1) {
+            return None;
+        }
         self.clear_slot(slot);
         let last = self.records.len() - 1;
         if p != last {
@@ -275,9 +285,10 @@ mod tests {
         pool
     }
 
-    /// Drives `ops` random gets, get-or-inserts and removes against a
-    /// `HashMap` model, growing from capacity 0. Every `check_every` ops it
-    /// also compares iteration with the model and checks the invariants.
+    /// Drives `ops` random gets, get-or-inserts, removes and conditional
+    /// removes (of even values) against a `HashMap` model, growing from
+    /// capacity 0. Every `check_every` ops it also compares iteration with
+    /// the model and checks the invariants.
     fn run_model(seed: u64, pool_size: u64, ops: u64, check_every: u64) {
         let pool = pid_pool(pool_size);
         let mut table: ProcessTable<u64> = ProcessTable::with_capacity(0);
@@ -285,7 +296,7 @@ mod tests {
         for step in 0..ops {
             let r = mix64(seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let pid = pool[(r >> 8) as usize % pool.len()];
-            match r % 7 {
+            match r % 8 {
                 0 | 1 => assert_eq!(table.get(pid), model.get(&pid), "get {}", pid.0),
                 2 => {
                     if let Some(v) = table.get_mut(pid) {
@@ -300,7 +311,16 @@ mod tests {
                     let want = *model.entry(pid).or_insert(step);
                     assert_eq!(got, want, "get_or_insert {}", pid.0);
                 }
-                _ => assert_eq!(table.remove(pid), model.remove(&pid), "remove {}", pid.0),
+                6 => assert_eq!(table.remove(pid), model.remove(&pid), "remove {}", pid.0),
+                _ => {
+                    let even = |v: &u64| v.is_multiple_of(2);
+                    let want = if model.get(&pid).is_some_and(even) {
+                        model.remove(&pid)
+                    } else {
+                        None
+                    };
+                    assert_eq!(table.remove_if(pid, even), want, "remove_if {}", pid.0);
+                }
             }
             assert_eq!(table.len(), model.len());
             if step % check_every == 0 || step + 1 == ops {
