@@ -35,8 +35,14 @@
 //! than L2. It compares `observe_loop` with `sharded_x{1,2,16}`; 16 shards
 //! is the `fleet_churn` engine's shape. `sharded_x16_shuffled` replays the
 //! same ticks with each batch permuted by a fixed seed, so the fleet is
-//! never presented in the order it registered in. The fan-out's serial
-//! passes and the second core's payoff only show at this size.
+//! never presented in the order it registered in: the lookup cursor
+//! misses and a re-lay cannot help. `sharded_x16_churned` runs the same
+//! fleet under `fleet_churn`'s service churn (~0.2% departures and ~0.2%
+//! arrivals per tick, each arrival presented inside its machine's run of
+//! pids), so the cursor's erosion under churn and the round-robin re-lay
+//! that repairs it show here. Its timed tick includes the churn draw, one
+//! pass over the batch, and the engine's `forget` calls. The fan-out's
+//! serial passes and the second core's payoff only show at this size.
 //!
 //! A separate `core/engine_batch_flood` group (`flood_x{1,4}`) drives the
 //! same 10k fleet through undersized defended rings while a `NoiseFlood`
@@ -182,7 +188,87 @@ fn bench_engine_batch_1m(c: &mut Criterion) {
             });
         });
     }
+    group.bench_function("sharded_x16_churned", |b| {
+        let mut engine = ShardedEngine::with_capacity(engine_config(n_star), 16, procs);
+        let mut fleet = ChurnedFleet::new(ring[0].clone(), MACHINES);
+        b.iter(|| {
+            fleet.advance();
+            for &pid in &fleet.departed {
+                engine.forget(pid);
+            }
+            black_box(engine.observe_batch(black_box(&fleet.batch)))
+        });
+    });
     group.finish();
+}
+
+/// `fleet_churn`'s service churn on a `fleet_service_batch` fleet: every
+/// tick each service departs with probability 1/500 and each machine
+/// spawns a service with probability 1/50 (about 2k of each at 100k × 10),
+/// so about 0.4% of the batch changes per tick. A new service takes its
+/// machine's next local pid and is presented after the machine's other
+/// services, mid-batch, while the engine files it after every older
+/// record. The batch stays sorted by packed pid.
+struct ChurnedFleet {
+    batch: Vec<(ProcessId, Classification)>,
+    /// The pids that left at the last tick, for the engine to forget.
+    departed: Vec<ProcessId>,
+    next_local: Vec<u64>,
+    epoch: u64,
+    scratch: Vec<(ProcessId, Classification)>,
+}
+
+impl ChurnedFleet {
+    fn new(batch: Vec<(ProcessId, Classification)>, machines: u32) -> Self {
+        let mut next_local = vec![1; machines as usize];
+        for &(pid, _) in &batch {
+            next_local[pid.machine() as usize] = pid.local() + 1;
+        }
+        Self {
+            batch,
+            departed: Vec::new(),
+            next_local,
+            epoch: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Draws the next tick's departures and arrivals in one pass over the
+    /// batch, re-flagging every process on the shared schedule.
+    fn advance(&mut self) {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let salt = epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let flag = |i: usize| {
+            if (i as u64 + epoch).is_multiple_of(7) {
+                Classification::Malicious
+            } else {
+                Classification::Benign
+            }
+        };
+        self.departed.clear();
+        let next = &mut self.scratch;
+        next.clear();
+        let mut old = self.batch.iter().peekable();
+        for (machine, next_local) in (0u32..).zip(&mut self.next_local) {
+            while let Some(&&(pid, _)) = old.peek().filter(|(pid, _)| pid.machine() == machine) {
+                old.next();
+                if mix64(pid.0 ^ salt).is_multiple_of(500) {
+                    self.departed.push(pid);
+                } else {
+                    next.push((pid, flag(next.len())));
+                }
+            }
+            if mix64(u64::from(machine) ^ !salt).is_multiple_of(50) {
+                next.push((
+                    ProcessId::from_parts(machine, *next_local),
+                    flag(next.len()),
+                ));
+                *next_local += 1;
+            }
+        }
+        std::mem::swap(&mut self.batch, &mut self.scratch);
+    }
 }
 
 /// A Fisher-Yates permutation of `batch` drawn from `mix64(seed, i)`.

@@ -310,11 +310,6 @@ impl ShareActuator {
         self.law
     }
 
-    /// The minimum share this actuator will assign.
-    pub fn min_share(&self) -> f64 {
-        self.floor
-    }
-
     /// Checks that the actuator's parameters give a defined response,
     /// naming the first broken rule:
     /// - a NaN floor is ignored by `share.max(floor)`;

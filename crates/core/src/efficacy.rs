@@ -159,13 +159,6 @@ impl EfficacySpec {
         }
     }
 
-    /// Adds an F1 constraint to this specification.
-    #[must_use]
-    pub fn and_f1_at_least(mut self, f1: f64) -> Self {
-        self.min_f1 = Some(f1);
-        self
-    }
-
     /// Adds an FPR constraint to this specification.
     #[must_use]
     pub fn and_fpr_at_most(mut self, fpr: f64) -> Self {

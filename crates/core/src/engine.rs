@@ -166,27 +166,11 @@ impl<A: Actuator + Clone> EngineConfig<A> {
         self.monitor.n_star
     }
 
-    /// The penalty assessment function.
-    pub fn penalty_fn(&self) -> AssessmentFn {
-        self.monitor.fp
-    }
-
-    /// The compensation assessment function.
-    pub fn compensation_fn(&self) -> AssessmentFn {
-        self.monitor.fc
-    }
-
     /// The actuator that regulates every monitored process. It is shared,
     /// not copied per process: actuators are pure functions of the previous
     /// shares and `ΔT` (see [`Actuator`]).
     pub fn actuator(&self) -> &A {
         &self.actuator
-    }
-
-    /// Whether monitoring is cyclic (Algorithm 1's outer loop; see
-    /// [`EngineConfigBuilder::cyclic`]).
-    pub fn is_cyclic(&self) -> bool {
-        self.monitor.cyclic
     }
 
     /// The verdict-fusion configuration.
@@ -447,10 +431,11 @@ fn step<A: Actuator>(
 /// are kept for post-mortem queries until [`Self::purge_terminated`] (or
 /// [`Self::forget`]) evicts them.
 ///
-/// The table stores its records densely in registration order behind a
-/// compact hash index, so an embedder that presents its processes in a
-/// stable order every epoch walks the records almost sequentially, and a
-/// lookup reads only 8-byte index entries until the one record it returns.
+/// The table stores its records densely behind a compact hash index, and a
+/// lookup cursor compares the record after the one it last returned before
+/// it probes. An embedder that presents its processes in a stable order
+/// every epoch walks the records sequentially and mostly skips the probe;
+/// a probe reads only 8-byte index entries until the one record it returns.
 ///
 /// # Examples
 ///
@@ -822,11 +807,33 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         purged
     }
 
+    /// Starts a walk of the process table (see [`ProcessTable::begin_walk`]):
+    /// the observations until [`Self::end_walk`] are one pass over the
+    /// fleet in its presentation order.
+    pub(crate) fn begin_walk(&mut self, record: bool) {
+        self.procs.begin_walk(record);
+    }
+
+    /// Ends the walk, re-laying the table in its order if it and the
+    /// recorded walk before it show a stable order that churn has put out
+    /// of step with the table (see [`ProcessTable::end_walk`]).
+    pub(crate) fn end_walk(&mut self) {
+        self.procs.end_walk();
+    }
+
+    /// The `(lookups, misses)` of the table's current or last walk.
+    #[cfg(test)]
+    pub(crate) fn walk_counts(&self) -> (usize, usize) {
+        self.procs.walk_counts()
+    }
+
     /// Iterates over `(pid, state, threat)` of all tracked processes.
     ///
-    /// The order is unspecified. Today it is registration order, perturbed
-    /// by removals (a removed process's slot goes to the most recently
-    /// registered one).
+    /// The order is unspecified. Today it is the order of the table's last
+    /// re-lay, then registration, perturbed by removals (a removed
+    /// process's slot goes to the table's last record). Only a
+    /// [`ShardedEngine`](crate::sharded::ShardedEngine)'s step phase
+    /// re-lays a table.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
         self.procs
             .iter()

@@ -15,7 +15,11 @@
 //!    worker `w` buckets its slice by owning shard.
 //! 2. **Step.** Shards are chunked onto the workers. Shard `s` steps its
 //!    buckets from slice 0, then slice 1, and so on — which is batch order
-//!    — and keeps one reply list per bucket.
+//!    — and keeps one reply list per bucket. Each shard's pass is one walk
+//!    of its process table. Round robin, one shard per step phase records
+//!    its walk on that phase and the next, and on the second may re-lay
+//!    its table in walk order, which keeps the table's lookup cursor in
+//!    step with a churning fleet.
 //! 3. **Gather.** Worker `w` walks its slice again and copies each
 //!    observation's reply from its shard's list into its own contiguous
 //!    part of the output.
@@ -148,6 +152,10 @@ pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
     /// pass, and the hint clearing in [`ShardedEngine::forget`] and
     /// [`ShardedEngine::complete`], for undefended engines).
     hints_active: bool,
+    /// The shard whose turn to record its step-phase walk, and to re-lay
+    /// its table on the step phase after, begins next. Advanced round robin
+    /// by every step phase.
+    relay_turn: usize,
 }
 
 /// One payload's async ingest rings — binary classifications or fusion
@@ -269,11 +277,18 @@ fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) 
 /// in batch order, exactly as a serial replay would. The shards are
 /// chunked onto `threads` workers (an 8-shard engine on a 4-core host costs
 /// 3 spawns, not 8); with one worker everything runs inline.
+///
+/// Each shard's pass is one walk of its process table. A shard's turn spans
+/// two calls: shard `turn` records its walk, and so does the shard whose
+/// turn began on the call before, which may then re-lay its table in its
+/// walk's order on its own worker (see the `table` module). So at most one
+/// shard re-lays per call.
 fn step_shards<A: Actuator + Clone + Send>(
     shards: &mut [ValkyrieEngine<A>],
     buckets: &[Vec<(ProcessId, Classification)>],
     replies: &mut [Vec<EngineResponse>],
     threads: usize,
+    turn: usize,
 ) {
     let nshards = shards.len();
     let slices = buckets.len() / nshards;
@@ -293,6 +308,7 @@ fn step_shards<A: Actuator + Clone + Send>(
             .enumerate()
         {
             let s = job * chunk + i;
+            shard.begin_walk(s == turn || (s + 1) % nshards == turn);
             for (w, reply) in replies.iter_mut().enumerate() {
                 let bucket = &buckets[w * nshards + s];
                 reply.clear();
@@ -305,6 +321,7 @@ fn step_shards<A: Actuator + Clone + Send>(
                 }
                 shard.observe_batch_into(bucket, reply);
             }
+            shard.end_walk();
         }
     });
 }
@@ -355,6 +372,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             verdicts: Lane(None),
             hints: ThreatHints::new(),
             hints_active: false,
+            relay_turn: 0,
         }
     }
 
@@ -549,6 +567,14 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         }
     }
 
+    /// The shard whose turn begins at this step phase, moving the turn on
+    /// to the next shard.
+    fn next_relay_turn(&mut self) -> usize {
+        let turn = self.relay_turn;
+        self.relay_turn = (turn + 1) % self.shards.len();
+        turn
+    }
+
     /// The three-phase fan-out of [`Self::observe_batch_into`] (see the
     /// [module docs](self)) on `workers` threads.
     fn fan_out_batch(
@@ -570,8 +596,9 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         );
 
         // Step: each shard answers its buckets in slice order.
+        let turn = self.next_relay_turn();
         let replies = slots(&mut self.replies, slices * nshards);
-        step_shards(&mut self.shards, &self.buckets, replies, workers);
+        step_shards(&mut self.shards, &self.buckets, replies, workers, turn);
 
         // Gather: worker `w` fills its part of `out` in input order, taking
         // each observation's reply from its shard's list for slice `w`.
@@ -783,8 +810,9 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         }
         let total: usize = buckets.iter().map(Vec::len).sum();
         let workers = self.workers_for(total);
+        let turn = self.next_relay_turn();
         let replies = slots(&mut self.replies, nshards);
-        step_shards(&mut self.shards, &self.buckets, replies, workers);
+        step_shards(&mut self.shards, &self.buckets, replies, workers, turn);
         // One ring applies in ring order, but the *returned* order must
         // still be stamp order — under `Coalesce` a restamped entry keeps
         // its ring slot, and skipping the merge would make response order
@@ -855,7 +883,11 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 
     /// Iterates over `(pid, state, threat)` of all tracked processes, shard
-    /// by shard (no global ordering). Lazy and allocation-free.
+    /// by shard. Lazy and allocation-free.
+    ///
+    /// The order is unspecified. Today each shard yields its processes in
+    /// the order of its table's last re-lay, then registration (see
+    /// [`ValkyrieEngine::iter`]).
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
         self.shards.iter().flat_map(ValkyrieEngine::iter)
     }
@@ -877,6 +909,7 @@ mod tests {
     use super::*;
     use crate::actuator::ShareActuator;
     use crate::engine::{Action, ValkyrieEngine};
+    use crate::hash::mix64;
     use Classification::{Benign, Malicious};
 
     fn config(n_star: u64) -> EngineConfig {
@@ -959,6 +992,58 @@ mod tests {
             .map(|&(pid, cls)| single.observe(pid, cls))
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// A churning fleet keeps the lookup cursor hitting: over 240 ticks,
+    /// each forgetting ~0.5% of 10k fleet-packed pids and registering as
+    /// many inside their machine's run of pids, the round-robin re-lay
+    /// lays each shard's table back in presentation order. Every response
+    /// is still a one-shard engine's.
+    #[test]
+    fn round_robin_re_lay_keeps_the_cursor_hitting_under_churn() {
+        const MACHINES: u64 = 1_000;
+        let mut fleet: Vec<Vec<u64>> = (0..MACHINES).map(|_| (1..=10).collect()).collect();
+        let mut sharded = ShardedEngine::new(config(1 << 40), 16);
+        sharded.set_parallel_threshold(1);
+        sharded.host_workers = 2;
+        let mut single = ShardedEngine::new(config(1 << 40), 1);
+        for epoch in 0..240u64 {
+            for i in 0..100 {
+                let r = mix64(epoch << 32 | i);
+                let m = (r % MACHINES) as usize;
+                let services = &mut fleet[m];
+                if i % 2 == 0 && !services.is_empty() {
+                    let local = services.remove((r >> 32) as usize % services.len());
+                    let pid = ProcessId::from_parts(m as u32, local);
+                    sharded.forget(pid);
+                    single.forget(pid);
+                } else {
+                    services.push(services.last().map_or(1, |&l| l + 1));
+                }
+            }
+            let batch: Vec<(ProcessId, Classification)> = fleet
+                .iter()
+                .zip(0u32..)
+                .flat_map(|(services, m)| {
+                    services.iter().map(move |&l| ProcessId::from_parts(m, l))
+                })
+                .map(|pid| {
+                    let flag = mix64(pid.0 ^ epoch).is_multiple_of(7);
+                    (pid, if flag { Malicious } else { Benign })
+                })
+                .collect();
+            assert_eq!(sharded.tick(&batch), single.tick(&batch), "epoch {epoch}");
+        }
+        let (lookups, misses) = sharded
+            .shards
+            .iter()
+            .map(ValkyrieEngine::walk_counts)
+            .fold((0, 0), |(l, m), (dl, dm)| (l + dl, m + dm));
+        let hit_share = 1.0 - misses as f64 / lookups as f64;
+        assert!(
+            hit_share >= 0.9,
+            "last tick hit {hit_share:.3} of {lookups}"
+        );
     }
 
     #[test]

@@ -1,17 +1,53 @@
 //! The per-shard process table: one record per tracked pid.
 //!
-//! Records sit densely in a `Vec`, in registration order, so a driver that
-//! presents its fleet in a stable order walks them almost sequentially.
-//! Lookups go through a separate open-addressing index of `u64` entries
-//! (linear probing, power-of-two length, load at most 7/8). An entry packs
-//! the low 32 bits of the pid's hash with the record's position plus one,
-//! and `0` marks an empty slot, so no pid value is reserved: `0` and
-//! `u64::MAX` are ordinary keys. A probe reads only index entries until the
-//! one record whose tag matches.
+//! Records sit densely in a `Vec`, in registration order until a re-lay
+//! (below) reorders them. Lookups go through a separate open-addressing
+//! index of `u64` entries (linear probing, power-of-two length, load at
+//! most 7/8). An entry packs the low 32 bits of the pid's hash with the
+//! record's position plus one, and `0` marks an empty slot, so no pid value
+//! is reserved: `0` and `u64::MAX` are ordinary keys. A probe reads only
+//! index entries until the one record whose tag matches.
 //!
 //! Removal swaps the last record into the hole, repoints that record's index
 //! entry and closes the index gap by backward-shift deletion, so the table
 //! never holds tombstones.
+//!
+//! # The lookup cursor
+//!
+//! Algorithm 1 consumes every monitored process's inference once per epoch,
+//! so a tick presents almost the same pids in almost the same order every
+//! epoch. At fleet scale the index is far larger than L2, and each probe
+//! costs a cache miss in a random slot even when the record it finds is the
+//! neighbour of the last one. So `get_or_insert_with` first compares the
+//! record after the one it last returned, and probes only when the pid is
+//! elsewhere. Two more candidates cover the two ways churn breaks a run:
+//! after a hit, the record after that one (a removal swapped the table's
+//! last record into the next position), and where the walk left off when
+//! it last went off course (a new pid, registered at the end of the
+//! records, was presented mid-walk). A candidate is used only if it holds
+//! the pid asked for, so the cursor is a hint that can cost speed but never
+//! return another pid's record. `get`, `get_mut`, `remove` and `remove_if`
+//! stay pure probes.
+//!
+//! # Walks and re-lays
+//!
+//! Churn still erodes the cursor: each removal and each arrival leaves a
+//! record out of presentation order for good. The caller therefore brackets
+//! one pass over its batch with `begin_walk`/`end_walk`, which count the
+//! lookups and the misses (probes). A recorded walk also keeps the position
+//! of every record it returned. If more than 1/16 of a recorded walk missed
+//! and so did the recorded walk just before it, `end_walk` works out how
+//! often this walk would have missed had the records been laid out in the
+//! earlier walk's order. If that halves the misses, the driver's order is
+//! stable and churn broke the cursor, so it re-lays the records in this
+//! walk's order: every record moves to its position in the walk, and the
+//! index keeps its slots while its positions are rewritten. A driver that
+//! presents its pids in a fresh order every epoch fails that test and never
+//! pays for a re-lay. The sharded engine gives one shard per step phase,
+//! round robin, a turn of two recorded walks, so at most one shard re-lays
+//! per tick. A walk entry that is stale, duplicated or out of range is
+//! skipped, so a bad walk can cost speed but never lose or duplicate a
+//! record.
 
 use crate::hash::FxBuildHasher;
 use crate::resource::ProcessId;
@@ -58,14 +94,51 @@ fn slots_for(n: usize) -> usize {
         .max(MIN_SLOTS)
 }
 
-/// Pid-keyed records in registration order behind an open-addressing index
-/// (see the module docs). Iteration order is registration order perturbed
-/// by removals.
+/// A walk misses too often, and may lead to a re-lay, once more than one
+/// lookup in this many missed the cursor.
+const RELAY_MISS_SHARE: usize = 16;
+
+/// Marks a record the re-lay has not placed yet. Positions stay below
+/// 2^32 - 1 because the index holds at most 2^32 slots at load 7/8.
+const UNPLACED: u32 = u32::MAX;
+
+/// Pid-keyed records behind an open-addressing index, with a lookup cursor
+/// (see the module docs). Iteration order is the order of the last re-lay,
+/// then registration, perturbed by removals.
 #[derive(Debug, Clone)]
 pub(crate) struct ProcessTable<V> {
     records: Vec<(ProcessId, V)>,
     /// A power of two long, at least `MIN_SLOTS`.
     index: Vec<u64>,
+    /// The position after the record [`Self::get_or_insert_with`] last
+    /// returned. Only ever a hint: a candidate record is used only if it
+    /// holds the pid asked for.
+    cursor: usize,
+    /// The cursor's value when the current detour began, i.e. when a probe
+    /// followed a cursor hit: where the walk picks up again.
+    resume: usize,
+    /// Whether the last [`Self::get_or_insert_with`] probed the index.
+    probed: bool,
+    walk: Walk,
+}
+
+/// What the table learns about the walk between [`ProcessTable::begin_walk`]
+/// and [`ProcessTable::end_walk`].
+#[derive(Debug, Clone, Default)]
+struct Walk {
+    /// `get_or_insert_with` calls since the walk began.
+    lookups: usize,
+    /// Those that missed every cursor candidate and probed the index.
+    misses: usize,
+    /// The position each lookup returned, in order, if this walk is
+    /// recorded.
+    order: Option<Vec<u32>>,
+    /// Walks begun so far.
+    count: u64,
+    /// A recorded walk that missed too often, with its count, kept for the
+    /// walk right after it to test whether a re-lay in its order would
+    /// have paid.
+    missed: Option<(u64, Vec<u32>)>,
 }
 
 impl<V> ProcessTable<V> {
@@ -76,6 +149,10 @@ impl<V> ProcessTable<V> {
         Self {
             records: Vec::with_capacity(capacity),
             index: vec![EMPTY; slots_for(capacity)],
+            cursor: 0,
+            resume: 0,
+            probed: false,
+            walk: Walk::default(),
         }
     }
 
@@ -122,15 +199,64 @@ impl<V> ProcessTable<V> {
 
     /// The record of `pid`, registering `make()` at the end of the records
     /// on first sight.
+    ///
+    /// Tries the cursor's candidates first and probes the index only when
+    /// none of them holds `pid`. Each call counts towards the current walk.
     #[inline]
     pub(crate) fn get_or_insert_with(
         &mut self,
         pid: ProcessId,
         make: impl FnOnce() -> V,
     ) -> &mut V {
+        let p = match self.near_cursor(pid) {
+            Some(p) => {
+                self.probed = false;
+                p
+            }
+            None => {
+                if !self.probed {
+                    self.resume = self.cursor;
+                }
+                self.probed = true;
+                self.walk.misses += 1;
+                self.find_or_insert(pid, make)
+            }
+        };
+        self.cursor = p + 1;
+        self.walk.lookups += 1;
+        if let Some(order) = &mut self.walk.order {
+            order.push(p as u32);
+        }
+        &mut self.records[p].1
+    }
+
+    /// The position of `pid` if a cursor candidate holds it: the record
+    /// after the one last returned; after a hit, the record after that (a
+    /// removal may have swapped another record into the next position);
+    /// and the record where the walk resumes after a detour. After a probe
+    /// the second is skipped, so a driver whose order never matches pays
+    /// only for the record next to the one it just touched and for one it
+    /// keeps touching.
+    #[inline]
+    fn near_cursor(&self, pid: ProcessId) -> Option<usize> {
+        let holds = |p: usize| self.records.get(p).is_some_and(|r| r.0 == pid);
+        let c = self.cursor;
+        if holds(c) {
+            Some(c)
+        } else if !self.probed && holds(c + 1) {
+            Some(c + 1)
+        } else {
+            holds(self.resume).then_some(self.resume)
+        }
+    }
+
+    /// The position of `pid`'s record by an index probe, registering
+    /// `make()` at the end of the records if it is absent.
+    #[inline]
+    fn find_or_insert(&mut self, pid: ProcessId, make: impl FnOnce() -> V) -> usize {
         let h = hash(pid);
         let slot = match self.find(pid, h) {
-            Ok((_, p)) => return &mut self.records[p].1,
+            Ok((_, p)) => return p,
             Err(slot) if self.records.len() < self.max_load() => slot,
             Err(_) => {
                 self.grow();
@@ -141,7 +267,108 @@ impl<V> ProcessTable<V> {
         let p = self.records.len();
         self.records.push((pid, make()));
         self.index[slot] = entry(h, p);
-        &mut self.records[p].1
+        p
+    }
+
+    /// Starts a walk: the cursor goes back to the first record and the
+    /// walk's counts to zero. A `record`ed walk also keeps the position of
+    /// every record it returns, for [`Self::end_walk`] to re-lay by.
+    pub(crate) fn begin_walk(&mut self, record: bool) {
+        self.cursor = 0;
+        self.walk.lookups = 0;
+        self.walk.misses = 0;
+        self.walk.count += 1;
+        self.walk.order = record.then(|| Vec::with_capacity(self.records.len()));
+    }
+
+    /// Ends the walk [`Self::begin_walk`] started.
+    ///
+    /// A re-lay takes two recorded walks in a row. If more than 1/16 of a
+    /// recorded walk missed, the table keeps it. If the very next walk is
+    /// recorded and missed that often too, the table counts how many of its
+    /// lookups would have missed had the records been laid out in the kept
+    /// walk's order. Only if that is less than half of what did miss, i.e.
+    /// the driver's order held from one walk to the next and churn is what
+    /// broke the cursor, does it re-lay the records in the new walk's
+    /// order. A driver that presents its pids in a fresh order every epoch
+    /// never pays for a re-lay.
+    pub(crate) fn end_walk(&mut self) {
+        let Some(order) = self.walk.order.take() else {
+            return;
+        };
+        let (lookups, misses) = (self.walk.lookups, self.walk.misses);
+        if misses * RELAY_MISS_SHARE <= lookups {
+            self.walk.missed = None;
+            return;
+        }
+        let count = self.walk.count;
+        match self.walk.missed.take().filter(|(c, _)| c + 1 == count) {
+            Some((_, kept)) if 2 * self.would_miss(&kept, &order) < misses => self.relay(&order),
+            Some(_) => {}
+            None => self.walk.missed = Some((count, order)),
+        }
+    }
+
+    /// How many lookups of `walk` would have missed the cursor's first
+    /// candidate had the records been re-laid in `kept`'s order: each one
+    /// whose record does not directly follow the previous lookup's.
+    fn would_miss(&self, kept: &[u32], walk: &[u32]) -> usize {
+        let mut rank = vec![UNPLACED; self.records.len()];
+        for (r, &p) in (0..).zip(kept) {
+            if let Some(slot) = rank.get_mut(p as usize).filter(|slot| **slot == UNPLACED) {
+                *slot = r;
+            }
+        }
+        // A walk starts at the first record, as if after rank -1.
+        let mut last = UNPLACED;
+        let mut missed = 0;
+        for &p in walk {
+            let r = rank.get(p as usize).copied().unwrap_or(UNPLACED);
+            if r == UNPLACED || r != last.wrapping_add(1) {
+                missed += 1;
+            }
+            last = r;
+        }
+        missed
+    }
+
+    /// The `(lookups, misses)` of the current or last walk.
+    #[cfg(test)]
+    pub(crate) fn walk_counts(&self) -> (usize, usize) {
+        (self.walk.lookups, self.walk.misses)
+    }
+
+    /// Moves the records into `walk`'s order: the record at each position
+    /// `walk` names, at its first mention, then every other record in its
+    /// current order. A duplicated or out-of-range position is skipped, so
+    /// a stale walk costs speed, never a record. The index keeps its slots
+    /// and only has its positions rewritten.
+    fn relay(&mut self, walk: &[u32]) {
+        // `dest[p]` is where the record now at `p` goes.
+        let mut dest = vec![UNPLACED; self.records.len()];
+        let mut next = 0;
+        for &p in walk {
+            if let Some(d) = dest.get_mut(p as usize).filter(|d| **d == UNPLACED) {
+                *d = next;
+                next += 1;
+            }
+        }
+        for d in dest.iter_mut().filter(|d| **d == UNPLACED) {
+            *d = next;
+            next += 1;
+        }
+        for e in self.index.iter_mut().filter(|e| **e != EMPTY) {
+            *e = entry(tag(*e), dest[position(*e)] as usize);
+        }
+        // Follow each cycle of the permutation: every swap sends the record
+        // at `i` to its final position.
+        for i in 0..dest.len() {
+            while dest[i] as usize != i {
+                let d = dest[i] as usize;
+                self.records.swap(i, d);
+                dest.swap(i, d);
+            }
+        }
     }
 
     /// Doubles the index and re-inserts every entry from its stored tag,
@@ -217,8 +444,8 @@ impl<V> ProcessTable<V> {
         self.index[hole] = EMPTY;
     }
 
-    /// Every record with its pid, in registration order perturbed by
-    /// removals.
+    /// Every record with its pid, in the order of the last re-lay, then
+    /// registration, perturbed by removals.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (ProcessId, &V)> + '_ {
         self.records.iter().map(|(pid, v)| (*pid, v))
     }
@@ -285,51 +512,167 @@ mod tests {
         pool
     }
 
-    /// Drives `ops` random gets, get-or-inserts, removes and conditional
-    /// removes (of even values) against a `HashMap` model, growing from
-    /// capacity 0. Every `check_every` ops it also compares iteration with
-    /// the model and checks the invariants.
-    fn run_model(seed: u64, pool_size: u64, ops: u64, check_every: u64) {
-        let pool = pid_pool(pool_size);
-        let mut table: ProcessTable<u64> = ProcessTable::with_capacity(0);
-        let mut model: HashMap<ProcessId, u64> = HashMap::new();
-        for step in 0..ops {
-            let r = mix64(seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let pid = pool[(r >> 8) as usize % pool.len()];
-            match r % 8 {
-                0 | 1 => assert_eq!(table.get(pid), model.get(&pid), "get {}", pid.0),
+    /// The table and its `HashMap` model under one random op sequence.
+    struct Model<'a> {
+        pool: &'a [ProcessId],
+        table: ProcessTable<u64>,
+        model: HashMap<ProcessId, u64>,
+    }
+
+    impl Model<'_> {
+        fn pid(&self, r: u64) -> ProcessId {
+            self.pool[(r >> 8) as usize % self.pool.len()]
+        }
+
+        /// `get_or_insert_with`, registering `value` on first sight.
+        fn lookup(&mut self, pid: ProcessId, value: u64) {
+            let got = *self.table.get_or_insert_with(pid, || value);
+            let want = *self.model.entry(pid).or_insert(value);
+            assert_eq!(got, want, "get_or_insert {}", pid.0);
+        }
+
+        fn remove(&mut self, pid: ProcessId) {
+            assert_eq!(
+                self.table.remove(pid),
+                self.model.remove(&pid),
+                "remove {}",
+                pid.0
+            );
+        }
+
+        /// One random get, get-or-insert, remove or conditional remove (of
+        /// an even value).
+        fn op(&mut self, r: u64, step: u64) {
+            let pid = self.pid(r);
+            match (r >> 40) % 8 {
+                0 | 1 => assert_eq!(self.table.get(pid), self.model.get(&pid), "get {}", pid.0),
                 2 => {
-                    if let Some(v) = table.get_mut(pid) {
+                    if let Some(v) = self.table.get_mut(pid) {
                         *v += 1;
                     }
-                    if let Some(v) = model.get_mut(&pid) {
+                    if let Some(v) = self.model.get_mut(&pid) {
                         *v += 1;
                     }
                 }
-                3..=5 => {
-                    let got = *table.get_or_insert_with(pid, || step);
-                    let want = *model.entry(pid).or_insert(step);
-                    assert_eq!(got, want, "get_or_insert {}", pid.0);
-                }
-                6 => assert_eq!(table.remove(pid), model.remove(&pid), "remove {}", pid.0),
+                3..=5 => self.lookup(pid, step),
+                6 => self.remove(pid),
                 _ => {
                     let even = |v: &u64| v.is_multiple_of(2);
-                    let want = if model.get(&pid).is_some_and(even) {
-                        model.remove(&pid)
+                    let want = if self.model.get(&pid).is_some_and(even) {
+                        self.model.remove(&pid)
                     } else {
                         None
                     };
-                    assert_eq!(table.remove_if(pid, even), want, "remove_if {}", pid.0);
+                    assert_eq!(self.table.remove_if(pid, even), want, "remove_if {}", pid.0);
                 }
             }
-            assert_eq!(table.len(), model.len());
-            if step % check_every == 0 || step + 1 == ops {
-                let mut got: Vec<(u64, u64)> = table.iter().map(|(p, &v)| (p.0, v)).collect();
-                let mut want: Vec<(u64, u64)> = model.iter().map(|(p, &v)| (p.0, v)).collect();
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "iter after op {step}");
-                table.check_invariants();
+        }
+
+        /// An in-order walk, presented twice in a row and recorded half
+        /// the time each (so the second may re-lay the table). Every record
+        /// is looked up in table order, except that one in 16 is skipped,
+        /// one in 16 is preceded by a random pool pid (found, or registered
+        /// mid-walk like an arrival), and one in 16 by the removal of a
+        /// random pool pid (a departure, which swaps a record into a walked
+        /// position).
+        fn walk(&mut self, r: u64, step: u64) {
+            let mut seq = Vec::new();
+            for (i, (pid, _)) in self.table.iter().enumerate() {
+                let d = mix64(r ^ i as u64);
+                match d % 16 {
+                    0 => continue,
+                    1 => seq.push((self.pid(d), false)),
+                    2 => seq.push((self.pid(d), true)),
+                    _ => {}
+                }
+                seq.push((pid, false));
+            }
+            for pass in 0..2 {
+                self.table.begin_walk(r & (1 << (20 + pass)) != 0);
+                for &(pid, remove) in &seq {
+                    if remove {
+                        self.remove(pid);
+                    } else {
+                        self.lookup(pid, step);
+                    }
+                }
+                self.table.end_walk();
+            }
+        }
+
+        /// Re-lays by a walk of up to `len()` stale positions from the last
+        /// re-lay op, then random positions up to 8 past the end, a quarter
+        /// of them repeats, and checks the order: each position's record
+        /// at its first mention, then the rest in their previous order.
+        /// Returns the walk, to be stale next time.
+        fn relay(&mut self, r: u64, mut walk: Vec<u32>) -> Vec<u32> {
+            let before: Vec<ProcessId> = self.table.iter().map(|(pid, _)| pid).collect();
+            let n = before.len() as u64;
+            walk.truncate(n as usize);
+            for i in 0..(r >> 8) % (2 * n + 2) {
+                let d = mix64(r ^ i);
+                walk.push(if d.is_multiple_of(4) && !walk.is_empty() {
+                    walk[(d >> 8) as usize % walk.len()]
+                } else {
+                    ((d >> 8) % (n + 8)) as u32
+                });
+            }
+            let mut placed = vec![false; before.len()];
+            let mut want = Vec::with_capacity(before.len());
+            for &p in &walk {
+                if let Some(seen @ false) = placed.get_mut(p as usize) {
+                    *seen = true;
+                    want.push(before[p as usize]);
+                }
+            }
+            want.extend(
+                before
+                    .iter()
+                    .zip(&placed)
+                    .filter(|(_, &seen)| !seen)
+                    .map(|(&pid, _)| pid),
+            );
+            self.table.relay(&walk);
+            let got: Vec<ProcessId> = self.table.iter().map(|(pid, _)| pid).collect();
+            assert_eq!(got, want, "re-lay order");
+            walk
+        }
+
+        /// Compares iteration with the model and checks the invariants.
+        fn check(&self, step: u64) {
+            let mut got: Vec<(u64, u64)> = self.table.iter().map(|(p, &v)| (p.0, v)).collect();
+            let mut want: Vec<(u64, u64)> = self.model.iter().map(|(p, &v)| (p.0, v)).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "iter after op {step}");
+            self.table.check_invariants();
+        }
+    }
+
+    /// Drives `ops` random ops (see [`Model::op`]) against a `HashMap`
+    /// model, growing from capacity 0, checking iteration and the
+    /// invariants every `check_every` ops. About once per quarter of the
+    /// pool's size in ops, it also runs an in-order walk ([`Model::walk`])
+    /// and a re-lay ([`Model::relay`]), each checked straight after.
+    fn run_model(seed: u64, pool_size: u64, ops: u64, check_every: u64) {
+        let pool = pid_pool(pool_size);
+        let mut m = Model {
+            pool: &pool,
+            table: ProcessTable::with_capacity(0),
+            model: HashMap::new(),
+        };
+        let period = (pool_size / 4).max(64);
+        let mut stale = Vec::new();
+        for step in 0..ops {
+            let r = mix64(seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            match r % period {
+                0 => m.walk(r, step),
+                1 => stale = m.relay(r, std::mem::take(&mut stale)),
+                _ => m.op(r, step),
+            }
+            assert_eq!(m.table.len(), m.model.len());
+            if r % period < 2 || step % check_every == 0 || step + 1 == ops {
+                m.check(step);
             }
         }
     }
@@ -357,6 +700,70 @@ mod tests {
         for (seed, pool) in [(11, 50), (12, 5_000), (13, 200_000)] {
             run_model(seed, pool, 1_000_000, 10_000);
         }
+    }
+
+    fn order<V>(t: &ProcessTable<V>) -> Vec<u64> {
+        t.iter().map(|(pid, _)| pid.0).collect()
+    }
+
+    /// Looks `pids` up in order as one walk, returning its `(lookups,
+    /// misses)`.
+    fn walk(t: &mut ProcessTable<u64>, pids: &[u64], record: bool) -> (usize, usize) {
+        t.begin_walk(record);
+        for &pid in pids {
+            assert_eq!(*t.get_or_insert_with(ProcessId(pid), || pid), pid);
+        }
+        t.end_walk();
+        t.walk_counts()
+    }
+
+    /// A walk in table order hits the cursor throughout. Departures (each
+    /// swaps the last record into its hole) and arrivals presented
+    /// mid-walk cost misses. A recorded walk that misses that often is
+    /// kept, and the next recorded walk in the same order re-lays the
+    /// table in its order; the walk after that hits again.
+    #[test]
+    fn a_stable_order_re_lays_the_table_on_the_second_recorded_walk() {
+        let mut t = ProcessTable::with_capacity(0);
+        let mut pids: Vec<u64> = (0..1000).collect();
+        assert_eq!(walk(&mut t, &pids, true), (1000, 1000), "registration");
+        assert_eq!(walk(&mut t, &pids, true), (1000, 0));
+        assert_eq!(order(&t), pids, "a walk that hits never re-lays");
+        for i in 0..50 {
+            let gone = pids.remove(i * 19);
+            t.remove(ProcessId(gone));
+            pids.insert(i * 19 + 7, 10_000 + i as u64);
+        }
+        walk(&mut t, &pids, false);
+        let before = order(&t);
+        let (lookups, misses) = walk(&mut t, &pids, true);
+        assert!(misses * 16 > lookups, "{misses} of {lookups} missed");
+        assert_eq!(order(&t), before, "one walk is not enough");
+        walk(&mut t, &pids, true);
+        assert_eq!(order(&t), pids);
+        assert_eq!(walk(&mut t, &pids, false), (1000, 0));
+        t.check_invariants();
+    }
+
+    /// A driver that presents its pids in a fresh order every walk would
+    /// gain nothing from a re-lay, so however many walks it records, the
+    /// table keeps its registration order.
+    #[test]
+    fn a_fresh_order_every_walk_never_re_lays() {
+        let mut t = ProcessTable::with_capacity(0);
+        let mut registered = Vec::new();
+        for round in 0..50u64 {
+            let mut pids: Vec<u64> = (0..1000).collect();
+            for i in (1..pids.len()).rev() {
+                pids.swap(i, mix64(round << 32 | i as u64) as usize % (i + 1));
+            }
+            walk(&mut t, &pids, true);
+            if round == 0 {
+                registered = pids;
+            }
+            assert_eq!(order(&t), registered, "round {round}");
+        }
+        t.check_invariants();
     }
 
     #[test]
