@@ -282,24 +282,6 @@ impl ShareActuator {
         Self::new(ResourceKind::Filesystem, ThrottleLaw::HalvePerEvent, floor)
     }
 
-    /// A cgroup-style memory actuator.
-    pub fn memory_percent_point(step: f64, floor: f64) -> Self {
-        Self::new(
-            ResourceKind::Memory,
-            ThrottleLaw::PercentPointPerUnit { step },
-            floor,
-        )
-    }
-
-    /// A cgroup-style network-bandwidth actuator.
-    pub fn network_multiplicative(factor: f64, floor: f64) -> Self {
-        Self::new(
-            ResourceKind::Network,
-            ThrottleLaw::MultiplicativePerEvent { factor },
-            floor,
-        )
-    }
-
     /// The resource this actuator regulates.
     pub fn kind(&self) -> ResourceKind {
         self.kind
@@ -554,7 +536,11 @@ mod tests {
         let a = CompositeActuator::new(vec![
             ShareActuator::cpu_percent_point(0.10, 0.01),
             ShareActuator::fs_halving(0.01),
-            ShareActuator::memory_percent_point(0.05, 0.5),
+            ShareActuator::new(
+                ResourceKind::Memory,
+                ThrottleLaw::PercentPointPerUnit { step: 0.05 },
+                0.5,
+            ),
         ]);
         let r = a.apply(&ResourceVector::full(), 2.0);
         assert!((r.cpu - 0.8).abs() < 1e-12);

@@ -93,18 +93,6 @@ impl EfficacyCurve {
         best
     }
 
-    /// Best (running-minimum) FPR achievable with at most `n` measurements.
-    pub fn fpr_at(&self, n: u32) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for p in &self.points {
-            if p.measurements > n {
-                break;
-            }
-            best = Some(best.map_or(p.fpr, |b: f64| b.min(p.fpr)));
-        }
-        best
-    }
-
     /// The smallest measurement count whose monotone-envelope efficacy
     /// satisfies `spec` — the paper's `N*`.
     ///
@@ -236,7 +224,6 @@ mod tests {
     fn envelope_is_monotone() {
         let c = curve();
         assert_eq!(c.f1_at(10), Some(0.70)); // dip ignored
-        assert_eq!(c.fpr_at(10), Some(0.25));
         assert_eq!(c.f1_at(4), None);
         assert_eq!(c.f1_at(100), Some(0.94));
     }

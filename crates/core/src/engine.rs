@@ -9,18 +9,26 @@
 //!
 //! The scaling tier in [`crate::sharded`] runs many engines side by side,
 //! one per shard, behind a batch API.
+//!
+//! The fusion tier keeps each process's evidence (the latest verdict of
+//! each ensemble member) in a column of the process table, which moves in
+//! lockstep with the records and is allocated only when the first verdict
+//! arrives, so a binary engine never pays for it. A verdict batch makes one
+//! pass that absorbs each verdict with one cursor-first table lookup,
+//! registering its process on first sight, and queues the table position
+//! of each process it touches. A second pass fuses and steps each queued
+//! process by its position, with no probe: nothing removes or re-lays a
+//! record between the two passes.
 
 use crate::actuator::{Actuator, CompositeActuator, ShareActuator};
 use crate::efficacy::{EfficacyCurve, EfficacySpec};
 use crate::error::ValkyrieError;
-use crate::hash::FxBuildHasher;
 use crate::monitor::{CycleState, Directive, EscalationLadder, MonitorParams, StepReport};
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::table::ProcessTable;
 use crate::telemetry::FusionStats;
 use crate::threat::{stale_weight, AssessmentFn, Classification, Evidence, ThreatIndex, Verdict};
-use std::collections::HashMap;
 
 /// The response action the embedder must enact after an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,6 +444,8 @@ fn step<A: Actuator>(
 /// it probes. An embedder that presents its processes in a stable order
 /// every epoch walks the records sequentially and mostly skips the probe;
 /// a probe reads only 8-byte index entries until the one record it returns.
+/// Each process's fusion evidence is a column of the same table, allocated
+/// on the first verdict, so a binary engine never pays for it.
 ///
 /// # Examples
 ///
@@ -455,14 +465,17 @@ fn step<A: Actuator>(
 #[derive(Debug)]
 pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
     config: EngineConfig<A>,
-    procs: ProcessTable<TrackedProcess>,
-    /// Per-process fusion table: the latest evidence from each ensemble
-    /// member, kept across epochs so slow members stay represented.
-    evidence: HashMap<ProcessId, Vec<MemberEvidence>, FxBuildHasher>,
-    /// Scratch for one verdict batch: the pids it touched, in first-arrival
-    /// order (the response order of [`Self::observe_verdict_batch_into`]).
-    /// Empty between calls; kept only for its allocation.
-    dirty: Vec<ProcessId>,
+    /// The process table. Its column holds each process's fusion evidence:
+    /// the latest verdict from each ensemble member, kept across epochs so
+    /// slow members stay represented.
+    procs: ProcessTable<TrackedProcess, Members>,
+    /// Scratch for one verdict batch: the table positions of the processes
+    /// it touched, in first-arrival order (the response order of
+    /// [`Self::observe_verdict_batch_into`]). Nothing removes or re-lays a
+    /// record between the absorb pass that fills it and the fuse pass that
+    /// reads it, so the positions hold. Empty between calls; kept only for
+    /// its allocation.
+    dirty: Vec<u32>,
     /// Fusion clock: one tick per verdict batch, for staleness accounting.
     fusion_tick: u64,
     fusion_stats: FusionStats,
@@ -474,13 +487,52 @@ pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
 }
 
 /// The latest evidence one ensemble member supplied about a process.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct MemberEvidence {
     detector: u32,
     confidence: f64,
     cadence: u32,
     /// Fusion tick the verdict was absorbed into.
     seen_tick: u64,
+}
+
+/// Members a process keeps without a heap allocation: a fast and a slow
+/// detector, the common ensemble.
+const INLINE_MEMBERS: usize = 2;
+
+/// A process's fusion evidence, one entry per ensemble member in
+/// first-arrival order: the first [`INLINE_MEMBERS`] inline, any further
+/// ones in `spill`.
+#[derive(Debug, Clone, Default)]
+struct Members {
+    /// How many `inline` entries are in use.
+    inline_len: u8,
+    inline: [MemberEvidence; INLINE_MEMBERS],
+    spill: Vec<MemberEvidence>,
+}
+
+impl Members {
+    fn iter(&self) -> impl Iterator<Item = &MemberEvidence> {
+        self.inline[..usize::from(self.inline_len)]
+            .iter()
+            .chain(&self.spill)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut MemberEvidence> {
+        self.inline[..usize::from(self.inline_len)]
+            .iter_mut()
+            .chain(&mut self.spill)
+    }
+
+    fn push(&mut self, member: MemberEvidence) {
+        match self.inline.get_mut(usize::from(self.inline_len)) {
+            Some(slot) => {
+                *slot = member;
+                self.inline_len += 1;
+            }
+            None => self.spill.push(member),
+        }
+    }
 }
 
 impl<A: Actuator + Clone> ValkyrieEngine<A> {
@@ -497,7 +549,6 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         Self {
             config,
             procs: ProcessTable::with_capacity(capacity),
-            evidence: HashMap::default(),
             dirty: Vec::new(),
             fusion_tick: 0,
             fusion_stats: FusionStats::default(),
@@ -620,9 +671,10 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         })
     }
 
-    /// Absorbs one ensemble member's verdict into the fusion table without
-    /// advancing the monitor, queueing the pid on `dirty` on its first
-    /// verdict of the batch.
+    /// Absorbs one ensemble member's verdict into its process's evidence
+    /// without advancing the monitor, registering the process on first
+    /// sight and queueing its position on `dirty` on its first verdict of
+    /// the batch. One table lookup, which tries the cursor first.
     ///
     /// `confidence` is a public field, so this is the boundary that
     /// sanitises it: a NaN confidence is dropped as "no measurement from
@@ -635,17 +687,18 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         }
         verdict.confidence = verdict.confidence.clamp(0.0, 1.0);
         self.fusion_stats.saw(verdict.detector);
-        let members = self.evidence.entry(pid).or_default();
+        let p = self.procs.position_or_insert_with(pid, TrackedProcess::new);
+        let members = self.procs.column_mut(p);
         // Members absorbed in this batch carry `seen_tick`; earlier batches
         // stamped at most `fusion_tick`. So a pid is already queued iff one
         // of its members carries the current stamp.
         let seen_tick = self.fusion_tick + 1;
         let mut queued = false;
         let mut slot = None;
-        for (i, m) in members.iter().enumerate() {
+        for m in members.iter_mut() {
             queued |= m.seen_tick == seen_tick;
             if m.detector == verdict.detector {
-                slot = Some(i);
+                slot = Some(m);
             }
         }
         let fresh = MemberEvidence {
@@ -655,25 +708,28 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             seen_tick,
         };
         match slot {
-            Some(i) => members[i] = fresh,
+            Some(m) => *m = fresh,
             None => members.push(fresh),
         }
         if !queued {
-            self.dirty.push(pid);
+            self.dirty.push(p as u32);
         }
     }
 
-    /// Fuses the evidence of a pid absorbed in the current batch.
+    /// Fuses the evidence of the process at table position `p`, absorbed in
+    /// the current batch, and advances it by one monitor step: no probe.
     /// `fusion_tick` must already be advanced by the caller.
     ///
     /// Members that last published longer ago than their cadence are
     /// down-weighted by the configured staleness decay, so a wedged slow
-    /// member fades out instead of pinning the fused mass.
-    fn fuse_one(&mut self, pid: ProcessId) -> EngineResponse {
+    /// member fades out instead of pinning the fused mass. Members add up in
+    /// first-arrival order.
+    fn fuse_one(&mut self, p: usize) -> EngineResponse {
         let fusion = &self.config.fusion;
+        let (pid, tracked, members) = self.procs.at_mut(p);
         let mut ev = Evidence::new();
         let mut stale = 0;
-        for m in &self.evidence[&pid] {
+        for m in members.iter() {
             let age = self.fusion_tick.saturating_sub(m.seen_tick);
             let decay = stale_weight(fusion.stale_decay, age, m.cadence);
             if decay < 1.0 {
@@ -682,7 +738,15 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
             ev.add(m.confidence, fusion.weight_of(m.detector) * decay);
         }
         self.fusion_stats.stale_decayed += stale;
-        self.observe_mass(pid, ev.mass())
+        let mass = ev.mass();
+        step(
+            &self.config,
+            pid,
+            tracked,
+            &mut self.fusion_stats,
+            &mut self.terminal,
+            |config, cycle| cycle.observe_mass_with(&config.monitor, config.fusion.ladder, mass),
+        )
     }
 
     /// Feeds one tick's per-detector verdicts: absorbs the whole batch,
@@ -693,7 +757,8 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// This is the only way verdicts enter the engine, so each process
     /// takes at most one Algorithm 1 step per batch however many ensemble
     /// members spoke. A process whose every verdict this batch was dropped
-    /// (NaN confidence, or a detector id of 64 or more) is not stepped.
+    /// (NaN confidence, or a detector id of 64 or more) is neither stepped
+    /// nor, if unknown, registered.
     pub fn observe_verdict_batch_into(
         &mut self,
         batch: &[(ProcessId, Verdict)],
@@ -705,8 +770,8 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
         self.fusion_tick += 1;
         let mut dirty = std::mem::take(&mut self.dirty);
         out.reserve(dirty.len());
-        for pid in dirty.drain(..) {
-            out.push(self.fuse_one(pid));
+        for p in dirty.drain(..) {
+            out.push(self.fuse_one(p as usize));
         }
         self.dirty = dirty;
     }
@@ -765,7 +830,6 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// included).
     pub fn forget(&mut self, pid: ProcessId) {
         self.procs.remove(pid);
-        self.evidence.remove(&pid);
         // Forgetting a terminated process leaves its terminal-list entry
         // stale. An embedder that forgets without purging would grow the
         // list forever, so once it is mostly stale, drop the entries a purge
@@ -791,20 +855,17 @@ impl<A: Actuator + Clone> ValkyrieEngine<A> {
     /// O(tracked): the engine queues each pid as it terminates, and this
     /// drains that queue.
     pub fn purge_terminated(&mut self) -> usize {
-        let mut purged = 0;
-        for pid in self.terminal.drain(..) {
-            // A pid forgotten since it terminated is gone, and one forgotten
-            // and re-registered since is live: the purge skips both.
-            if self
-                .procs
-                .remove_if(pid, |p| !p.cycle.state().is_live())
-                .is_some()
-            {
-                purged += 1;
-                self.evidence.remove(&pid);
-            }
-        }
-        purged
+        let procs = &mut self.procs;
+        // A pid forgotten since it terminated is gone, and one forgotten and
+        // re-registered since is live: the purge skips both.
+        self.terminal
+            .drain(..)
+            .filter(|&pid| {
+                procs
+                    .remove_if(pid, |p| !p.cycle.state().is_live())
+                    .is_some()
+            })
+            .count()
     }
 
     /// Starts a walk of the process table (see [`ProcessTable::begin_walk`]):
@@ -885,7 +946,7 @@ mod tests {
     #[test]
     fn builder_rejects_non_finite_or_negative_actuator_parameters() {
         use crate::actuator::ThrottleLaw;
-        use crate::resource::ResourceKind::Cpu;
+        use crate::resource::ResourceKind::{self, Cpu};
         let build = |part: ShareActuator| {
             EngineConfig::builder()
                 .measurements_required(5)
@@ -900,7 +961,11 @@ mod tests {
             ShareActuator::cpu_percent_point(-0.10, 0.01),
             ShareActuator::scheduler_weight(-0.1, 0.01),
             ShareActuator::scheduler_weight(f64::NEG_INFINITY, 0.01),
-            ShareActuator::network_multiplicative(f64::NAN, 0.01),
+            ShareActuator::new(
+                ResourceKind::Network,
+                ThrottleLaw::MultiplicativePerEvent { factor: f64::NAN },
+                0.01,
+            ),
             ShareActuator::new(
                 Cpu,
                 ThrottleLaw::MultiplicativePerUnit {
@@ -1388,6 +1453,91 @@ mod tests {
         let r = e.observe_verdict_batch(&[(pid, Verdict::new(0, 0.0))]);
         assert_eq!(r[0].action, Action::None);
         assert_eq!(r[0].state, ProcessState::Terminable);
+    }
+
+    /// A process with more members than fit inline fuses bit for bit like a
+    /// weighted mean taken in first-arrival member order, whatever order a
+    /// later batch presents its members in and whichever of them are stale.
+    #[test]
+    fn members_past_the_inline_two_fuse_in_first_arrival_order() {
+        use crate::hash::mix64;
+        let fusion = FusionConfig {
+            weights: (0..64).map(|d| 0.25 + f64::from(d) * 0.37).collect(),
+            stale_decay: 0.5,
+            ..FusionConfig::default()
+        };
+        let mut fused = fusion_engine(1 << 20, fusion.clone());
+        let mut reference = fusion_engine(1 << 20, fusion.clone());
+        let pid = ProcessId(42);
+        // (detector, confidence, cadence, tick last seen), first arrival
+        // first.
+        let mut members: Vec<(u32, f64, u32, u64)> = Vec::new();
+        for tick in 1..=60u64 {
+            let mut batch = Vec::new();
+            for (i, d) in (0u64..).zip([7u32, 2, 40, 5, 63]) {
+                let r = mix64(tick << 8 | i);
+                // After the first tick, each member is silent one tick in
+                // three, so its evidence ages.
+                if tick > 1 && r.is_multiple_of(3) {
+                    continue;
+                }
+                let confidence = (r >> 11) as f64 / (1u64 << 53) as f64;
+                let cadence = 1 + (i % 3) as u32;
+                batch.push((pid, Verdict::new(d, confidence).with_cadence(cadence)));
+                match members.iter_mut().find(|m| m.0 == d) {
+                    Some(m) => *m = (d, confidence, cadence, tick),
+                    None => members.push((d, confidence, cadence, tick)),
+                }
+            }
+            if tick % 2 == 0 {
+                batch.reverse();
+            }
+            let got = fused.observe_verdict_batch(&batch);
+            if batch.is_empty() {
+                assert!(got.is_empty());
+                continue;
+            }
+            let (mut weighted, mut total) = (0.0, 0.0);
+            for &(d, confidence, cadence, seen) in &members {
+                let w = fusion.weights[d as usize] * stale_weight(0.5, tick - seen, cadence);
+                weighted += confidence * w;
+                total += w;
+            }
+            let want = reference.observe_mass(pid, weighted / total);
+            assert_eq!(
+                got.iter().map(bits).collect::<Vec<_>>(),
+                [bits(&want)],
+                "tick {tick}"
+            );
+        }
+        assert_eq!(members.len(), 5);
+    }
+
+    /// Verdicts that are all dropped (NaN confidence, or a detector id of 64
+    /// or more) neither register a new pid nor step a tracked one.
+    #[test]
+    fn a_pid_whose_every_verdict_is_dropped_is_neither_registered_nor_stepped() {
+        let mut e = fusion_engine(10, FusionConfig::default());
+        let (kept, dropped) = (ProcessId(1), ProcessId(2));
+        e.observe_verdict_batch(&[(kept, Verdict::new(0, 1.0))]);
+        let threat = e.threat(kept);
+        let r = e.observe_verdict_batch(&[
+            (dropped, Verdict::new(0, f64::NAN)),
+            (kept, Verdict::new(1, f64::NAN)),
+            (dropped, Verdict::new(64, 1.0)),
+            (kept, Verdict::new(u32::MAX, 1.0)),
+        ]);
+        assert!(r.is_empty());
+        assert_eq!(e.tracked(), 1);
+        assert_eq!(e.state(dropped), None);
+        assert_eq!(e.threat(kept), threat);
+        // A kept verdict in the same batch still steps its pid alone.
+        let r = e.observe_verdict_batch(&[
+            (dropped, Verdict::new(0, f64::NAN)),
+            (kept, Verdict::new(0, 1.0)),
+        ]);
+        assert_eq!(r.iter().map(|r| r.pid).collect::<Vec<_>>(), [kept]);
+        assert_eq!(e.tracked(), 1);
     }
 
     /// Drives `pid` to termination on an `N* = 2` engine.

@@ -185,7 +185,7 @@ impl ResourceVector {
     /// Element-wise lower-bounding against `floor` (the paper's configurable
     /// minimum share that bounds worst-case slowdowns).
     #[must_use]
-    pub fn floored(&self, floor: &ResourceVector) -> Self {
+    pub(crate) fn floored(&self, floor: &ResourceVector) -> Self {
         Self {
             cpu: self.cpu.max(floor.cpu),
             mem: self.mem.max(floor.mem),

@@ -32,6 +32,15 @@
 //! thread and send each observation straight to its shard
 //! ([`ShardedEngine::set_parallel_threshold`] moves the crossover).
 //!
+//! The verdict path ([`ShardedEngine::observe_verdict_batch`] and the
+//! verdict half of [`ShardedEngine::drain_batch`]) runs shard by shard on
+//! the caller's thread: each shard absorbs its verdicts, registering new
+//! processes as it goes, then fuses each touched process once by its table
+//! position. The serial routes (the inline batch route, a one-shard
+//! engine and the verdict path) bracket each shard's pass with a walk of
+//! its table, under the same round-robin turn as the fan-out, so the
+//! lookup cursor stays in step with churn on every route.
+//!
 //! Algorithm 1 semantics are **bit-for-bit identical** to a single
 //! [`ValkyrieEngine`] on every path: the monitor
 //! state is strictly per process, shard placement is a pure deterministic
@@ -152,9 +161,9 @@ pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
     /// pass, and the hint clearing in [`ShardedEngine::forget`] and
     /// [`ShardedEngine::complete`], for undefended engines).
     hints_active: bool,
-    /// The shard whose turn to record its step-phase walk, and to re-lay
-    /// its table on the step phase after, begins next. Advanced round robin
-    /// by every step phase.
+    /// The shard whose turn to record its walk, and to re-lay its table on
+    /// the pass after, begins next. Advanced round robin by every pass that
+    /// walks the tables: a step phase, an inline batch or a verdict pass.
     relay_turn: usize,
 }
 
@@ -269,6 +278,31 @@ fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) 
     });
 }
 
+/// Whether shard `s` of `nshards` records its walk in the pass whose relay
+/// turn is `turn`. A shard's turn spans two passes: shard `turn` records,
+/// and so does the shard whose turn began one pass earlier, which may then
+/// re-lay its table in its walk's order (see the `table` module). So at
+/// most one shard re-lays per pass.
+fn records_walk(s: usize, nshards: usize, turn: usize) -> bool {
+    s == turn || (s + 1) % nshards == turn
+}
+
+/// Runs `pass` over `shards` as one walk of every shard's table, with the
+/// relay turn `turn` (see [`records_walk`]). The serial routes use this:
+/// a one-shard engine, the inline batch path and the verdict path.
+fn walked<A: Actuator + Clone>(
+    shards: &mut [ValkyrieEngine<A>],
+    turn: usize,
+    pass: impl FnOnce(&mut [ValkyrieEngine<A>]),
+) {
+    let nshards = shards.len();
+    for (s, shard) in shards.iter_mut().enumerate() {
+        shard.begin_walk(records_walk(s, nshards, turn));
+    }
+    pass(shards);
+    shards.iter_mut().for_each(ValkyrieEngine::end_walk);
+}
+
 /// The step phase, shared by the batch and drain paths. `buckets` holds
 /// `slices` groups of one slot per shard (slot `w * shards + s`), and
 /// shard `s` steps its buckets in slice order `w = 0, 1, …`, writing its
@@ -278,11 +312,8 @@ fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) 
 /// chunked onto `threads` workers (an 8-shard engine on a 4-core host costs
 /// 3 spawns, not 8); with one worker everything runs inline.
 ///
-/// Each shard's pass is one walk of its process table. A shard's turn spans
-/// two calls: shard `turn` records its walk, and so does the shard whose
-/// turn began on the call before, which may then re-lay its table in its
-/// walk's order on its own worker (see the `table` module). So at most one
-/// shard re-lays per call.
+/// Each shard's pass is one walk of its process table, recorded by the
+/// rule of [`records_walk`]; a re-lay runs on the shard's own worker.
 fn step_shards<A: Actuator + Clone + Send>(
     shards: &mut [ValkyrieEngine<A>],
     buckets: &[Vec<(ProcessId, Classification)>],
@@ -308,7 +339,7 @@ fn step_shards<A: Actuator + Clone + Send>(
             .enumerate()
         {
             let s = job * chunk + i;
-            shard.begin_walk(s == turn || (s + 1) % nshards == turn);
+            shard.begin_walk(records_walk(s, nshards, turn));
             for (w, reply) in replies.iter_mut().enumerate() {
                 let bucket = &buckets[w * nshards + s];
                 reply.clear();
@@ -466,10 +497,6 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// shard: first-arrival order). Deterministic for a fixed batch and
     /// shard count.
     pub fn observe_verdict_batch(&mut self, batch: &[(ProcessId, Verdict)]) -> Vec<EngineResponse> {
-        let nshards = self.shards.len();
-        if nshards == 1 {
-            return self.shards[0].observe_verdict_batch(batch);
-        }
         partition_into(batch, &mut self.vparts);
         let mut out = Vec::new();
         self.fuse_vparts_into(&mut out);
@@ -478,11 +505,17 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
 
     /// Absorbs each shard's `vparts` slot and fuses every touched process
     /// once, appending the responses shard by shard (within a shard:
-    /// first-arrival order).
+    /// first-arrival order). Each shard's absorb pass is one walk of its
+    /// table, under the same relay turn as the binary passes, so the lookup
+    /// cursor stays in step with churn; a re-lay can only happen once the
+    /// walk ends, after the fuse.
     fn fuse_vparts_into(&mut self, out: &mut Vec<EngineResponse>) {
-        for (shard, part) in self.shards.iter_mut().zip(&self.vparts) {
-            shard.observe_verdict_batch_into(part, out);
-        }
+        let turn = self.next_relay_turn();
+        walked(&mut self.shards, turn, |shards| {
+            for (shard, part) in shards.iter_mut().zip(&self.vparts) {
+                shard.observe_verdict_batch_into(part, out);
+            }
+        });
         shrink_slots(&mut self.vparts);
     }
 
@@ -527,7 +560,10 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         let nshards = self.shards.len();
         if nshards == 1 {
             out.clear();
-            self.shards[0].observe_batch_into(batch, out);
+            let turn = self.next_relay_turn();
+            walked(&mut self.shards, turn, |shards| {
+                shards[0].observe_batch_into(batch, out);
+            });
             return;
         }
         let workers = self.workers_for(batch.len());
@@ -537,10 +573,12 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
             // its shard, skipping the partition and gather passes.
             out.clear();
             out.reserve(batch.len());
-            for &(pid, inference) in batch {
-                let shard = shard_of(pid.0, nshards);
-                out.push(self.shards[shard].observe(pid, inference));
-            }
+            let turn = self.next_relay_turn();
+            walked(&mut self.shards, turn, |shards| {
+                for &(pid, inference) in batch {
+                    out.push(shards[shard_of(pid.0, nshards)].observe(pid, inference));
+                }
+            });
             // The scratch was bypassed, so anything an earlier partitioned
             // outlier batch left in it is dead weight; empty it so the
             // shrink below releases it, or the inline steady state would
@@ -567,8 +605,8 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
         }
     }
 
-    /// The shard whose turn begins at this step phase, moving the turn on
-    /// to the next shard.
+    /// The shard whose turn begins at this pass, moving the turn on to the
+    /// next shard.
     fn next_relay_turn(&mut self) -> usize {
         let turn = self.relay_turn;
         self.relay_turn = (turn + 1) % self.shards.len();
@@ -994,56 +1032,157 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// A churning fleet keeps the lookup cursor hitting: over 240 ticks,
-    /// each forgetting ~0.5% of 10k fleet-packed pids and registering as
-    /// many inside their machine's run of pids, the round-robin re-lay
-    /// lays each shard's table back in presentation order. Every response
-    /// is still a one-shard engine's.
-    #[test]
-    fn round_robin_re_lay_keeps_the_cursor_hitting_under_churn() {
+    /// A fleet of `MACHINES` machines that run services with local pids
+    /// from 1, presented machine by machine, as a fleet driver does.
+    struct ChurnedFleet(Vec<Vec<u64>>);
+
+    impl ChurnedFleet {
         const MACHINES: u64 = 1_000;
-        let mut fleet: Vec<Vec<u64>> = (0..MACHINES).map(|_| (1..=10).collect()).collect();
-        let mut sharded = ShardedEngine::new(config(1 << 40), 16);
-        sharded.set_parallel_threshold(1);
-        sharded.host_workers = 2;
-        let mut single = ShardedEngine::new(config(1 << 40), 1);
-        for epoch in 0..240u64 {
-            for i in 0..100 {
+
+        fn new(services: u64) -> Self {
+            Self(
+                (0..Self::MACHINES)
+                    .map(|_| (1..=services).collect())
+                    .collect(),
+            )
+        }
+
+        /// One tick's churn: `events` random departures and as many
+        /// arrivals, each arrival filed after its machine's other services.
+        /// Each departure is handed to `depart`.
+        fn churn(&mut self, epoch: u64, events: u64, mut depart: impl FnMut(u64, ProcessId)) {
+            for i in 0..2 * events {
                 let r = mix64(epoch << 32 | i);
-                let m = (r % MACHINES) as usize;
-                let services = &mut fleet[m];
+                let m = (r % Self::MACHINES) as usize;
+                let services = &mut self.0[m];
                 if i % 2 == 0 && !services.is_empty() {
                     let local = services.remove((r >> 32) as usize % services.len());
-                    let pid = ProcessId::from_parts(m as u32, local);
-                    sharded.forget(pid);
-                    single.forget(pid);
+                    depart(r, ProcessId::from_parts(m as u32, local));
                 } else {
                     services.push(services.last().map_or(1, |&l| l + 1));
                 }
             }
+        }
+
+        fn pids(&self) -> impl Iterator<Item = ProcessId> + '_ {
+            self.0.iter().zip(0u32..).flat_map(|(services, m)| {
+                services.iter().map(move |&l| ProcessId::from_parts(m, l))
+            })
+        }
+    }
+
+    /// The hit share of every shard's last walk together.
+    fn last_walk_hit_share(e: &ShardedEngine) -> f64 {
+        let (lookups, misses) = e
+            .shards
+            .iter()
+            .map(ValkyrieEngine::walk_counts)
+            .fold((0, 0), |(l, m), (dl, dm)| (l + dl, m + dm));
+        1.0 - misses as f64 / lookups as f64
+    }
+
+    /// A churning fleet keeps the lookup cursor hitting on every binary
+    /// route: over 240 ticks, each forgetting ~0.5% of 10k fleet-packed
+    /// pids and registering as many inside their machine's run of pids, the
+    /// round-robin re-lay lays each shard's table back in presentation
+    /// order, on the fan-out, on the inline route of a many-shard engine
+    /// and in a one-shard engine alike. The three answer bit for bit alike.
+    #[test]
+    fn round_robin_re_lay_keeps_the_cursor_hitting_under_churn() {
+        let mut fleet = ChurnedFleet::new(10);
+        let mut fan_out = ShardedEngine::new(config(1 << 40), 16);
+        fan_out.set_parallel_threshold(1);
+        fan_out.host_workers = 2;
+        let mut inline = ShardedEngine::new(config(1 << 40), 16);
+        inline.set_parallel_threshold(usize::MAX);
+        let mut one_shard = ShardedEngine::new(config(1 << 40), 1);
+        for epoch in 0..240u64 {
+            fleet.churn(epoch, 50, |_, pid| {
+                for e in [&mut fan_out, &mut inline, &mut one_shard] {
+                    e.forget(pid);
+                }
+            });
             let batch: Vec<(ProcessId, Classification)> = fleet
-                .iter()
-                .zip(0u32..)
-                .flat_map(|(services, m)| {
-                    services.iter().map(move |&l| ProcessId::from_parts(m, l))
-                })
+                .pids()
                 .map(|pid| {
                     let flag = mix64(pid.0 ^ epoch).is_multiple_of(7);
                     (pid, if flag { Malicious } else { Benign })
                 })
                 .collect();
-            assert_eq!(sharded.tick(&batch), single.tick(&batch), "epoch {epoch}");
+            let want: Vec<_> = fan_out.tick(&batch).iter().map(bits).collect();
+            for (route, e) in [("inline", &mut inline), ("one shard", &mut one_shard)] {
+                let got: Vec<_> = e.tick(&batch).iter().map(bits).collect();
+                assert!(got == want, "{route}, epoch {epoch}");
+            }
         }
-        let (lookups, misses) = sharded
-            .shards
-            .iter()
-            .map(ValkyrieEngine::walk_counts)
-            .fold((0, 0), |(l, m), (dl, dm)| (l + dl, m + dm));
-        let hit_share = 1.0 - misses as f64 / lookups as f64;
-        assert!(
-            hit_share >= 0.9,
-            "last tick hit {hit_share:.3} of {lookups}"
-        );
+        for (route, e) in [
+            ("fan-out", &fan_out),
+            ("inline", &inline),
+            ("one shard", &one_shard),
+        ] {
+            let hit_share = last_walk_hit_share(e);
+            assert!(hit_share >= 0.9, "{route}: last tick hit {hit_share:.3}");
+        }
+    }
+
+    /// Every field of a response, floats as bits so `-0.0` is not `0.0`.
+    fn bits(r: &EngineResponse) -> (u64, ProcessState, u64, [u64; 4], Action) {
+        let s = r.resources;
+        (
+            r.pid.0,
+            r.state,
+            r.threat.value().to_bits(),
+            [s.cpu, s.mem, s.net, s.fs].map(f64::to_bits),
+            r.action,
+        )
+    }
+
+    /// The verdict drain walks each shard's table too: over 300 drains of a
+    /// 4k-pid fleet with a fast and a slow member, each tick completing
+    /// (and so purging) and forgetting ~0.25% of the pids and registering
+    /// as many, the last drain's cursor still hits at least 90% of the time
+    /// on 8 shards, and every drain answers bit for bit like a one-shard
+    /// engine's (grouped by shard, so compared by pid).
+    #[test]
+    fn verdict_drain_keeps_the_cursor_hitting_under_churn() {
+        let mut fleet = ChurnedFleet::new(4);
+        let mut sharded = ShardedEngine::new(config(1 << 40), 8);
+        let mut single = ShardedEngine::new(config(1 << 40), 1);
+        let publishers = [&mut sharded, &mut single]
+            .map(|e| e.enable_verdict_ingest(1 << 14, OverflowPolicy::Block));
+        for epoch in 0..300u64 {
+            fleet.churn(epoch, 10, |r, pid| {
+                for e in [&mut sharded, &mut single] {
+                    if r & (1 << 40) == 0 {
+                        // Completed now, purged by this tick's drain.
+                        let _ = e.complete(pid);
+                    } else {
+                        e.forget(pid);
+                    }
+                }
+            });
+            let fast = fleet.pids().map(|pid| {
+                let confidence = (mix64(pid.0 ^ epoch) % 5) as f64 / 8.0;
+                (pid, Verdict::new(0, confidence))
+            });
+            // The slow member speaks every fourth tick, for ~85% of pids.
+            let slow = fleet
+                .pids()
+                .filter(|pid| epoch.is_multiple_of(4) && mix64(pid.0 ^ !epoch) % 100 >= 15)
+                .map(|pid| (pid, Verdict::new(1, 0.5).with_cadence(4)));
+            let batch: Vec<_> = fast.chain(slow).collect();
+            for publisher in &publishers {
+                assert_eq!(publisher.publish_batch(&batch), batch.len());
+            }
+            let [got, want] = [&mut sharded, &mut single].map(|e| {
+                let mut r: Vec<_> = e.drain_tick().iter().map(bits).collect();
+                r.sort_unstable_by_key(|r| r.0);
+                r
+            });
+            assert!(got == want, "epoch {epoch}");
+        }
+        let hit_share = last_walk_hit_share(&sharded);
+        assert!(hit_share >= 0.9, "last drain hit {hit_share:.3}");
     }
 
     #[test]

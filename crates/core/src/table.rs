@@ -12,6 +12,19 @@
 //! entry and closes the index gap by backward-shift deletion, so the table
 //! never holds tombstones.
 //!
+//! # The column
+//!
+//! A table can carry one more value per record in a second `Vec`, the
+//! column, which moves in lockstep with the records: the same push, the same
+//! `swap_remove` and the same swaps in a re-lay, so an entry always sits at
+//! its record's position. The engine keeps each process's fusion evidence
+//! there, so one lookup serves both, and a caller that holds a record's
+//! position (see [`ProcessTable::position_or_insert_with`]) reads both with
+//! no probe at all. The column stays unallocated until its first use
+//! ([`ProcessTable::column_mut`]), which fills it with defaults up to
+//! `len()`: a table whose caller never touches it pays one `None` for it,
+//! and its records stay as small as they were.
+//!
 //! # The lookup cursor
 //!
 //! Algorithm 1 consumes every monitored process's inference once per epoch,
@@ -43,11 +56,13 @@
 //! walk's order: every record moves to its position in the walk, and the
 //! index keeps its slots while its positions are rewritten. A driver that
 //! presents its pids in a fresh order every epoch fails that test and never
-//! pays for a re-lay. The sharded engine gives one shard per step phase,
+//! pays for a re-lay. The sharded engine brackets every bulk pass with a
+//! walk (its fan-out, its inline route, a one-shard engine, and each
+//! shard's absorb pass on the verdict path) and gives one shard per pass,
 //! round robin, a turn of two recorded walks, so at most one shard re-lays
-//! per tick. A walk entry that is stale, duplicated or out of range is
-//! skipped, so a bad walk can cost speed but never lose or duplicate a
-//! record.
+//! per pass. A re-lay moves the column with the records. A walk entry that
+//! is stale, duplicated or out of range is skipped, so a bad walk can cost
+//! speed but never lose or duplicate a record.
 
 use crate::hash::FxBuildHasher;
 use crate::resource::ProcessId;
@@ -103,11 +118,13 @@ const RELAY_MISS_SHARE: usize = 16;
 const UNPLACED: u32 = u32::MAX;
 
 /// Pid-keyed records behind an open-addressing index, with a lookup cursor
-/// (see the module docs). Iteration order is the order of the last re-lay,
-/// then registration, perturbed by removals.
+/// and an optional column of `C`s (see the module docs). Iteration order is
+/// the order of the last re-lay, then registration, perturbed by removals.
 #[derive(Debug, Clone)]
-pub(crate) struct ProcessTable<V> {
+pub(crate) struct ProcessTable<V, C = ()> {
     records: Vec<(ProcessId, V)>,
+    /// `column[p]` belongs to `records[p]`, once the column is in use.
+    column: Option<Vec<C>>,
     /// A power of two long, at least `MIN_SLOTS`.
     index: Vec<u64>,
     /// The position after the record [`Self::get_or_insert_with`] last
@@ -141,13 +158,14 @@ struct Walk {
     missed: Option<(u64, Vec<u32>)>,
 }
 
-impl<V> ProcessTable<V> {
+impl<V, C: Default> ProcessTable<V, C> {
     /// A table that holds `capacity` records before it re-indexes or
     /// reallocates. Nothing is written: the index is zero-allocated and the
     /// records only reserved, so untouched pages cost no memory.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             records: Vec::with_capacity(capacity),
+            column: None,
             index: vec![EMPTY; slots_for(capacity)],
             cursor: 0,
             resume: 0,
@@ -198,16 +216,29 @@ impl<V> ProcessTable<V> {
     }
 
     /// The record of `pid`, registering `make()` at the end of the records
-    /// on first sight.
-    ///
-    /// Tries the cursor's candidates first and probes the index only when
-    /// none of them holds `pid`. Each call counts towards the current walk.
+    /// on first sight (see [`Self::position_or_insert_with`]).
     #[inline]
     pub(crate) fn get_or_insert_with(
         &mut self,
         pid: ProcessId,
         make: impl FnOnce() -> V,
     ) -> &mut V {
+        let p = self.position_or_insert_with(pid, make);
+        &mut self.records[p].1
+    }
+
+    /// The position of `pid`'s record, registering `make()` at the end of
+    /// the records on first sight. The position stays `pid`'s until a
+    /// removal or a re-lay.
+    ///
+    /// Tries the cursor's candidates first and probes the index only when
+    /// none of them holds `pid`. Each call counts towards the current walk.
+    #[inline]
+    pub(crate) fn position_or_insert_with(
+        &mut self,
+        pid: ProcessId,
+        make: impl FnOnce() -> V,
+    ) -> usize {
         let p = match self.near_cursor(pid) {
             Some(p) => {
                 self.probed = false;
@@ -227,7 +258,41 @@ impl<V> ProcessTable<V> {
         if let Some(order) = &mut self.walk.order {
             order.push(p as u32);
         }
-        &mut self.records[p].1
+        p
+    }
+
+    /// The column entry at position `p`, putting the column in use on first
+    /// call: it then holds a default entry for every record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[inline]
+    pub(crate) fn column_mut(&mut self, p: usize) -> &mut C {
+        let records = &self.records;
+        let column = self.column.get_or_insert_with(|| {
+            let mut column = Vec::with_capacity(records.capacity());
+            column.resize_with(records.len(), C::default);
+            column
+        });
+        &mut column[p]
+    }
+
+    /// The pid, the record and the column entry at position `p`, for a
+    /// caller that kept the position from
+    /// [`Self::position_or_insert_with`]: no probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range or the column was never used.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, p: usize) -> (ProcessId, &mut V, &mut C) {
+        let (pid, record) = &mut self.records[p];
+        let entry = &mut self
+            .column
+            .as_mut()
+            .expect("column_mut puts the column in use before at_mut reads it")[p];
+        (*pid, record, entry)
     }
 
     /// The position of `pid` if a cursor candidate holds it: the record
@@ -266,6 +331,9 @@ impl<V> ProcessTable<V> {
         };
         let p = self.records.len();
         self.records.push((pid, make()));
+        if let Some(column) = &mut self.column {
+            column.push(C::default());
+        }
         self.index[slot] = entry(h, p);
         p
     }
@@ -338,11 +406,12 @@ impl<V> ProcessTable<V> {
         (self.walk.lookups, self.walk.misses)
     }
 
-    /// Moves the records into `walk`'s order: the record at each position
-    /// `walk` names, at its first mention, then every other record in its
-    /// current order. A duplicated or out-of-range position is skipped, so
-    /// a stale walk costs speed, never a record. The index keeps its slots
-    /// and only has its positions rewritten.
+    /// Moves the records, and the column with them, into `walk`'s order:
+    /// the record at each position `walk` names, at its first mention, then
+    /// every other record in its current order. A duplicated or
+    /// out-of-range position is skipped, so a stale walk costs speed, never
+    /// a record. The index keeps its slots and only has its positions
+    /// rewritten.
     fn relay(&mut self, walk: &[u32]) {
         // `dest[p]` is where the record now at `p` goes.
         let mut dest = vec![UNPLACED; self.records.len()];
@@ -366,6 +435,9 @@ impl<V> ProcessTable<V> {
             while dest[i] as usize != i {
                 let d = dest[i] as usize;
                 self.records.swap(i, d);
+                if let Some(column) = &mut self.column {
+                    column.swap(i, d);
+                }
                 dest.swap(i, d);
             }
         }
@@ -394,8 +466,8 @@ impl<V> ProcessTable<V> {
         self.index = index;
     }
 
-    /// Removes `pid`'s record, returning it. The last record moves into the
-    /// freed position.
+    /// Removes `pid`'s record (and its column entry), returning the record.
+    /// The last record moves into the freed position.
     pub(crate) fn remove(&mut self, pid: ProcessId) -> Option<V> {
         self.remove_if(pid, |_| true)
     }
@@ -416,6 +488,9 @@ impl<V> ProcessTable<V> {
                 .find(moved, hash(moved))
                 .expect("every record is indexed");
             self.index[moved_slot] = entry(tag(self.index[moved_slot]), p);
+        }
+        if let Some(column) = &mut self.column {
+            column.swap_remove(p);
         }
         Some(self.records.swap_remove(p).1)
     }
@@ -457,10 +532,39 @@ mod tests {
     use crate::hash::{mix64, shard_of};
     use std::collections::HashMap;
 
-    impl<V> ProcessTable<V> {
+    /// The pid a column entry was written for, if it says.
+    pub(crate) trait Owner {
+        fn owner(&self) -> Option<ProcessId>;
+    }
+
+    impl Owner for () {
+        fn owner(&self) -> Option<ProcessId> {
+            None
+        }
+    }
+
+    impl Owner for Option<ProcessId> {
+        fn owner(&self) -> Option<ProcessId> {
+            *self
+        }
+    }
+
+    impl<V, C: Default + Owner> ProcessTable<V, C> {
         /// Panics unless every index entry points at a distinct record whose
-        /// pid probes to exactly that entry, and every record is indexed.
+        /// pid probes to exactly that entry, every record is indexed, and a
+        /// column in use has one entry per record, each written (if at all)
+        /// for its record's pid.
         fn check_invariants(&self) {
+            if let Some(column) = &self.column {
+                assert_eq!(column.len(), self.records.len(), "column length");
+                for (p, (c, (pid, _))) in column.iter().zip(&self.records).enumerate() {
+                    assert!(
+                        c.owner().is_none_or(|owner| owner == *pid),
+                        "column entry {p} belongs to another pid than {}",
+                        pid.0
+                    );
+                }
+            }
             assert!(self.index.len().is_power_of_two() && self.index.len() >= MIN_SLOTS);
             assert!(self.records.len() <= self.max_load(), "load above 7/8");
             let mut indexed = vec![false; self.records.len()];
@@ -512,11 +616,15 @@ mod tests {
         pool
     }
 
-    /// The table and its `HashMap` model under one random op sequence.
+    /// The table and its `HashMap` model under one random op sequence. The
+    /// table's column carries each record's pid, written at every lookup
+    /// from op `column_from` on, so the column is unused before that and
+    /// every entry must stay with its record after.
     struct Model<'a> {
         pool: &'a [ProcessId],
-        table: ProcessTable<u64>,
+        table: ProcessTable<u64, Option<ProcessId>>,
         model: HashMap<ProcessId, u64>,
+        column_from: u64,
     }
 
     impl Model<'_> {
@@ -524,11 +632,18 @@ mod tests {
             self.pool[(r >> 8) as usize % self.pool.len()]
         }
 
-        /// `get_or_insert_with`, registering `value` on first sight.
+        /// `get_or_insert_with`, registering `value` on first sight, and
+        /// from op `column_from` on the record's column entry.
         fn lookup(&mut self, pid: ProcessId, value: u64) {
-            let got = *self.table.get_or_insert_with(pid, || value);
+            let p = self.table.position_or_insert_with(pid, || value);
+            let got = self.table.records[p].1;
             let want = *self.model.entry(pid).or_insert(value);
             assert_eq!(got, want, "get_or_insert {}", pid.0);
+            if value >= self.column_from {
+                *self.table.column_mut(p) = Some(pid);
+                let (at, record, entry) = self.table.at_mut(p);
+                assert_eq!((at, *record, *entry), (pid, want, Some(pid)));
+            }
         }
 
         fn remove(&mut self, pid: ProcessId) {
@@ -660,6 +775,7 @@ mod tests {
             pool: &pool,
             table: ProcessTable::with_capacity(0),
             model: HashMap::new(),
+            column_from: ops / 4,
         };
         let period = (pool_size / 4).max(64);
         let mut stale = Vec::new();
@@ -768,7 +884,7 @@ mod tests {
 
     #[test]
     fn iteration_follows_registration_order_until_a_removal() {
-        let mut t = ProcessTable::with_capacity(4);
+        let mut t = ProcessTable::<u64>::with_capacity(4);
         for pid in [5, 3, 9, 1] {
             t.get_or_insert_with(ProcessId(pid), || pid);
         }
@@ -783,7 +899,7 @@ mod tests {
 
     #[test]
     fn with_capacity_sizes_the_index_without_growing() {
-        let mut t = ProcessTable::with_capacity(1000);
+        let mut t = ProcessTable::<()>::with_capacity(1000);
         let slots = t.index.len();
         assert_eq!(slots, 2048);
         for pid in 0..1000 {
@@ -799,7 +915,7 @@ mod tests {
     /// give them one home slot in 16 and pile them into long runs.
     #[test]
     fn one_shards_pids_spread_over_the_index() {
-        let mut t = ProcessTable::with_capacity(62_500);
+        let mut t = ProcessTable::<()>::with_capacity(62_500);
         let mut n = 0;
         'fleet: for machine in 0..u32::MAX {
             for local in 1..=10 {

@@ -34,7 +34,7 @@ impl fmt::Display for Classification {
 }
 
 /// The paper's `clamp(x) = max(0, min(x, 100))`.
-pub fn clamp_metric(x: f64) -> f64 {
+fn clamp_metric(x: f64) -> f64 {
     x.clamp(ThreatIndex::MIN, ThreatIndex::MAX)
 }
 
@@ -189,7 +189,7 @@ impl ThreatIndex {
 
     /// Returns the index increased by `penalty`, clamped (Algorithm 1 l.11).
     #[must_use]
-    pub fn penalized(self, penalty: f64) -> Self {
+    pub(crate) fn penalized(self, penalty: f64) -> Self {
         Self::new(self.0 + penalty)
     }
 
