@@ -7,40 +7,12 @@
 //! OS-scheduler-based actuator (Eq. 8, used for micro-architectural attacks
 //! and rowhammer) and cgroup-based actuators (used for ransomware and
 //! cryptominers); all are provided here as [`ThrottleLaw`]s applied to a
-//! single [`ResourceKind`], and can be combined with [`CompositeActuator`].
+//! single [`ResourceKind`] by a [`ShareActuator`]. An engine applies the
+//! parts given to its [`EngineConfigBuilder`](crate::EngineConfigBuilder)
+//! in order, and restores full shares on the paper's `A_reset`.
 
 use crate::resource::{ResourceKind, ResourceVector};
 use std::fmt;
-
-/// An actuator function `A(R_{i-1}, ΔT)` (Section V-B).
-///
-/// Implementations must:
-/// * reduce the targeted share(s) when `ΔT > 0` and raise them when `ΔT < 0`;
-/// * keep every share within `[floor, 1]`;
-/// * restore the default allocation on [`Actuator::reset`] (the paper's
-///   `A_reset`).
-///
-/// An actuator is a pure function of `(prev, ΔT)`: an engine shard holds
-/// one actuator and applies it to every process it tracks, so whatever a
-/// process's response depends on must be carried in its resource vector.
-pub trait Actuator: fmt::Debug {
-    /// Returns the updated resource shares after a threat-index change of
-    /// `delta_threat` (positive = more suspicious).
-    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector;
-
-    /// The paper's `A_reset`: removes all restrictions.
-    fn reset(&self) -> ResourceVector {
-        ResourceVector::FULL
-    }
-
-    /// The minimum share this actuator will ever assign, per resource.
-    ///
-    /// Used to bound worst-case slowdowns (Section V-C): Valkyrie supports a
-    /// user-specified limit on the minimum share of a resource.
-    fn floor(&self) -> ResourceVector {
-        ResourceVector::new(0.0, 0.0, 0.0, 0.0)
-    }
-}
 
 /// How a share responds to threat-index changes.
 ///
@@ -232,7 +204,7 @@ impl ThrottleLaw {
 /// The paper's Section V-C CPU actuator (10 pp per unit of threat, 1 % floor):
 ///
 /// ```
-/// use valkyrie_core::{Actuator, ResourceVector, ShareActuator};
+/// use valkyrie_core::{ResourceVector, ShareActuator};
 /// let a = ShareActuator::cpu_percent_point(0.10, 0.01);
 /// let r = a.apply(&ResourceVector::full(), 3.0);
 /// assert!((r.cpu - 0.70).abs() < 1e-12);
@@ -292,6 +264,23 @@ impl ShareActuator {
         self.law
     }
 
+    /// Returns the updated resource shares after a threat-index change of
+    /// `delta_threat` (positive = more suspicious): the law moves this
+    /// actuator's share, never below its floor, and leaves the others.
+    ///
+    /// A pure function of `(prev, ΔT)`: an engine shard applies one
+    /// configuration to every process it tracks, so whatever a process's
+    /// response depends on is carried in its resource vector.
+    pub fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
+        let mut next = *prev;
+        let share = self
+            .law
+            .step_share(prev.get(self.kind), delta_threat)
+            .max(self.floor);
+        next.set(self.kind, share);
+        next
+    }
+
     /// Checks that the actuator's parameters give a defined response,
     /// naming the first broken rule:
     /// - a NaN floor is ignored by `share.max(floor)`;
@@ -324,76 +313,27 @@ impl ShareActuator {
     }
 }
 
-impl Actuator for ShareActuator {
-    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
-        let mut next = *prev;
-        let share = self
-            .law
-            .step_share(prev.get(self.kind), delta_threat)
-            .max(self.floor);
-        next.set(self.kind, share);
-        next
-    }
-
-    fn floor(&self) -> ResourceVector {
-        let mut f = ResourceVector::new(0.0, 0.0, 0.0, 0.0);
-        f.set(self.kind, self.floor);
-        f
-    }
-}
-
 /// Applies several [`ShareActuator`]s in sequence, so multiple resources can
 /// be throttled at once (e.g. the ransomware case study throttles both CPU
 /// time and file-access rate).
-///
-/// # Examples
-///
-/// ```
-/// use valkyrie_core::{Actuator, CompositeActuator, ResourceVector, ShareActuator};
-/// let a = CompositeActuator::new(vec![
-///     ShareActuator::cpu_percent_point(0.10, 0.01),
-///     ShareActuator::fs_halving(1.0 / 128.0),
-/// ]);
-/// let r = a.apply(&ResourceVector::full(), 1.0);
-/// assert!(r.cpu < 1.0 && r.fs == 0.5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CompositeActuator {
+#[derive(Debug, Clone)]
+pub(crate) struct CompositeActuator {
     parts: Vec<ShareActuator>,
 }
 
 impl CompositeActuator {
     /// Creates a composite from individual per-resource actuators.
-    pub fn new(parts: Vec<ShareActuator>) -> Self {
+    pub(crate) fn new(parts: Vec<ShareActuator>) -> Self {
         Self { parts }
     }
 
-    /// Adds another per-resource actuator.
-    pub fn push(&mut self, part: ShareActuator) {
-        self.parts.push(part);
-    }
-
-    /// The constituent actuators.
-    pub fn parts(&self) -> &[ShareActuator] {
-        &self.parts
-    }
-}
-
-impl Actuator for CompositeActuator {
-    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
+    /// Applies every part in order.
+    pub(crate) fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
         let mut r = *prev;
         for part in &self.parts {
             r = part.apply(&r, delta_threat);
         }
         r
-    }
-
-    fn floor(&self) -> ResourceVector {
-        let mut f = ResourceVector::new(0.0, 0.0, 0.0, 0.0);
-        for part in &self.parts {
-            f = f.floored(&part.floor());
-        }
-        f
     }
 }
 
@@ -510,8 +450,11 @@ mod tests {
         let a = ShareActuator::cpu_percent_point(0.5, 0.25);
         let r = a.apply(&ResourceVector::full(), 10.0);
         assert_eq!(r.cpu, 0.25);
-        assert_eq!(a.floor().cpu, 0.25);
-        assert_eq!(a.floor().fs, 0.0);
+        // Further threat stays on the floor, and the other shares are
+        // untouched.
+        let r = a.apply(&r, 10.0);
+        assert_eq!(r.cpu, 0.25);
+        assert_eq!(r.fs, 1.0);
     }
 
     #[test]
@@ -522,13 +465,6 @@ mod tests {
         assert_eq!(r.mem, 1.0);
         assert_eq!(r.net, 1.0);
         assert_eq!(r.fs, 0.5);
-    }
-
-    #[test]
-    fn reset_restores_full() {
-        let a = ShareActuator::cpu_percent_point(0.1, 0.01);
-        let _ = a.apply(&ResourceVector::full(), 50.0);
-        assert!(a.reset().is_full());
     }
 
     #[test]
@@ -546,9 +482,10 @@ mod tests {
         assert!((r.cpu - 0.8).abs() < 1e-12);
         assert_eq!(r.fs, 0.5);
         assert!((r.mem - 0.9).abs() < 1e-12);
-        let floor = a.floor();
-        assert_eq!(floor.mem, 0.5);
-        assert_eq!(floor.cpu, 0.01);
+        // Every part holds its own floor.
+        let r = a.apply(&r, 100.0);
+        assert_eq!(r.mem, 0.5);
+        assert_eq!(r.cpu, 0.01);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 
 use std::ops::{Deref, DerefMut};
 
-use crate::actuator::{Actuator, CompositeActuator};
 use crate::engine::EngineConfig;
 use crate::sharded::ShardedEngine;
 
@@ -47,16 +46,16 @@ use crate::sharded::ShardedEngine;
 ///
 /// See the [module docs](self) for the equivalence guarantees.
 #[derive(Debug)]
-pub struct FleetEngine<A: Actuator + Clone = CompositeActuator>(ShardedEngine<A>);
+pub struct FleetEngine(ShardedEngine);
 
-impl<A: Actuator + Clone + Send> FleetEngine<A> {
+impl FleetEngine {
     /// Creates a fleet engine with `groups × shards_per_group` shards.
     ///
     /// # Panics
     ///
     /// Panics if `groups` or `shards_per_group` is zero, or if their
     /// product overflows `usize`.
-    pub fn new(config: EngineConfig<A>, groups: usize, shards_per_group: usize) -> Self {
+    pub fn new(config: EngineConfig, groups: usize, shards_per_group: usize) -> Self {
         Self::with_capacity(config, groups, shards_per_group, 0)
     }
 
@@ -68,7 +67,7 @@ impl<A: Actuator + Clone + Send> FleetEngine<A> {
     /// Panics if `groups` or `shards_per_group` is zero, or if their
     /// product overflows `usize`.
     pub fn with_capacity(
-        config: EngineConfig<A>,
+        config: EngineConfig,
         groups: usize,
         shards_per_group: usize,
         expected_procs: usize,
@@ -85,16 +84,16 @@ impl<A: Actuator + Clone + Send> FleetEngine<A> {
     }
 }
 
-impl<A: Actuator + Clone> Deref for FleetEngine<A> {
-    type Target = ShardedEngine<A>;
+impl Deref for FleetEngine {
+    type Target = ShardedEngine;
 
-    fn deref(&self) -> &ShardedEngine<A> {
+    fn deref(&self) -> &ShardedEngine {
         &self.0
     }
 }
 
-impl<A: Actuator + Clone> DerefMut for FleetEngine<A> {
-    fn deref_mut(&mut self) -> &mut ShardedEngine<A> {
+impl DerefMut for FleetEngine {
+    fn deref_mut(&mut self) -> &mut ShardedEngine {
         &mut self.0
     }
 }

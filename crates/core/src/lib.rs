@@ -74,25 +74,16 @@ mod table;
 pub mod telemetry;
 pub mod threat;
 
-pub use actuator::{Actuator, CompositeActuator, LawFamily, ShareActuator, ThrottleLaw};
-pub use efficacy::{EfficacyCurve, EfficacyPoint, EfficacySpec};
-pub use engine::{
-    Action, EngineConfig, EngineConfigBuilder, EngineResponse, FusionConfig, ValkyrieEngine,
-};
-pub use error::ValkyrieError;
-pub use fleet::FleetEngine;
-pub use ingest::{CoalesceKey, IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
-pub use monitor::{EscalationLadder, EscalationLevel};
-pub use resource::{ProcessId, ResourceKind, ResourceVector};
-pub use sharded::{host_parallelism, ShardedEngine};
-pub use slowdown::{simulate_response, slowdown_percent, ResponseTrace};
-pub use state::ProcessState;
-pub use telemetry::{FusionStats, IngestStats};
-pub use threat::{AssessmentFn, Classification, ThreatIndex, Verdict};
+pub use ingest::CoalesceKey;
+pub use prelude::*;
+pub use sharded::host_parallelism;
+pub use slowdown::ResponseTrace;
 
-/// Convenient glob import of the crate's primary types.
+/// Convenient glob import of the crate's primary types. The crate root
+/// re-exports all of them, plus [`CoalesceKey`], [`host_parallelism`] and
+/// [`ResponseTrace`].
 pub mod prelude {
-    pub use crate::actuator::{Actuator, CompositeActuator, LawFamily, ShareActuator, ThrottleLaw};
+    pub use crate::actuator::{LawFamily, ShareActuator, ThrottleLaw};
     pub use crate::efficacy::{EfficacyCurve, EfficacyPoint, EfficacySpec};
     pub use crate::engine::{
         Action, EngineConfig, EngineConfigBuilder, EngineResponse, FusionConfig, ValkyrieEngine,

@@ -113,25 +113,15 @@ impl EscalationLadder {
         }
     }
 
-    /// The mass strictly above which `level` engages, if the level is
-    /// entered from above ([`EscalationLevel::Kill`] and
-    /// [`EscalationLevel::Throttle`]; the other rungs have no upper
-    /// boundary an attacker could ride under).
+    /// The largest mass that stays `margin` below the boundary at which
+    /// `level` engages, clamped into `[0, 1]`. [`EscalationLevel::Kill`]
+    /// and [`EscalationLevel::Throttle`] engage strictly above their
+    /// thresholds; the other rungs have no upper boundary an attacker could
+    /// ride under, so they ride at the compensation boundary instead.
     ///
     /// This is the boundary query the adaptive tier's attackers use: a
     /// mass-riding strategy holds its expected evidence just below the rung
     /// it wants to avoid (see `valkyrie_experiments::attacker::MassRider`).
-    pub fn engages_above(&self, level: EscalationLevel) -> Option<f64> {
-        match level {
-            EscalationLevel::Kill => Some(self.kill_above),
-            EscalationLevel::Throttle => Some(self.throttle_above),
-            EscalationLevel::Compensate | EscalationLevel::Observe => None,
-        }
-    }
-
-    /// The largest mass that stays `margin` below the boundary at which
-    /// `level` engages, clamped into `[0, 1]`. Levels without an upper
-    /// boundary ride at the compensation boundary instead.
     ///
     /// # Examples
     ///
@@ -149,7 +139,11 @@ impl EscalationLadder {
         } else {
             0.0
         };
-        let boundary = self.engages_above(level).unwrap_or(self.compensate_below);
+        let boundary = match level {
+            EscalationLevel::Kill => self.kill_above,
+            EscalationLevel::Throttle => self.throttle_above,
+            EscalationLevel::Compensate | EscalationLevel::Observe => self.compensate_below,
+        };
         (boundary - margin).clamp(0.0, 1.0)
     }
 
@@ -715,10 +709,8 @@ mod tests {
     #[test]
     fn ladder_boundary_queries_expose_the_rung_edges() {
         let ladder = EscalationLadder::graduated();
-        assert_eq!(ladder.engages_above(EscalationLevel::Kill), Some(0.85));
-        assert_eq!(ladder.engages_above(EscalationLevel::Throttle), Some(0.6));
-        assert_eq!(ladder.engages_above(EscalationLevel::Observe), None);
-        assert_eq!(ladder.engages_above(EscalationLevel::Compensate), None);
+        assert_eq!(ladder.ride_below(EscalationLevel::Kill, 0.0), 0.85);
+        assert_eq!(ladder.ride_below(EscalationLevel::Throttle, 0.0), 0.6);
 
         // Riding below a rung never reaches it.
         for (level, margin) in [
@@ -733,6 +725,7 @@ mod tests {
         }
         // Levels without an upper boundary ride at the compensation edge.
         assert!((ladder.ride_below(EscalationLevel::Compensate, 0.0) - 0.35).abs() < 1e-12);
+        assert!((ladder.ride_below(EscalationLevel::Observe, 0.0) - 0.35).abs() < 1e-12);
         // Margins are sanitised: non-finite or negative margins ride at the
         // boundary itself, and the result stays in [0, 1].
         assert_eq!(ladder.ride_below(EscalationLevel::Kill, f64::NAN), 0.85);

@@ -182,18 +182,6 @@ impl ResourceVector {
         *self == Self::FULL
     }
 
-    /// Element-wise lower-bounding against `floor` (the paper's configurable
-    /// minimum share that bounds worst-case slowdowns).
-    #[must_use]
-    pub(crate) fn floored(&self, floor: &ResourceVector) -> Self {
-        Self {
-            cpu: self.cpu.max(floor.cpu),
-            mem: self.mem.max(floor.mem),
-            net: self.net.max(floor.net),
-            fs: self.fs.max(floor.fs),
-        }
-    }
-
     /// True if every share is within `[0, 1]` and finite.
     pub fn is_valid(&self) -> bool {
         [self.cpu, self.mem, self.net, self.fs]
@@ -238,16 +226,6 @@ mod tests {
             r.set(kind, 0.25);
             assert_eq!(r.get(kind), 0.25);
         }
-    }
-
-    #[test]
-    fn floored_respects_minimums() {
-        let r = ResourceVector::new(0.001, 1.0, 1.0, 0.0);
-        let floor = ResourceVector::new(0.01, 0.0, 0.0, 0.05);
-        let f = r.floored(&floor);
-        assert_eq!(f.cpu, 0.01);
-        assert_eq!(f.fs, 0.05);
-        assert_eq!(f.mem, 1.0);
     }
 
     #[test]

@@ -70,7 +70,6 @@
 //! assert_eq!(engine.epoch(), 1);
 //! ```
 
-use crate::actuator::{Actuator, CompositeActuator};
 use crate::engine::{Action, EngineConfig, EngineResponse, ValkyrieEngine};
 use crate::error::ValkyrieError;
 use crate::hash::shard_of;
@@ -122,8 +121,8 @@ const SCRATCH_MIN_CAPACITY: usize = 64;
 ///
 /// See the [module docs](self) for the equivalence guarantees.
 #[derive(Debug)]
-pub struct ShardedEngine<A: Actuator + Clone = CompositeActuator> {
-    shards: Vec<ValkyrieEngine<A>>,
+pub struct ShardedEngine {
+    shards: Vec<ValkyrieEngine>,
     epoch: u64,
     purged_total: u64,
     parallel_threshold: usize,
@@ -290,11 +289,7 @@ fn records_walk(s: usize, nshards: usize, turn: usize) -> bool {
 /// Runs `pass` over `shards` as one walk of every shard's table, with the
 /// relay turn `turn` (see [`records_walk`]). The serial routes use this:
 /// a one-shard engine, the inline batch path and the verdict path.
-fn walked<A: Actuator + Clone>(
-    shards: &mut [ValkyrieEngine<A>],
-    turn: usize,
-    pass: impl FnOnce(&mut [ValkyrieEngine<A>]),
-) {
+fn walked(shards: &mut [ValkyrieEngine], turn: usize, pass: impl FnOnce(&mut [ValkyrieEngine])) {
     let nshards = shards.len();
     for (s, shard) in shards.iter_mut().enumerate() {
         shard.begin_walk(records_walk(s, nshards, turn));
@@ -314,8 +309,8 @@ fn walked<A: Actuator + Clone>(
 ///
 /// Each shard's pass is one walk of its process table, recorded by the
 /// rule of [`records_walk`]; a re-lay runs on the shard's own worker.
-fn step_shards<A: Actuator + Clone + Send>(
-    shards: &mut [ValkyrieEngine<A>],
+fn step_shards(
+    shards: &mut [ValkyrieEngine],
     buckets: &[Vec<(ProcessId, Classification)>],
     replies: &mut [Vec<EngineResponse>],
     threads: usize,
@@ -357,13 +352,13 @@ fn step_shards<A: Actuator + Clone + Send>(
     });
 }
 
-impl<A: Actuator + Clone + Send> ShardedEngine<A> {
+impl ShardedEngine {
     /// Creates an engine with `shards` partitions.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn new(config: EngineConfig<A>, shards: usize) -> Self {
+    pub fn new(config: EngineConfig, shards: usize) -> Self {
         Self::with_capacity(config, shards, 0)
     }
 
@@ -379,7 +374,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn with_capacity(config: EngineConfig<A>, shards: usize, expected_procs: usize) -> Self {
+    pub fn with_capacity(config: EngineConfig, shards: usize, expected_procs: usize) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
         let mean = expected_procs.div_ceil(shards);
         let per_shard = if shards == 1 {
@@ -413,7 +408,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 
     /// The shared configuration (every shard holds a clone of it).
-    pub fn config(&self) -> &EngineConfig<A> {
+    pub fn config(&self) -> &EngineConfig {
         self.shards[0].config()
     }
 
@@ -931,7 +926,7 @@ impl<A: Actuator + Clone + Send> ShardedEngine<A> {
     }
 }
 
-impl<A: Actuator + Clone> Drop for ShardedEngine<A> {
+impl Drop for ShardedEngine {
     /// Closes the ingest rings so detector threads blocked on a full ring
     /// (`OverflowPolicy::Block`) wake up instead of waiting forever for a
     /// drain that can no longer come; their publish calls return `false`

@@ -11,8 +11,8 @@
 //! `F_p`/`F_c`, CPU −10 pp per unit of threat, 1 % floor → ≈79.6 % attack
 //! slowdown) is reproduced.
 
-use crate::actuator::Actuator;
-use crate::engine::{Action, ValkyrieEngine};
+use crate::actuator::ShareActuator;
+use crate::engine::{Action, EngineConfig, ValkyrieEngine};
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::threat::{AssessmentFn, Classification};
@@ -92,23 +92,35 @@ impl ResponseTrace {
 /// Replays `inferences` through Algorithm 1 with the given assessment
 /// functions and actuator, recording the resources enforced in each epoch.
 ///
-/// The replay is one process on a [`ValkyrieEngine::with_actuator`] engine
-/// (one-shot monitoring). Epoch `i`'s inference determines the resources
-/// for epoch `i + 1` (Eq. 3: `B_0(R_0)` is always unthrottled). If the
-/// process reaches the terminable state and is classified malicious, it is
-/// terminated and the remaining epochs contribute zero progress.
+/// The replay is one process on a [`ValkyrieEngine`] configured through
+/// [`EngineConfig::builder`] (one-shot monitoring, default fusion config).
+/// Epoch `i`'s inference determines the resources for epoch `i + 1`
+/// (Eq. 3: `B_0(R_0)` is always unthrottled). If the process reaches the
+/// terminable state and is classified malicious, it is terminated and the
+/// remaining epochs contribute zero progress.
 ///
 /// # Panics
 ///
-/// Panics if `n_star` is zero.
-pub fn simulate_response<A: Actuator + Clone>(
+/// Panics with the builder's error if it rejects the configuration: `n_star`
+/// is zero, or `actuator` has a NaN floor, a NaN or infinite law parameter,
+/// or a negative `step` or `gamma` (see [`EngineConfigBuilder::build`]).
+///
+/// [`EngineConfigBuilder::build`]: crate::EngineConfigBuilder::build
+pub fn simulate_response(
     n_star: u64,
     inferences: &[Classification],
     fp: AssessmentFn,
     fc: AssessmentFn,
-    actuator: A,
+    actuator: ShareActuator,
 ) -> ResponseTrace {
-    let mut engine = ValkyrieEngine::with_actuator(n_star, fp, fc, actuator);
+    let config = EngineConfig::builder()
+        .measurements_required(n_star)
+        .penalty(fp)
+        .compensation(fc)
+        .actuator(actuator)
+        .build()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut engine = ValkyrieEngine::new(config);
     let pid = ProcessId(0);
     let mut current = ResourceVector::FULL;
     let mut trace = ResponseTrace {
@@ -146,7 +158,6 @@ pub fn simulate_response<A: Actuator + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actuator::ShareActuator;
     use Classification::{Benign, Malicious};
 
     fn percent_point_actuator() -> ShareActuator {
@@ -278,6 +289,53 @@ mod tests {
             AssessmentFn::incremental(),
             percent_point_actuator(),
         );
+    }
+
+    /// Replays a flagged-then-cleared stream under an actuator the builder
+    /// rejects; each must panic with the builder's message instead of
+    /// returning a trace with an undefined response.
+    fn replay_rejected(actuator: ShareActuator) {
+        let _ = simulate_response(
+            5,
+            &[Malicious, Malicious, Benign, Benign],
+            AssessmentFn::incremental(),
+            AssessmentFn::incremental(),
+            actuator,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid configuration: cpu actuator floor is NaN")]
+    fn nan_floor_is_rejected() {
+        // Unchecked, the first flag dropped the share to 0, below any floor.
+        replay_rejected(ShareActuator::cpu_percent_point(2.0, f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid configuration: percent-point/unit law parameter must be finite, got NaN"
+    )]
+    fn nan_step_is_rejected() {
+        // Unchecked, the share went straight to the floor on the first flag.
+        replay_rejected(ShareActuator::cpu_percent_point(f64::NAN, 0.01));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid configuration: scheduler-weight law parameter must be finite, got inf"
+    )]
+    fn infinite_gamma_is_rejected() {
+        // Unchecked, the share went straight to the floor on the first flag.
+        replay_rejected(ShareActuator::scheduler_weight(f64::INFINITY, 0.01));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid configuration: percent-point/unit law parameter must not be negative, got -0.1"
+    )]
+    fn negative_step_is_rejected() {
+        // Unchecked, the engine answered `Throttle` but left the share at 1.
+        replay_rejected(ShareActuator::cpu_percent_point(-0.10, 0.01));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct FusionStats {
 
 impl FusionStats {
     /// Records one absorbed verdict from `detector`.
-    pub fn saw(&mut self, detector: u32) {
+    pub(crate) fn saw(&mut self, detector: u32) {
         self.verdicts += 1;
         let idx = detector as usize;
         if self.per_detector.len() <= idx {

@@ -195,7 +195,7 @@ impl ThreatIndex {
 
     /// Returns the index decreased by `compensation`, clamped (l.15–16).
     #[must_use]
-    pub fn compensated(self, compensation: f64) -> Self {
+    pub(crate) fn compensated(self, compensation: f64) -> Self {
         Self::new(self.0 - compensation)
     }
 }

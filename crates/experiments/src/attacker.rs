@@ -57,8 +57,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use valkyrie_core::{
-    Action, Actuator, Classification, EngineConfig, EngineResponse, LawFamily, ProcessId,
-    ThrottleLaw, ValkyrieEngine, ValkyrieError,
+    Action, Classification, EngineConfig, EngineResponse, LawFamily, ProcessId, ThrottleLaw,
+    ValkyrieEngine, ValkyrieError,
 };
 
 /// What the attacker can observe about its own situation when deciding
@@ -801,8 +801,8 @@ impl AdaptiveScenario {
 /// dormant. At effort exactly 0/1 every arithmetic step degenerates to a
 /// binary detector, so a degenerate graded strategy replays bit-for-bit like
 /// its fixed counterpart (property-pinned in `tests/properties.rs`).
-pub fn run_adaptive<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
-    config: &EngineConfig<A>,
+pub fn run_adaptive<S: AdaptiveStrategy + ?Sized>(
+    config: &EngineConfig,
     scenario: &AdaptiveScenario,
     strategy: &mut S,
 ) -> EvasionOutcome {
@@ -821,8 +821,8 @@ pub fn run_adaptive<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
 /// [`valkyrie_core::EscalationLadder`]. This is the path a [`MassRider`]
 /// games: holding the expected confidence below the throttle rung keeps the
 /// ladder in its observe band, where no penalty is ever assessed.
-pub fn run_adaptive_mass<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
-    config: &EngineConfig<A>,
+pub fn run_adaptive_mass<S: AdaptiveStrategy + ?Sized>(
+    config: &EngineConfig,
     scenario: &AdaptiveScenario,
     strategy: &mut S,
 ) -> EvasionOutcome {
@@ -835,11 +835,11 @@ pub fn run_adaptive_mass<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
 /// The adaptive replay loop shared by [`run_adaptive`] and
 /// [`run_adaptive_mass`]: `step` samples the detector at the epoch's
 /// effort and advances the engine by one measurement.
-fn replay<A: Actuator + Clone, S: AdaptiveStrategy + ?Sized>(
-    config: &EngineConfig<A>,
+fn replay<S: AdaptiveStrategy + ?Sized>(
+    config: &EngineConfig,
     scenario: &AdaptiveScenario,
     strategy: &mut S,
-    mut step: impl FnMut(&mut ValkyrieEngine<A>, ProcessId, f64, &mut StdRng) -> EngineResponse,
+    mut step: impl FnMut(&mut ValkyrieEngine, ProcessId, f64, &mut StdRng) -> EngineResponse,
 ) -> EvasionOutcome {
     let mut engine = ValkyrieEngine::new(config.clone());
     let mut rng = StdRng::seed_from_u64(scenario.seed);

@@ -497,36 +497,26 @@ fn fusion_configs_that_veto_every_kill_are_rejected() {
     }
 }
 
-/// An actuator that panics the moment its process's threat rises: in the
-/// test below only one pid is ever flagged, so it fires for that pid alone.
-#[derive(Debug, Clone)]
-struct PanicOnThreat;
-
-const ACTUATOR_PANIC: &str = "actuator refused to throttle the flagged pid";
-
-impl Actuator for PanicOnThreat {
-    fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
-        if delta_threat > 0.0 {
-            panic!("{ACTUATOR_PANIC}");
-        }
-        *prev
-    }
+/// A config whose penalty function panics the moment a process is flagged:
+/// in the tests below only one pid is ever flagged, so it fires for that
+/// pid alone.
+fn panicking_penalty() -> EngineConfig {
+    EngineConfig::builder()
+        .measurements_required(5)
+        .penalty(AssessmentFn::Custom(|_, _| panic!("{PENALTY_PANIC}")))
+        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+        .build()
+        .unwrap()
 }
+
+const PENALTY_PANIC: &str = "penalty refused to assess the flagged pid";
 
 /// A shard that panics on a scoped worker thread re-raises its own payload
 /// on the caller's thread instead of a generic join error.
 #[test]
-#[should_panic(expected = "actuator refused to throttle the flagged pid")]
+#[should_panic(expected = "penalty refused to assess the flagged pid")]
 fn shard_panic_keeps_its_message_across_the_thread_boundary() {
-    let config = ValkyrieEngine::with_actuator(
-        5,
-        AssessmentFn::incremental(),
-        AssessmentFn::incremental(),
-        PanicOnThreat,
-    )
-    .config()
-    .clone();
-    let mut e = ShardedEngine::new(config, 4);
+    let mut e = ShardedEngine::new(panicking_penalty(), 4);
     e.set_parallel_threshold(0);
     let mut batch: Vec<(ProcessId, Classification)> = (0..64)
         .map(|pid| (ProcessId(pid), Classification::Benign))
@@ -538,17 +528,9 @@ fn shard_panic_keeps_its_message_across_the_thread_boundary() {
 /// The drain path runs the same step phase: a shard panicking while it
 /// answers drained observations re-raises its own payload too.
 #[test]
-#[should_panic(expected = "actuator refused to throttle the flagged pid")]
+#[should_panic(expected = "penalty refused to assess the flagged pid")]
 fn shard_panic_on_the_drain_path_keeps_its_message() {
-    let config = ValkyrieEngine::with_actuator(
-        5,
-        AssessmentFn::incremental(),
-        AssessmentFn::incremental(),
-        PanicOnThreat,
-    )
-    .config()
-    .clone();
-    let mut e = ShardedEngine::new(config, 4);
+    let mut e = ShardedEngine::new(panicking_penalty(), 4);
     e.set_parallel_threshold(0);
     let publisher = e.enable_ingest(64, OverflowPolicy::Block);
     let mut batch: Vec<(ProcessId, Classification)> = (0..64)
