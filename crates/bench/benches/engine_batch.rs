@@ -33,7 +33,11 @@
 //! `core/engine_batch_1m` is `fleet_churn`'s tick: 1M observations per
 //! tick over 100k machines × 10 services, every per-shard table far larger
 //! than L2. It compares `observe_loop` with `sharded_x{1,2,16}`; 16 shards
-//! is the `fleet_churn` engine's shape. `sharded_x16_shuffled` replays the
+//! is the `fleet_churn` engine's shape. Those variants drop each tick's
+//! `Responses` at once, so the engine reuses its output buffer;
+//! `sharded_x16_held` keeps each tick's responses (detached with
+//! `into_vec`) until after the next tick, so every tick allocates and
+//! faults in a fresh 56 MB output. `sharded_x16_shuffled` replays the
 //! same ticks with each batch permuted by a fixed seed, so the fleet is
 //! never presented in the order it registered in: the lookup cursor
 //! misses and a re-lay cannot help. Every `sharded_x*` variant registers
@@ -194,6 +198,22 @@ fn bench_engine_batch_1m(c: &mut Criterion) {
             });
         });
     }
+    // `sharded_x16` drops each tick's responses before the next tick, so
+    // the engine overwrites one buffer in place. Here the caller keeps each
+    // tick's responses until after the next tick, detached from the engine
+    // with `into_vec`, so every tick allocates its output afresh and faults
+    // it in: the fallback for callers that keep what a tick returned.
+    group.bench_function("sharded_x16_held", |b| {
+        let mut engine = ShardedEngine::with_capacity(engine_config(n_star), 16, procs);
+        engine.observe_batch(&ring[0]);
+        let mut held = Vec::new();
+        let mut epoch = 0usize;
+        b.iter(|| {
+            epoch += 1;
+            let responses = engine.observe_batch(black_box(&ring[epoch % 7]));
+            black_box(std::mem::replace(&mut held, responses.into_vec()))
+        });
+    });
     group.bench_function("sharded_x16_churned", |b| {
         let mut engine = ShardedEngine::with_capacity(engine_config(n_star), 16, procs);
         let mut fleet = ChurnedFleet::new(ring[0].clone(), MACHINES);

@@ -283,7 +283,8 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ValkyrieError::InvalidConfig`] if `N*` was never set, is
-    /// zero, no actuator part was supplied, an actuator part has a NaN
+    /// zero, the penalty or compensation function has a NaN or infinite
+    /// parameter, no actuator part was supplied, an actuator part has a NaN
     /// floor, a NaN or infinite law parameter or a negative `step` or
     /// `gamma`, or the fusion config breaks a rule stated on
     /// [`FusionConfig`]'s fields.
@@ -295,6 +296,9 @@ impl EngineConfigBuilder {
             return Err(ValkyrieError::InvalidConfig(
                 "N* must be at least one measurement".into(),
             ));
+        }
+        for f in [&self.fp, &self.fc] {
+            f.validate().map_err(ValkyrieError::InvalidConfig)?;
         }
         if self.parts.is_empty() {
             return Err(ValkyrieError::InvalidConfig(
@@ -863,9 +867,10 @@ impl ValkyrieEngine {
 
     /// Ends the walk, re-laying the table in its order if it and the
     /// recorded walk before it show a stable order that churn has put out
-    /// of step with the table (see [`ProcessTable::end_walk`]).
-    pub(crate) fn end_walk(&mut self) {
-        self.procs.end_walk();
+    /// of step with the table (see [`ProcessTable::end_walk`]). The table
+    /// keeps the walk's position buffer if `next_recorded`.
+    pub(crate) fn end_walk(&mut self, next_recorded: bool) {
+        self.procs.end_walk(next_recorded);
     }
 
     /// The `(lookups, misses)` of the table's current or last walk.

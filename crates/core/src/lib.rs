@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::ingest::{IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
     pub use crate::monitor::{EscalationLadder, EscalationLevel};
     pub use crate::resource::{ProcessId, ResourceKind, ResourceVector};
-    pub use crate::sharded::ShardedEngine;
+    pub use crate::sharded::{Responses, ShardedEngine};
     pub use crate::slowdown::{simulate_response, slowdown_percent};
     pub use crate::state::ProcessState;
     pub use crate::telemetry::{FusionStats, IngestStats};

@@ -24,13 +24,34 @@
 //!    observation's reply from its shard's list into its own contiguous
 //!    part of the output.
 //!
-//! Buckets and reply lists are reused across ticks, so
-//! [`ShardedEngine::observe_batch_into`] into a reused buffer allocates
-//! nothing per observation. The ingest drain runs the same step phase on
-//! the per-shard lists its rings empty into. Small batches — and
-//! single-core hosts, where a spawn is pure loss — stay on the caller's
-//! thread and send each observation straight to its shard
+//! Buckets and reply lists are reused across ticks. The ingest drain runs
+//! the same step phase on the per-shard lists its rings empty into. Small
+//! batches — and single-core hosts, where a spawn is pure loss — stay on
+//! the caller's thread and send each observation straight to its shard
 //! ([`ShardedEngine::set_parallel_threshold`] moves the crossover).
+//!
+//! # The output buffer
+//!
+//! [`ShardedEngine::observe_batch`] and [`ShardedEngine::tick`] return a
+//! [`Responses`] handle, which derefs to `[EngineResponse]` and gives its
+//! buffer back to the engine when it is dropped. The engine keeps that one
+//! spare buffer, and the next batch call overwrites it in place. A driver
+//! that drops each tick's responses before the next tick therefore
+//! allocates no output: at a million responses the output is 56 MB, more
+//! than the allocator maps and unmaps for free, and a fresh buffer would
+//! fault every page of it in on the caller's thread. Holding a handle
+//! across the next call makes that call allocate a fresh buffer; whichever
+//! handle is dropped later offers its buffer back, and the engine keeps the
+//! larger. [`Responses::into_vec`] detaches the buffer for good. A handle
+//! may be dropped on any thread, and one that outlives its engine frees
+//! its buffer.
+//!
+//! The drain and verdict entry points ([`ShardedEngine::drain_batch`],
+//! [`ShardedEngine::drain_tick`] and
+//! [`ShardedEngine::observe_verdict_batch`]) still return a `Vec`. Their
+//! drivers, perfbench's tenant driver among them, name that type, and the
+//! binary and verdict observation paths are to become one before their
+//! output changes shape.
 //!
 //! The verdict path ([`ShardedEngine::observe_verdict_batch`] and the
 //! verdict half of [`ShardedEngine::drain_batch`]) runs shard by shard on
@@ -81,7 +102,9 @@ use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
 use crate::telemetry::{FusionStats, IngestStats};
 use crate::threat::{Classification, ThreatIndex, Verdict};
-use std::sync::{Arc, OnceLock};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Cached [`std::thread::available_parallelism`] (1 on error).
 ///
@@ -164,6 +187,115 @@ pub struct ShardedEngine {
     /// the pass after, begins next. Advanced round robin by every pass that
     /// walks the tables: a step phase, an inline batch or a verdict pass.
     relay_turn: usize,
+    /// The spare output buffer that dropped [`Responses`] give back, made
+    /// by the first batch call that returns one.
+    spare: Option<Arc<Mutex<Vec<EngineResponse>>>>,
+}
+
+/// One batch's responses, in input order, as [`ShardedEngine::observe_batch`]
+/// and [`ShardedEngine::tick`] return them. Derefs to `[EngineResponse]`.
+///
+/// Dropping the handle gives its buffer back to the engine that filled it,
+/// for the next batch call to overwrite in place (see the
+/// [module docs](self#the-output-buffer)); [`Self::into_vec`] keeps it
+/// instead.
+pub struct Responses {
+    buf: Vec<EngineResponse>,
+    /// The engine's spare slot; dangling for a detached handle, or once the
+    /// engine is gone.
+    home: Weak<Mutex<Vec<EngineResponse>>>,
+}
+
+impl Responses {
+    /// Detaches the buffer from its engine and returns it.
+    pub fn into_vec(mut self) -> Vec<EngineResponse> {
+        std::mem::take(&mut self.buf)
+    }
+}
+
+impl Drop for Responses {
+    /// Offers the buffer to the engine's spare slot, which keeps the larger
+    /// of the two; the other one is freed here.
+    fn drop(&mut self) {
+        if self.buf.capacity() == 0 {
+            return;
+        }
+        let Some(home) = self.home.upgrade() else {
+            return;
+        };
+        // The slot holds a whole `Vec` at every step, so a poisoned lock
+        // still guards valid data.
+        let mut spare = home.lock().unwrap_or_else(PoisonError::into_inner);
+        if spare.capacity() < self.buf.capacity() {
+            std::mem::swap(&mut *spare, &mut self.buf);
+        }
+    }
+}
+
+impl Deref for Responses {
+    type Target = [EngineResponse];
+
+    fn deref(&self) -> &[EngineResponse] {
+        &self.buf
+    }
+}
+
+impl DerefMut for Responses {
+    fn deref_mut(&mut self) -> &mut [EngineResponse] {
+        &mut self.buf
+    }
+}
+
+impl fmt::Debug for Responses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.buf.fmt(f)
+    }
+}
+
+impl PartialEq for Responses {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf == other.buf
+    }
+}
+
+impl PartialEq<Vec<EngineResponse>> for Responses {
+    fn eq(&self, other: &Vec<EngineResponse>) -> bool {
+        self.buf == *other
+    }
+}
+
+impl PartialEq<Responses> for Vec<EngineResponse> {
+    fn eq(&self, other: &Responses) -> bool {
+        *self == other.buf
+    }
+}
+
+/// A detached handle: dropping it frees the buffer.
+impl From<Vec<EngineResponse>> for Responses {
+    fn from(buf: Vec<EngineResponse>) -> Self {
+        Self {
+            buf,
+            home: Weak::new(),
+        }
+    }
+}
+
+impl IntoIterator for Responses {
+    type Item = EngineResponse;
+    type IntoIter = std::vec::IntoIter<EngineResponse>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.into_vec().into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Responses {
+    type Item = &'a EngineResponse;
+    type IntoIter = std::slice::Iter<'a, EngineResponse>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.iter()
+    }
 }
 
 /// One payload's async ingest rings — binary classifications or fusion
@@ -286,6 +418,13 @@ fn records_walk(s: usize, nshards: usize, turn: usize) -> bool {
     s == turn || (s + 1) % nshards == turn
 }
 
+/// Ends shard `s`'s walk in the pass whose relay turn is `turn`, telling
+/// its table whether it records the next pass too (so keeps its position
+/// buffer for it: every pass, in a one- or two-shard engine).
+fn end_walk(shard: &mut ValkyrieEngine, s: usize, nshards: usize, turn: usize) {
+    shard.end_walk(records_walk(s, nshards, (turn + 1) % nshards));
+}
+
 /// Runs `pass` over `shards` as one walk of every shard's table, with the
 /// relay turn `turn` (see [`records_walk`]). The serial routes use this:
 /// a one-shard engine, the inline batch path and the verdict path.
@@ -295,7 +434,9 @@ fn walked(shards: &mut [ValkyrieEngine], turn: usize, pass: impl FnOnce(&mut [Va
         shard.begin_walk(records_walk(s, nshards, turn));
     }
     pass(shards);
-    shards.iter_mut().for_each(ValkyrieEngine::end_walk);
+    for (s, shard) in shards.iter_mut().enumerate() {
+        end_walk(shard, s, nshards, turn);
+    }
 }
 
 /// The step phase, shared by the batch and drain paths. `buckets` holds
@@ -347,7 +488,7 @@ fn step_shards(
                 }
                 shard.observe_batch_into(bucket, reply);
             }
-            shard.end_walk();
+            end_walk(shard, s, nshards, turn);
         }
     });
 }
@@ -399,6 +540,7 @@ impl ShardedEngine {
             hints: ThreatHints::new(),
             hints_active: false,
             relay_turn: 0,
+            spare: None,
         }
     }
 
@@ -534,24 +676,29 @@ impl ShardedEngine {
     /// batches — and single-core hosts, where a spawn is pure loss — stay
     /// on the caller's thread and route each observation straight to its
     /// shard. Results are identical on every path because shards share no
-    /// per-process state. The returned `Vec` is fresh; per-tick embedders
-    /// that keep a buffer should call [`Self::observe_batch_into`].
-    pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
-        let mut out = Vec::new();
-        self.observe_batch_into(batch, &mut out);
+    /// per-process state. The responses are written into the engine's
+    /// spare buffer when no earlier [`Responses`] still holds it, so a
+    /// caller that drops each batch's responses before the next call
+    /// allocates nothing per observation (see
+    /// [the output buffer](self#the-output-buffer)).
+    pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Responses {
+        let home = self.spare.get_or_insert_with(Default::default);
+        let buf = std::mem::take(&mut *home.lock().unwrap_or_else(PoisonError::into_inner));
+        let mut out = Responses {
+            buf,
+            home: Arc::downgrade(home),
+        };
+        self.fill_batch(batch, &mut out.buf);
+        // Like the scratch, the spare must not pin an outlier's peak.
+        shrink_slots(std::slice::from_mut(&mut out.buf));
         out
     }
 
-    /// [`Self::observe_batch`] writing into a caller-owned buffer, whose
-    /// previous contents are replaced. With the buffer reused across ticks
-    /// no path allocates per observation: the fan-out's buckets and reply
+    /// Answers `batch` into `out`, replacing its previous contents. No
+    /// route allocates per observation: the fan-out's buckets and reply
     /// lists are engine-owned scratch, and the gather phase overwrites
-    /// `out` in place. Responses are identical on every path.
-    pub fn observe_batch_into(
-        &mut self,
-        batch: &[(ProcessId, Classification)],
-        out: &mut Vec<EngineResponse>,
-    ) {
+    /// `out` in place.
+    fn fill_batch(&mut self, batch: &[(ProcessId, Classification)], out: &mut Vec<EngineResponse>) {
         let nshards = self.shards.len();
         if nshards == 1 {
             out.clear();
@@ -608,7 +755,7 @@ impl ShardedEngine {
         turn
     }
 
-    /// The three-phase fan-out of [`Self::observe_batch_into`] (see the
+    /// The three-phase fan-out of [`Self::observe_batch`] (see the
     /// [module docs](self)) on `workers` threads.
     fn fan_out_batch(
         &mut self,
@@ -635,7 +782,8 @@ impl ShardedEngine {
 
         // Gather: worker `w` fills its part of `out` in input order, taking
         // each observation's reply from its shard's list for slice `w`.
-        // Every slot is overwritten, so a reused `out` needs no clearing.
+        // Every slot is overwritten, so a reused `out` needs no clearing,
+        // and one at least this long needs no writes before the gather.
         let placeholder = EngineResponse {
             pid: ProcessId(u64::MAX),
             state: ProcessState::Normal,
@@ -669,8 +817,10 @@ impl ShardedEngine {
     /// afterwards, so re-observing a terminated pid on a later tick
     /// registers a *fresh* process.
     /// Embedders that need post-mortem queries should use
-    /// [`Self::observe_batch`] and purge on their own schedule.
-    pub fn tick(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
+    /// [`Self::observe_batch`] and purge on their own schedule. The
+    /// responses come in the engine's spare buffer, as
+    /// [`Self::observe_batch`]'s do.
+    pub fn tick(&mut self, batch: &[(ProcessId, Classification)]) -> Responses {
         let responses = self.observe_batch(batch);
         self.update_hints(&responses);
         self.epoch += 1;
@@ -1266,6 +1416,24 @@ mod tests {
             after <= steady_cap.max(8 * SCRATCH_MIN_CAPACITY * SCRATCH_SHRINK_FACTOR),
             "scratch did not return to steady state: {after} vs {steady_cap}"
         );
+    }
+
+    /// The recycled output buffer follows the scratch's shrink policy: a
+    /// steady batch after an outlier gets its buffer back at the steady
+    /// size, on every route.
+    #[test]
+    fn output_buffer_returns_to_steady_state_after_an_outlier_batch() {
+        for (shards, threshold) in [(4, 0), (4, usize::MAX), (1, 0)] {
+            let mut e = ShardedEngine::new(config(1_000_000), shards);
+            e.set_parallel_threshold(threshold);
+            drop(e.observe_batch(&mixed_batch(100_000, 0)));
+            let steady = e.observe_batch(&mixed_batch(64, 1));
+            assert!(
+                steady.buf.capacity() <= SCRATCH_MIN_CAPACITY,
+                "{shards} shards, threshold {threshold}: {}",
+                steady.buf.capacity()
+            );
+        }
     }
 
     /// Regression: the inline fast path used to return before any shrink

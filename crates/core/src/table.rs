@@ -156,6 +156,9 @@ struct Walk {
     /// walk right after it to test whether a re-lay in its order would
     /// have paid.
     missed: Option<(u64, Vec<u32>)>,
+    /// A finished walk's position buffer, kept for the next walk to record
+    /// into when the caller said that one is recorded too.
+    spare: Option<Vec<u32>>,
 }
 
 impl<V, C: Default> ProcessTable<V, C> {
@@ -340,16 +343,28 @@ impl<V, C: Default> ProcessTable<V, C> {
 
     /// Starts a walk: the cursor goes back to the first record and the
     /// walk's counts to zero. A `record`ed walk also keeps the position of
-    /// every record it returns, for [`Self::end_walk`] to re-lay by.
+    /// every record it returns, for [`Self::end_walk`] to re-lay by, in the
+    /// buffer the last walk left if there is one.
     pub(crate) fn begin_walk(&mut self, record: bool) {
         self.cursor = 0;
         self.walk.lookups = 0;
         self.walk.misses = 0;
         self.walk.count += 1;
-        self.walk.order = record.then(|| Vec::with_capacity(self.records.len()));
+        let spare = self.walk.spare.take();
+        self.walk.order = record.then(|| {
+            let mut order = spare.unwrap_or_default();
+            order.clear();
+            order.reserve(self.records.len());
+            order
+        });
     }
 
-    /// Ends the walk [`Self::begin_walk`] started.
+    /// Ends the walk [`Self::begin_walk`] started. If `next_recorded`, the
+    /// caller will record the next walk too, and the table keeps this
+    /// walk's position buffer for it when the walk itself is not kept, so
+    /// a table that records every walk does not allocate one per walk.
+    /// Otherwise the buffer is freed, and no table holds a spare between
+    /// turns.
     ///
     /// A re-lay takes two recorded walks in a row. If more than 1/16 of a
     /// recorded walk missed, the table keeps it. If the very next walk is
@@ -360,21 +375,26 @@ impl<V, C: Default> ProcessTable<V, C> {
     /// broke the cursor, does it re-lay the records in the new walk's
     /// order. A driver that presents its pids in a fresh order every epoch
     /// never pays for a re-lay.
-    pub(crate) fn end_walk(&mut self) {
+    pub(crate) fn end_walk(&mut self, next_recorded: bool) {
         let Some(order) = self.walk.order.take() else {
             return;
         };
         let (lookups, misses) = (self.walk.lookups, self.walk.misses);
-        if misses * RELAY_MISS_SHARE <= lookups {
-            self.walk.missed = None;
-            return;
-        }
         let count = self.walk.count;
-        match self.walk.missed.take().filter(|(c, _)| c + 1 == count) {
-            Some((_, kept)) if 2 * self.would_miss(&kept, &order) < misses => self.relay(&order),
-            Some(_) => {}
-            None => self.walk.missed = Some((count, order)),
+        let kept = self.walk.missed.take().filter(|(c, _)| c + 1 == count);
+        if misses * RELAY_MISS_SHARE > lookups {
+            match kept {
+                Some((_, kept)) if 2 * self.would_miss(&kept, &order) < misses => {
+                    self.relay(&order)
+                }
+                Some(_) => {}
+                None => {
+                    self.walk.missed = Some((count, order));
+                    return;
+                }
+            }
         }
+        self.walk.spare = next_recorded.then_some(order);
     }
 
     /// How many lookups of `walk` would have missed the cursor's first
@@ -711,7 +731,9 @@ mod tests {
                         self.lookup(pid, step);
                     }
                 }
-                self.table.end_walk();
+                // The hint is right for the first pass and random for the
+                // second: a wrong one costs an allocation, never a record.
+                self.table.end_walk(r & (1 << (21 + pass)) != 0);
             }
         }
 
@@ -829,8 +851,30 @@ mod tests {
         for &pid in pids {
             assert_eq!(*t.get_or_insert_with(ProcessId(pid), || pid), pid);
         }
-        t.end_walk();
+        t.end_walk(true);
         t.walk_counts()
+    }
+
+    /// A table whose next walk is recorded too keeps a finished walk's
+    /// position buffer for it, so a table that records every walk (each
+    /// shard of a one- or two-shard engine) allocates none per walk. Told
+    /// that its turn is over, it keeps none.
+    #[test]
+    fn a_recorded_walk_reuses_the_last_walks_buffer() {
+        let mut t = ProcessTable::with_capacity(0);
+        let pids: Vec<u64> = (0..1000).collect();
+        walk(&mut t, &pids, true);
+        assert!(t.walk.spare.is_none(), "a walk that missed is kept");
+        walk(&mut t, &pids, true);
+        let spare = t.walk.spare.as_ref().map(Vec::as_ptr);
+        assert!(spare.is_some(), "a walk that hit leaves its buffer");
+        for _ in 0..3 {
+            walk(&mut t, &pids, true);
+            assert_eq!(t.walk.spare.as_ref().map(Vec::as_ptr), spare);
+        }
+        t.begin_walk(true);
+        t.end_walk(false);
+        assert!(t.walk.spare.is_none());
     }
 
     /// A walk in table order hits the cursor throughout. Departures (each

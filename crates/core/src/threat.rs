@@ -267,15 +267,51 @@ impl AssessmentFn {
     /// Evaluates the function: next metric value from the previous one.
     ///
     /// The result is clamped to `[0, 100]`, matching Algorithm 1's use of
-    /// `clamp()` around every `F_p` / `F_c` evaluation.
+    /// `clamp()` around every `F_p` / `F_c` evaluation. A NaN has no place
+    /// in that range, so a [`AssessmentFn::Custom`] function that returns
+    /// NaN leaves the metric where it was: `next` returns `prev`. The
+    /// built-in shapes never return NaN for a `prev` in `[0, 100]` once
+    /// [`EngineConfigBuilder::build`](crate::EngineConfigBuilder::build)
+    /// has checked that their parameters are finite.
+    ///
+    /// ```
+    /// use valkyrie_core::AssessmentFn;
+    /// assert_eq!(AssessmentFn::Custom(|_, _| f64::NAN).next(3.0, 1), 3.0);
+    /// ```
     pub fn next(&self, prev: f64, epoch: u64) -> f64 {
         let raw = match *self {
             AssessmentFn::Incremental => prev + 1.0,
             AssessmentFn::Linear { a, b } => a * prev + b,
+            // `base·i` overflows to ±∞ for a huge finite base, and ∞ × 0 is
+            // NaN; the product with a zero metric is zero all the same.
+            AssessmentFn::Exponential { .. } if prev == 0.0 => 1.0,
             AssessmentFn::Exponential { base } => base * epoch as f64 * prev + 1.0,
-            AssessmentFn::Custom(f) => f(prev, epoch),
+            AssessmentFn::Custom(f) => match f(prev, epoch) {
+                raw if raw.is_nan() => prev,
+                raw => raw,
+            },
         };
         clamp_metric(raw)
+    }
+
+    /// Checks the parameters of the built-in shapes: a `Linear` `a` or
+    /// `b`, or an `Exponential` `base`, must be finite (an infinite one
+    /// times a zero metric is NaN on the first step). A `Custom` function
+    /// cannot be checked ahead of time; [`Self::next`] holds the metric
+    /// when it returns NaN.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let finite = match *self {
+            AssessmentFn::Linear { a, b } => a.is_finite() && b.is_finite(),
+            AssessmentFn::Exponential { base } => base.is_finite(),
+            AssessmentFn::Incremental | AssessmentFn::Custom(_) => true,
+        };
+        if finite {
+            Ok(())
+        } else {
+            Err(format!(
+                "assessment function {self:?} has a non-finite parameter"
+            ))
+        }
     }
 }
 

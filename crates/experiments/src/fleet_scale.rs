@@ -437,7 +437,7 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
         let responses = if let Some(publisher) = &publisher {
             let accepted = publisher.publish_batch(&batch);
             assert_eq!(accepted, batch.len(), "rings sized for the fleet");
-            fleet.drain_tick()
+            fleet.drain_tick().into()
         } else {
             fleet.tick(&batch)
         };

@@ -519,7 +519,7 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
             }
             fast_pub.publish_batch(&fast_batch);
             slow_pub.publish_batch(&slow_batch);
-            engine.drain_tick()
+            engine.drain_tick().into()
         } else {
             match (&publisher, cfg.ingest) {
                 (Some(publisher), Some(ai)) => {
@@ -568,7 +568,7 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                         flood_decoys += decoys.len() as u64;
                     }
                     // ...and tick on schedule, whatever has arrived.
-                    engine.drain_tick()
+                    engine.drain_tick().into()
                 }
                 _ => {
                     batch.clear();

@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashMap};
 use valkyrie_core::hash::FxBuildHasher;
 use valkyrie_core::ProcessId;
 use valkyrie_core::{
-    Action, Classification, EngineConfig, EngineResponse, IngestPublisher, OverflowPolicy,
-    ProcessState, ShardedEngine, Verdict,
+    Action, Classification, EngineConfig, IngestPublisher, OverflowPolicy, ProcessState, Responses,
+    ShardedEngine, Verdict,
 };
 use valkyrie_detect::Detector;
 use valkyrie_hpc::SampleWindow;
@@ -128,7 +128,6 @@ pub struct AugmentedRun<D: Detector> {
     verdict_batch: Vec<(ProcessId, Verdict)>,
     progress: Vec<(Pid, f64, bool)>,
     reports: Vec<(Pid, EpochReport)>,
-    responses: Vec<EngineResponse>,
     /// Last `(cpu, mem, fs)` lever triple enacted per process. The machine's
     /// controllers are stateless functions of their setting, so re-applying
     /// an unchanged triple is a no-op; skipping it saves the lever lookups
@@ -166,7 +165,6 @@ impl<D: Detector> AugmentedRun<D> {
             verdict_batch: Vec::new(),
             progress: Vec::new(),
             reports: Vec::new(),
-            responses: Vec::new(),
             applied: HashMap::default(),
         }
     }
@@ -247,23 +245,23 @@ impl<D: Detector> AugmentedRun<D> {
         // over synchronously, or published through the async ingest rings
         // and drained back (same responses in publish order; see
         // `ScenarioConfig::ingest`).
-        let mut responses = std::mem::take(&mut self.responses);
-        if self.config.confidence {
-            if let Some(publisher) = &self.verdict_publisher {
+        let responses: Responses = if self.config.confidence {
+            let mut fused = if let Some(publisher) = &self.verdict_publisher {
                 publisher.publish_batch(&self.verdict_batch);
-                responses = self.engine.drain_batch();
+                self.engine.drain_batch()
             } else {
-                responses = self.engine.observe_verdict_batch(&self.verdict_batch);
-            }
+                self.engine.observe_verdict_batch(&self.verdict_batch)
+            };
             // Fused responses come back grouped shard-by-shard; the
             // enactment cursor expects batch (ascending-pid) order.
-            responses.sort_unstable_by_key(|r| r.pid.0);
+            fused.sort_unstable_by_key(|r| r.pid.0);
+            fused.into()
         } else if let Some(publisher) = &self.publisher {
             publisher.publish_batch(&self.batch);
-            responses = self.engine.drain_batch();
+            self.engine.drain_batch().into()
         } else {
-            self.engine.observe_batch_into(&self.batch, &mut responses);
-        }
+            self.engine.observe_batch(&self.batch)
+        };
 
         // Enactment phase: drive the machine levers per response. The
         // responses are an ordered subsequence of the batch (they only
@@ -326,7 +324,6 @@ impl<D: Detector> AugmentedRun<D> {
                 threat: resp.threat.value(),
             });
         }
-        self.responses = responses;
         self.reports = reports;
         &self.reports
     }

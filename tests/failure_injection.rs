@@ -497,6 +497,77 @@ fn fusion_configs_that_veto_every_kill_are_rejected() {
     }
 }
 
+/// A config with `fp` as its penalty and `fc` as its compensation function.
+fn assessed(fp: AssessmentFn, fc: AssessmentFn) -> Result<EngineConfig, ValkyrieError> {
+    EngineConfig::builder()
+        .measurements_required(5)
+        .penalty(fp)
+        .compensation(fc)
+        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+        .build()
+}
+
+/// Builds `f` as the penalty, then as the compensation function, and
+/// expects `InvalidConfig` both times. Each such config used to build, and
+/// a flagged process then answered threat NaN with full resources.
+fn assert_rejected(f: AssessmentFn) {
+    for config in [
+        assessed(f, AssessmentFn::incremental()),
+        assessed(AssessmentFn::incremental(), f),
+    ] {
+        assert!(
+            matches!(config, Err(ValkyrieError::InvalidConfig(_))),
+            "{f:?} built"
+        );
+    }
+}
+
+#[test]
+fn linear_assessment_with_a_nan_coefficient_is_rejected() {
+    assert_rejected(AssessmentFn::linear(f64::NAN, 1.0));
+}
+
+#[test]
+fn linear_assessment_with_an_infinite_coefficient_is_rejected() {
+    assert_rejected(AssessmentFn::linear(f64::INFINITY, 1.0));
+}
+
+#[test]
+fn exponential_assessment_with_an_infinite_base_is_rejected() {
+    assert_rejected(AssessmentFn::exponential(f64::INFINITY));
+}
+
+/// A `Custom` assessment function that returns NaN holds its metric: the
+/// flagged process's threat stays where it was instead of turning NaN.
+#[test]
+fn custom_assessment_returning_nan_holds_the_threat() {
+    use Classification::{Benign, Malicious};
+    let nan = AssessmentFn::Custom(|_, _| f64::NAN);
+    let mut e = ValkyrieEngine::new(assessed(nan, AssessmentFn::incremental()).unwrap());
+    let r = e.observe(ProcessId(1), Malicious);
+    assert_eq!(r.threat.value(), 0.0, "the penalty stays at 0");
+    assert!(r.resources.is_valid());
+
+    let mut e = ValkyrieEngine::new(assessed(AssessmentFn::incremental(), nan).unwrap());
+    assert_eq!(e.observe(ProcessId(1), Malicious).threat.value(), 1.0);
+    let r = e.observe(ProcessId(1), Benign);
+    assert_eq!(r.threat.value(), 1.0, "the compensation stays at 0");
+    assert!(r.resources.is_valid());
+}
+
+/// A finite base so large that `base·i` overflows used to make the first
+/// penalty of a process flagged after its first epoch ∞ × 0 = NaN.
+#[test]
+fn exponential_assessment_with_a_huge_finite_base_stays_defined() {
+    use Classification::{Benign, Malicious};
+    let huge = AssessmentFn::exponential(f64::MAX);
+    let mut e = ValkyrieEngine::new(assessed(huge, AssessmentFn::incremental()).unwrap());
+    e.observe(ProcessId(1), Benign);
+    let r = e.observe(ProcessId(1), Malicious);
+    assert_eq!(r.threat.value(), 1.0);
+    assert!(r.resources.cpu < 1.0, "the flagged process is throttled");
+}
+
 /// A config whose penalty function panics the moment a process is flagged:
 /// in the tests below only one pid is ever flagged, so it fires for that
 /// pid alone.
@@ -539,6 +610,86 @@ fn shard_panic_on_the_drain_path_keeps_its_message() {
     batch[17].1 = Classification::Malicious;
     assert_eq!(publisher.publish_batch(&batch), batch.len());
     e.drain_tick();
+}
+
+/// While set, [`armed_penalty`]'s penalty function panics.
+static PENALTY_ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// The incremental penalty, except that it panics while
+/// [`PENALTY_ARMED`] is set. `N*` lies beyond the test's horizon, so a
+/// process's answers depend only on its own flags, not on how many benign
+/// observations a panicked tick applied before it unwound.
+fn armed_penalty() -> EngineConfig {
+    EngineConfig::builder()
+        .measurements_required(1 << 40)
+        .penalty(AssessmentFn::Custom(|prev, _| {
+            if PENALTY_ARMED.load(std::sync::atomic::Ordering::Relaxed) {
+                panic!("{PENALTY_PANIC}");
+            }
+            prev + 1.0
+        }))
+        .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+        .build()
+        .unwrap()
+}
+
+/// A shard panic that the caller catches mid-tick leaves the engine able
+/// to tick again: the next ticks answer like one engine that never saw the
+/// panicked tick, and once their responses are dropped the output buffer
+/// is reused again.
+#[test]
+fn the_tick_after_a_caught_shard_panic_answers_correctly() {
+    let mut e = ShardedEngine::new(armed_penalty(), 4);
+    e.set_parallel_threshold(0);
+    let mut reference = ValkyrieEngine::new(armed_penalty());
+    let batch = |epoch: u64| -> Vec<(ProcessId, Classification)> {
+        (0..64)
+            .map(|pid| {
+                let flagged = epoch > 0 && pid != 17 && (pid + epoch).is_multiple_of(5);
+                let cls = if flagged {
+                    Classification::Malicious
+                } else {
+                    Classification::Benign
+                };
+                (ProcessId(pid), cls)
+            })
+            .collect()
+    };
+    let tick = |e: &mut ShardedEngine, reference: &mut ValkyrieEngine, epoch: u64| {
+        let batch = batch(epoch);
+        let want: Vec<EngineResponse> = batch
+            .iter()
+            .map(|&(pid, cls)| reference.observe(pid, cls))
+            .collect();
+        let got = e.tick(&batch);
+        assert_eq!(got, want, "epoch {epoch}");
+        got
+    };
+    drop(tick(&mut e, &mut reference, 0));
+
+    let mut flagged = batch(0);
+    flagged[17].1 = Classification::Malicious;
+    PENALTY_ARMED.store(true, std::sync::atomic::Ordering::Relaxed);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.tick(&flagged).len()));
+    PENALTY_ARMED.store(false, std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        caught.is_err(),
+        "the flagged pid's shard must have panicked"
+    );
+    // Pid 17 unwound mid-step; it leaves the fleet on both sides.
+    e.forget(ProcessId(17));
+    reference.forget(ProcessId(17));
+
+    let mut last = None;
+    for epoch in 1..5 {
+        let got = tick(&mut e, &mut reference, epoch);
+        let ptr = got.as_ptr();
+        drop(got);
+        if epoch > 1 {
+            assert_eq!(Some(ptr), last, "epoch {epoch} reuses the output buffer");
+        }
+        last = Some(ptr);
+    }
 }
 
 /// A thread that panics while holding the threat-hint lock poisons it. The

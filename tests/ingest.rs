@@ -65,7 +65,7 @@ fn tick_reference(
     let mut engine = ShardedEngine::new(engine_config(n_star, cyclic), shards);
     let ticks = observations
         .chunks(chunk.max(1))
-        .map(|batch| engine.tick(batch))
+        .map(|batch| engine.tick(batch).into_vec())
         .collect();
     (
         ticks,

@@ -271,30 +271,155 @@ fn tiny_batches_on_many_shards_match_the_reference() {
     }
 }
 
-/// A reused output buffer that still holds a longer, older tick's
-/// responses is fully replaced: same length and contents as the reference.
+/// The three batch routes: the fan-out (threshold 0), the inline route of
+/// a many-shard engine and a one-shard engine.
+fn routes(config: &EngineConfig) -> [(&'static str, ShardedEngine); 3] {
+    let mut fan_out = ShardedEngine::new(config.clone(), 8);
+    fan_out.set_parallel_threshold(0);
+    let mut inline = ShardedEngine::new(config.clone(), 8);
+    inline.set_parallel_threshold(usize::MAX);
+    [
+        ("fan-out", fan_out),
+        ("inline", inline),
+        ("one shard", ShardedEngine::new(config.clone(), 1)),
+    ]
+}
+
+/// `len` observations of pids `0..97`, a third of them flagged on a
+/// schedule that moves with `epoch`.
+fn dirty_batch(epoch: u64, len: u64) -> Vec<(ProcessId, Classification)> {
+    (0..len)
+        .map(|i| {
+            let cls = if (i + epoch).is_multiple_of(3) {
+                Classification::Malicious
+            } else {
+                Classification::Benign
+            };
+            (ProcessId(i % 97), cls)
+        })
+        .collect()
+}
+
+/// Every field of a response, floats as bits so `-0.0` is not `0.0`.
+fn bits(r: &EngineResponse) -> (u64, ProcessState, u64, [u64; 4], Action) {
+    let s = r.resources;
+    (
+        r.pid.0,
+        r.state,
+        r.threat.value().to_bits(),
+        [s.cpu, s.mem, s.net, s.fs].map(f64::to_bits),
+        r.action,
+    )
+}
+
+/// `tick`'s answers from one engine, observation by observation, with its
+/// end-of-tick purge.
+fn reference_tick(
+    reference: &mut ValkyrieEngine,
+    batch: &[(ProcessId, Classification)],
+) -> Vec<EngineResponse> {
+    let want = batch
+        .iter()
+        .map(|&(pid, cls)| reference.observe(pid, cls))
+        .collect();
+    reference.purge_terminated();
+    want
+}
+
+/// A tick after the last tick's responses were dropped writes into the
+/// same allocation on every route: the steady state allocates no output.
 #[test]
-fn observe_batch_into_replaces_a_dirty_longer_buffer() {
-    let mut engine = ShardedEngine::new(engine_config(4, true), 8);
-    engine.set_parallel_threshold(0);
-    let mut reference = ValkyrieEngine::new(engine_config(4, true));
-    let mut out = Vec::new();
-    for (epoch, len) in [(0u64, 300u64), (1, 37), (2, 5), (3, 300), (4, 1)] {
-        let batch: Vec<(ProcessId, Classification)> = (0..len)
-            .map(|i| {
-                let cls = if (i + epoch) % 3 == 0 {
-                    Classification::Malicious
-                } else {
-                    Classification::Benign
-                };
-                (ProcessId(i % 97), cls)
-            })
-            .collect();
-        let want: Vec<EngineResponse> = batch
-            .iter()
-            .map(|&(pid, cls)| reference.observe(pid, cls))
-            .collect();
-        engine.observe_batch_into(&batch, &mut out);
-        assert_eq!(out, want, "epoch {epoch}, len {len}");
+fn a_second_same_size_tick_reuses_the_first_ticks_buffer() {
+    for (route, mut engine) in routes(&engine_config(4, true)) {
+        let first = engine.tick(&dirty_batch(0, 300));
+        let ptr = first.as_ptr();
+        drop(first);
+        for epoch in 1..4 {
+            let again = engine.tick(&dirty_batch(epoch, 300));
+            assert_eq!(again.as_ptr(), ptr, "{route}, epoch {epoch}");
+        }
+    }
+}
+
+/// A reused buffer that still holds a longer, older tick's responses, or a
+/// shorter one, is fully replaced on every route: ticks that shrink and
+/// grow answer bit for bit like one engine.
+#[test]
+fn ticks_that_shrink_and_grow_match_a_one_shard_reference() {
+    let config = engine_config(4, true);
+    for (route, mut engine) in routes(&config) {
+        let mut reference = ValkyrieEngine::new(config.clone());
+        for (epoch, len) in [
+            (0u64, 300u64),
+            (1, 37),
+            (2, 5),
+            (3, 300),
+            (4, 1),
+            (5, 0),
+            (6, 512),
+        ] {
+            let batch = dirty_batch(epoch, len);
+            let want: Vec<_> = reference_tick(&mut reference, &batch)
+                .iter()
+                .map(bits)
+                .collect();
+            let got: Vec<_> = engine.tick(&batch).iter().map(bits).collect();
+            assert!(got == want, "{route}, epoch {epoch}, len {len}");
+        }
+    }
+}
+
+/// Handles held side by side, dropped on another thread or kept past their
+/// engine all read their own tick's responses, and the engine keeps
+/// answering correctly (and reusing what comes back) through all of it.
+#[test]
+fn held_moved_and_orphaned_handles_stay_correct() {
+    let config = engine_config(4, true);
+    for (route, mut engine) in routes(&config) {
+        let mut reference = ValkyrieEngine::new(config.clone());
+        let mut tick = |engine: &mut ShardedEngine, epoch: u64, len: u64| {
+            let batch = dirty_batch(epoch, len);
+            let want: Vec<_> = reference_tick(&mut reference, &batch)
+                .iter()
+                .map(bits)
+                .collect();
+            (engine.tick(&batch), want)
+        };
+        let check = |responses: &Responses, want: &Vec<_>, what: &str| {
+            let got: Vec<_> = responses.iter().map(bits).collect();
+            assert!(got == *want, "{route}: {what}");
+        };
+
+        // Two handles alive at once: the second tick cannot reuse the
+        // first's buffer, and neither answer disturbs the other.
+        let (small, small_want) = tick(&mut engine, 0, 300);
+        let (large, large_want) = tick(&mut engine, 1, 500);
+        assert_ne!(small.as_ptr(), large.as_ptr(), "{route}");
+        check(&small, &small_want, "first of two held handles");
+        check(&large, &large_want, "second of two held handles");
+        // Both come back; the engine keeps the larger buffer.
+        let large_ptr = large.as_ptr();
+        drop(large);
+        drop(small);
+        let (next, next_want) = tick(&mut engine, 2, 300);
+        assert_eq!(
+            next.as_ptr(),
+            large_ptr,
+            "{route}: the larger buffer is kept"
+        );
+        check(&next, &next_want, "after two handles came back");
+
+        // A handle dropped on another thread still comes home.
+        let ptr = next.as_ptr();
+        std::thread::spawn(move || drop(next)).join().unwrap();
+        let (next, next_want) = tick(&mut engine, 3, 300);
+        assert_eq!(next.as_ptr(), ptr, "{route}: dropped on another thread");
+        check(&next, &next_want, "after a drop on another thread");
+
+        // A handle that outlives its engine keeps its answers and frees
+        // its buffer when dropped.
+        drop(engine);
+        check(&next, &next_want, "a handle past its engine");
+        assert_eq!(next.into_vec().len(), 300);
     }
 }
