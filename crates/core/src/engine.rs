@@ -182,6 +182,11 @@ impl EngineConfig {
     pub fn fusion(&self) -> &FusionConfig {
         &self.fusion
     }
+
+    /// Whether monitoring is cyclic (see [`EngineConfigBuilder::cyclic`]).
+    pub(crate) fn cyclic(&self) -> bool {
+        self.monitor.cyclic
+    }
 }
 
 /// Builder for [`EngineConfig`] (see `C-BUILDER`).
@@ -877,6 +882,12 @@ impl ValkyrieEngine {
     #[cfg(test)]
     pub(crate) fn walk_counts(&self) -> (usize, usize) {
         self.procs.walk_counts()
+    }
+
+    /// Re-lays of the table so far.
+    #[cfg(test)]
+    pub(crate) fn relays(&self) -> u64 {
+        self.procs.relays()
     }
 
     /// Iterates over `(pid, state, threat)` of all tracked processes.

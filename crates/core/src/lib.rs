@@ -65,6 +65,7 @@ pub mod error;
 pub mod fleet;
 pub mod hash;
 pub mod ingest;
+pub mod invariants;
 pub mod monitor;
 pub mod resource;
 pub mod sharded;

@@ -159,6 +159,9 @@ struct Walk {
     /// A finished walk's position buffer, kept for the next walk to record
     /// into when the caller said that one is recorded too.
     spare: Option<Vec<u32>>,
+    /// Re-lays so far.
+    #[cfg(test)]
+    relays: u64,
 }
 
 impl<V, C: Default> ProcessTable<V, C> {
@@ -385,7 +388,11 @@ impl<V, C: Default> ProcessTable<V, C> {
         if misses * RELAY_MISS_SHARE > lookups {
             match kept {
                 Some((_, kept)) if 2 * self.would_miss(&kept, &order) < misses => {
-                    self.relay(&order)
+                    self.relay(&order);
+                    #[cfg(test)]
+                    {
+                        self.walk.relays += 1;
+                    }
                 }
                 Some(_) => {}
                 None => {
@@ -397,9 +404,11 @@ impl<V, C: Default> ProcessTable<V, C> {
         self.walk.spare = next_recorded.then_some(order);
     }
 
-    /// How many lookups of `walk` would have missed the cursor's first
-    /// candidate had the records been re-laid in `kept`'s order: each one
-    /// whose record does not directly follow the previous lookup's.
+    /// How many lookups of `walk` would have missed the cursor had the
+    /// records been re-laid in `kept`'s order: each one whose record does
+    /// not directly follow the previous lookup's, nor, when that lookup hit,
+    /// the record after (the cursor's second candidate). The cursor's third
+    /// candidate, where a detour resumes, is not modelled.
     fn would_miss(&self, kept: &[u32], walk: &[u32]) -> usize {
         let mut rank = vec![UNPLACED; self.records.len()];
         for (r, &p) in (0..).zip(kept) {
@@ -407,14 +416,15 @@ impl<V, C: Default> ProcessTable<V, C> {
                 *slot = r;
             }
         }
-        // A walk starts at the first record, as if after rank -1.
+        // A walk starts at the first record, as if after a hit at rank -1.
         let mut last = UNPLACED;
+        let mut last_hit = true;
         let mut missed = 0;
         for &p in walk {
             let r = rank.get(p as usize).copied().unwrap_or(UNPLACED);
-            if r == UNPLACED || r != last.wrapping_add(1) {
-                missed += 1;
-            }
+            last_hit = r != UNPLACED
+                && (r == last.wrapping_add(1) || (last_hit && r == last.wrapping_add(2)));
+            missed += usize::from(!last_hit);
             last = r;
         }
         missed
@@ -424,6 +434,12 @@ impl<V, C: Default> ProcessTable<V, C> {
     #[cfg(test)]
     pub(crate) fn walk_counts(&self) -> (usize, usize) {
         (self.walk.lookups, self.walk.misses)
+    }
+
+    /// Re-lays so far.
+    #[cfg(test)]
+    pub(crate) fn relays(&self) -> u64 {
+        self.walk.relays
     }
 
     /// Moves the records, and the column with them, into `walk`'s order:

@@ -177,6 +177,13 @@ impl ThreatIndex {
         Self(0.0)
     }
 
+    /// An index holding `value` as is, which [`Self::new`] would clamp, for
+    /// tests of checks that must reject one.
+    #[cfg(test)]
+    pub(crate) fn unclamped(value: f64) -> Self {
+        Self(value)
+    }
+
     /// The clamped value.
     pub fn value(self) -> f64 {
         self.0

@@ -36,6 +36,7 @@ use crate::harness::{pct, TextTable};
 use std::collections::HashMap;
 use std::time::Instant;
 use valkyrie_core::hash::{mix64, FxBuildHasher};
+use valkyrie_core::invariants::ResponseInvariants;
 use valkyrie_core::{
     Action, AssessmentFn, Classification, EngineConfig, FleetEngine, IngestDefense, IngestStats,
     OverflowPolicy, ProcessId, ProcessState, ShareActuator,
@@ -285,6 +286,8 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
         cfg.shards_per_group.max(1),
         expected,
     );
+    // Debug builds check every response against the paper's invariants.
+    let mut invariants = cfg!(debug_assertions).then(|| ResponseInvariants::new(fleet.config()));
 
     // Attack placement over the *initial* fleet; hosts never depart.
     let placements = place_attacks(cfg.seed, cfg.attacks, cfg.machines.max(1), cfg.epochs);
@@ -375,7 +378,11 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
                 id_index.insert(machines[idx].id, idx);
             }
             for s in &m.services {
-                fleet.forget(ProcessId::from_parts(m.id, s.local));
+                let pid = ProcessId::from_parts(m.id, s.local);
+                fleet.forget(pid);
+                if let Some(inv) = &mut invariants {
+                    inv.forget(pid);
+                }
                 services_evicted += 1;
             }
             machines_decommissioned += 1;
@@ -398,7 +405,11 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
             }
             m.services.retain(|s| {
                 if s.attack.is_none() && cfg.churn.service_departs(id, s.local, epoch) {
-                    fleet.forget(ProcessId::from_parts(id, s.local));
+                    let pid = ProcessId::from_parts(id, s.local);
+                    fleet.forget(pid);
+                    if let Some(inv) = &mut invariants {
+                        inv.forget(pid);
+                    }
                     services_drained += 1;
                     false
                 } else {
@@ -445,6 +456,11 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
         observations += responses.len() as u64;
         let purged_this_tick = (fleet.purged_total() - purged_before) as usize;
         peak_tracked = peak_tracked.max(fleet.tracked() + purged_this_tick);
+        if let Some(inv) = &mut invariants {
+            if let Err(v) = inv.check_tick(&responses) {
+                panic!("fleet_scale epoch {epoch}: {v}");
+            }
+        }
 
         // Credit responses back onto the fleet. Both paths answer in batch
         // order, so `refs` maps each response to its machine/service slot.
@@ -471,7 +487,11 @@ pub fn run(cfg: &FleetScaleConfig) -> FleetScaleResult {
                 if s.progress >= s.lifetime {
                     s.dead = true;
                     services_completed += 1;
-                    let _ = fleet.complete(ProcessId::from_parts(m.id, s.local));
+                    let pid = ProcessId::from_parts(m.id, s.local);
+                    let _ = fleet.complete(pid);
+                    if let Some(inv) = &mut invariants {
+                        inv.complete(pid);
+                    }
                 }
             }
         }

@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use valkyrie_core::hash::jitter64;
+use valkyrie_core::invariants::ResponseInvariants;
 use valkyrie_core::{
     Action, AssessmentFn, Classification, EngineConfig, EscalationLadder, FusionConfig,
     FusionStats, IngestDefense, IngestStats, OverflowPolicy, ProcessId, ProcessState,
@@ -357,6 +358,8 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
     let config = builder.build().expect("valid multi-tenant config");
     let mut engine =
         ShardedEngine::with_capacity(config, cfg.shards.max(1), cfg.benign_procs + cfg.attacks);
+    // Debug builds check every response against the paper's invariants.
+    let mut invariants = cfg!(debug_assertions).then(|| ResponseInvariants::new(engine.config()));
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut benign: Vec<BenignProc> = fleet_roster(cfg.benign_procs)
@@ -585,6 +588,11 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
         // Concurrent peak = the map as it stood before this tick's purge.
         let purged_this_tick = (engine.purged_total() - purged_before) as usize;
         peak_tracked = peak_tracked.max(engine.tracked() + purged_this_tick);
+        if let Some(inv) = &mut invariants {
+            if let Err(v) = inv.check_tick(&responses) {
+                panic!("multi_tenant epoch {epoch}: {v}");
+            }
+        }
 
         for resp in &responses {
             let idx = resp.pid.0 as usize;
@@ -608,6 +616,9 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
                 if proc.cpu_share_sum >= proc.lifetime as f64 {
                     proc.completed = true;
                     let _ = engine.complete(proc.pid);
+                    if let Some(inv) = &mut invariants {
+                        inv.complete(proc.pid);
+                    }
                 }
             } else {
                 let attack = &mut attacks[idx - benign.len()];
