@@ -69,9 +69,11 @@
 //! * **Priority lanes** ([`IngestDefense::priority_lane`]): each ring
 //!   gains a second lane for pids the engine's own evidence already marks
 //!   suspicious, fed back through a shared [`ThreatHints`] handle.
-//!   Priority entries are drained first and are never evicted by
-//!   normal-lane overflow — once a process is on the escalation ladder,
-//!   no flood can silence the verdicts that decide its fate. The priority
+//!   Priority entries are never evicted by normal-lane overflow — once a
+//!   process is on the escalation ladder, no flood can silence the
+//!   verdicts that decide its fate. A drain merges the two lanes by
+//!   publish stamp, so a pid that turns hot between two of its publishes
+//!   still has its entries applied in publish order. The priority
 //!   lane runs the same overflow routine as the normal lane, under its
 //!   own `capacity` budget and with fair queueing off.
 //! * **Per-publisher fair queueing** ([`IngestDefense::fair_queueing`]):
@@ -227,8 +229,8 @@ impl ThreatHints {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestDefense {
     /// Route observations for [`ThreatHints`]-marked pids into a separate
-    /// priority lane: drained first, never evicted by normal-lane
-    /// overflow.
+    /// priority lane, never evicted by normal-lane overflow. A drain merges
+    /// it with the normal lane in publish order.
     pub priority_lane: bool,
     /// Charge overflow evictions to the publisher hogging the ring
     /// instead of whoever queued first.
@@ -289,7 +291,8 @@ enum Pushed {
 }
 
 /// [`RingState::lanes`] index of the priority lane: entries for
-/// [`ThreatHints`]-marked pids. Drained first.
+/// [`ThreatHints`]-marked pids. Drained merged with the normal lane by
+/// stamp.
 const PRIORITY: usize = 0;
 /// [`RingState::lanes`] index of the normal lane.
 const NORMAL: usize = 1;
@@ -695,9 +698,9 @@ impl<P: CoalesceKey> IngestQueues<P> {
         }
     }
 
-    /// Empties shard `shard`'s ring into `work` (appending; priority lane
-    /// first) and wakes any publishers blocked on it. When `seqs` is given,
-    /// each entry's publish stamp is appended to it, aligned
+    /// Empties shard `shard`'s ring into `work` (appending; the two lanes
+    /// merged by stamp) and wakes any publishers blocked on it. When `seqs`
+    /// is given, each entry's publish stamp is appended to it, aligned
     /// index-for-index with `work`.
     pub(crate) fn drain_shard_into(
         &self,
@@ -712,15 +715,23 @@ impl<P: CoalesceKey> IngestQueues<P> {
         if let Some(seqs) = seqs.as_deref_mut() {
             seqs.reserve(n);
         }
-        // The priority lane is lanes[0], so it drains first.
-        for lane in &mut state.lanes {
-            for obs in lane.drain(..) {
-                work.push((obs.pid, obs.payload));
-                if let Some(seqs) = seqs.as_deref_mut() {
-                    seqs.push(obs.seq);
-                }
+        // Merge the lanes by stamp, each in its own order: publish order,
+        // unless a full `Coalesce` lane restamped an entry in place.
+        let [priority, normal] = &mut state.lanes;
+        let mut emit = |obs: QueuedObs<P>| {
+            work.push((obs.pid, obs.payload));
+            if let Some(seqs) = seqs.as_deref_mut() {
+                seqs.push(obs.seq);
             }
+        };
+        let mut priority = priority.drain(..).peekable();
+        for obs in normal.drain(..) {
+            while let Some(first) = priority.next_if(|p| p.seq < obs.seq) {
+                emit(first);
+            }
+            emit(obs);
         }
+        priority.for_each(emit);
         state.occupancy.clear();
         drop(state);
         if n > 0 {
@@ -1147,7 +1158,8 @@ mod tests {
 
     /// The priority lane shields hint-marked pids: a normal-lane flood
     /// can evict everything in its own lane but never touches the
-    /// suspicious pid's queued verdicts, and they drain first.
+    /// suspicious pid's queued verdicts, and they drain in publish order
+    /// with the rest.
     #[test]
     fn priority_lane_is_immune_to_normal_lane_overflow() {
         let hints = ThreatHints::new();
@@ -1178,7 +1190,7 @@ mod tests {
         let mut work = Vec::new();
         let mut seqs = Vec::new();
         queues.drain_shard_into(0, &mut work, Some(&mut seqs));
-        assert_eq!(work[0].0, suspect, "priority lane drains first");
+        assert_eq!(work[0].0, suspect, "the suspect was published first");
         assert!(work.iter().filter(|&&(pid, _)| pid == suspect).count() == 1);
 
         // Cleared pids fall back to the normal lane.

@@ -19,7 +19,9 @@
 //!    of its process table. Round robin, one shard per step phase records
 //!    its walk on that phase and the next, and on the second may re-lay
 //!    its table in walk order, which keeps the table's lookup cursor in
-//!    step with a churning fleet.
+//!    step with a churning fleet. With four or more shards, the shard
+//!    halfway round takes a second such turn in the same phase, so a
+//!    two-worker fan-out re-lays at most one shard per worker per phase.
 //! 3. **Gather.** Worker `w` walks its slice again and copies each
 //!    observation's reply from its shard's list into its own contiguous
 //!    part of the output.
@@ -427,10 +429,13 @@ fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) 
 /// Whether shard `s` of `nshards` records its walk in the pass whose relay
 /// turn is `turn`. A shard's turn spans two passes: shard `turn` records,
 /// and so does the shard whose turn began one pass earlier, which may then
-/// re-lay its table in its walk's order (see the `table` module). So at
-/// most one shard re-lays per pass.
+/// re-lay its table in its walk's order (see the `table` module). With four
+/// or more shards a second turn runs in the same pass, `nshards / 2` shards
+/// round, so at most two shards re-lay per pass, and when a fan-out chunks
+/// the shards onto two workers, one turn falls in each worker's chunk.
 fn records_walk(s: usize, nshards: usize, turn: usize) -> bool {
-    s == turn || (s + 1) % nshards == turn
+    let in_turn = |t: usize| s == t || (s + 1) % nshards == t;
+    in_turn(turn) || (nshards >= 4 && in_turn((turn + nshards / 2) % nshards))
 }
 
 /// Ends shard `s`'s walk in the pass whose relay turn is `turn`, telling
@@ -1165,19 +1170,22 @@ mod tests {
         }
     }
 
-    /// A fleet of `MACHINES` machines that run services with local pids
-    /// from 1, presented machine by machine, as a fleet driver does.
-    struct ChurnedFleet(Vec<Vec<u64>>);
+    /// A fleet of machines that run services with local pids from 1,
+    /// presented machine by machine, as a fleet driver does.
+    struct ChurnedFleet {
+        /// Each machine's id and its services' local pids.
+        machines: Vec<(u32, Vec<u64>)>,
+        next_machine: u32,
+    }
 
     impl ChurnedFleet {
-        const MACHINES: u64 = 1_000;
-
-        fn new(services: u64) -> Self {
-            Self(
-                (0..Self::MACHINES)
-                    .map(|_| (1..=services).collect())
+        fn new(machines: u32, services: u64) -> Self {
+            Self {
+                machines: (0..machines)
+                    .map(|m| (m, (1..=services).collect()))
                     .collect(),
-            )
+                next_machine: machines,
+            }
         }
 
         /// One tick's churn: `events` random departures and as many
@@ -1186,20 +1194,65 @@ mod tests {
         fn churn(&mut self, epoch: u64, events: u64, mut depart: impl FnMut(u64, ProcessId)) {
             for i in 0..2 * events {
                 let r = mix64(epoch << 32 | i);
-                let m = (r % Self::MACHINES) as usize;
-                let services = &mut self.0[m];
+                let m = (r % self.machines.len() as u64) as usize;
+                let (m, services) = &mut self.machines[m];
                 if i % 2 == 0 && !services.is_empty() {
                     let local = services.remove((r >> 32) as usize % services.len());
-                    depart(r, ProcessId::from_parts(m as u32, local));
+                    depart(r, ProcessId::from_parts(*m, local));
                 } else {
                     services.push(services.last().map_or(1, |&l| l + 1));
                 }
             }
         }
 
+        /// One tick at the fleet benchmark's rates: each service departs
+        /// with probability 1/500 and each machine gains one with
+        /// probability 1/50, filed after its others; each machine is
+        /// decommissioned with probability 1/2500, and the last machine
+        /// takes its place in the presentation order; and `boots` machines
+        /// of `services` services join at the end. Each departure is handed
+        /// to `depart`.
+        fn churn_at_bench_rates(
+            &mut self,
+            epoch: u64,
+            boots: u32,
+            services: u64,
+            mut depart: impl FnMut(ProcessId),
+        ) {
+            let draw = |a: u64, b: u64| mix64((epoch << 40) ^ (a << 20) ^ b);
+            let mut i = 0;
+            while i < self.machines.len() {
+                let m = self.machines[i].0;
+                if draw(u64::from(m), 0).is_multiple_of(2_500) {
+                    let (m, gone) = self.machines.swap_remove(i);
+                    gone.iter()
+                        .for_each(|&local| depart(ProcessId::from_parts(m, local)));
+                    continue;
+                }
+                let locals = &mut self.machines[i].1;
+                locals.retain(|&local| {
+                    let stays = !draw(u64::from(m), local).is_multiple_of(500);
+                    if !stays {
+                        depart(ProcessId::from_parts(m, local));
+                    }
+                    stays
+                });
+                if draw(u64::from(m), 1 << 19).is_multiple_of(50) {
+                    let next = locals.last().map_or(1, |&l| l + 1);
+                    locals.push(next);
+                }
+                i += 1;
+            }
+            for _ in 0..boots {
+                self.machines
+                    .push((self.next_machine, (1..=services).collect()));
+                self.next_machine += 1;
+            }
+        }
+
         fn pids(&self) -> impl Iterator<Item = ProcessId> + '_ {
-            self.0.iter().zip(0u32..).flat_map(|(services, m)| {
-                services.iter().map(move |&l| ProcessId::from_parts(m, l))
+            self.machines.iter().flat_map(|(m, services)| {
+                services.iter().map(move |&l| ProcessId::from_parts(*m, l))
             })
         }
     }
@@ -1214,15 +1267,21 @@ mod tests {
         1.0 - misses as f64 / lookups as f64
     }
 
+    /// Each shard's re-lays so far.
+    fn relays_per_shard(e: &ShardedEngine) -> Vec<u64> {
+        e.shards.iter().map(ValkyrieEngine::relays).collect()
+    }
+
     /// A churning fleet keeps the lookup cursor hitting on every binary
     /// route: over 240 ticks, each forgetting ~0.5% of 10k fleet-packed
     /// pids and registering as many inside their machine's run of pids, the
     /// round-robin re-lay lays each shard's table back in presentation
     /// order, on the fan-out, on the inline route of a many-shard engine
-    /// and in a one-shard engine alike. The three answer bit for bit alike.
+    /// and in a one-shard engine alike, so the last tick hits at least 95%
+    /// of the time. The three answer bit for bit alike.
     #[test]
     fn round_robin_re_lay_keeps_the_cursor_hitting_under_churn() {
-        let mut fleet = ChurnedFleet::new(10);
+        let mut fleet = ChurnedFleet::new(1_000, 10);
         let mut fan_out = ShardedEngine::new(config(1 << 40), 16);
         fan_out.set_parallel_threshold(1);
         fan_out.host_workers = 2;
@@ -1254,8 +1313,78 @@ mod tests {
             ("one shard", &one_shard),
         ] {
             let hit_share = last_walk_hit_share(e);
-            assert!(hit_share >= 0.9, "{route}: last tick hit {hit_share:.3}");
+            assert!(hit_share >= 0.95, "{route}: last tick hit {hit_share:.3}");
         }
+    }
+
+    /// A 16-shard fan-out on two workers chunks shards 0–7 onto one worker
+    /// and 8–15 onto the other. The pass's two relay turns fall one in each
+    /// chunk, so neither worker re-lays more than one shard per pass while
+    /// the other waits, and under churn both of them re-lay.
+    #[test]
+    fn a_two_worker_fan_out_re_lays_at_most_one_shard_per_worker_per_pass() {
+        let mut fleet = ChurnedFleet::new(1_000, 10);
+        let mut e = ShardedEngine::new(config(1 << 40), 16);
+        e.set_parallel_threshold(1);
+        e.host_workers = 2;
+        let mut before = relays_per_shard(&e);
+        let mut per_chunk = [0; 2];
+        for epoch in 0..120u64 {
+            fleet.churn(epoch, 50, |_, pid| e.forget(pid));
+            let batch: Vec<_> = fleet.pids().map(|pid| (pid, Benign)).collect();
+            drop(e.tick(&batch));
+            let after = relays_per_shard(&e);
+            for (chunk, total) in per_chunk.iter_mut().enumerate() {
+                let shards = chunk * 8..(chunk + 1) * 8;
+                let relays: u64 = shards.map(|s| after[s] - before[s]).sum();
+                assert!(relays <= 1, "epoch {epoch}: chunk {chunk} re-laid {relays}");
+                *total += relays;
+            }
+            before = after;
+        }
+        assert!(per_chunk.iter().all(|&n| n > 0), "{per_chunk:?}");
+    }
+
+    /// The release churn stress CI runs: 200k fleet-packed pids on 16
+    /// shards over 150 ticks at the fleet benchmark's churn rates, with
+    /// `N*` 20 and one flag in 200, so terminated processes are purged
+    /// too. The fan-out on two workers answers bit for bit like the inline
+    /// route, and from tick 30 on the cursor hits at least 94% of the
+    /// time on average.
+    #[test]
+    #[ignore = "stress: run with --release -- --ignored"]
+    fn churn_stress_at_fleet_scale_keeps_the_cursor_hitting() {
+        const SERVICES: u64 = 10;
+        let mut fleet = ChurnedFleet::new(20_000, SERVICES);
+        let mut fan_out = ShardedEngine::with_capacity(config(20), 16, 200_000);
+        fan_out.set_parallel_threshold(1);
+        fan_out.host_workers = 2;
+        let mut inline = ShardedEngine::with_capacity(config(20), 16, 200_000);
+        inline.set_parallel_threshold(usize::MAX);
+        let mut steady = Vec::new();
+        for epoch in 0..150u64 {
+            // 40 machine boots a tick in a 100k-machine fleet, scaled down.
+            let boots = 8;
+            fleet.churn_at_bench_rates(epoch, boots, SERVICES, |pid| {
+                fan_out.forget(pid);
+                inline.forget(pid);
+            });
+            let batch: Vec<(ProcessId, Classification)> = fleet
+                .pids()
+                .map(|pid| {
+                    let flag = mix64(pid.0 ^ epoch).is_multiple_of(200);
+                    (pid, if flag { Malicious } else { Benign })
+                })
+                .collect();
+            let want: Vec<_> = inline.tick(&batch).iter().map(bits).collect();
+            let got: Vec<_> = fan_out.tick(&batch).iter().map(bits).collect();
+            assert!(got == want, "epoch {epoch}");
+            if epoch >= 30 {
+                steady.push(last_walk_hit_share(&fan_out));
+            }
+        }
+        let mean = steady.iter().sum::<f64>() / steady.len() as f64;
+        assert!(mean >= 0.94, "steady-state mean hit share {mean:.3}");
     }
 
     /// Every field of a response, floats as bits so `-0.0` is not `0.0`.
@@ -1278,7 +1407,7 @@ mod tests {
     /// (grouped by shard, so compared by pid). Returns the 8-shard engine's
     /// hit share on each drain and how many re-lays it made.
     fn churned_verdict_drains(slow: impl Fn(u64, usize, ProcessId) -> bool) -> (Vec<f64>, u64) {
-        let mut fleet = ChurnedFleet::new(4);
+        let mut fleet = ChurnedFleet::new(1_000, 4);
         let mut sharded = ShardedEngine::new(config(1 << 40), 8);
         let mut single = ShardedEngine::new(config(1 << 40), 1);
         let publishers = [&mut sharded, &mut single]
@@ -1337,13 +1466,13 @@ mod tests {
     /// between, which the cursor's second candidate hits. The re-lay test
     /// must count those as hits, or it re-lays only once churn has taken
     /// the hit share down to ~63%: every drain after the one that registers
-    /// the fleet hits at least 70% of the time.
+    /// the fleet hits at least 77% of the time.
     #[test]
     fn a_walk_that_skips_every_other_record_re_lays_in_time() {
         let (hit_shares, relays) = churned_verdict_drains(|_, i, _| i % 2 == 0);
         assert!(relays > 0, "never re-laid");
         for (epoch, &hit) in hit_shares.iter().enumerate().skip(1) {
-            assert!(hit >= 0.7, "drain {epoch} hit {hit:.3}");
+            assert!(hit >= 0.77, "drain {epoch} hit {hit:.3}");
         }
     }
 

@@ -337,6 +337,31 @@ fn identical_ingest_runs_are_deterministic() {
     assert_eq!(first, reference);
 }
 
+/// Regression: a defended ring used to drain its priority lane before its
+/// normal lane, so a pid that turned hot between two of its publishes in
+/// one drain window had its later entry applied first. Here pid 5's Benign
+/// entry is queued in the normal lane, a synchronous tick marks pid 5 hot,
+/// and its Malicious entry goes to the priority lane: the drain must apply
+/// Benign then Malicious, as the undefended engine does.
+#[test]
+fn a_pid_that_turns_hot_mid_window_is_applied_in_publish_order() {
+    let pid = ProcessId(5);
+    let [undefended, defended] = [IngestDefense::default(), IngestDefense::full()].map(|defense| {
+        let mut engine = ShardedEngine::new(engine_config(100, false), 2);
+        let publisher = engine.enable_ingest_defended(64, OverflowPolicy::Block, defense);
+        assert!(publisher.publish(pid, Classification::Benign));
+        engine.tick(&[(pid, Classification::Malicious)]);
+        assert!(publisher.publish(pid, Classification::Malicious));
+        engine.drain_batch()
+    });
+    assert_eq!(defended, undefended);
+    let answers: Vec<_> = undefended
+        .iter()
+        .map(|r| (r.threat.value(), r.action))
+        .collect();
+    assert_eq!(answers, [(0.0, Action::Restore), (2.0, Action::Throttle)]);
+}
+
 /// Detector threads racing the epoch driver: every published observation
 /// is eventually consumed exactly once, and the engine's bookkeeping adds
 /// up — without any cross-thread synchronisation beyond the rings.
