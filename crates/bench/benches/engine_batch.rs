@@ -47,9 +47,10 @@
 //! fleet under `fleet_churn`'s service churn (~0.2% departures and ~0.2%
 //! arrivals per tick, each arrival presented inside its machine's run of
 //! pids), so the cursor's erosion under churn and the re-lay that repairs
-//! it show here: two relay turns per tick, half the shards apart, so the
-//! fan-out re-lays at most one shard per worker and tick, each shard about
-//! every eighth tick. Its timed tick includes the churn draw, one
+//! it show here: each shard's ~62.5k-record table outgrows L2, so it
+//! takes two relay turns per tick, half the shards apart, and the fan-out
+//! re-lays at most one shard per worker and tick, each shard about every
+//! eighth tick. Its timed tick includes the churn draw, one
 //! pass over the batch, and the engine's `forget` calls. The fan-out's
 //! serial passes and the second core's payoff only show at this size.
 //!

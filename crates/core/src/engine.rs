@@ -878,6 +878,12 @@ impl ValkyrieEngine {
         self.procs.end_walk(next_recorded);
     }
 
+    /// Whether the process table is large enough to outgrow L2 (see
+    /// [`ProcessTable::is_large`]).
+    pub(crate) fn has_large_table(&self) -> bool {
+        self.procs.is_large()
+    }
+
     /// The `(lookups, misses)` of the table's current or last walk.
     #[cfg(test)]
     pub(crate) fn walk_counts(&self) -> (usize, usize) {

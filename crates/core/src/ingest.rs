@@ -724,14 +724,19 @@ impl<P: CoalesceKey> IngestQueues<P> {
                 seqs.push(obs.seq);
             }
         };
-        let mut priority = priority.drain(..).peekable();
-        for obs in normal.drain(..) {
-            while let Some(first) = priority.next_if(|p| p.seq < obs.seq) {
-                emit(first);
+        if priority.is_empty() {
+            // No entry turned hot (or no defense): nothing to merge.
+            normal.drain(..).for_each(emit);
+        } else {
+            let mut priority = priority.drain(..).peekable();
+            for obs in normal.drain(..) {
+                while let Some(first) = priority.next_if(|p| p.seq < obs.seq) {
+                    emit(first);
+                }
+                emit(obs);
             }
-            emit(obs);
+            priority.for_each(emit);
         }
-        priority.for_each(emit);
         state.occupancy.clear();
         drop(state);
         if n > 0 {

@@ -19,9 +19,10 @@
 //!    of its process table. Round robin, one shard per step phase records
 //!    its walk on that phase and the next, and on the second may re-lay
 //!    its table in walk order, which keeps the table's lookup cursor in
-//!    step with a churning fleet. With four or more shards, the shard
-//!    halfway round takes a second such turn in the same phase, so a
-//!    two-worker fan-out re-lays at most one shard per worker per phase.
+//!    step with a churning fleet. With six or more shards, a shard
+//!    halfway round whose table outgrows L2 takes a second such turn in
+//!    the same phase, so a two-worker fan-out over an even number of
+//!    shards re-lays at most one shard per worker per phase.
 //! 3. **Gather.** Worker `w` walks its slice again and copies each
 //!    observation's reply from its shard's list into its own contiguous
 //!    part of the output.
@@ -426,23 +427,31 @@ fn fan_out<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) 
     });
 }
 
-/// Whether shard `s` of `nshards` records its walk in the pass whose relay
-/// turn is `turn`. A shard's turn spans two passes: shard `turn` records,
-/// and so does the shard whose turn began one pass earlier, which may then
-/// re-lay its table in its walk's order (see the `table` module). With four
-/// or more shards a second turn runs in the same pass, `nshards / 2` shards
-/// round, so at most two shards re-lay per pass, and when a fan-out chunks
-/// the shards onto two workers, one turn falls in each worker's chunk.
-fn records_walk(s: usize, nshards: usize, turn: usize) -> bool {
+/// Whether `shard`, shard `s` of `nshards`, records its walk in the pass
+/// whose relay turn is `turn`. A shard's turn spans two passes: shard
+/// `turn` records, and so does the shard whose turn began one pass
+/// earlier, which may then re-lay its table in its walk's order (see the
+/// `table` module).
+///
+/// With six or more shards a second turn runs in the same pass,
+/// `nshards / 2` shards round, for shards whose table is large (see
+/// [`ValkyrieEngine::has_large_table`]), where a cursor miss costs a cache
+/// miss. So at most two shards re-lay per pass, and when a fan-out chunks
+/// an even number of shards onto two workers, one turn falls in each
+/// worker's chunk. Six keeps the two turns apart by at least one pass that
+/// each shard does not record, so no shard records every pass.
+fn records_walk(shard: &ValkyrieEngine, s: usize, nshards: usize, turn: usize) -> bool {
     let in_turn = |t: usize| s == t || (s + 1) % nshards == t;
-    in_turn(turn) || (nshards >= 4 && in_turn((turn + nshards / 2) % nshards))
+    in_turn(turn)
+        || (nshards >= 6 && shard.has_large_table() && in_turn((turn + nshards / 2) % nshards))
 }
 
 /// Ends shard `s`'s walk in the pass whose relay turn is `turn`, telling
 /// its table whether it records the next pass too (so keeps its position
 /// buffer for it: every pass, in a one- or two-shard engine).
 fn end_walk(shard: &mut ValkyrieEngine, s: usize, nshards: usize, turn: usize) {
-    shard.end_walk(records_walk(s, nshards, (turn + 1) % nshards));
+    let next_recorded = records_walk(shard, s, nshards, (turn + 1) % nshards);
+    shard.end_walk(next_recorded);
 }
 
 /// Runs `pass` over `shards` as one walk of every shard's table, with the
@@ -451,7 +460,7 @@ fn end_walk(shard: &mut ValkyrieEngine, s: usize, nshards: usize, turn: usize) {
 fn walked(shards: &mut [ValkyrieEngine], turn: usize, pass: impl FnOnce(&mut [ValkyrieEngine])) {
     let nshards = shards.len();
     for (s, shard) in shards.iter_mut().enumerate() {
-        shard.begin_walk(records_walk(s, nshards, turn));
+        shard.begin_walk(records_walk(shard, s, nshards, turn));
     }
     pass(shards);
     for (s, shard) in shards.iter_mut().enumerate() {
@@ -495,7 +504,7 @@ fn step_shards(
             .enumerate()
         {
             let s = job * chunk + i;
-            shard.begin_walk(records_walk(s, nshards, turn));
+            shard.begin_walk(records_walk(shard, s, nshards, turn));
             for (w, reply) in replies.iter_mut().enumerate() {
                 let bucket = &buckets[w * nshards + s];
                 reply.clear();
@@ -1317,32 +1326,66 @@ mod tests {
         }
     }
 
-    /// A 16-shard fan-out on two workers chunks shards 0–7 onto one worker
-    /// and 8–15 onto the other. The pass's two relay turns fall one in each
-    /// chunk, so neither worker re-lays more than one shard per pass while
-    /// the other waits, and under churn both of them re-lay.
-    #[test]
-    fn a_two_worker_fan_out_re_lays_at_most_one_shard_per_worker_per_pass() {
-        let mut fleet = ChurnedFleet::new(1_000, 10);
-        let mut e = ShardedEngine::new(config(1 << 40), 16);
+    /// Re-lays per pass of an `nshards`-shard fan-out on two workers over
+    /// 120 churned ticks of a `machines`-machine fleet of 10 services each:
+    /// asserts that no worker's chunk re-lays more than one shard in a
+    /// pass, and returns each chunk's total and the most re-lays of any
+    /// pass.
+    fn re_lays_per_chunk(nshards: usize, machines: u32) -> ([u64; 2], u64) {
+        let mut fleet = ChurnedFleet::new(machines, 10);
+        let mut e = ShardedEngine::new(config(1 << 40), nshards);
         e.set_parallel_threshold(1);
         e.host_workers = 2;
+        let chunk = nshards.div_ceil(2);
         let mut before = relays_per_shard(&e);
-        let mut per_chunk = [0; 2];
+        let (mut per_chunk, mut most) = ([0; 2], 0);
         for epoch in 0..120u64 {
-            fleet.churn(epoch, 50, |_, pid| e.forget(pid));
+            fleet.churn(epoch, u64::from(machines) / 20, |_, pid| e.forget(pid));
             let batch: Vec<_> = fleet.pids().map(|pid| (pid, Benign)).collect();
             drop(e.tick(&batch));
             let after = relays_per_shard(&e);
-            for (chunk, total) in per_chunk.iter_mut().enumerate() {
-                let shards = chunk * 8..(chunk + 1) * 8;
+            let mut pass = 0;
+            for (c, total) in per_chunk.iter_mut().enumerate() {
+                let shards = c * chunk..((c + 1) * chunk).min(nshards);
                 let relays: u64 = shards.map(|s| after[s] - before[s]).sum();
-                assert!(relays <= 1, "epoch {epoch}: chunk {chunk} re-laid {relays}");
+                assert!(
+                    relays <= 1,
+                    "{nshards} shards, epoch {epoch}: chunk {c} re-laid {relays}"
+                );
                 *total += relays;
+                pass += relays;
             }
+            most = most.max(pass);
             before = after;
         }
+        (per_chunk, most)
+    }
+
+    /// A 16-shard fan-out on two workers chunks shards 0–7 onto one worker
+    /// and 8–15 onto the other. With large tables the pass's two relay
+    /// turns fall one in each chunk, so neither worker re-lays more than
+    /// one shard per pass while the other waits, and under churn both of
+    /// them re-lay. Four shards take one turn per pass: with two, every
+    /// shard would record every pass and all four could re-lay at once.
+    #[test]
+    fn a_two_worker_fan_out_re_lays_at_most_one_shard_per_worker_per_pass() {
+        let (per_chunk, most) = re_lays_per_chunk(16, 1_000);
         assert!(per_chunk.iter().all(|&n| n > 0), "{per_chunk:?}");
+        assert_eq!(most, 2, "two turns per pass");
+        let (per_chunk, most) = re_lays_per_chunk(4, 1_000);
+        assert!(per_chunk.iter().all(|&n| n > 0), "{per_chunk:?}");
+        assert_eq!(most, 1, "one turn per pass");
+    }
+
+    /// Shards whose tables fit in L2 take one relay turn per pass however
+    /// many there are: a 16-shard engine of ~150-record tables re-lays at
+    /// most one shard per pass.
+    #[test]
+    fn small_tables_take_one_relay_turn_per_pass() {
+        const { assert!(2_400 / 16 < crate::table::LARGE_TABLE) };
+        let (per_chunk, most) = re_lays_per_chunk(16, 240);
+        assert!(per_chunk.iter().sum::<u64>() > 0, "never re-laid");
+        assert_eq!(most, 1);
     }
 
     /// The release churn stress CI runs: 200k fleet-packed pids on 16

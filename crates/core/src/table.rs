@@ -48,10 +48,12 @@
 //! record out of presentation order for good. The caller therefore brackets
 //! one pass over its batch with `begin_walk`/`end_walk`, which count the
 //! lookups and the misses (probes). A recorded walk also notes where each
-//! record it returned was looked up. If more than 1/64 of a recorded walk
-//! missed and so did the recorded walk just before it, `end_walk` works out
-//! how often this walk would have missed had the records been laid out in
-//! the earlier walk's order. If that halves the misses, the driver's order
+//! record it returned was looked up. If more than a set share of a
+//! recorded walk missed (1/64 in a large table, whose index and records
+//! outgrow L2, so each miss costs a cache miss; 1/16 in one that fits) and
+//! so did the recorded walk just before it, `end_walk` works out how often
+//! this walk would have missed had the records been laid out in the
+//! earlier walk's order. If that halves the misses, the driver's order
 //! is stable and churn broke the cursor, so it re-lays the records in this
 //! walk's order: every record moves to its position in the walk, and the
 //! index keeps its slots while its positions are rewritten. A driver that
@@ -72,9 +74,10 @@
 //! The sharded engine brackets every bulk pass with a walk (its fan-out,
 //! its inline route, a one-shard engine, and each shard's absorb pass on
 //! the verdict path) and gives one shard per pass, round robin, a turn of
-//! two recorded walks; with four or more shards, the shard halfway round
-//! takes a second turn in the same pass, so at most two shards re-lay per
-//! pass, and on a two-worker fan-out one on each worker. A re-lay moves the
+//! two recorded walks; with six or more shards, a large table halfway
+//! round takes a second turn in the same pass, so at most two shards
+//! re-lay per pass, and on a two-worker fan-out over an even number of
+//! shards one on each worker. A re-lay moves the
 //! column with the records. A walk entry that is stale, duplicated or out
 //! of range is skipped, so a bad walk can cost speed but never lose or
 //! duplicate a record.
@@ -124,9 +127,23 @@ fn slots_for(n: usize) -> usize {
         .max(MIN_SLOTS)
 }
 
-/// A walk misses too often, and may lead to a re-lay, once more than one
-/// lookup in this many missed the cursor.
-const RELAY_MISS_SHARE: usize = 64;
+/// A table with at least this many records is large: its index (8 bytes
+/// a slot, at load 7/8 or less) and its records outgrow a core's L2 of a
+/// few MiB, so every lookup that misses the cursor costs a cache miss.
+/// The crate's unit tests lower it, so that their fleets of a few thousand
+/// pids take the large tables' rule.
+#[cfg(not(test))]
+pub(crate) const LARGE_TABLE: usize = 1 << 15;
+#[cfg(test)]
+pub(crate) const LARGE_TABLE: usize = 1 << 8;
+
+/// A walk of a large table misses too often, and may lead to a re-lay,
+/// once more than one lookup in this many missed the cursor.
+const LARGE_RELAY_MISS_SHARE: usize = 64;
+
+/// The same for a table that fits in L2, whose probes are cheap enough
+/// that re-laying it that early would cost more than the misses it saves.
+const SMALL_RELAY_MISS_SHARE: usize = 16;
 
 /// Marks a position that a walk's rank never saw, or that the re-lay has
 /// not placed yet. Positions stay below 2^32 - 1 because the index holds
@@ -424,8 +441,9 @@ impl<V, C: Default> ProcessTable<V, C> {
     /// that records every walk does not allocate one per walk. Otherwise
     /// the buffers are freed, and no table holds one between turns.
     ///
-    /// A re-lay takes two recorded walks in a row. If more than 1/64 of a
-    /// recorded walk missed, the table keeps its rank. If the very next
+    /// A re-lay takes two recorded walks in a row. If more than
+    /// [`Self::relay_miss_share`] of a recorded walk missed, the table
+    /// keeps its rank. If the very next
     /// walk is recorded and missed that often too, the table counts how
     /// many of its lookups would have missed had the records been laid out
     /// in the kept walk's order. Only if that is less than half of what did
@@ -442,7 +460,7 @@ impl<V, C: Default> ProcessTable<V, C> {
             self.walk.missed = None;
             return;
         };
-        let missed = self.walk.misses * RELAY_MISS_SHARE > self.walk.lookups;
+        let missed = self.walk.misses * self.relay_miss_share() > self.walk.lookups;
         let buf = match recording {
             Recording::Rank(rank) if missed => {
                 self.walk.missed = Some(rank);
@@ -466,6 +484,22 @@ impl<V, C: Default> ProcessTable<V, C> {
             }
         };
         self.walk.spare = next_recorded.then_some(buf);
+    }
+
+    /// Whether the table is large (see [`LARGE_TABLE`]): the sharded
+    /// engine gives large tables a second relay turn per pass.
+    pub(crate) fn is_large(&self) -> bool {
+        self.records.len() >= LARGE_TABLE
+    }
+
+    /// One over the share of a walk's lookups that must miss before the
+    /// walk may lead to a re-lay: 64 in a large table, 16 in a small one.
+    fn relay_miss_share(&self) -> usize {
+        if self.is_large() {
+            LARGE_RELAY_MISS_SHARE
+        } else {
+            SMALL_RELAY_MISS_SHARE
+        }
     }
 
     /// The `(lookups, misses)` of the current or last walk.
@@ -1058,7 +1092,7 @@ mod tests {
         let before = order(&t);
         let (lookups, misses) = walk(&mut t, &pids, true);
         assert!(
-            misses * RELAY_MISS_SHARE > lookups,
+            misses * t.relay_miss_share() > lookups,
             "{misses} of {lookups} missed"
         );
         assert_eq!(order(&t), before, "one walk is not enough");
@@ -1066,6 +1100,30 @@ mod tests {
         assert_eq!(order(&t), pids);
         assert_eq!(walk(&mut t, &pids, false), (1000, 0));
         t.check_invariants();
+    }
+
+    /// A walk of a small table may miss up to 1/16 of its lookups and not
+    /// lead to a re-lay; a large table re-lays once more than 1/64 miss.
+    #[test]
+    fn only_a_large_table_re_lays_below_one_miss_in_16() {
+        for (n, relays) in [(LARGE_TABLE / 2, 0), (4 * LARGE_TABLE, 1)] {
+            let mut t = ProcessTable::with_capacity(0);
+            let mut pids: Vec<u64> = (0..n as u64).collect();
+            walk(&mut t, &pids, false);
+            for i in 0..n / 64 {
+                let gone = pids.remove(i * 50);
+                t.remove(ProcessId(gone));
+                pids.insert(i * 50 + 7, (1 << 32) + i as u64);
+            }
+            walk(&mut t, &pids, false);
+            let (lookups, misses) = walk(&mut t, &pids, true);
+            assert!(
+                misses * 64 > lookups && misses * 16 <= lookups,
+                "{n} records: {misses} of {lookups} missed"
+            );
+            walk(&mut t, &pids, true);
+            assert_eq!(t.relays(), relays, "{n} records");
+        }
     }
 
     /// A driver that presents its pids in a fresh order every walk would
