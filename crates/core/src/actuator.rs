@@ -273,12 +273,20 @@ impl ShareActuator {
     /// response depends on is carried in its resource vector.
     pub fn apply(&self, prev: &ResourceVector, delta_threat: f64) -> ResourceVector {
         let mut next = *prev;
-        let share = self
-            .law
-            .step_share(prev.get(self.kind), delta_threat)
-            .max(self.floor);
-        next.set(self.kind, share);
+        next.set(
+            self.kind,
+            self.next_share(prev.get(self.kind), delta_threat),
+        );
         next
+    }
+
+    /// The share [`Self::apply`] moves this actuator's kind to from
+    /// `share`, clamped into `[0, 1]` as [`ResourceVector::set`] does.
+    fn next_share(&self, share: f64, delta_threat: f64) -> f64 {
+        self.law
+            .step_share(share, delta_threat)
+            .max(self.floor)
+            .clamp(0.0, 1.0)
     }
 
     /// Checks that the actuator's parameters give a defined response,
@@ -316,15 +324,40 @@ impl ShareActuator {
 /// Applies several [`ShareActuator`]s in sequence, so multiple resources can
 /// be throttled at once (e.g. the ransomware case study throttles both CPU
 /// time and file-access rate).
+///
+/// Every part moves only its own kind, and every restore writes full
+/// shares, so a kind that no part names always stays at 1.0. When every
+/// part names the first part's kind, one share therefore stands for the
+/// whole vector: [`Self::apply_share`] moves it and [`Self::resources`]
+/// rebuilds the vector from it.
 #[derive(Debug, Clone)]
 pub(crate) struct CompositeActuator {
     parts: Vec<ShareActuator>,
+    /// The kind the first part moves.
+    kind: ResourceKind,
+    /// Whether every part moves `kind`.
+    single_kind: bool,
 }
 
 impl CompositeActuator {
     /// Creates a composite from individual per-resource actuators.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty.
     pub(crate) fn new(parts: Vec<ShareActuator>) -> Self {
-        Self { parts }
+        let kind = parts[0].kind;
+        let single_kind = parts.iter().all(|part| part.kind == kind);
+        Self {
+            parts,
+            kind,
+            single_kind,
+        }
+    }
+
+    /// Whether every part moves the first part's kind.
+    pub(crate) fn single_kind(&self) -> bool {
+        self.single_kind
     }
 
     /// Applies every part in order.
@@ -334,6 +367,30 @@ impl CompositeActuator {
             r = part.apply(&r, delta_threat);
         }
         r
+    }
+
+    /// [`Self::apply`] on the first part's kind alone, bit for bit: every
+    /// part in order moves `share`. Only meaningful when
+    /// [`Self::single_kind`].
+    #[inline]
+    pub(crate) fn apply_share(&self, share: f64, delta_threat: f64) -> f64 {
+        self.parts
+            .iter()
+            .fold(share, |share, part| part.next_share(share, delta_threat))
+    }
+
+    /// The full vector with the first part's kind at `share`, which
+    /// [`Self::apply_share`] or a restore to 1.0 left in `[0, 1]`, so it
+    /// goes in unclamped.
+    #[inline]
+    pub(crate) fn resources(&self, share: f64) -> ResourceVector {
+        let full = ResourceVector::FULL;
+        match self.kind {
+            ResourceKind::Cpu => ResourceVector { cpu: share, ..full },
+            ResourceKind::Memory => ResourceVector { mem: share, ..full },
+            ResourceKind::Network => ResourceVector { net: share, ..full },
+            ResourceKind::Filesystem => ResourceVector { fs: share, ..full },
+        }
     }
 }
 

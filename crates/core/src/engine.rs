@@ -330,14 +330,63 @@ impl EngineConfigBuilder {
 }
 
 /// One tracked process: its Algorithm 1 cycle (which also keeps its last
-/// escalation rung) and the shares it runs under. Everything shared (`N*`,
-/// the assessment functions, the actuator) stays in the engine's
-/// [`EngineConfig`], so the record is plain data with no heap allocation of
-/// its own.
+/// escalation rung) and its share of the resource kind the first actuator
+/// part moves. Everything shared (`N*`, the assessment functions, the
+/// actuator) stays in the engine's [`EngineConfig`], so the record is plain
+/// data with no heap allocation of its own.
+///
+/// A kind that no actuator part names is always at 1.0, so when every part
+/// names the first part's kind, `share` is all of the process's shares, and
+/// responses and [`ValkyrieEngine::resources`] rebuild the
+/// [`ResourceVector`] from it. An engine whose parts name two or more kinds
+/// keeps each process's whole vector in the table's second column instead,
+/// and leaves `share` unused.
 #[derive(Debug, Clone)]
 struct TrackedProcess {
     cycle: CycleState,
-    resources: ResourceVector,
+    share: f64,
+}
+
+/// Where a process's shares live: its record's one share, or its entry in
+/// the shares column under a multi-kind actuator (see [`TrackedProcess`]).
+enum Shares<'a> {
+    One(&'a mut f64),
+    All(&'a mut ResourceVector),
+}
+
+impl Shares<'_> {
+    fn of<'a>(share: &'a mut f64, column: Option<&'a mut ResourceVector>) -> Shares<'a> {
+        match column {
+            Some(all) => Shares::All(all),
+            None => Shares::One(share),
+        }
+    }
+
+    /// Runs every actuator part for a threat change of `delta_threat`.
+    #[inline(always)]
+    fn adjust(&mut self, actuator: &CompositeActuator, delta_threat: f64) {
+        match self {
+            Shares::One(share) => **share = actuator.apply_share(**share, delta_threat),
+            Shares::All(all) => **all = actuator.apply(all, delta_threat),
+        }
+    }
+
+    /// Restores every share to full.
+    #[inline(always)]
+    fn restore(&mut self) {
+        match self {
+            Shares::One(share) => **share = 1.0,
+            Shares::All(all) => **all = ResourceVector::FULL,
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, actuator: &CompositeActuator) -> ResourceVector {
+        match self {
+            Shares::One(share) => actuator.resources(**share),
+            Shares::All(all) => **all,
+        }
+    }
 }
 
 /// Detector ids at or above this are dropped at absorption: each distinct
@@ -350,15 +399,18 @@ const MAX_DETECTORS: usize = 64;
 /// every forget.
 const TERMINAL_SLACK: usize = 64;
 
-// A shard's table holds up to a million of these records; keep each small.
-const _: () = assert!(std::mem::size_of::<(ProcessId, TrackedProcess)>() <= 88);
+// A shard's table holds up to a million of these records, one cache line's
+// worth each: the pid (8 B), `CycleState` (48 B, five of them spare) and
+// the share (8 B). Not `repr(align(64))`: measured on `tenant_fused`, the
+// aligned table raised setup time and peak RSS past their bounds.
+const _: () = assert!(std::mem::size_of::<(ProcessId, TrackedProcess)>() == 64);
 
 impl TrackedProcess {
     /// A newly registered process: normal, full shares.
     fn new() -> Self {
         TrackedProcess {
             cycle: CycleState::new(),
-            resources: ResourceVector::FULL,
+            share: 1.0,
         }
     }
 }
@@ -367,7 +419,7 @@ impl TrackedProcess {
 /// Algorithm 1 cycle) and turns the report into the response to enact,
 /// updating the tracked shares and the escalation-transition telemetry.
 /// Free-standing so the engine can split-borrow its config, its table
-/// record and its ledgers.
+/// record (with its shares-column entry, if any) and its ledgers.
 ///
 /// A step that takes a live process to *terminated* queues its pid on
 /// `terminal` for the next purge. Re-observing an already terminated
@@ -377,22 +429,25 @@ fn step(
     config: &EngineConfig,
     pid: ProcessId,
     tracked: &mut TrackedProcess,
+    column: Option<&mut ResourceVector>,
     stats: &mut FusionStats,
     terminal: &mut Vec<ProcessId>,
     advance: impl FnOnce(&EngineConfig, &mut CycleState) -> StepReport,
 ) -> EngineResponse {
-    let was_live = tracked.cycle.state().is_live();
-    let report = advance(config, &mut tracked.cycle);
+    let cycle = &mut tracked.cycle;
+    let mut shares = Shares::of(&mut tracked.share, column);
+    let was_live = cycle.state().is_live();
+    let report = advance(config, cycle);
     if was_live && !report.state.is_live() {
         terminal.push(pid);
     }
-    if tracked.cycle.record_level(report.level) {
+    if cycle.record_level(report.level) {
         stats.escalations += 1;
     }
     let action = match report.directive {
         Directive::Continue => Action::None,
         Directive::Adjust { delta_threat } => {
-            tracked.resources = config.actuator.apply(&tracked.resources, delta_threat);
+            shares.adjust(&config.actuator, delta_threat);
             if delta_threat > 0.0 {
                 Action::Throttle
             } else if delta_threat < 0.0 {
@@ -405,13 +460,13 @@ fn step(
             // Invariant from Section V-A: "a threat index of 0 implies
             // that the process … has no restrictions on the system
             // resources".
-            tracked.resources = ResourceVector::FULL;
+            shares.restore();
             Action::Restore
         }
         Directive::Restore => {
             // A_reset at the terminable verdict; under cyclic
             // monitoring this also starts a fresh measurement cycle.
-            tracked.resources = ResourceVector::FULL;
+            shares.restore();
             if config.monitor.cyclic {
                 Action::RestoreAndRecycle
             } else {
@@ -425,7 +480,7 @@ fn step(
         pid,
         state: report.state,
         threat: report.threat,
-        resources: tracked.resources,
+        resources: shares.get(&config.actuator),
         action,
     }
 }
@@ -451,8 +506,10 @@ fn step(
 /// it probes. An embedder that presents its processes in a stable order
 /// every epoch walks the records sequentially and mostly skips the probe;
 /// a probe reads only 8-byte index entries until the one record it returns.
-/// Each process's fusion evidence is a column of the same table, allocated
-/// on the first verdict, so a binary engine never pays for it.
+/// Each record is 64 bytes. Each process's fusion evidence is a column of
+/// the same table, allocated on the first verdict, so a binary engine never
+/// pays for it. An engine whose actuator parts move two or more resource
+/// kinds keeps each process's shares in a second column.
 ///
 /// # Examples
 ///
@@ -472,10 +529,11 @@ fn step(
 #[derive(Debug)]
 pub struct ValkyrieEngine {
     config: EngineConfig,
-    /// The process table. Its column holds each process's fusion evidence:
-    /// the latest verdict from each ensemble member, kept across epochs so
-    /// slow members stay represented.
-    procs: ProcessTable<TrackedProcess, Members>,
+    /// The process table. Its first column holds each process's fusion
+    /// evidence: the latest verdict from each ensemble member, kept across
+    /// epochs so slow members stay represented. Its second column, in use
+    /// only under a multi-kind actuator, holds each process's shares.
+    procs: ProcessTable<TrackedProcess, Members, ResourceVector>,
     /// Scratch for one verdict batch: the table positions of the processes
     /// it touched, in first-arrival order (the response order of
     /// [`Self::observe_verdict_batch`]). Nothing removes or re-lays a
@@ -553,9 +611,15 @@ impl ValkyrieEngine {
     /// registers. The table is reserved, not filled: pages it never touches
     /// cost no memory.
     pub fn with_capacity(config: EngineConfig, capacity: usize) -> Self {
+        let procs = ProcessTable::with_capacity(capacity);
+        let procs = if config.actuator.single_kind() {
+            procs
+        } else {
+            procs.with_second_column()
+        };
         Self {
             config,
-            procs: ProcessTable::with_capacity(capacity),
+            procs,
             dirty: Vec::new(),
             fusion_tick: 0,
             fusion_stats: FusionStats::default(),
@@ -594,7 +658,12 @@ impl ValkyrieEngine {
 
     /// Current resource shares of a process, if tracked.
     pub fn resources(&self, pid: ProcessId) -> Option<ResourceVector> {
-        self.procs.get(pid).map(|p| p.resources)
+        let actuator = &self.config.actuator;
+        self.procs.get_with_second(pid).map(|(p, column)| {
+            column
+                .copied()
+                .unwrap_or_else(|| actuator.resources(p.share))
+        })
     }
 
     /// Runs one monitor step on `pid`, registering it on first sight. A
@@ -611,11 +680,13 @@ impl ValkyrieEngine {
         pid: ProcessId,
         advance: impl FnOnce(&EngineConfig, &mut CycleState) -> StepReport,
     ) -> EngineResponse {
-        let tracked = self.procs.get_or_insert_with(pid, TrackedProcess::new);
+        let p = self.procs.position_or_insert_with(pid, TrackedProcess::new);
+        let (_, tracked, column) = self.procs.record_mut(p);
         step(
             &self.config,
             pid,
             tracked,
+            column,
             &mut self.fusion_stats,
             &mut self.terminal,
             advance,
@@ -721,7 +792,7 @@ impl ValkyrieEngine {
     /// first-arrival order.
     fn fuse_one(&mut self, p: usize) -> EngineResponse {
         let fusion = &self.config.fusion;
-        let (pid, tracked, members) = self.procs.at_mut(p);
+        let (pid, tracked, members, column) = self.procs.at_mut(p);
         let mut ev = Evidence::new();
         let mut stale = 0;
         for m in members.iter() {
@@ -738,6 +809,7 @@ impl ValkyrieEngine {
             &self.config,
             pid,
             tracked,
+            column,
             &mut self.fusion_stats,
             &mut self.terminal,
             |config, cycle| cycle.observe_mass_with(&config.monitor, config.fusion.ladder, mass),
@@ -906,6 +978,7 @@ impl ValkyrieEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
     use Classification::{Benign, Malicious};
 
     fn engine(n_star: u64) -> ValkyrieEngine {
@@ -1577,6 +1650,88 @@ mod tests {
         terminate(&mut e, pid);
         assert_eq!(e.purge_terminated(), 1);
         assert_eq!(e.tracked(), 0);
+    }
+
+    /// An engine whose parts move two kinds keeps each process's shares in
+    /// the table's second column. Every response, and `resources(pid)`
+    /// after it, must match a plain reference that folds each part's
+    /// `ShareActuator::apply` over a full vector: on the binary path, on
+    /// the verdict path, across a `forget` that swaps a record into
+    /// another's position, and for a pid registered again after its purge.
+    #[test]
+    fn a_two_kind_engine_matches_a_per_part_fold_of_full_vectors() {
+        let parts = [
+            ShareActuator::cpu_percent_point(0.10, 0.01),
+            ShareActuator::fs_halving(1.0 / 128.0),
+        ];
+        let config = EngineConfig::builder()
+            .measurements_required(6)
+            .actuator_part(parts[0])
+            .actuator_part(parts[1])
+            .cyclic(true)
+            .build()
+            .unwrap();
+        assert!(!config.actuator.single_kind());
+        let mut e = ValkyrieEngine::new(config);
+        // Reference shares and last threat per pid.
+        let mut want: HashMap<ProcessId, (ResourceVector, f64)> = HashMap::new();
+        let mut seen = HashSet::new();
+        let mut check = |e: &ValkyrieEngine, r: EngineResponse| {
+            let (shares, threat) = want.entry(r.pid).or_insert((ResourceVector::FULL, 0.0));
+            match r.action {
+                Action::Throttle | Action::Recover => {
+                    let delta = r.threat.value() - *threat;
+                    *shares = parts.iter().fold(*shares, |v, part| part.apply(&v, delta));
+                }
+                Action::Restore | Action::RestoreAndRecycle => *shares = ResourceVector::FULL,
+                Action::None | Action::Terminate => {}
+            }
+            *threat = r.threat.value();
+            let expected = EngineResponse {
+                resources: *shares,
+                ..r
+            };
+            assert_eq!(bits(&r), bits(&expected), "{r:?}");
+            let now = e.resources(r.pid).expect("a stepped pid is tracked");
+            assert_eq!(
+                bits(&EngineResponse {
+                    resources: now,
+                    ..r
+                }),
+                bits(&expected)
+            );
+            seen.insert(format!("{:?}", r.action));
+        };
+        let (binary, fused, gone) = (ProcessId(1), ProcessId(2), ProcessId(3));
+        let r = e.observe(gone, Malicious);
+        check(&e, r);
+        // Throttle, throttle, recover, restore, throttle, restore (now
+        // terminable), recycle, six throttles, terminate, terminated.
+        let script = "MMBBMBBMMMMMMMM";
+        for (i, c) in script.chars().enumerate() {
+            let c = if c == 'M' { Malicious } else { Benign };
+            let r = e.observe(binary, c);
+            check(&e, r);
+            let r = e.observe_verdict_batch(&[(fused, Verdict::from_classification(0, c))]);
+            check(&e, r[0]);
+            if i == 2 {
+                e.forget(gone);
+            }
+        }
+        for action in [
+            "Throttle",
+            "Recover",
+            "Restore",
+            "RestoreAndRecycle",
+            "Terminate",
+        ] {
+            assert!(seen.contains(action), "{action} never happened: {seen:?}");
+        }
+        assert_eq!(e.state(binary), Some(ProcessState::Terminated));
+        assert_eq!(e.purge_terminated(), 2);
+        let r = e.observe(binary, Benign);
+        assert!(r.resources.is_full());
+        assert!(e.resources(binary).unwrap().is_full());
     }
 
     #[test]

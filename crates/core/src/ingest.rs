@@ -213,6 +213,11 @@ impl ThreatHints {
         }
     }
 
+    /// Clears every mark.
+    pub(crate) fn clear_all(&self) {
+        self.write().clear();
+    }
+
     /// How many pids are currently marked.
     pub fn len(&self) -> usize {
         self.read().len()

@@ -505,8 +505,12 @@ fn step_shards(
         {
             let s = job * chunk + i;
             shard.begin_walk(records_walk(shard, s, nshards, turn));
-            for (w, reply) in replies.iter_mut().enumerate() {
+            for (w, slot) in replies.iter_mut().enumerate() {
                 let bucket = &buckets[w * nshards + s];
+                // Step into a local list: the slots of two shards on two
+                // workers can share a cache line, and every push writes
+                // the list's length.
+                let mut reply = std::mem::take(slot);
                 reply.clear();
                 if reply.capacity() < bucket.len() {
                     // Grow by an eighth, not a doubling: reply lists span
@@ -515,7 +519,8 @@ fn step_shards(
                     // (and fragment the heap) nearly every tick.
                     reply.reserve_exact(bucket.len() + bucket.len() / 8);
                 }
-                shard.observe_batch_into(bucket, reply);
+                shard.observe_batch_into(bucket, &mut reply);
+                *slot = reply;
             }
             end_walk(shard, s, nshards, turn);
         }
@@ -896,6 +901,12 @@ impl ShardedEngine {
         let publisher =
             self.ingest
                 .replace(self.shards.len(), capacity, policy, defense, &self.hints);
+        // Nothing refreshes the hints while they are off, so marks kept
+        // across a switch would be stale: a pid purged meanwhile would
+        // stay hot, and its recycled successor would inherit the lane.
+        if self.hints_active != defense.priority_lane {
+            self.hints.clear_all();
+        }
         self.hints_active = defense.priority_lane;
         publisher
     }
@@ -1762,6 +1773,28 @@ mod tests {
             assert_eq!(e.purge_terminated(), 1, "route {route}");
             assert!(e.threat_hints().is_empty(), "route {route}");
         }
+    }
+
+    /// Regression: switching the rings' defense off left the hint set as it
+    /// was, and nothing refreshed it while off, so a pid purged meanwhile
+    /// was still hot once the defense came back on.
+    #[test]
+    fn a_defense_toggle_drops_stale_threat_hints() {
+        let (mut e, _publisher) = hinted_engine(2);
+        let pid = ProcessId(5);
+        e.tick(&[(pid, Malicious)]);
+        assert!(e.threat_hints().is_hot(pid));
+        let _undefended = e.enable_ingest(64, OverflowPolicy::Block);
+        e.tick(&[(pid, Malicious)]);
+        e.tick(&[(pid, Malicious)]);
+        assert_eq!(e.state(pid), None, "terminated and purged");
+        let defense = IngestDefense {
+            priority_lane: true,
+            fair_queueing: false,
+        };
+        let _defended = e.enable_ingest_defended(64, OverflowPolicy::Block, defense);
+        assert!(!e.threat_hints().is_hot(pid));
+        assert!(e.threat_hints().is_empty());
     }
 
     /// Binary and verdict rings drain side by side: one drain serves both,

@@ -12,18 +12,24 @@
 //! entry and closes the index gap by backward-shift deletion, so the table
 //! never holds tombstones.
 //!
-//! # The column
+//! # The columns
 //!
-//! A table can carry one more value per record in a second `Vec`, the
-//! column, which moves in lockstep with the records: the same push, the same
-//! `swap_remove` and the same moves in a re-lay, so an entry always sits at
-//! its record's position. The engine keeps each process's fusion evidence
-//! there, so one lookup serves both, and a caller that holds a record's
-//! position (see [`ProcessTable::position_or_insert_with`]) reads both with
-//! no probe at all. The column stays unallocated until its first use
-//! ([`ProcessTable::column_mut`]), which fills it with defaults up to
-//! `len()`: a table whose caller never touches it pays one `None` for it,
-//! and its records stay as small as they were.
+//! A table can carry up to two more values per record, each in a `Vec` of
+//! its own, a column, which moves in lockstep with the records: the same
+//! push, the same `swap_remove` and the same moves in a re-lay, so an entry
+//! always sits at its record's position. A caller that holds a record's
+//! position (see [`ProcessTable::position_or_insert_with`]) reads its
+//! entries with no probe at all. A table whose caller never uses a column
+//! pays one `None` for it, and its records stay as small as they were.
+//!
+//! - The first column stays unallocated until its first use
+//!   ([`ProcessTable::column_mut`]), which fills it with defaults up to
+//!   `len()`. The engine keeps each process's fusion evidence there, so one
+//!   lookup serves both.
+//! - The second column is put in use when the table is built
+//!   ([`ProcessTable::with_second_column`]), so it holds an entry per record
+//!   from the start. The engine keeps a process's shares there when its
+//!   actuator moves more than one resource kind.
 //!
 //! # The lookup cursor
 //!
@@ -31,7 +37,7 @@
 //! so a tick presents almost the same pids in almost the same order every
 //! epoch. At fleet scale the index is far larger than L2, and each probe
 //! costs a cache miss in a random slot even when the record it finds is the
-//! neighbour of the last one. So `get_or_insert_with` first compares the
+//! neighbour of the last one. So `position_or_insert_with` first compares the
 //! record after the one it last returned, and probes only when the pid is
 //! elsewhere. Two more candidates cover the two ways churn breaks a run:
 //! after a hit, the record after that one (a removal swapped the table's
@@ -78,7 +84,7 @@
 //! round takes a second turn in the same pass, so at most two shards
 //! re-lay per pass, and on a two-worker fan-out over an even number of
 //! shards one on each worker. A re-lay moves the
-//! column with the records. A walk entry that is stale, duplicated or out
+//! columns with the records. A walk entry that is stale, duplicated or out
 //! of range is skipped, so a bad walk can cost speed but never lose or
 //! duplicate a record.
 
@@ -151,23 +157,26 @@ const SMALL_RELAY_MISS_SHARE: usize = 16;
 const UNPLACED: u32 = u32::MAX;
 
 /// Pid-keyed records behind an open-addressing index, with a lookup cursor
-/// and an optional column of `C`s (see the module docs). Iteration order is
-/// the order of the last re-lay, then registration, perturbed by removals.
+/// and optional columns of `C`s and `D`s (see the module docs). Iteration
+/// order is the order of the last re-lay, then registration, perturbed by
+/// removals.
 #[derive(Debug, Clone)]
-pub(crate) struct ProcessTable<V, C = ()> {
+pub(crate) struct ProcessTable<V, C = (), D = ()> {
     records: Vec<(ProcessId, V)>,
-    /// `column[p]` belongs to `records[p]`, once the column is in use.
-    column: Option<Vec<C>>,
+    /// The first column, allocated on first use.
+    column: Column<C>,
+    /// The second column, in use from construction if at all.
+    second: Column<D>,
     /// A power of two long, at least `MIN_SLOTS`.
     index: Vec<u64>,
-    /// The position after the record [`Self::get_or_insert_with`] last
+    /// The position after the record [`Self::position_or_insert_with`] last
     /// returned. Only ever a hint: a candidate record is used only if it
     /// holds the pid asked for.
     cursor: usize,
     /// The cursor's value when the current detour began, i.e. when a probe
     /// followed a cursor hit: where the walk picks up again.
     resume: usize,
-    /// Whether the last [`Self::get_or_insert_with`] probed the index.
+    /// Whether the last [`Self::position_or_insert_with`] probed the index.
     probed: bool,
     walk: Walk,
 }
@@ -176,7 +185,7 @@ pub(crate) struct ProcessTable<V, C = ()> {
 /// and [`ProcessTable::end_walk`].
 #[derive(Debug, Clone, Default)]
 struct Walk {
-    /// `get_or_insert_with` calls since the walk began.
+    /// `position_or_insert_with` calls since the walk began.
     lookups: usize,
     /// Those that missed every cursor candidate and probed the index.
     misses: usize,
@@ -225,20 +234,87 @@ impl Recording {
     }
 }
 
-impl<V, C: Default> ProcessTable<V, C> {
+/// One column: `entries[p]` belongs to `records[p]` while it is in use.
+#[derive(Debug, Clone)]
+struct Column<T>(Option<Vec<T>>);
+
+impl<T: Default> Column<T> {
+    /// The entries, put in use if they are not yet, with a default entry
+    /// for each record and room for as many as the records have.
+    #[inline]
+    fn in_use<V>(&mut self, records: &Vec<(ProcessId, V)>) -> &mut Vec<T> {
+        self.0.get_or_insert_with(|| {
+            let mut entries = Vec::with_capacity(records.capacity());
+            entries.resize_with(records.len(), T::default);
+            entries
+        })
+    }
+
+    #[inline]
+    fn get(&self, p: usize) -> Option<&T> {
+        self.0.as_ref().map(|entries| &entries[p])
+    }
+
+    #[inline]
+    fn get_mut(&mut self, p: usize) -> Option<&mut T> {
+        self.0.as_mut().map(|entries| &mut entries[p])
+    }
+
+    /// Adds the entry of a record registered at the end.
+    fn push(&mut self) {
+        if let Some(entries) = &mut self.0 {
+            entries.push(T::default());
+        }
+    }
+
+    fn swap_remove(&mut self, p: usize) {
+        if let Some(entries) = &mut self.0 {
+            entries.swap_remove(p);
+        }
+    }
+
+    /// Takes the entry at `p` out, leaving a default behind.
+    fn take(&mut self, p: usize) -> Option<T> {
+        self.get_mut(p).map(std::mem::take)
+    }
+
+    /// Moves the entry at `from` to `to`, leaving a default behind.
+    fn shift(&mut self, from: usize, to: usize) {
+        if let Some(entries) = &mut self.0 {
+            entries[to] = std::mem::take(&mut entries[from]);
+        }
+    }
+
+    /// Puts an entry [`Self::take`] took back at `p`.
+    fn put(&mut self, p: usize, entry: Option<T>) {
+        if let (Some(entries), Some(entry)) = (&mut self.0, entry) {
+            entries[p] = entry;
+        }
+    }
+}
+
+impl<V, C: Default, D: Default> ProcessTable<V, C, D> {
     /// A table that holds `capacity` records before it re-indexes or
     /// reallocates. Nothing is written: the index is zero-allocated and the
     /// records only reserved, so untouched pages cost no memory.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             records: Vec::with_capacity(capacity),
-            column: None,
+            column: Column(None),
+            second: Column(None),
             index: vec![EMPTY; slots_for(capacity)],
             cursor: 0,
             resume: 0,
             probed: false,
             walk: Walk::default(),
         }
+    }
+
+    /// Puts the second column in use: from now on every record has an
+    /// entry there, a default one at registration.
+    pub(crate) fn with_second_column(mut self) -> Self {
+        self.second.in_use(&self.records);
+        self
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -278,13 +354,20 @@ impl<V, C: Default> ProcessTable<V, C> {
         self.position_of(pid).map(|p| &self.records[p].1)
     }
 
+    /// The record of `pid` and its second-column entry, if that column is
+    /// in use.
+    pub(crate) fn get_with_second(&self, pid: ProcessId) -> Option<(&V, Option<&D>)> {
+        self.position_of(pid)
+            .map(|p| (&self.records[p].1, self.second.get(p)))
+    }
+
     pub(crate) fn get_mut(&mut self, pid: ProcessId) -> Option<&mut V> {
         self.position_of(pid).map(|p| &mut self.records[p].1)
     }
 
     /// The record of `pid`, registering `make()` at the end of the records
     /// on first sight (see [`Self::position_or_insert_with`]).
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn get_or_insert_with(
         &mut self,
         pid: ProcessId,
@@ -336,30 +419,35 @@ impl<V, C: Default> ProcessTable<V, C> {
     /// Panics if `p` is out of range.
     #[inline]
     pub(crate) fn column_mut(&mut self, p: usize) -> &mut C {
-        let records = &self.records;
-        let column = self.column.get_or_insert_with(|| {
-            let mut column = Vec::with_capacity(records.capacity());
-            column.resize_with(records.len(), C::default);
-            column
-        });
-        &mut column[p]
+        &mut self.column.in_use(&self.records)[p]
     }
 
-    /// The pid, the record and the column entry at position `p`, for a
-    /// caller that kept the position from
+    /// The pid, the record and the second-column entry (if that column is
+    /// in use) at position `p`, for a caller that kept the position from
     /// [`Self::position_or_insert_with`]: no probe.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range or the column was never used.
+    /// Panics if `p` is out of range.
     #[inline]
-    pub(crate) fn at_mut(&mut self, p: usize) -> (ProcessId, &mut V, &mut C) {
+    pub(crate) fn record_mut(&mut self, p: usize) -> (ProcessId, &mut V, Option<&mut D>) {
         let (pid, record) = &mut self.records[p];
-        let entry = &mut self
+        (*pid, record, self.second.get_mut(p))
+    }
+
+    /// [`Self::record_mut`] with the first-column entry too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range or the first column was never used.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, p: usize) -> (ProcessId, &mut V, &mut C, Option<&mut D>) {
+        let (pid, record) = &mut self.records[p];
+        let entry = self
             .column
-            .as_mut()
-            .expect("column_mut puts the column in use before at_mut reads it")[p];
-        (*pid, record, entry)
+            .get_mut(p)
+            .expect("column_mut puts the column in use before at_mut reads it");
+        (*pid, record, entry, self.second.get_mut(p))
     }
 
     /// The position of `pid` if a cursor candidate holds it: the record
@@ -398,9 +486,8 @@ impl<V, C: Default> ProcessTable<V, C> {
         };
         let p = self.records.len();
         self.records.push((pid, make()));
-        if let Some(column) = &mut self.column {
-            column.push(C::default());
-        }
+        self.column.push();
+        self.second.push();
         self.index[slot] = entry(h, p);
         p
     }
@@ -514,7 +601,7 @@ impl<V, C: Default> ProcessTable<V, C> {
         self.walk.relays
     }
 
-    /// Moves the records, and the column with them, into `walk`'s order:
+    /// Moves the records, and the columns with them, into `walk`'s order:
     /// the record at each position `walk` names, at its first mention, then
     /// every other record in its current order. A duplicated or
     /// out-of-range position is skipped, so a stale walk costs speed, never
@@ -559,13 +646,12 @@ impl<V, C: Default> ProcessTable<V, C> {
         // for `j` comes from `walk[j]`, whose own slot is filled next, and
         // the cycle's first record, set aside, closes it. Each placed slot
         // is marked by pointing it at itself.
-        let mut column = self.column.as_deref_mut();
         for i in 0..n {
             if walk[i] as usize == i {
                 continue;
             }
             let first = self.records[i].clone();
-            let first_entry = column.as_deref_mut().map(|c| std::mem::take(&mut c[i]));
+            let first_entries = (self.column.take(i), self.second.take(i));
             let mut j = i;
             loop {
                 let k = walk[j] as usize;
@@ -574,15 +660,13 @@ impl<V, C: Default> ProcessTable<V, C> {
                     break;
                 }
                 self.records[j] = self.records[k].clone();
-                if let Some(c) = column.as_deref_mut() {
-                    c[j] = std::mem::take(&mut c[k]);
-                }
+                self.column.shift(k, j);
+                self.second.shift(k, j);
                 j = k;
             }
             self.records[j] = first;
-            if let (Some(c), Some(entry)) = (column.as_deref_mut(), first_entry) {
-                c[j] = entry;
-            }
+            self.column.put(j, first_entries.0);
+            self.second.put(j, first_entries.1);
         }
     }
 
@@ -609,7 +693,7 @@ impl<V, C: Default> ProcessTable<V, C> {
         self.index = index;
     }
 
-    /// Removes `pid`'s record (and its column entry), returning the record.
+    /// Removes `pid`'s record (and its column entries), returning the record.
     /// The last record moves into the freed position.
     pub(crate) fn remove(&mut self, pid: ProcessId) -> Option<V> {
         self.remove_if(pid, |_| true)
@@ -632,9 +716,8 @@ impl<V, C: Default> ProcessTable<V, C> {
                 .expect("every record is indexed");
             self.index[moved_slot] = entry(tag(self.index[moved_slot]), p);
         }
-        if let Some(column) = &mut self.column {
-            column.swap_remove(p);
-        }
+        self.column.swap_remove(p);
+        self.second.swap_remove(p);
         Some(self.records.swap_remove(p).1)
     }
 
@@ -744,22 +827,40 @@ mod tests {
         }
     }
 
-    impl<V, C: Default + Owner> ProcessTable<V, C> {
-        /// Panics unless every index entry points at a distinct record whose
-        /// pid probes to exactly that entry, every record is indexed, and a
-        /// column in use has one entry per record, each written (if at all)
-        /// for its record's pid.
-        fn check_invariants(&self) {
-            if let Some(column) = &self.column {
-                assert_eq!(column.len(), self.records.len(), "column length");
-                for (p, (c, (pid, _))) in column.iter().zip(&self.records).enumerate() {
+    impl<T: Owner> Column<T> {
+        /// Panics unless the column, if in use, has one entry per record,
+        /// each written (if at all) for its record's pid.
+        fn check<V>(&self, records: &[(ProcessId, V)], which: &str) {
+            if let Some(entries) = &self.0 {
+                assert_eq!(entries.len(), records.len(), "{which} column length");
+                for (p, (c, (pid, _))) in entries.iter().zip(records).enumerate() {
                     assert!(
                         c.owner().is_none_or(|owner| owner == *pid),
-                        "column entry {p} belongs to another pid than {}",
+                        "{which} column entry {p} belongs to another pid than {}",
                         pid.0
                     );
                 }
             }
+        }
+
+        /// How many entries are written.
+        fn written(&self) -> usize {
+            self.0
+                .iter()
+                .flatten()
+                .filter(|c| c.owner().is_some())
+                .count()
+        }
+    }
+
+    impl<V, C: Default + Owner, D: Default + Owner> ProcessTable<V, C, D> {
+        /// Panics unless every index entry points at a distinct record whose
+        /// pid probes to exactly that entry, every record is indexed, and
+        /// each column in use has one entry per record, each written (if at
+        /// all) for its record's pid.
+        fn check_invariants(&self) {
+            self.column.check(&self.records, "first");
+            self.second.check(&self.records, "second");
             assert!(self.index.len().is_power_of_two() && self.index.len() >= MIN_SLOTS);
             assert!(self.records.len() <= self.max_load(), "load above 7/8");
             let mut indexed = vec![false; self.records.len()];
@@ -812,15 +913,18 @@ mod tests {
     }
 
     /// The table and its `HashMap` model under one random op sequence. The
-    /// table's column carries each record's pid, written at every lookup
-    /// from op `column_from` on, so the column is unused before that and
-    /// every entry must stay with its record after. `written` holds the
-    /// pids whose entry was written since they were last registered.
+    /// table's first column carries each record's pid, written at every
+    /// lookup from op `column_from` on, so the column is unused before that
+    /// and every entry must stay with its record after. `written` holds the
+    /// pids whose entry was written since they were last registered. If
+    /// the second column is in use, every lookup writes the pid there too,
+    /// and `written_second` holds those pids.
     struct Model<'a, C> {
         pool: &'a [ProcessId],
-        table: ProcessTable<u64, C>,
+        table: ProcessTable<u64, C, Option<ProcessId>>,
         model: HashMap<ProcessId, u64>,
         written: HashSet<ProcessId>,
+        written_second: HashSet<ProcessId>,
         column_from: u64,
     }
 
@@ -836,16 +940,32 @@ mod tests {
             let got = self.table.records[p].1;
             let want = *self.model.entry(pid).or_insert(value);
             assert_eq!(got, want, "get_or_insert {}", pid.0);
+            let (at, record, second) = self.table.record_mut(p);
+            assert_eq!((at, *record), (pid, want));
+            if let Some(second) = second {
+                *second = Some(pid);
+                self.written_second.insert(pid);
+            }
             if value >= self.column_from {
                 *self.table.column_mut(p) = C::written_for(pid);
                 self.written.insert(pid);
-                let (at, record, entry) = self.table.at_mut(p);
+                let (at, record, entry, second) = self.table.at_mut(p);
+                let second = second.map(|s| s.owner());
                 assert_eq!((at, *record, entry.owner()), (pid, want, Some(pid)));
+                assert!(second.is_none_or(|s| s == Some(pid)));
             }
+            let (record, second) = self.table.get_with_second(pid).expect("just looked up");
+            assert_eq!(*record, want);
+            assert!(second.is_none_or(|s| *s == Some(pid)));
+        }
+
+        fn forget(&mut self, pid: ProcessId) {
+            self.written.remove(&pid);
+            self.written_second.remove(&pid);
         }
 
         fn remove(&mut self, pid: ProcessId) {
-            self.written.remove(&pid);
+            self.forget(pid);
             assert_eq!(
                 self.table.remove(pid),
                 self.model.remove(&pid),
@@ -873,7 +993,7 @@ mod tests {
                 _ => {
                     let even = |v: &u64| v.is_multiple_of(2);
                     let want = if self.model.get(&pid).is_some_and(even) {
-                        self.written.remove(&pid);
+                        self.forget(pid);
                         self.model.remove(&pid)
                     } else {
                         None
@@ -956,8 +1076,8 @@ mod tests {
         }
 
         /// Compares iteration with the model, checks the invariants, and
-        /// checks that exactly the records whose entry was written hold
-        /// one, each their own.
+        /// checks that exactly the records whose entries were written hold
+        /// them, each their own.
         fn check(&self, step: u64) {
             let mut got: Vec<(u64, u64)> = self.table.iter().map(|(p, &v)| (p.0, v)).collect();
             let mut want: Vec<(u64, u64)> = self.model.iter().map(|(p, &v)| (p.0, v)).collect();
@@ -965,12 +1085,15 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want, "iter after op {step}");
             self.table.check_invariants();
-            let entries = self.table.column.iter().flatten().map(Owner::owner);
-            let written = entries.filter(Option::is_some).count();
             assert_eq!(
-                written,
+                self.table.column.written(),
                 self.written.len(),
                 "written entries after op {step}"
+            );
+            assert_eq!(
+                self.table.second.written(),
+                self.written_second.len(),
+                "written second-column entries after op {step}"
             );
         }
     }
@@ -979,14 +1102,21 @@ mod tests {
     /// model, growing from capacity 0, checking iteration and the
     /// invariants every `check_every` ops. About once per quarter of the
     /// pool's size in ops, it also runs an in-order walk ([`Model::walk`])
-    /// and a re-lay ([`Model::relay`]), each checked straight after.
+    /// and a re-lay ([`Model::relay`]), each checked straight after. Odd
+    /// seeds put the second column in use.
     fn run_model<C: Written>(seed: u64, pool_size: u64, ops: u64, check_every: u64) {
         let pool = pid_pool(pool_size);
+        let table = ProcessTable::with_capacity(0);
         let mut m = Model::<C> {
             pool: &pool,
-            table: ProcessTable::with_capacity(0),
+            table: if seed % 2 == 1 {
+                table.with_second_column()
+            } else {
+                table
+            },
             model: HashMap::new(),
             written: HashSet::new(),
+            written_second: HashSet::new(),
             column_from: ops / 4,
         };
         let period = (pool_size / 4).max(64);

@@ -16,7 +16,9 @@
 //! cyclic monitoring on and off. Odd seeds defend the binary rings
 //! ([`IngestDefense::full`]: priority lane and fair queueing), so pids the
 //! engine marks hot are published through the priority lane; even seeds
-//! leave them undefended.
+//! leave them undefended. Seeds with bit 1 set configure a two-kind
+//! actuator (CPU and filesystem), whose engines keep each process's shares
+//! in a column beside the process table; the rest move the CPU share alone.
 //!
 //! Every run is compared bit for bit (floats as bits) against one
 //! reference: a single [`ValkyrieEngine`] fed the same operations one
@@ -33,7 +35,8 @@
 //! mark hot must still be tracked after every operation.
 //!
 //! Reproduce a failure by its seed: the message names the seed, the shape,
-//! the threshold, the cyclic and defended flags and the operation.
+//! the threshold, the cyclic, defended and two-kind flags and the
+//! operation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -175,8 +178,9 @@ impl Gen {
 
     /// A config with `N*` in 1..=5. The exponential penalty reaches the
     /// threat ceiling of 100 within four flagged steps, so the clamp is
-    /// exercised too.
-    fn config(&mut self, cyclic: bool) -> EngineConfig {
+    /// exercised too. A `two_kind` config adds a filesystem part to the CPU
+    /// one.
+    fn config(&mut self, cyclic: bool, two_kind: bool) -> EngineConfig {
         let ladder = if self.rng.gen() {
             EscalationLadder::BINARY
         } else {
@@ -187,11 +191,15 @@ impl Gen {
         } else {
             AssessmentFn::exponential(2.0)
         };
-        EngineConfig::builder()
+        let mut builder = EngineConfig::builder()
             .measurements_required(self.rng.gen_range(1..6))
             .penalty(penalty)
             .compensation(AssessmentFn::incremental())
-            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01));
+        if two_kind {
+            builder = builder.actuator_part(ShareActuator::fs_halving(1.0 / 128.0));
+        }
+        builder
             .cyclic(cyclic)
             .fusion(FusionConfig {
                 weights: vec![1.0, 2.0, 0.5],
@@ -504,10 +512,12 @@ fn conform(
 }
 
 /// Runs `seeds` traces of `ops` operations each on every shape, threshold
-/// and cyclic flag, with the binary rings defended on odd seeds.
+/// and cyclic flag, with the binary rings defended on odd seeds and a
+/// two-kind actuator on seeds with bit 1 set.
 fn run_harness(seeds: impl Iterator<Item = u64>, ops: usize, max_batch: usize) {
     for seed in seeds {
         let defended = seed % 2 == 1;
+        let two_kind = seed & 2 != 0;
         let defense = if defended {
             IngestDefense::full()
         } else {
@@ -515,9 +525,10 @@ fn run_harness(seeds: impl Iterator<Item = u64>, ops: usize, max_batch: usize) {
         };
         for cyclic in [false, true] {
             let mut gen = Gen::new(seed, max_batch);
-            let config = gen.config(cyclic);
+            let config = gen.config(cyclic, two_kind);
             let trace = gen.trace(ops);
-            let what = format!("seed {seed}, cyclic {cyclic}, defended {defended}");
+            let what =
+                format!("seed {seed}, cyclic {cyclic}, defended {defended}, two-kind {two_kind}");
             let (steps, want) = reference(&config, &trace, &what);
             for shape in SHAPES {
                 for threshold in [0, usize::MAX] {
