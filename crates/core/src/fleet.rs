@@ -146,6 +146,6 @@ mod tests {
         let pid = ProcessId::from_parts(7, 3);
         let responses = fleet.tick(&[(pid, Malicious)]);
         assert_eq!(responses[0].state, ProcessState::Suspicious);
-        assert!(fleet.threat_hints().is_hot(pid));
+        assert!(fleet.is_hot(pid));
     }
 }

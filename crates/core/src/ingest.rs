@@ -25,11 +25,11 @@
 //! ring's lock: a single [`publish`](IngestPublisher::publish) takes one
 //! stamp under that one lock, and a
 //! [`publish_batch`](IngestPublisher::publish_batch) locks every ring (in
-//! index order, then the threat-hint set) and reserves one contiguous run
-//! of stamps for the whole batch. Within a ring, sequence numbers are
-//! therefore strictly increasing in application order, so a drain can
-//! merge the per-shard response lists back into one publish-ordered
-//! response batch — which is what makes Block-mode ingest **bit-for-bit
+//! index order) and reserves one contiguous run of stamps for the whole
+//! batch. Within a ring, sequence numbers are therefore strictly
+//! increasing in application order, so a drain can merge the per-shard
+//! response lists back into one publish-ordered response batch — which
+//! is what makes Block-mode ingest **bit-for-bit
 //! equivalent** to the synchronous
 //! [`observe_batch`](crate::ShardedEngine::observe_batch) path (pinned by
 //! the conformance harness, `tests/conformance.rs`). A batch pays for its
@@ -68,7 +68,13 @@
 //!
 //! * **Priority lanes** ([`IngestDefense::priority_lane`]): each ring
 //!   gains a second lane for pids the engine's own evidence already marks
-//!   suspicious, fed back through a shared [`ThreatHints`] handle.
+//!   suspicious. The marks are the threat hints: each ring keeps the set
+//!   of its own pids that the engine's last response left Suspicious or
+//!   Terminable, under the ring lock a publish already holds, so routing
+//!   a publish takes no second lock. The engine refreshes them from every
+//!   response it returns, locking the rings in index order as a batch
+//!   publish does
+//!   ([`ShardedEngine::is_hot`](crate::ShardedEngine::is_hot) reads them).
 //!   Priority entries are never evicted by normal-lane overflow — once a
 //!   process is on the escalation ladder, no flood can silence the
 //!   verdicts that decide its fate. A drain merges the two lanes by
@@ -119,14 +125,13 @@
 //! assert_eq!(engine.epoch(), 1);
 //! ```
 
+use crate::hash::FxBuildHasher;
 use crate::resource::ProcessId;
 use crate::telemetry::IngestStats;
 use crate::threat::{Classification, Verdict};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The sub-key [`OverflowPolicy::Coalesce`] merges on, within a pid: two
 /// queued entries coalesce only when both the pid *and* this key match.
@@ -153,89 +158,14 @@ impl CoalesceKey for Verdict {
     }
 }
 
-/// Which pids the engine's evidence table currently marks suspicious —
-/// the feedback channel from the response tier to the ingest rings'
-/// priority lane.
-///
-/// Shared (via `Arc`) between a [`ShardedEngine`] and every defended
-/// queue set it builds: the engine refreshes the set from every response
-/// it returns (Suspicious/Terminable pids are marked, pids that return to
-/// Normal or terminate are cleared), and publishes for marked
-/// pids route into the priority lane that overload can never evict.
-///
-/// [`ShardedEngine`]: crate::ShardedEngine
-#[derive(Debug, Default)]
-pub struct ThreatHints {
-    hot: RwLock<HashSet<u64>>,
-}
-
-impl ThreatHints {
-    /// A fresh, empty hint set behind a shared handle.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    // A writer that panicked leaves a valid set, and the hints are
-    // advisory and rewritten every tick: recover the lock, never re-raise.
-    fn read(&self) -> RwLockReadGuard<'_, HashSet<u64>> {
-        self.hot.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, HashSet<u64>> {
-        self.hot.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether `pid` is currently marked suspicious.
-    pub fn is_hot(&self, pid: ProcessId) -> bool {
-        self.read().contains(&pid.0)
-    }
-
-    /// Marks `pid` suspicious; returns whether it was newly marked.
-    pub fn mark(&self, pid: ProcessId) -> bool {
-        self.write().insert(pid.0)
-    }
-
-    /// Clears `pid`'s mark; returns whether it was marked.
-    pub fn clear(&self, pid: ProcessId) -> bool {
-        self.write().remove(&pid.0)
-    }
-
-    /// Applies a batch of `(pid, mark)` updates under one lock
-    /// acquisition (`true` marks, `false` clears).
-    pub fn update(&self, updates: impl IntoIterator<Item = (ProcessId, bool)>) {
-        let mut hot = self.write();
-        for (pid, mark) in updates {
-            if mark {
-                hot.insert(pid.0);
-            } else {
-                hot.remove(&pid.0);
-            }
-        }
-    }
-
-    /// Clears every mark.
-    pub(crate) fn clear_all(&self) {
-        self.write().clear();
-    }
-
-    /// How many pids are currently marked.
-    pub fn len(&self) -> usize {
-        self.read().len()
-    }
-
-    /// Whether no pid is currently marked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Which overload-defense mechanisms a queue set runs with (see the
 /// [module docs](self)). The default is everything off — the undefended
 /// PR 5 rings, byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestDefense {
-    /// Route observations for [`ThreatHints`]-marked pids into a separate
-    /// priority lane, never evicted by normal-lane overflow. A drain merges
+    /// Route observations for pids the engine marks suspicious (the
+    /// threat hints, see the [module docs](self)) into a separate priority
+    /// lane, never evicted by normal-lane overflow. A drain merges
     /// it with the normal lane in publish order.
     pub priority_lane: bool,
     /// Charge overflow evictions to the publisher hogging the ring
@@ -296,9 +226,8 @@ enum Pushed {
     Full,
 }
 
-/// [`RingState::lanes`] index of the priority lane: entries for
-/// [`ThreatHints`]-marked pids. Drained merged with the normal lane by
-/// stamp.
+/// [`RingState::lanes`] index of the priority lane: entries for pids in
+/// [`RingState::hot`]. Drained merged with the normal lane by stamp.
 const PRIORITY: usize = 0;
 /// [`RingState::lanes`] index of the normal lane.
 const NORMAL: usize = 1;
@@ -309,9 +238,18 @@ struct RingState<P> {
     /// The priority and normal lanes. Each has its own `capacity` budget;
     /// overflow in one lane never evicts from the other.
     lanes: [VecDeque<QueuedObs<P>>; 2],
-    /// Normal-lane entries per publisher id (fair-queueing bookkeeping;
-    /// maintained only when the defense runs with fair queueing).
-    occupancy: Vec<u32>,
+    /// The threat hints: this ring's pids that the engine marks
+    /// suspicious, whose publishes go to the priority lane. Only rings
+    /// with the priority lane hold any. Hashed as the process tables hash
+    /// their pids: a pid is marked only from a response, so every marked
+    /// pid is one a table already tracks.
+    hot: HashSet<u64, FxBuildHasher>,
+    /// `(publisher id, normal-lane entries)` for each publisher with
+    /// entries in the normal lane, sorted by id (fair-queueing
+    /// bookkeeping; maintained only when the defense runs with fair
+    /// queueing). At most `capacity` pairs, however many handles were ever
+    /// cloned.
+    occupancy: Vec<(u32, u32)>,
     /// Observations evicted by `DropOldest` (or `Coalesce`'s fallback).
     dropped: u64,
     /// Observations merged into an existing same-(pid, key) entry by
@@ -329,6 +267,7 @@ impl<P> Default for RingState<P> {
     fn default() -> Self {
         Self {
             lanes: [VecDeque::new(), VecDeque::new()],
+            hot: HashSet::default(),
             occupancy: Vec::new(),
             dropped: 0,
             coalesced: 0,
@@ -350,22 +289,30 @@ impl<P> RingState<P> {
         self.dropped_by_pub[idx] += 1;
     }
 
+    /// Where `publisher`'s pair is, or would go, in [`Self::occupancy`].
+    fn occ_slot(&self, publisher: u32) -> Result<usize, usize> {
+        self.occupancy.binary_search_by_key(&publisher, |&(p, _)| p)
+    }
+
     /// Normal-lane entries currently held by `publisher`.
     fn occ(&self, publisher: u32) -> usize {
-        self.occupancy.get(publisher as usize).copied().unwrap_or(0) as usize
+        self.occ_slot(publisher)
+            .map_or(0, |i| self.occupancy[i].1 as usize)
     }
 
     fn occ_inc(&mut self, publisher: u32) {
-        let idx = publisher as usize;
-        if self.occupancy.len() <= idx {
-            self.occupancy.resize(idx + 1, 0);
+        match self.occ_slot(publisher) {
+            Ok(i) => self.occupancy[i].1 += 1,
+            Err(i) => self.occupancy.insert(i, (publisher, 1)),
         }
-        self.occupancy[idx] += 1;
     }
 
     fn occ_dec(&mut self, publisher: u32) {
-        if let Some(o) = self.occupancy.get_mut(publisher as usize) {
-            *o = o.saturating_sub(1);
+        if let Ok(i) = self.occ_slot(publisher) {
+            self.occupancy[i].1 -= 1;
+            if self.occupancy[i].1 == 0 {
+                self.occupancy.remove(i);
+            }
         }
     }
 }
@@ -416,8 +363,6 @@ pub(crate) struct IngestQueues<P = Classification> {
     policy: OverflowPolicy,
     /// The overload-defense configuration (fixed at construction).
     defense: IngestDefense,
-    /// The engine-fed suspicious-pid set the priority lane routes on.
-    hints: Arc<ThreatHints>,
     /// Global publish-order stamp. Taken only under a ring lock: one
     /// stamp under the destination ring's lock per single publish, one
     /// contiguous run under every ring's lock per batch. So per-ring
@@ -456,6 +401,54 @@ impl<P> IngestQueues<P> {
     fn fair(&self, lane: usize) -> bool {
         self.defense.fair_queueing && lane == NORMAL
     }
+
+    /// The ring that owns `pid` (the batch path's shard placement).
+    fn ring_of(&self, pid: ProcessId) -> usize {
+        crate::hash::shard_of(pid.0, self.rings.len())
+    }
+
+    /// Whether publishes route on the threat hints: the rings run the
+    /// priority lane.
+    pub(crate) fn routes_on_hints(&self) -> bool {
+        self.defense.priority_lane
+    }
+
+    /// Applies `(pid, hot)` updates to the threat hints of the rings that
+    /// own the pids: `true` marks the pid, `false` clears it. Holds every
+    /// ring for the whole pass, locked in index order as a batch publish
+    /// locks them, so no publish sees half of it.
+    pub(crate) fn set_hot(&self, updates: impl IntoIterator<Item = (ProcessId, bool)>) {
+        debug_assert!(self.routes_on_hints(), "undefended rings keep no hints");
+        let mut rings: Vec<_> = self.rings.iter().map(ShardRing::lock).collect();
+        for (pid, hot) in updates {
+            let marks = &mut rings[self.ring_of(pid)].hot;
+            if hot {
+                marks.insert(pid.0);
+            } else {
+                marks.remove(&pid.0);
+            }
+        }
+    }
+
+    /// Whether `pid`'s publishes go to the priority lane.
+    pub(crate) fn is_hot(&self, pid: ProcessId) -> bool {
+        self.rings[self.ring_of(pid)].lock().hot.contains(&pid.0)
+    }
+
+    /// Moves `old`'s threat hints into these rings if both sets run the
+    /// priority lane. Otherwise these rings start with none: nothing
+    /// refreshes the hints while the priority lane is off, so marks kept
+    /// across a switch would be stale, and a pid purged meanwhile would
+    /// pass its lane to a recycled successor. Locks one ring at a time.
+    pub(crate) fn carry_hints(&self, old: &Self) {
+        if !(self.routes_on_hints() && old.routes_on_hints()) {
+            return;
+        }
+        for (ring, old) in self.rings.iter().zip(&old.rings) {
+            let marks = std::mem::take(&mut old.lock().hot);
+            ring.lock().hot = marks;
+        }
+    }
 }
 
 impl<P: CoalesceKey> IngestQueues<P> {
@@ -467,18 +460,11 @@ impl<P: CoalesceKey> IngestQueues<P> {
     /// Panics if `nshards` or `capacity` is zero.
     #[cfg(test)]
     pub(crate) fn new(nshards: usize, capacity: usize, policy: OverflowPolicy) -> Arc<Self> {
-        Self::with_defense(
-            nshards,
-            capacity,
-            policy,
-            IngestDefense::default(),
-            ThreatHints::new(),
-        )
+        Self::with_defense(nshards, capacity, policy, IngestDefense::default())
     }
 
     /// One ring per shard, each bounded to `capacity` observations, with
-    /// an explicit defense configuration and the engine-shared
-    /// [`ThreatHints`] handle the priority lane routes on.
+    /// an explicit defense configuration and no threat hints yet.
     ///
     /// # Panics
     ///
@@ -488,7 +474,6 @@ impl<P: CoalesceKey> IngestQueues<P> {
         capacity: usize,
         policy: OverflowPolicy,
         defense: IngestDefense,
-        hints: Arc<ThreatHints>,
     ) -> Arc<Self> {
         assert!(nshards > 0, "ingest needs at least one shard");
         assert!(capacity > 0, "ingest rings need a non-zero capacity");
@@ -497,7 +482,6 @@ impl<P: CoalesceKey> IngestQueues<P> {
             capacity,
             policy,
             defense,
-            hints,
             seq: AtomicU64::new(0),
             next_publisher: AtomicU32::new(1),
             live_publishers: AtomicUsize::new(0),
@@ -507,11 +491,6 @@ impl<P: CoalesceKey> IngestQueues<P> {
         })
     }
 
-    /// The ring that owns `pid` (the batch path's shard placement).
-    fn ring_of(&self, pid: ProcessId) -> usize {
-        crate::hash::shard_of(pid.0, self.rings.len())
-    }
-
     /// Publishes one observation from publisher `publisher` to the ring
     /// that owns `pid`, waiting under [`OverflowPolicy::Block`] while the
     /// destination lane is full. Returns `false` (observation discarded)
@@ -519,7 +498,7 @@ impl<P: CoalesceKey> IngestQueues<P> {
     pub(crate) fn push(&self, publisher: u32, pid: ProcessId, payload: P) -> bool {
         let ring = &self.rings[self.ring_of(pid)];
         let mut state = ring.lock();
-        let hot = self.defense.priority_lane && self.hints.is_hot(pid);
+        let hot = self.defense.priority_lane && state.hot.contains(&pid.0);
         let stamp = || self.seq.fetch_add(1, Ordering::Relaxed);
         loop {
             match self.push_locked(&mut state, publisher, pid, payload, hot, stamp) {
@@ -540,24 +519,23 @@ impl<P: CoalesceKey> IngestQueues<P> {
 
     /// Publishes `batch` in order from publisher `publisher` and returns
     /// how many observations were accepted. Holds every ring (locked in
-    /// index order, then the hint set) for the whole batch, reserves its
-    /// stamps with one atomic and counts it as published with another.
-    /// When a `Block` lane fills mid-batch, every guard is released and
-    /// the rest of the batch goes through [`Self::push`] one entry at a
-    /// time: nothing waits on a condvar while holding more than one ring.
-    /// No other path holds two ring locks, and every path that takes the
-    /// hint set under a ring lock takes the ring first.
+    /// index order) for the whole batch, reserves its stamps with one
+    /// atomic and counts it as published with another. When a `Block`
+    /// lane fills mid-batch, every guard is released and the rest of the
+    /// batch goes through [`Self::push`] one entry at a time: nothing
+    /// waits on a condvar while holding more than one ring. The only other
+    /// path that holds two ring locks, [`Self::set_hot`], takes them in
+    /// the same order.
     pub(crate) fn push_batch(&self, publisher: u32, batch: &[(ProcessId, P)]) -> usize {
         let mut rings: Vec<_> = self.rings.iter().map(ShardRing::lock).collect();
-        let hints = self.defense.priority_lane.then(|| self.hints.read());
         // Every stamp is taken under a ring lock and this batch holds them
         // all, so its stamps form one contiguous run.
         let base = self.seq.fetch_add(batch.len() as u64, Ordering::Relaxed);
         let mut accepted = 0;
         let mut rest: &[(ProcessId, P)] = &[];
         for (i, &(pid, payload)) in batch.iter().enumerate() {
-            let hot = hints.as_ref().is_some_and(|hot| hot.contains(&pid.0));
             let state = &mut rings[self.ring_of(pid)];
+            let hot = self.defense.priority_lane && state.hot.contains(&pid.0);
             match self.push_locked(state, publisher, pid, payload, hot, || base + i as u64) {
                 Pushed::Accepted => accepted += 1,
                 Pushed::Closed => break,
@@ -568,7 +546,6 @@ impl<P: CoalesceKey> IngestQueues<P> {
             }
         }
         self.published.fetch_add(accepted as u64, Ordering::Relaxed);
-        drop(hints);
         drop(rings);
         accepted
             + rest
@@ -674,10 +651,10 @@ impl<P: CoalesceKey> IngestQueues<P> {
                 // to the lowest id, deterministically.
                 let mut heaviest = queue[naive].publisher;
                 let mut max_occ = 0;
-                for p in 0..state.occupancy.len() as u32 {
-                    if state.occ(p) > max_occ {
+                for &(p, occ) in &state.occupancy {
+                    if occ > max_occ {
                         heaviest = p;
-                        max_occ = state.occ(p);
+                        max_occ = occ;
                     }
                 }
                 heaviest
@@ -863,7 +840,7 @@ impl<P: CoalesceKey> IngestPublisher<P> {
     /// accepted (all of them unless the queues were closed mid-batch).
     ///
     /// The batch pays for its synchronisation once: it locks every ring
-    /// (in index order, then the threat-hint set), takes one contiguous
+    /// (in index order), takes one contiguous
     /// run of sequence stamps and counts itself published with one atomic
     /// add. It is therefore atomic against other publishers — no other
     /// entry lands between two of its entries — and a concurrent drain
@@ -1136,13 +1113,7 @@ mod tests {
             priority_lane: false,
             fair_queueing: true,
         };
-        let queues = IngestQueues::with_defense(
-            1,
-            4,
-            OverflowPolicy::DropOldest,
-            defense,
-            ThreatHints::new(),
-        );
+        let queues = IngestQueues::with_defense(1, 4, OverflowPolicy::DropOldest, defense);
         let legit = IngestPublisher::new(queues.clone());
         let flooder = legit.clone();
         // Two handles share the ring: fair share = 4 / 2 = 2 entries.
@@ -1173,21 +1144,14 @@ mod tests {
     /// with the rest.
     #[test]
     fn priority_lane_is_immune_to_normal_lane_overflow() {
-        let hints = ThreatHints::new();
         let defense = IngestDefense {
             priority_lane: true,
             fair_queueing: false,
         };
-        let queues = IngestQueues::with_defense(
-            1,
-            2,
-            OverflowPolicy::DropOldest,
-            defense,
-            Arc::clone(&hints),
-        );
+        let queues = IngestQueues::with_defense(1, 2, OverflowPolicy::DropOldest, defense);
         let publisher = IngestPublisher::new(queues.clone());
         let suspect = ProcessId(7);
-        assert!(hints.mark(suspect));
+        queues.set_hot([(suspect, true)]);
         assert!(publisher.publish(suspect, Malicious));
         // Flood the normal lane far past capacity.
         for pid in 100..110u64 {
@@ -1205,8 +1169,8 @@ mod tests {
         assert!(work.iter().filter(|&&(pid, _)| pid == suspect).count() == 1);
 
         // Cleared pids fall back to the normal lane.
-        assert!(hints.clear(suspect));
-        assert!(!hints.is_hot(suspect));
+        queues.set_hot([(suspect, false)]);
+        assert!(!queues.is_hot(suspect));
         assert!(publisher.publish(suspect, Malicious));
         assert_eq!(queues.stats().priority_queued, 1, "no longer prioritized");
     }
@@ -1219,13 +1183,7 @@ mod tests {
             priority_lane: false,
             fair_queueing: true,
         };
-        let queues = IngestQueues::with_defense(
-            1,
-            4,
-            OverflowPolicy::DropOldest,
-            defense,
-            ThreatHints::new(),
-        );
+        let queues = IngestQueues::with_defense(1, 4, OverflowPolicy::DropOldest, defense);
         let a = IngestPublisher::new(queues.clone());
         let b = a.clone();
         for _ in 0..100 {
@@ -1276,10 +1234,9 @@ mod tests {
             (drain_all(&queues), queues.stats())
         };
         for policy in [OverflowPolicy::DropOldest, OverflowPolicy::Coalesce] {
-            let hints = ThreatHints::new();
-            hints.update(script.iter().map(|&(_, pid, _)| (ProcessId(pid), true)));
             let (plain, plain_stats) = run(IngestQueues::new(1, 3, policy));
-            let hot = IngestQueues::with_defense(1, 3, policy, IngestDefense::full(), hints);
+            let hot = IngestQueues::with_defense(1, 3, policy, IngestDefense::full());
+            hot.set_hot(script.iter().map(|&(_, pid, _)| (ProcessId(pid), true)));
             let (prio, prio_stats) = run(hot);
             assert_eq!(prio, plain, "{policy:?}: drained entries differ");
             assert!(
@@ -1303,18 +1260,105 @@ mod tests {
         }
     }
 
+    /// Every hint lives in the ring that owns its pid, and one pass
+    /// applies its updates in order.
     #[test]
-    fn threat_hints_update_marks_and_clears_in_one_pass() {
-        let hints = ThreatHints::new();
-        hints.update([
-            (ProcessId(1), true),
-            (ProcessId(2), true),
+    fn set_hot_marks_and_clears_in_one_pass() {
+        let queues = IngestQueues::<Classification>::with_defense(
+            4,
+            8,
+            OverflowPolicy::Block,
+            IngestDefense::full(),
+        );
+        queues.set_hot((0..32).map(|pid| (ProcessId(pid), true)));
+        queues.set_hot([
             (ProcessId(1), false),
+            (ProcessId(40), true),
+            (ProcessId(2), false),
+            (ProcessId(1), true),
+            (ProcessId(40), false),
         ]);
-        assert!(!hints.is_hot(ProcessId(1)));
-        assert!(hints.is_hot(ProcessId(2)));
-        assert_eq!(hints.len(), 1);
-        assert!(!hints.is_empty());
+        for pid in (0..32).map(ProcessId) {
+            assert_eq!(queues.is_hot(pid), pid.0 != 2, "{pid:?}");
+            let owner = queues.ring_of(pid);
+            for (r, ring) in queues.rings.iter().enumerate() {
+                assert_eq!(ring.lock().hot.contains(&pid.0), r == owner && pid.0 != 2);
+            }
+        }
+        assert!(!queues.is_hot(ProcessId(40)));
+        let marks: usize = queues.rings.iter().map(|r| r.lock().hot.len()).sum();
+        assert_eq!(marks, 31);
+    }
+
+    /// A hint update that panics while it holds every ring poisons their
+    /// locks. Every ring critical section leaves valid state, so later
+    /// publishes and drains recover the locks instead of re-raising, and
+    /// the marks applied before the panic stand.
+    #[test]
+    fn a_panicking_hint_update_does_not_wedge_publish_or_drain() {
+        let queues =
+            IngestQueues::with_defense(2, 64, OverflowPolicy::Block, IngestDefense::full());
+        let publisher = IngestPublisher::new(queues.clone());
+        let crashed = {
+            let queues = Arc::clone(&queues);
+            std::thread::spawn(move || {
+                let feed = std::iter::once((ProcessId(9), true)).chain(std::iter::from_fn(
+                    || -> Option<(ProcessId, bool)> { panic!("hint feed crashed mid-update") },
+                ));
+                queues.set_hot(feed);
+            })
+        };
+        assert!(crashed.join().is_err(), "the updater must have panicked");
+        assert!(
+            queues.rings.iter().all(|ring| ring.state.is_poisoned()),
+            "the update held every ring when it panicked"
+        );
+
+        assert!(queues.is_hot(ProcessId(9)));
+        assert!(publisher.publish(ProcessId(1), Malicious));
+        assert!(publisher.publish(ProcessId(9), Malicious));
+        let drained = drain_all(&queues);
+        let pids: Vec<u64> = drained.iter().map(|&(_, pid, _)| pid.0).collect();
+        assert_eq!(pids, [1, 9]);
+        assert_eq!(queues.stats().priority_queued, 1);
+    }
+
+    /// Fair-queueing bookkeeping covers only the publishers with entries
+    /// queued: publisher ids are never reused, and before it did, every
+    /// drain cycle regrew it to the largest live id and every fair
+    /// eviction scanned all of it.
+    #[test]
+    fn fair_queueing_bookkeeping_does_not_grow_with_clone_churn() {
+        const CAPACITY: usize = 4;
+        let defense = IngestDefense {
+            priority_lane: false,
+            fair_queueing: true,
+        };
+        let queues = IngestQueues::with_defense(1, CAPACITY, OverflowPolicy::DropOldest, defense);
+        let a = IngestPublisher::new(queues.clone());
+        for _ in 0..10_000 {
+            drop(a.clone());
+        }
+        let b = a.clone();
+        assert!(b.id() > 10_000);
+        for round in 0..3u64 {
+            // `b` floods past its share of 4 / 2 live handles, then `a`
+            // publishes into the full ring: the heaviest holder, `b`, pays.
+            for pid in 0..5 {
+                assert!(b.publish(ProcessId(100 * round + pid), Benign));
+            }
+            assert!(a.publish(ProcessId(100 * round + 50), Malicious));
+            assert!(queues.rings[0].lock().occupancy.len() <= CAPACITY);
+            let drained = drain_all(&queues);
+            let pids: Vec<u64> = drained
+                .iter()
+                .map(|&(_, pid, _)| pid.0 - 100 * round)
+                .collect();
+            assert_eq!(pids, [2, 3, 4, 50], "round {round}");
+        }
+        let stats = queues.stats();
+        assert_eq!(stats.dropped, 6);
+        assert_eq!(stats.dropped_by_publisher.get(b.id() as usize), Some(&6));
     }
 
     #[test]
@@ -1346,16 +1390,27 @@ mod tests {
     /// into rings that never fill, while this thread drains them with
     /// stamps. Each ring's stamps rise strictly in drain order, each batch
     /// holds one contiguous stamp run in entry order, and every published
-    /// observation is drained.
-    fn concurrent_batches_take_contiguous_stamp_runs(batches: u64) {
+    /// observation is drained. With the priority lane on, the drainer
+    /// marks and clears a moving window of pids between drains, so
+    /// batches straddle both lanes and the hint updates contend with the
+    /// publishers for the ring locks. Every wait is bounded, so a
+    /// lock-order deadlock fails the test instead of hanging it.
+    fn concurrent_batches_take_contiguous_stamp_runs(batches: u64, defense: IngestDefense) {
         const THREADS: u64 = 4;
         const BATCH: u64 = 256;
         let total = THREADS * batches * BATCH;
-        let queues = IngestQueues::new(4, total as usize, OverflowPolicy::Block);
+        let queues = IngestQueues::with_defense(4, total as usize, OverflowPolicy::Block, defense);
         let publisher = IngestPublisher::new(queues.clone());
+        if defense.priority_lane {
+            // Each thread's first pid stays hot, so batches straddle the
+            // lanes however the threads race the drainer.
+            queues.set_hot((0..THREADS).map(|t| (ProcessId(t * batches * BATCH), true)));
+        }
+        let (done, finished) = std::sync::mpsc::channel();
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let publisher = publisher.clone();
+                let done = done.clone();
                 std::thread::spawn(move || {
                     let mut batch = Vec::with_capacity(BATCH as usize);
                     for b in 0..batches {
@@ -1365,15 +1420,34 @@ mod tests {
                         batch.extend((first..first + BATCH).map(|pid| (ProcessId(pid), Benign)));
                         assert_eq!(publisher.publish_batch(&batch), batch.len());
                     }
+                    done.send(()).unwrap();
                 })
             })
             .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
         // Per batch: the stamp of its entry 0, and how many entries landed.
         let mut runs: HashMap<u64, (u64, u64)> = HashMap::new();
         let mut last = vec![None; queues.rings.len()];
         let (mut work, mut seqs) = (Vec::new(), Vec::new());
         let mut drained = 0;
+        let mut round = 0u64;
         while drained < total {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "publish or drain deadlocked"
+            );
+            if defense.priority_lane {
+                // Mark a window of 64 odd pids spread over the whole run
+                // and clear the previous round's window.
+                let window = |r: u64| {
+                    (0..64).map(move |k| ProcessId((r * 7919 + k * 4099) % (total / 2) * 2 + 1))
+                };
+                if round > 0 {
+                    queues.set_hot(window(round - 1).map(|pid| (pid, false)));
+                }
+                queues.set_hot(window(round).map(|pid| (pid, true)));
+                round += 1;
+            }
             for (shard, last) in last.iter_mut().enumerate() {
                 work.clear();
                 seqs.clear();
@@ -1393,6 +1467,11 @@ mod tests {
             }
             std::thread::yield_now();
         }
+        for _ in &workers {
+            finished
+                .recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+                .expect("a batch publisher never returned");
+        }
         for w in workers {
             w.join().unwrap();
         }
@@ -1402,17 +1481,32 @@ mod tests {
         assert_eq!(stats.published, total);
         assert_eq!(stats.drained, stats.published);
         assert_eq!(stats.queued, 0);
+        assert_eq!(stats.dropped, 0);
+        if defense.priority_lane {
+            assert!(
+                stats.priority_queued >= THREADS,
+                "batches missed the priority lane"
+            );
+        }
     }
 
     #[test]
     fn concurrent_batches_are_contiguous_and_ring_ordered() {
-        concurrent_batches_take_contiguous_stamp_runs(16);
+        for defense in [IngestDefense::default(), IngestDefense::full()] {
+            concurrent_batches_take_contiguous_stamp_runs(16, defense);
+        }
     }
 
     #[test]
     #[ignore = "stress: 10k batches; run with --ignored"]
     fn concurrent_batches_are_contiguous_and_ring_ordered_stress() {
-        concurrent_batches_take_contiguous_stamp_runs(2_500);
+        concurrent_batches_take_contiguous_stamp_runs(2_500, IngestDefense::default());
+    }
+
+    #[test]
+    #[ignore = "stress: 10k batches on defended rings; run with --ignored"]
+    fn defended_concurrent_batches_are_contiguous_and_ring_ordered_stress() {
+        concurrent_batches_take_contiguous_stamp_runs(2_500, IngestDefense::full());
     }
 
     /// A `Block` batch three times the size of the rings cannot fit while

@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use crate::error::ValkyrieError;
     pub use crate::fleet::FleetEngine;
-    pub use crate::ingest::{IngestDefense, IngestPublisher, OverflowPolicy, ThreatHints};
+    pub use crate::ingest::{IngestDefense, IngestPublisher, OverflowPolicy};
     pub use crate::monitor::{EscalationLadder, EscalationLevel};
     pub use crate::resource::{ProcessId, ResourceKind, ResourceVector};
     pub use crate::sharded::{Responses, ShardedEngine};

@@ -33,6 +33,12 @@
 //! the caller's thread and send each observation straight to its shard
 //! ([`ShardedEngine::set_parallel_threshold`] moves the crossover).
 //!
+//! When the binary rings run the priority lane, every entry point that
+//! returns responses refreshes the rings' threat hints from them in one
+//! pass that locks the rings in index order (see the [`crate::ingest`]
+//! module's "Overload defense"), and `forget` and `complete` clear a pid's
+//! hint. [`ShardedEngine::is_hot`] reads them.
+//!
 //! # The output buffer
 //!
 //! [`ShardedEngine::observe_batch`] and [`ShardedEngine::tick`] return a
@@ -114,7 +120,6 @@ use crate::error::ValkyrieError;
 use crate::hash::shard_of;
 use crate::ingest::{
     merge_by_seq, CoalesceKey, IngestDefense, IngestPublisher, IngestQueues, OverflowPolicy,
-    ThreatHints,
 };
 use crate::resource::{ProcessId, ResourceVector};
 use crate::state::ProcessState;
@@ -193,14 +198,6 @@ pub struct ShardedEngine {
     /// can be enabled at once, and one [`ShardedEngine::drain_tick`]
     /// serves both.
     verdicts: Lane<Verdict>,
-    /// The suspicious-pid feedback channel for defended rings
-    /// ([`crate::ingest::ThreatHints`]), refreshed from every response
-    /// this engine returns.
-    hints: Arc<ThreatHints>,
-    /// Whether the binary rings route on the hints (skips the feedback
-    /// pass, and the hint clearing in [`ShardedEngine::forget`] and
-    /// [`ShardedEngine::complete`], for undefended engines).
-    hints_active: bool,
     /// The shard whose turn to record its walk, and to re-lay its table on
     /// the pass after, begins next. Advanced round robin by every pass that
     /// walks the tables: a step phase, an inline batch or a verdict pass.
@@ -326,18 +323,21 @@ struct Lane<P>(Option<Arc<IngestQueues<P>>>);
 impl<P: CoalesceKey> Lane<P> {
     /// Closes the current rings, if any (their blocked publishers wake,
     /// their handles start returning `false`, and anything still queued
-    /// in them is discarded), then builds fresh ones.
+    /// in them is discarded), then builds fresh ones. The threat hints
+    /// carry over only when both run the priority lane (see
+    /// [`IngestQueues::carry_hints`]).
     fn replace(
         &mut self,
         nshards: usize,
         capacity: usize,
         policy: OverflowPolicy,
         defense: IngestDefense,
-        hints: &Arc<ThreatHints>,
     ) -> IngestPublisher<P> {
         self.close();
-        let queues =
-            IngestQueues::with_defense(nshards, capacity, policy, defense, Arc::clone(hints));
+        let queues = IngestQueues::with_defense(nshards, capacity, policy, defense);
+        if let Some(old) = &self.0 {
+            queues.carry_hints(old);
+        }
         self.0 = Some(Arc::clone(&queues));
         IngestPublisher::new(queues)
     }
@@ -571,8 +571,6 @@ impl ShardedEngine {
             vparts: vec![Vec::new(); shards],
             ingest: Lane(None),
             verdicts: Lane(None),
-            hints: ThreatHints::new(),
-            hints_active: false,
             relay_turn: 0,
             spare: None,
         }
@@ -885,9 +883,11 @@ impl ShardedEngine {
     }
 
     /// [`Self::enable_ingest`] with the overload defense: priority lanes
-    /// routed on this engine's [`ThreatHints`] (refreshed from every
-    /// response it returns) and/or per-publisher fair queueing.
-    /// With both mechanisms off this is exactly [`Self::enable_ingest`].
+    /// routed on this engine's threat hints (see [`Self::is_hot`]) and/or
+    /// per-publisher fair queueing. With both mechanisms off this is
+    /// exactly [`Self::enable_ingest`]. Replacing priority-lane rings with
+    /// priority-lane rings keeps the hints; any other replacement starts
+    /// the new rings with none.
     ///
     /// # Panics
     ///
@@ -898,23 +898,26 @@ impl ShardedEngine {
         policy: OverflowPolicy,
         defense: IngestDefense,
     ) -> IngestPublisher {
-        let publisher =
-            self.ingest
-                .replace(self.shards.len(), capacity, policy, defense, &self.hints);
-        // Nothing refreshes the hints while they are off, so marks kept
-        // across a switch would be stale: a pid purged meanwhile would
-        // stay hot, and its recycled successor would inherit the lane.
-        if self.hints_active != defense.priority_lane {
-            self.hints.clear_all();
-        }
-        self.hints_active = defense.priority_lane;
-        publisher
+        self.ingest
+            .replace(self.shards.len(), capacity, policy, defense)
     }
 
-    /// The suspicious-pid feedback set shared with defended queue sets.
-    /// Mostly for tests and telemetry — the engine maintains it by itself.
-    pub fn threat_hints(&self) -> Arc<ThreatHints> {
-        Arc::clone(&self.hints)
+    /// Whether the binary rings route `pid`'s publishes into the priority
+    /// lane: they run [`IngestDefense::priority_lane`], the latest response
+    /// this engine returned for `pid` left it Suspicious or Terminable, and
+    /// `pid` was neither forgotten nor completed since. These marks are the
+    /// threat hints; the engine keeps them by itself, and `false` is the
+    /// answer without such rings.
+    pub fn is_hot(&self, pid: ProcessId) -> bool {
+        self.hinted_rings().is_some_and(|rings| rings.is_hot(pid))
+    }
+
+    /// The binary rings, if they route on the threat hints.
+    fn hinted_rings(&self) -> Option<&IngestQueues> {
+        self.ingest
+            .0
+            .as_deref()
+            .filter(|rings| rings.routes_on_hints())
     }
 
     /// Refreshes the threat hints from responses about to be returned: pids
@@ -923,10 +926,13 @@ impl ShardedEngine {
     /// Every observing entry point calls it, so a pid that leaves the
     /// ladder by any route is never purged with its mark still set.
     fn update_hints(&self, responses: &[EngineResponse]) {
-        if !self.hints_active || responses.is_empty() {
+        let Some(rings) = self.hinted_rings() else {
+            return;
+        };
+        if responses.is_empty() {
             return;
         }
-        self.hints.update(responses.iter().map(|r| {
+        rings.set_hot(responses.iter().map(|r| {
             (
                 r.pid,
                 matches!(r.state, ProcessState::Suspicious | ProcessState::Terminable),
@@ -967,7 +973,6 @@ impl ShardedEngine {
             capacity,
             policy,
             IngestDefense::default(),
-            &self.hints,
         )
     }
 
@@ -1105,11 +1110,11 @@ impl ShardedEngine {
     }
 
     /// Drops `pid`'s priority-lane mark, so a finished or forgotten process
-    /// does not stay in the hint set and a recycled pid does not inherit
-    /// its lane. No lock is taken when no ring routes on the hints.
+    /// does not stay in the hints and a recycled pid does not inherit its
+    /// lane. No lock is taken when no ring routes on the hints.
     fn clear_hint(&self, pid: ProcessId) {
-        if self.hints_active {
-            self.hints.clear(pid);
+        if let Some(rings) = self.hinted_rings() {
+            rings.set_hot([(pid, false)]);
         }
     }
 
@@ -1713,7 +1718,7 @@ mod tests {
     }
 
     /// Regression: `forget` used to leave the pid's priority-lane mark in
-    /// the shared hint set, so forgotten pids accumulated there forever
+    /// the hint set, so forgotten pids accumulated there forever
     /// and a recycled pid inherited the lane.
     #[test]
     fn forget_clears_threat_hints() {
@@ -1721,11 +1726,11 @@ mod tests {
         let batch: Vec<(ProcessId, Classification)> =
             (0..1000).map(|pid| (ProcessId(pid), Malicious)).collect();
         e.tick(&batch);
-        assert_eq!(e.threat_hints().len(), 1000);
+        assert!(batch.iter().all(|&(pid, _)| e.is_hot(pid)));
         for &(pid, _) in &batch {
             e.forget(pid);
         }
-        assert!(e.threat_hints().is_empty());
+        assert!(!batch.iter().any(|&(pid, _)| e.is_hot(pid)));
     }
 
     /// Regression: a completed pid kept its mark after the tick's purge
@@ -1735,10 +1740,10 @@ mod tests {
         let (mut e, _publisher) = hinted_engine(100);
         let pid = ProcessId(7);
         e.tick(&[(pid, Malicious)]);
-        assert!(e.threat_hints().is_hot(pid));
+        assert!(e.is_hot(pid));
         e.complete(pid).unwrap();
         e.tick(&[]);
-        assert!(e.threat_hints().is_empty());
+        assert!(!e.is_hot(pid));
     }
 
     /// Regression: only `tick` and `drain_batch` refreshed the hints, so a
@@ -1762,7 +1767,7 @@ mod tests {
             let (mut e, _publisher) = hinted_engine(2);
             let pid = ProcessId(5);
             e.tick(&[(pid, Malicious)]);
-            assert!(e.threat_hints().is_hot(pid), "route {route}");
+            assert!(e.is_hot(pid), "route {route}");
             observe(&mut e, pid);
             observe(&mut e, pid);
             assert_eq!(
@@ -1771,7 +1776,7 @@ mod tests {
                 "route {route}"
             );
             assert_eq!(e.purge_terminated(), 1, "route {route}");
-            assert!(e.threat_hints().is_empty(), "route {route}");
+            assert!(!e.is_hot(pid), "route {route}");
         }
     }
 
@@ -1783,8 +1788,9 @@ mod tests {
         let (mut e, _publisher) = hinted_engine(2);
         let pid = ProcessId(5);
         e.tick(&[(pid, Malicious)]);
-        assert!(e.threat_hints().is_hot(pid));
+        assert!(e.is_hot(pid));
         let _undefended = e.enable_ingest(64, OverflowPolicy::Block);
+        assert!(!e.is_hot(pid), "undefended rings route on no hints");
         e.tick(&[(pid, Malicious)]);
         e.tick(&[(pid, Malicious)]);
         assert_eq!(e.state(pid), None, "terminated and purged");
@@ -1793,8 +1799,27 @@ mod tests {
             fair_queueing: false,
         };
         let _defended = e.enable_ingest_defended(64, OverflowPolicy::Block, defense);
-        assert!(!e.threat_hints().is_hot(pid));
-        assert!(e.threat_hints().is_empty());
+        assert!(!e.is_hot(pid));
+    }
+
+    /// Replacing priority-lane rings with priority-lane rings keeps every
+    /// hint, as the hints stayed fresh throughout; rings without the lane
+    /// in between drop them, fair queueing or not.
+    #[test]
+    fn a_defended_reenable_keeps_threat_hints() {
+        let (mut e, _publisher) = hinted_engine(100);
+        let hot: Vec<(ProcessId, Classification)> =
+            (0..64).map(|pid| (ProcessId(pid), Malicious)).collect();
+        e.tick(&hot);
+        let _again = e.enable_ingest_defended(8, OverflowPolicy::DropOldest, IngestDefense::full());
+        assert!(hot.iter().all(|&(pid, _)| e.is_hot(pid)));
+        let fair_only = IngestDefense {
+            priority_lane: false,
+            fair_queueing: true,
+        };
+        let _fair = e.enable_ingest_defended(8, OverflowPolicy::DropOldest, fair_only);
+        let _back = e.enable_ingest_defended(8, OverflowPolicy::DropOldest, IngestDefense::full());
+        assert!(!hot.iter().any(|&(pid, _)| e.is_hot(pid)));
     }
 
     /// Binary and verdict rings drain side by side: one drain serves both,

@@ -15,10 +15,12 @@
 //! and drain fans out) and at `usize::MAX` (every one stays inline), with
 //! cyclic monitoring on and off. Odd seeds defend the binary rings
 //! ([`IngestDefense::full`]: priority lane and fair queueing), so pids the
-//! engine marks hot are published through the priority lane; even seeds
-//! leave them undefended. Seeds with bit 1 set configure a two-kind
-//! actuator (CPU and filesystem), whose engines keep each process's shares
-//! in a column beside the process table; the rest move the CPU share alone.
+//! engine marks hot are published through the priority lane, and each
+//! re-enable draws a fresh defence for the new rings: full, the priority
+//! lane alone, or none. Even seeds leave the rings undefended. Seeds with
+//! bit 1 set configure a two-kind actuator (CPU and filesystem), whose
+//! engines keep each process's shares in a column beside the process
+//! table; the rest move the CPU share alone.
 //!
 //! Every run is compared bit for bit (floats as bits) against one
 //! reference: a single [`ValkyrieEngine`] fed the same operations one
@@ -31,12 +33,14 @@
 //! order within a shard, which is exactly the reference's first-arrival
 //! order under a stable sort by `shard_of`. Every response of every run,
 //! the reference's included, also passes the paper's invariants
-//! ([`ResponseInvariants`]). In defended runs, every pid the threat hints
-//! mark hot must still be tracked after every operation.
+//! ([`ResponseInvariants`]). After every operation, every pid the engine
+//! routes to the priority lane ([`ShardedEngine::is_hot`]) must still be
+//! tracked, so a hint that outlives its process, across a defence change
+//! too, fails the run.
 //!
 //! Reproduce a failure by its seed: the message names the seed, the shape,
-//! the threshold, the cyclic, defended and two-kind flags and the
-//! operation.
+//! the threshold, the cyclic, defended and two-kind flags, the operation
+//! and the binary rings' defence at it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,6 +107,8 @@ enum Op {
     Forget(ProcessId),
     Purge,
     /// Replaces both ingest lanes; what the old rings held is discarded.
+    /// The new binary rings' defence is drawn apart from the trace (see
+    /// [`defences`]).
     Reenable,
 }
 
@@ -391,12 +397,36 @@ fn reference(config: &EngineConfig, trace: &[Op], what: &str) -> (Vec<Step>, End
     (steps, ending)
 }
 
-/// Runs `trace` on `engine`, its binary rings built with `defense`, and
-/// compares every operation with the reference's `steps`, and the end with
-/// `want`. `pids` holds every pid the trace can name.
+/// The binary rings' defence at the start of `trace` and after each of its
+/// `Reenable`s. Odd seeds start fully defended, and each re-enable draws
+/// full, the priority lane alone, or none from a stream of its own, so
+/// every trace stays as its seed drew it. Even seeds stay undefended.
+fn defences(seed: u64, trace: &[Op]) -> Vec<IngestDefense> {
+    let reenables = trace.iter().filter(|op| matches!(op, Op::Reenable)).count();
+    if seed.is_multiple_of(2) {
+        return vec![IngestDefense::default(); reenables + 1];
+    }
+    let choices = [
+        IngestDefense::full(),
+        IngestDefense {
+            priority_lane: true,
+            fair_queueing: false,
+        },
+        IngestDefense::default(),
+    ];
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xDEFE_4CE5);
+    std::iter::once(IngestDefense::full())
+        .chain((0..reenables).map(|_| choices[rng.gen_range(0..choices.len())]))
+        .collect()
+}
+
+/// Runs `trace` on `engine`, its binary rings built with `defences[0]`
+/// and rebuilt at each re-enable with the next one, and compares every
+/// operation with the reference's `steps`, and the end with `want`. `pids`
+/// holds every pid the trace can name.
 fn conform(
     engine: &mut ShardedEngine,
-    defense: IngestDefense,
+    defences: &[IngestDefense],
     pids: &[ProcessId],
     trace: &[Op],
     steps: &[Step],
@@ -404,10 +434,15 @@ fn conform(
     what: &str,
 ) {
     let mut inv = ResponseInvariants::new(engine.config());
+    let mut defences = defences.iter().copied();
+    let mut defense = defences.next().expect("one defence per ring set");
     let mut binary = engine.enable_ingest_defended(RING_CAPACITY, OverflowPolicy::Block, defense);
     let mut verdicts = engine.enable_verdict_ingest(RING_CAPACITY, OverflowPolicy::Block);
     for (i, (op, step)) in trace.iter().zip(steps).enumerate() {
-        let what = format!("{what}, op {i} {op:?}");
+        if matches!(op, Op::Reenable) {
+            defense = defences.next().expect("one defence per re-enable");
+        }
+        let what = format!("{what}, op {i} {op:?}, {defense:?}");
         let mut outcome = 0;
         let got: Vec<EngineResponse> = match op {
             Op::Observe(pid, class) => vec![engine.observe(*pid, *class)],
@@ -489,10 +524,9 @@ fn conform(
             engine.tracked(),
             "{what}: checker out of step"
         );
-        let hints = engine.threat_hints();
         for &pid in pids {
             assert!(
-                !hints.is_hot(pid) || engine.state(pid).is_some(),
+                !engine.is_hot(pid) || engine.state(pid).is_some(),
                 "{what}: {pid} is hot but not tracked"
             );
         }
@@ -512,21 +546,17 @@ fn conform(
 }
 
 /// Runs `seeds` traces of `ops` operations each on every shape, threshold
-/// and cyclic flag, with the binary rings defended on odd seeds and a
-/// two-kind actuator on seeds with bit 1 set.
+/// and cyclic flag, with the binary rings defended on odd seeds (see
+/// [`defences`]) and a two-kind actuator on seeds with bit 1 set.
 fn run_harness(seeds: impl Iterator<Item = u64>, ops: usize, max_batch: usize) {
     for seed in seeds {
         let defended = seed % 2 == 1;
         let two_kind = seed & 2 != 0;
-        let defense = if defended {
-            IngestDefense::full()
-        } else {
-            IngestDefense::default()
-        };
         for cyclic in [false, true] {
             let mut gen = Gen::new(seed, max_batch);
             let config = gen.config(cyclic, two_kind);
             let trace = gen.trace(ops);
+            let defences = defences(seed, &trace);
             let what =
                 format!("seed {seed}, cyclic {cyclic}, defended {defended}, two-kind {two_kind}");
             let (steps, want) = reference(&config, &trace, &what);
@@ -535,7 +565,7 @@ fn run_harness(seeds: impl Iterator<Item = u64>, ops: usize, max_batch: usize) {
                     let what = format!("{what}, {shape:?}, threshold {threshold}");
                     let run = |engine: &mut ShardedEngine| {
                         engine.set_parallel_threshold(threshold);
-                        conform(engine, defense, &gen.pids, &trace, &steps, &want, &what);
+                        conform(engine, &defences, &gen.pids, &trace, &steps, &want, &what);
                     };
                     match shape {
                         Shape::Sharded(shards) => {

@@ -691,26 +691,3 @@ fn the_tick_after_a_caught_shard_panic_answers_correctly() {
         last = Some(ptr);
     }
 }
-
-/// A thread that panics while holding the threat-hint lock poisons it. The
-/// hints are advisory, so later publishes and drains recover the lock
-/// instead of re-raising the panic inside the ring lock.
-#[test]
-fn poisoned_threat_hints_do_not_wedge_publish_or_drain() {
-    let mut e = ShardedEngine::new(engine(5), 2);
-    let publisher = e.enable_ingest_defended(64, OverflowPolicy::Block, IngestDefense::full());
-    let hints = e.threat_hints();
-    let crashed = std::thread::spawn(move || {
-        let feed = std::iter::once((ProcessId(9), true)).chain(std::iter::from_fn(
-            || -> Option<(ProcessId, bool)> { panic!("hint feed crashed mid-update") },
-        ));
-        hints.update(feed);
-    });
-    assert!(crashed.join().is_err(), "the updater must have panicked");
-
-    let pid = ProcessId(1);
-    assert!(publisher.publish(pid, Classification::Malicious));
-    let responses = e.drain_tick();
-    assert_eq!(responses.len(), 1);
-    assert_eq!(responses[0].pid, pid);
-}

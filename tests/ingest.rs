@@ -120,30 +120,22 @@ type StatsTrace = Vec<(Vec<EngineResponse>, IngestStats)>;
 /// Feeds `observations` to `engine` chunk by chunk and answers each chunk
 /// with one `drain_tick`. Chunk `i` goes through `handles[i % 2]`, as one
 /// `publish_batch` when `batched` and as one `publish` per entry
-/// otherwise; before chunk `mark_at`, the `marked` pids are marked hot in
-/// the engine's threat hints. Every tick's responses are recorded with the
-/// counters `stats` reads.
-#[allow(clippy::too_many_arguments)]
+/// otherwise. A defended engine marks the pids its responses leave
+/// Suspicious or Terminable hot, so their later entries take the priority
+/// lane. Every tick's responses are recorded with the counters `stats`
+/// reads.
 fn chunked_run<P: CoalesceKey>(
     mut engine: ShardedEngine,
     handles: &[IngestPublisher<P>; 2],
     stats: fn(&ShardedEngine) -> Option<IngestStats>,
     observations: &[(ProcessId, P)],
     chunk: usize,
-    mark_at: usize,
-    marked: &[u64],
     batched: bool,
 ) -> StatsTrace {
     observations
         .chunks(chunk)
         .enumerate()
         .map(|(i, batch)| {
-            if i == mark_at {
-                let hints = engine.threat_hints();
-                for &pid in marked {
-                    hints.mark(ProcessId(pid));
-                }
-            }
             let handle = &handles[i % 2];
             let accepted = if batched {
                 handle.publish_batch(batch)
@@ -167,8 +159,9 @@ proptest! {
     /// identically and report identical `IngestStats` — evictions,
     /// per-publisher drop charges, coalescing, priority routing and
     /// deflected evictions included. Ring capacity 1..8 makes the lossy
-    /// policies overflow; every defense configuration runs, with hints
-    /// marked mid-run; shards {1, 2, 7}; binary and verdict payloads.
+    /// policies overflow; every defense configuration runs, with the pids
+    /// the engine's own responses flag routed to the priority lane; shards
+    /// {1, 2, 7}; binary and verdict payloads.
     #[test]
     fn batch_publish_matches_per_entry_publish_through_overflow(
         classes in interleaving(80),
@@ -176,8 +169,6 @@ proptest! {
         chunk in 1usize..24,
         capacity in 1usize..9,
         n_star in 1u64..8,
-        mark_at in 0usize..6,
-        marked in prop::collection::vec(0u64..24, 0..6),
     ) {
         let defenses = [
             IngestDefense::default(),
@@ -202,7 +193,7 @@ proptest! {
                         let handles = [first.clone(), first];
                         chunked_run(
                             engine, &handles, ShardedEngine::ingest_stats,
-                            &classes, chunk, mark_at, &marked, batched,
+                            &classes, chunk, batched,
                         )
                     };
                     prop_assert_eq!(
@@ -223,7 +214,7 @@ proptest! {
                     let handles = [first.clone(), first];
                     chunked_run(
                         engine, &handles, ShardedEngine::verdict_ingest_stats,
-                        &verdicts, chunk, mark_at, &marked, batched,
+                        &verdicts, chunk, batched,
                     )
                 };
                 prop_assert_eq!(
