@@ -27,9 +27,14 @@
 //! [`publish_batch`](IngestPublisher::publish_batch) locks every ring (in
 //! index order) and reserves one contiguous run of stamps for the whole
 //! batch. Within a ring, sequence numbers are therefore strictly
-//! increasing in application order, so a drain can merge the per-shard
-//! response lists back into one publish-ordered response batch — which
-//! is what makes Block-mode ingest **bit-for-bit
+//! increasing in application order.
+//!
+//! **Every lane is a FIFO in stamp order.** An observation joins a lane
+//! only at its back, under a fresh stamp, and whatever leaves (a drain,
+//! an eviction, an entry a newer one coalesces) leaves the rest in
+//! order. So a drain applies each ring in publish order, and merging the
+//! per-shard response lists by stamp rebuilds one publish-ordered
+//! response batch — which is what makes Block-mode ingest **bit-for-bit
 //! equivalent** to the synchronous
 //! [`observe_batch`](crate::ShardedEngine::observe_batch) path (pinned by
 //! the conformance harness, `tests/conformance.rs`). A batch pays for its
@@ -49,10 +54,10 @@
 //!   evicted. The freshest verdicts win; staleness is bounded by the ring
 //!   capacity.
 //! * [`OverflowPolicy::Coalesce`] — if the full ring already holds an
-//!   observation for the same pid, it is overwritten in place with the
-//!   newer classification (cyclic monitoring consumes one verdict per
-//!   process per epoch, so only the newest matters); otherwise the oldest
-//!   entry is evicted as in `DropOldest`.
+//!   observation for the same pid, that entry is removed and the newer
+//!   classification queues at the back (cyclic monitoring consumes one
+//!   verdict per process per epoch, so only the newest matters);
+//!   otherwise the oldest entry is evicted as in `DropOldest`.
 //!
 //! Every lost observation is counted and exposed through
 //! [`IngestStats`] — overload is visible, never silent.
@@ -195,14 +200,14 @@ pub enum OverflowPolicy {
     Block,
     /// Evict the oldest queued observation; the freshest verdicts survive.
     DropOldest,
-    /// Overwrite the queued observation of the *same pid* with the newer
-    /// classification (cyclic monitoring's semantics: one verdict per
-    /// process per epoch, newest wins); evict the stalest-stamped entry
-    /// when the pid has none queued. A publish into a *full* ring scans it
-    /// (O(capacity), under the ring lock) to find the merge target or the
-    /// eviction victim — size the rings so overflow is the exception, not
-    /// the steady state, and let [`IngestStats::coalesced`] tell you when
-    /// it isn't.
+    /// Replace the queued observation of the *same pid* with the newer
+    /// classification, which queues at the back (cyclic monitoring's
+    /// semantics: one verdict per process per epoch, newest wins); evict
+    /// the oldest entry, as `DropOldest` does, when the pid has none
+    /// queued. A publish into a *full* ring scans it (O(capacity), under
+    /// the ring lock) for the entry to replace — size the rings so
+    /// overflow is the exception, not the steady state, and let
+    /// [`IngestStats::coalesced`] tell you when it isn't.
     Coalesce,
 }
 
@@ -580,35 +585,25 @@ impl<P: CoalesceKey> IngestQueues<P> {
         if state.lanes[lane].len() >= self.capacity {
             match self.policy {
                 OverflowPolicy::Block => return Pushed::Full,
-                OverflowPolicy::DropOldest => self.evict(state, lane, publisher, false),
+                OverflowPolicy::DropOldest => self.evict(state, lane, publisher),
                 OverflowPolicy::Coalesce => {
                     let key = payload.coalesce_key();
-                    if let Some(i) = state.lanes[lane]
+                    let queue = &mut state.lanes[lane];
+                    let replaced = queue
                         .iter()
                         .rposition(|o| o.pid == pid && o.payload.coalesce_key() == key)
-                    {
-                        // Same (pid, key) already queued: keep its queue
-                        // position, take the newer verdict, publish-order
-                        // stamp and publisher attribution.
-                        let entry = &mut state.lanes[lane][i];
-                        let prev = std::mem::replace(&mut entry.publisher, publisher);
-                        entry.seq = stamp();
-                        entry.payload = payload;
-                        if fair && prev != publisher {
-                            state.occ_dec(prev);
-                            state.occ_inc(publisher);
+                        .and_then(|i| queue.remove(i));
+                    match replaced {
+                        // Same (pid, key) already queued: it leaves its
+                        // slot, and the newer verdict queues at the back.
+                        Some(prev) => {
+                            if fair {
+                                state.occ_dec(prev.publisher);
+                            }
+                            state.coalesced += 1;
                         }
-                        state.coalesced += 1;
-                        if lane == PRIORITY {
-                            state.priority_queued += 1;
-                        }
-                        return Pushed::Accepted;
+                        None => self.evict(state, lane, publisher),
                     }
-                    // No entry to merge into: evict the stalest *verdict*
-                    // (minimum stamp — coalescing restamps entries in
-                    // place, so the front of the lane is not necessarily
-                    // the oldest observation).
-                    self.evict(state, lane, publisher, true);
                 }
             }
         }
@@ -627,29 +622,24 @@ impl<P: CoalesceKey> IngestQueues<P> {
         Pushed::Accepted
     }
 
-    /// Evicts one entry of `lane` to make room. The naive victim is the
-    /// front (`DropOldest`) or the minimum-stamp entry (`Coalesce`'s
-    /// fallback, `stalest`); with fair queueing the eviction is instead
-    /// charged to `pusher` itself once it holds its fair share, and
-    /// otherwise to the heaviest backlog holder — redirections away from
-    /// the naive victim's publisher are counted as deflected.
-    fn evict(&self, state: &mut RingState<P>, lane: usize, pusher: u32, stalest: bool) {
+    /// Evicts one entry of `lane` to make room: the front, its oldest
+    /// observation. With fair queueing the eviction is instead charged to
+    /// `pusher` itself once it holds its fair share, and otherwise to the
+    /// heaviest backlog holder, and takes that publisher's first entry;
+    /// redirections away from the front's publisher are counted as
+    /// deflected.
+    fn evict(&self, state: &mut RingState<P>, lane: usize, pusher: u32) {
         let fair = self.fair(lane);
         let queue = &state.lanes[lane];
-        let naive = if stalest {
-            (0..queue.len()).min_by_key(|&i| queue[i].seq)
-        } else {
-            (!queue.is_empty()).then_some(0)
-        };
-        let Some(naive) = naive else { return };
-        let mut idx = naive;
+        let Some(front) = queue.front() else { return };
+        let mut idx = 0;
         if fair {
             let victim_pub = if state.occ(pusher) >= self.fair_share() {
                 pusher
             } else {
                 // The heaviest normal-lane backlog holder pays; ties go
                 // to the lowest id, deterministically.
-                let mut heaviest = queue[naive].publisher;
+                let mut heaviest = front.publisher;
                 let mut max_occ = 0;
                 for &(p, occ) in &state.occupancy {
                     if occ > max_occ {
@@ -659,15 +649,8 @@ impl<P: CoalesceKey> IngestQueues<P> {
                 }
                 heaviest
             };
-            let owned = if stalest {
-                (0..queue.len())
-                    .filter(|&i| queue[i].publisher == victim_pub)
-                    .min_by_key(|&i| queue[i].seq)
-            } else {
-                (0..queue.len()).find(|&i| queue[i].publisher == victim_pub)
-            };
-            if let Some(i) = owned {
-                if queue[naive].publisher != victim_pub {
+            if let Some(i) = (0..queue.len()).find(|&i| queue[i].publisher == victim_pub) {
+                if front.publisher != victim_pub {
                     state.evictions_deflected += 1;
                 }
                 idx = i;
@@ -698,8 +681,8 @@ impl<P: CoalesceKey> IngestQueues<P> {
         if let Some(seqs) = seqs.as_deref_mut() {
             seqs.reserve(n);
         }
-        // Merge the lanes by stamp, each in its own order: publish order,
-        // unless a full `Coalesce` lane restamped an entry in place.
+        // Each lane is in stamp order, so merging them by stamp drains
+        // the ring in publish order.
         let [priority, normal] = &mut state.lanes;
         let mut emit = |obs: QueuedObs<P>| {
             work.push((obs.pid, obs.payload));
@@ -890,18 +873,39 @@ mod tests {
     use std::collections::HashMap;
     use Classification::{Benign, Malicious};
 
+    /// Drains every ring once and hands each entry to `each` with its
+    /// stamp, checking that each ring's stamps rise from the `last` one
+    /// it drained (`last` holds one slot per ring).
+    fn drain_rising(
+        queues: &IngestQueues,
+        last: &mut [Option<u64>],
+        mut each: impl FnMut(u64, ProcessId, Classification),
+    ) {
+        let (mut work, mut seqs) = (Vec::new(), Vec::new());
+        for (shard, last) in last.iter_mut().enumerate() {
+            work.clear();
+            seqs.clear();
+            queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
+            for (&seq, &(pid, cls)) in seqs.iter().zip(&work) {
+                assert!(
+                    Some(seq) > *last,
+                    "ring {shard}: stamp {seq} after {last:?}"
+                );
+                *last = Some(seq);
+                each(seq, pid, cls);
+            }
+        }
+    }
+
+    /// Drains every ring, each in stamp order, and returns the entries
+    /// sorted by stamp.
     fn drain_all(queues: &IngestQueues) -> Vec<(u64, ProcessId, Classification)> {
         let mut out = Vec::new();
-        for shard in 0..queues.rings.len() {
-            let mut work = Vec::new();
-            let mut seqs = Vec::new();
-            queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
-            out.extend(
-                seqs.into_iter()
-                    .zip(work)
-                    .map(|(seq, (pid, cls))| (seq, pid, cls)),
-            );
-        }
+        drain_rising(
+            queues,
+            &mut vec![None; queues.rings.len()],
+            |seq, pid, cls| out.push((seq, pid, cls)),
+        );
         out.sort_unstable_by_key(|&(seq, _, _)| seq);
         out
     }
@@ -953,8 +957,8 @@ mod tests {
     }
 
     /// `Coalesce` under a full ring keeps exactly the newest verdict per
-    /// pid: a same-pid publish overwrites in place, a fresh pid falls back
-    /// to evicting the oldest entry.
+    /// pid: a same-pid publish replaces the queued entry, a fresh pid falls
+    /// back to evicting the oldest entry.
     #[test]
     fn coalesce_keeps_the_newest_verdict_per_pid() {
         let queues = IngestQueues::new(1, 2, OverflowPolicy::Coalesce);
@@ -984,9 +988,8 @@ mod tests {
         assert!(got.contains(&(3, Malicious)));
     }
 
-    /// Coalescing stamps the overwritten slot with the newer sequence
-    /// number, so a merged drain reports the entry at its newest publish
-    /// position.
+    /// A coalesced verdict queues at the back under its own, newer stamp,
+    /// so the drain applies it at its newest publish position.
     #[test]
     fn coalesce_takes_the_newer_sequence_stamp() {
         let queues = IngestQueues::new(1, 2, OverflowPolicy::Coalesce);
@@ -994,12 +997,51 @@ mod tests {
         publisher.publish(ProcessId(1), Malicious); // seq 0
         publisher.publish(ProcessId(2), Malicious); // seq 1
         publisher.publish(ProcessId(1), Benign); // coalesced, seq 2
-        let drained = drain_all(&queues);
-        assert_eq!(drained.len(), 2);
-        // Sorted by seq: pid 2 (seq 1) now precedes pid 1 (restamped 2).
-        assert_eq!(drained[0].1, ProcessId(2));
-        assert_eq!(drained[1].1, ProcessId(1));
-        assert_eq!(drained[1].2, Benign);
+        let mut work = Vec::new();
+        let mut seqs = Vec::new();
+        queues.drain_shard_into(0, &mut work, Some(&mut seqs));
+        assert_eq!(seqs, [1, 2]);
+        assert_eq!(work, [(ProcessId(2), Malicious), (ProcessId(1), Benign)]);
+    }
+
+    /// Every lane stays a FIFO in stamp order through `Coalesce` merges
+    /// and evictions: after every prefix of a script that overflows the
+    /// normal lane, the priority lane or both, the ring drains with its
+    /// stamps rising. A merge used to restamp the queued entry in its old
+    /// slot, ahead of older entries.
+    #[test]
+    fn coalesce_keeps_every_lane_in_stamp_order() {
+        let script = [1, 2, 3, 1, 4, 2, 1, 5, 3, 3, 6, 1, 2, 4];
+        for hot in [&[][..], &[1, 2, 3, 4, 5, 6], &[1, 3, 5]] {
+            for len in 1..=script.len() {
+                let queues = IngestQueues::with_defense(
+                    1,
+                    3,
+                    OverflowPolicy::Coalesce,
+                    IngestDefense::full(),
+                );
+                queues.set_hot(hot.iter().map(|&pid| (ProcessId(pid), true)));
+                let publisher = IngestPublisher::new(queues.clone());
+                for (i, &pid) in script[..len].iter().enumerate() {
+                    let cls = if i % 2 == 0 { Malicious } else { Benign };
+                    assert!(publisher.publish(ProcessId(pid), cls));
+                }
+                let mut work = Vec::new();
+                let mut seqs = Vec::new();
+                queues.drain_shard_into(0, &mut work, Some(&mut seqs));
+                assert!(
+                    seqs.windows(2).all(|w| w[0] < w[1]),
+                    "hot {hot:?}, {len} publishes: drained stamps {seqs:?}"
+                );
+                if len == script.len() {
+                    let stats = queues.stats();
+                    assert!(
+                        stats.coalesced > 0 && stats.dropped > 0,
+                        "{hot:?}: {stats:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1428,7 +1470,6 @@ mod tests {
         // Per batch: the stamp of its entry 0, and how many entries landed.
         let mut runs: HashMap<u64, (u64, u64)> = HashMap::new();
         let mut last = vec![None; queues.rings.len()];
-        let (mut work, mut seqs) = (Vec::new(), Vec::new());
         let mut drained = 0;
         let mut round = 0u64;
         while drained < total {
@@ -1448,23 +1489,13 @@ mod tests {
                 queues.set_hot(window(round).map(|pid| (pid, true)));
                 round += 1;
             }
-            for (shard, last) in last.iter_mut().enumerate() {
-                work.clear();
-                seqs.clear();
-                queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
-                for (&seq, &(pid, _)) in seqs.iter().zip(&work) {
-                    assert!(
-                        Some(seq) > *last,
-                        "ring {shard}: stamp {seq} after {last:?}"
-                    );
-                    *last = Some(seq);
-                    let base = seq - pid.0 % BATCH;
-                    let run = runs.entry(pid.0 / BATCH).or_insert((base, 0));
-                    assert_eq!(run.0, base, "batch {} is not one stamp run", pid.0 / BATCH);
-                    run.1 += 1;
-                }
-                drained += work.len() as u64;
-            }
+            drain_rising(&queues, &mut last, |seq, pid, _| {
+                let base = seq - pid.0 % BATCH;
+                let run = runs.entry(pid.0 / BATCH).or_insert((base, 0));
+                assert_eq!(run.0, base, "batch {} is not one stamp run", pid.0 / BATCH);
+                run.1 += 1;
+                drained += 1;
+            });
             std::thread::yield_now();
         }
         for _ in &workers {
@@ -1509,6 +1540,96 @@ mod tests {
         concurrent_batches_take_contiguous_stamp_runs(2_500, IngestDefense::full());
     }
 
+    /// Four threads publish batches and single entries of twelve repeated
+    /// pids into four `Coalesce` rings of two entries a lane, so every
+    /// batch merges and evicts while this thread drains with stamps. Each
+    /// ring's stamps rise in drain order, and every published observation
+    /// is drained, dropped, coalesced or still queued. With the defense on,
+    /// the drainer moves a hot window between drains, so both lanes merge
+    /// and fair queueing picks victims. Every wait is bounded.
+    fn lossy_coalesce_keeps_rings_in_stamp_order(rounds: u64, defense: IngestDefense) {
+        const THREADS: u64 = 4;
+        const PIDS: u64 = 12;
+        const BATCH: u64 = 24;
+        let queues = IngestQueues::with_defense(4, 2, OverflowPolicy::Coalesce, defense);
+        let publisher = IngestPublisher::new(queues.clone());
+        let (done, finished) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let publisher = publisher.clone();
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let mut batch = Vec::with_capacity(BATCH as usize);
+                    for r in 0..rounds {
+                        batch.clear();
+                        batch.extend((0..BATCH).map(|k| {
+                            let cls = if (r + k) % 3 == 0 { Malicious } else { Benign };
+                            (ProcessId((t * 7 + r * 5 + k) % PIDS), cls)
+                        }));
+                        assert_eq!(publisher.publish_batch(&batch), batch.len());
+                        assert!(publisher.publish(ProcessId((t + r) % PIDS), Benign));
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
+        let mut last = vec![None; queues.rings.len()];
+        let mut running = THREADS;
+        for round in 0u64.. {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "publish or drain deadlocked"
+            );
+            while finished.try_recv().is_ok() {
+                running -= 1;
+            }
+            if defense.priority_lane {
+                let window = |r: u64| (0..3).map(move |k| ProcessId((r + 4 * k) % PIDS));
+                if round > 0 {
+                    queues.set_hot(window(round - 1).map(|pid| (pid, false)));
+                }
+                queues.set_hot(window(round).map(|pid| (pid, true)));
+            }
+            drain_rising(&queues, &mut last, |_, _, _| {});
+            if running == 0 {
+                // Every publish returned before this pass drained the rings.
+                break;
+            }
+            std::thread::yield_now();
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        let stats = queues.stats();
+        assert_eq!(stats.published, THREADS * rounds * (BATCH + 1));
+        assert_eq!(
+            stats.published,
+            stats.drained + stats.dropped + stats.coalesced + stats.queued as u64,
+            "{stats:?}"
+        );
+        assert_eq!(stats.queued, 0);
+        assert!(stats.coalesced > 0 && stats.dropped > 0, "{stats:?}");
+        if defense.priority_lane {
+            assert!(stats.priority_queued > 0, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn lossy_coalesce_rings_drain_in_stamp_order() {
+        for defense in [IngestDefense::default(), IngestDefense::full()] {
+            lossy_coalesce_keeps_rings_in_stamp_order(64, defense);
+        }
+    }
+
+    #[test]
+    #[ignore = "stress: 100k lossy batches per defense; run with --ignored"]
+    fn lossy_coalesce_rings_drain_in_stamp_order_stress() {
+        for defense in [IngestDefense::default(), IngestDefense::full()] {
+            lossy_coalesce_keeps_rings_in_stamp_order(25_000, defense);
+        }
+    }
+
     /// A `Block` batch three times the size of the rings cannot fit while
     /// it holds them, so it falls back to publishing entry by entry: a
     /// drainer racing it receives every observation exactly once, in
@@ -1529,25 +1650,14 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let mut drained = Vec::new();
         let mut last = vec![None; queues.rings.len()];
-        let (mut work, mut seqs) = (Vec::new(), Vec::new());
         while drained.len() < batch.len() {
             assert!(
                 std::time::Instant::now() < deadline,
                 "publish or drain deadlocked"
             );
-            for (shard, last) in last.iter_mut().enumerate() {
-                work.clear();
-                seqs.clear();
-                queues.drain_shard_into(shard, &mut work, Some(&mut seqs));
-                for (&seq, &(pid, cls)) in seqs.iter().zip(&work) {
-                    assert!(
-                        Some(seq) > *last,
-                        "ring {shard}: stamp {seq} after {last:?}"
-                    );
-                    *last = Some(seq);
-                    drained.push((seq, pid, cls));
-                }
-            }
+            drain_rising(&queues, &mut last, |seq, pid, cls| {
+                drained.push((seq, pid, cls))
+            });
             std::thread::yield_now();
         }
         let accepted = finished

@@ -1049,10 +1049,8 @@ impl ShardedEngine {
         let turn = self.next_relay_turn();
         let replies = slots(&mut self.replies, nshards);
         step_shards(&mut self.shards, &self.buckets, replies, workers, turn);
-        // One ring applies in ring order, but the *returned* order must
-        // still be stamp order — under `Coalesce` a restamped entry keeps
-        // its ring slot, and skipping the merge would make response order
-        // depend on the shard count.
+        // Each shard answered its ring in stamp order; interleave the
+        // shards' replies by stamp into one publish order.
         merge_by_seq(&self.seqs, &self.replies, out);
         shrink_slots(&mut self.buckets);
         shrink_slots(&mut self.replies);

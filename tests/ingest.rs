@@ -4,7 +4,8 @@
 //! The harness pins Block-mode publish-then-drain, defended or not, to the
 //! synchronous path bit for bit. Here: publishing a chunk with
 //! `publish_batch` is equivalent to publishing its entries one by one, on
-//! lossy rings that overflow too; runs are deterministic; concurrent
+//! lossy rings that overflow too; a `Coalesce` merge keeps a pid's
+//! verdicts in publish order; runs are deterministic; concurrent
 //! publishers lose nothing; and the async epoch driver ticks on schedule
 //! no matter how slow or jittery the detector tier is (`LatencyModel`),
 //! which is the entire point of the subsystem.
@@ -268,6 +269,45 @@ fn a_pid_that_turns_hot_mid_window_is_applied_in_publish_order() {
     });
     assert_eq!(defended, undefended);
     let answers: Vec<_> = undefended
+        .iter()
+        .map(|r| (r.threat.value(), r.action))
+        .collect();
+    assert_eq!(answers, [(0.0, Action::Restore), (2.0, Action::Throttle)]);
+}
+
+/// Regression: a full `Coalesce` lane used to merge a newer verdict into
+/// the queued entry's slot under the newer stamp, so the lane left stamp
+/// order and the drain's lane merge applied a pid's observations
+/// backwards. One shard with lanes of two: W and X are queued, a
+/// synchronous batch turns X hot, X's next verdict takes the priority
+/// lane and W's next one coalesces with the queued W. The drain must
+/// answer as one engine fed in publish order.
+#[test]
+fn a_coalesced_entry_keeps_its_lane_in_publish_order() {
+    use Classification::{Benign, Malicious};
+    let (w, x) = (ProcessId(1), ProcessId(2));
+    let config = engine_config(100, false);
+    let mut engine = ShardedEngine::new(config.clone(), 1);
+    let publisher =
+        engine.enable_ingest_defended(2, OverflowPolicy::Coalesce, IngestDefense::full());
+    assert!(publisher.publish(w, Benign));
+    assert!(publisher.publish(x, Benign));
+    engine.observe_batch(&[(x, Malicious)]);
+    assert!(engine.is_hot(x));
+    assert!(publisher.publish(x, Malicious));
+    assert!(publisher.publish(w, Malicious));
+    let drained = engine.drain_batch();
+    let stats = engine.ingest_stats().unwrap();
+    assert_eq!((stats.coalesced, stats.priority_queued), (1, 1));
+
+    let mut reference = ValkyrieEngine::new(config);
+    reference.observe(x, Malicious);
+    let expected: Vec<EngineResponse> = [(x, Benign), (x, Malicious), (w, Malicious)]
+        .into_iter()
+        .map(|(pid, cls)| reference.observe(pid, cls))
+        .collect();
+    assert_eq!(drained, expected);
+    let answers: Vec<_> = drained[..2]
         .iter()
         .map(|r| (r.threat.value(), r.action))
         .collect();
